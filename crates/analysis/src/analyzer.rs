@@ -34,13 +34,10 @@
 
 use hwprof_profiler::{RawRecord, SupervisedRun};
 use hwprof_tagfile::TagFile;
-use hwprof_telemetry::{Registry, SpanLog};
 
-use crate::columnar::{ColumnarDecoder, DenseTagTable};
+use crate::columnar::DenseTagTable;
 use crate::events::{Event, Symbols};
-use crate::export::Exporter;
-use crate::recon::{Reconstruction, SessionRecon};
-use crate::stream::StreamAnalyzer;
+use crate::recon::{BankRecon, Reconstruction, SessionRecon};
 
 /// Why an [`Analyzer`] refused to produce a reconstruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,9 +56,6 @@ pub enum AnalyzerError {
     /// file, but the analyzer was built from bare [`Symbols`]
     /// ([`Analyzer::new`]); use [`Analyzer::for_tagfile`].
     MissingTagFile,
-    /// The internal streaming pipeline misbehaved (it cannot, short of
-    /// a panicking worker; surfaced as an error rather than a panic).
-    PipelineClosed,
 }
 
 impl std::fmt::Display for AnalyzerError {
@@ -81,9 +75,6 @@ impl std::fmt::Display for AnalyzerError {
                 "this entry point decodes raw records and needs the build's tag file; \
                  construct the analyzer with Analyzer::for_tagfile"
             ),
-            AnalyzerError::PipelineClosed => {
-                write!(f, "internal streaming pipeline closed early")
-            }
         }
     }
 }
@@ -101,8 +92,6 @@ pub struct Analyzer {
     recovering: bool,
     workers: usize,
     limit_ppm: Option<u32>,
-    telemetry: Option<Registry>,
-    journal: Option<SpanLog>,
 }
 
 impl Analyzer {
@@ -117,8 +106,6 @@ impl Analyzer {
             recovering: false,
             workers: 1,
             limit_ppm: None,
-            telemetry: None,
-            journal: None,
         }
     }
 
@@ -126,13 +113,8 @@ impl Analyzer {
     /// entry point is available.
     pub fn for_tagfile(tf: &TagFile) -> Self {
         Analyzer {
-            syms: Symbols::from_tagfile(tf),
             tagfile: Some(tf.clone()),
-            recovering: false,
-            workers: 1,
-            limit_ppm: None,
-            telemetry: None,
-            journal: None,
+            ..Analyzer::new(&Symbols::from_tagfile(tf))
         }
     }
 
@@ -160,45 +142,9 @@ impl Analyzer {
         self
     }
 
-    /// Registers live pipeline telemetry (the `stream.*` metrics) in
-    /// `reg` for entry points that run the streaming worker pool
-    /// ([`Analyzer::run_streaming`]).  Off by default; when off, no
-    /// atomics are touched anywhere on the analysis path.
-    pub fn telemetry(mut self, reg: &Registry) -> Self {
-        self.telemetry = Some(reg.clone());
-        self
-    }
-
-    /// Records per-bank analyze spans into `log` for entry points that
-    /// run the streaming worker pool ([`Analyzer::run_streaming`]).
-    /// Off by default, like [`Analyzer::telemetry`].
-    pub fn journal(mut self, log: &SpanLog) -> Self {
-        self.journal = Some(log.clone());
-        self
-    }
-
     /// The symbol table this analyzer reconstructs against.
     pub fn symbols(&self) -> &Symbols {
         &self.syms
-    }
-
-    /// The unified [`Profile`](crate::Profile) view over a
-    /// reconstruction this analyzer produced, pre-loaded with the
-    /// configured span journal (if any).  Chain
-    /// [`Profile::run`](crate::Profile::run) to place a stitched
-    /// result on its supervised timeline.
-    pub fn profile<'r>(&self, r: &'r Reconstruction) -> crate::Profile<'r> {
-        let p = crate::Profile::new(r);
-        match &self.journal {
-            Some(log) => p.spans(log),
-            None => p,
-        }
-    }
-
-    /// Delegating wrapper over [`Analyzer::profile`] for callers that
-    /// want the raw [`Exporter`] builder; prefer `profile()`.
-    pub fn export<'r>(&self, r: &'r Reconstruction) -> Exporter<'r> {
-        self.profile(r).exporter()
     }
 
     /// The base fold every flavour goes through: sessions reconstructed
@@ -219,21 +165,41 @@ impl Analyzer {
         out
     }
 
-    /// The fold fanned out across the configured workers: contiguous
-    /// session blocks, block results merged in order.  The trace
-    /// concatenation is a large share of total analysis cost, so
-    /// block-local folds parallelize it along with the reconstruction,
-    /// leaving only `workers - 1` merges on the calling thread.
-    fn fan_out(&self, sessions: &[Vec<Event>]) -> Reconstruction {
-        let workers = self.workers.min(sessions.len().max(1));
-        if workers <= 1 {
-            return self.fold(sessions);
+    /// [`fold`](Analyzer::fold) for raw banks: each decoded and
+    /// reconstructed as one session through a single [`BankRecon`].
+    fn fold_banks<I>(&self, table: &DenseTagTable, banks: I) -> Reconstruction
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[RawRecord]>,
+    {
+        let mut out = Reconstruction::empty(self.syms.clone());
+        let mut bank = BankRecon::new(table, &self.syms, self.recovering);
+        for b in banks {
+            bank.bank_into(b.as_ref(), &mut out);
         }
-        let chunk = sessions.len().div_ceil(workers);
+        out
+    }
+
+    /// A fold fanned out across the configured workers: contiguous
+    /// blocks of `items`, each folded on its own thread, block results
+    /// merged in order.  Decode, reconstruction and the trace
+    /// concatenation all parallelize with the blocks, leaving only
+    /// `workers - 1` merges on the calling thread.
+    fn fan_out<T: Sync>(
+        &self,
+        items: &[T],
+        fold: impl Fn(&[T]) -> Reconstruction + Sync,
+    ) -> Reconstruction {
+        let workers = self.workers.min(items.len().max(1));
+        if workers <= 1 {
+            return fold(items);
+        }
+        let chunk = items.len().div_ceil(workers);
+        let fold = &fold;
         let parts: Vec<Reconstruction> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sessions
+            let handles: Vec<_> = items
                 .chunks(chunk)
-                .map(|block| scope.spawn(move || self.fold(block)))
+                .map(|block| scope.spawn(move || fold(block)))
                 .collect();
             handles
                 .into_iter()
@@ -273,25 +239,6 @@ impl Analyzer {
         ))
     }
 
-    /// Decodes one raw bank in the configured mode through a shared
-    /// columnar decoder (decode-level anomalies folded into the events'
-    /// reconstruction by the caller).  The decoder's scratch columns
-    /// persist across banks; only its session state resets.
-    fn decode_bank(
-        &self,
-        decoder: &mut ColumnarDecoder<'_>,
-        records: &[RawRecord],
-    ) -> (Vec<Event>, crate::Anomalies) {
-        decoder.reset();
-        let mut events = Vec::new();
-        if self.recovering {
-            decoder.extend_recovering(records, &mut events);
-        } else {
-            decoder.extend(records, &mut events);
-        }
-        (events, decoder.anomalies())
-    }
-
     /// Analyzes one decoded capture session.
     pub fn session(&self, events: &[Event]) -> Result<Reconstruction, AnalyzerError> {
         self.gate(self.fold([events]))
@@ -300,7 +247,7 @@ impl Analyzer {
     /// Analyzes several capture sessions (merged in slice order), fanned
     /// out across the configured workers.
     pub fn sessions(&self, sessions: &[Vec<Event>]) -> Result<Reconstruction, AnalyzerError> {
-        self.gate(self.fan_out(sessions))
+        self.gate(self.fan_out(sessions, |block| self.fold(block)))
     }
 
     /// Analyzes an iterator of capture sessions, folded sequentially in
@@ -327,23 +274,7 @@ impl Analyzer {
         I: IntoIterator,
         I::Item: AsRef<[RawRecord]>,
     {
-        let table = self.dense_table()?;
-        let mut decoder = ColumnarDecoder::new(&table);
-        let mut recon = SessionRecon::new(&self.syms, self.recovering);
-        let mut out = Reconstruction::empty(self.syms.clone());
-        let mut events = Vec::new();
-        for bank in banks {
-            decoder.reset();
-            events.clear();
-            if self.recovering {
-                decoder.extend_recovering(bank.as_ref(), &mut events);
-            } else {
-                decoder.extend(bank.as_ref(), &mut events);
-            }
-            recon.session_into(&events, &mut out);
-            out.note(&decoder.anomalies());
-        }
-        self.gate(out)
+        self.gate(self.fold_banks(&self.dense_table()?, banks))
     }
 
     /// Stitches a supervised run: each delivered bank decoded and
@@ -355,50 +286,9 @@ impl Analyzer {
     /// [`Coverage`]: hwprof_profiler::Coverage
     pub fn run(&self, run: &SupervisedRun) -> Result<Reconstruction, AnalyzerError> {
         let table = self.dense_table()?;
-        let mut decoder = ColumnarDecoder::new(&table);
-        let mut decode_anoms = crate::Anomalies::default();
-        let sessions: Vec<Vec<Event>> = run
-            .sessions
-            .iter()
-            .map(|s| {
-                let (events, anoms) = self.decode_bank(&mut decoder, &s.records);
-                decode_anoms.merge(&anoms);
-                events
-            })
-            .collect();
-        let mut out = self.fan_out(&sessions);
-        out.note(&decode_anoms);
-        out.note_coverage(&run.coverage);
-        self.gate(out)
-    }
-
-    /// Stitches a supervised run through the streaming worker pipeline
-    /// (each delivered bank fed as one bank); bit-identical to
-    /// [`Analyzer::run`].  Needs [`Analyzer::for_tagfile`].
-    pub fn run_streaming(&self, run: &SupervisedRun) -> Result<Reconstruction, AnalyzerError> {
-        let tf = self.tagfile.as_ref().ok_or(AnalyzerError::MissingTagFile)?;
-        let mut analyzer = if self.recovering {
-            StreamAnalyzer::recovering(tf, self.workers)
-        } else {
-            StreamAnalyzer::new(tf, self.workers)
-        };
-        if let Some(reg) = &self.telemetry {
-            analyzer.set_telemetry(reg);
-        }
-        if let Some(log) = &self.journal {
-            analyzer.set_span_log(log);
-        }
-        {
-            let mut feed = analyzer.feed().map_err(|_| AnalyzerError::PipelineClosed)?;
-            for s in &run.sessions {
-                if !hwprof_profiler::BankSink::bank(&mut feed, s.records.clone()) {
-                    return Err(AnalyzerError::PipelineClosed);
-                }
-            }
-        }
-        let mut out = analyzer
-            .finish()
-            .map_err(|_| AnalyzerError::PipelineClosed)?;
+        let mut out = self.fan_out(&run.sessions, |block| {
+            self.fold_banks(&table, block.iter().map(|s| &s.records))
+        });
         out.note_coverage(&run.coverage);
         self.gate(out)
     }
@@ -443,6 +333,70 @@ mod tests {
         assert_eq!(recovering.agg("a").unwrap().calls, 1);
         // Strict decode keeps the duplicate as a real (bogus) event.
         assert!(strict.tags >= recovering.tags);
+    }
+
+    /// The fanned-out `run` notes each bank's decode-level anomalies
+    /// inside its worker's fold; the total must still be exactly the
+    /// sequential per-bank sum.
+    #[test]
+    fn recovering_run_matches_record_sessions() {
+        use hwprof_profiler::{Coverage, SupervisedSession, TagMaskLevel};
+        let tf = hwprof_tagfile::parse(TF).unwrap();
+        const FLIP: u32 = 1 << 23;
+        // Duplicates and flipped high time bits spread across banks, so
+        // every block of a three-way fan-out carries some.
+        let banks = vec![
+            vec![
+                rec(100, 0),
+                rec(100, 0),
+                rec(102, 20),
+                rec(103, 50),
+                rec(101, 100),
+            ],
+            vec![
+                rec(100, 200),
+                rec(102, 210 | FLIP),
+                rec(103, 230),
+                rec(101, 260),
+            ],
+            vec![rec(102, 300), rec(102, 300), rec(103, 320)],
+            vec![
+                rec(100, 400),
+                rec(101, 410 | FLIP),
+                rec(100, 420),
+                rec(101, 430),
+            ],
+        ];
+        let run = SupervisedRun {
+            sessions: banks
+                .iter()
+                .enumerate()
+                .map(|(i, records)| SupervisedSession {
+                    index: i as u64,
+                    start_us: 0,
+                    end_us: 0,
+                    level: TagMaskLevel::All,
+                    records: records.clone(),
+                })
+                .collect(),
+            gaps: Vec::new(),
+            coverage: Coverage {
+                timeline_us: 500,
+                covered_us: 500,
+                ..Coverage::empty()
+            },
+            final_level: TagMaskLevel::All,
+            hot_tags: Vec::new(),
+        };
+        let a = Analyzer::for_tagfile(&tf).recovering(true);
+        let mut expect = a.record_sessions(&banks).unwrap();
+        expect.note_coverage(&run.coverage);
+        assert!(expect.anomalies.duplicates >= 2, "{:?}", expect.anomalies);
+        assert!(expect.anomalies.time_jumps >= 2, "{:?}", expect.anomalies);
+        for workers in [1, 3] {
+            let got = a.clone().workers(workers).run(&run).unwrap();
+            assert_eq!(got, expect, "workers({workers})");
+        }
     }
 
     #[test]

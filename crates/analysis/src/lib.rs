@@ -48,7 +48,8 @@ pub use events::{
 pub use export::{validate_json, Exporter, JsonValue};
 pub use profile::Profile;
 pub use recon::{
-    reconstruct_session, reconstruct_session_recovering, FnAgg, Reconstruction, SessionRecon,
+    reconstruct_session, reconstruct_session_recovering, BankRecon, FnAgg, Reconstruction,
+    SessionRecon,
 };
 pub use recorder::{DiffRow, FlightRecorder, RecorderLedger, WindowDiff, WindowRollup};
 pub use report::{fmt_us, summary_report};
@@ -56,8 +57,6 @@ pub use sentinel::{
     AlertEntry, AlertJournal, AlertTransition, Baseline, Detector, FleetAlert, FleetSentinel,
     Sentinel, SentinelConfig, SentinelConfigBuilder, SentinelConfigError,
 };
-pub use stitch::{
-    scale_factor, scaled_calls, stitch_events, visibility, visible_us, MaskVisibility,
-};
+pub use stitch::{scale_factor, scaled_calls, visibility, visible_us, MaskVisibility};
 pub use stream::{BankFeed, PipelineClosed, RecordStream, StreamAnalyzer};
 pub use trace::{trace_report, TraceStyle};

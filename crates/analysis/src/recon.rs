@@ -11,8 +11,9 @@
 //! that called `swtch`).
 
 use crate::anomaly::Anomalies;
+use crate::columnar::{ColumnarDecoder, DenseTagTable};
 use crate::events::{EvKind, Event, SymId, Symbols};
-use hwprof_profiler::Coverage;
+use hwprof_profiler::{Coverage, RawRecord};
 
 /// Aggregate statistics for one function.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -694,6 +695,46 @@ enum Choice {
     Active,
     Suspended(usize),
     Birth,
+}
+
+/// The per-bank step every capture path shares: one carried RAM (or
+/// drained bank, or fleet shard) decoded and reconstructed as one
+/// session.  Holds the worker-lifetime hot-path state — the columnar
+/// decoder's scratch columns, the event buffer and the
+/// reconstructor's frame pool — so a warm `BankRecon` decodes and
+/// reconstructs without touching the allocator.
+pub struct BankRecon<'a> {
+    decoder: ColumnarDecoder<'a>,
+    recon: SessionRecon<'a>,
+    events: Vec<Event>,
+}
+
+impl<'a> BankRecon<'a> {
+    /// A bank step over `table`/`syms`; `recover` selects tolerant
+    /// decode plus resynchronizing reconstruction.
+    pub fn new(table: &'a DenseTagTable, syms: &'a Symbols, recover: bool) -> Self {
+        BankRecon {
+            decoder: ColumnarDecoder::new(table),
+            recon: SessionRecon::new(syms, recover),
+            events: Vec::new(),
+        }
+    }
+
+    /// Decodes `records` as one session, accumulates its
+    /// reconstruction into `out` with the decode-level anomalies noted
+    /// (strict decode never flags any), and returns the decoded events.
+    pub fn bank_into(&mut self, records: &[RawRecord], out: &mut Reconstruction) -> &[Event] {
+        self.decoder.reset();
+        self.events.clear();
+        if self.recon.recover {
+            self.decoder.extend_recovering(records, &mut self.events);
+        } else {
+            self.decoder.extend(records, &mut self.events);
+        }
+        self.recon.session_into(&self.events, out);
+        out.note(&self.decoder.anomalies());
+        &self.events
+    }
 }
 
 /// Reconstructs a single capture session in isolation.

@@ -28,7 +28,6 @@
 use hwprof_profiler::{Coverage, SupervisedRun};
 use hwprof_tagfile::{TagFile, TagKind};
 
-use crate::events::{SessionDecoder, Symbols, TagMap};
 use crate::recon::Reconstruction;
 
 /// When a function's tags pass the EE-PAL, by ladder level.
@@ -40,25 +39,6 @@ pub enum MaskVisibility {
     UnlessSwitchOnly,
     /// Hot-masked tags: admitted only at `All`.
     AllOnly,
-}
-
-/// Decodes each delivered session of a supervised run into events —
-/// exactly as the streaming workers do (strict per-bank decode) — and
-/// returns them in bank order.
-pub fn stitch_events(tf: &TagFile, run: &SupervisedRun) -> (Symbols, Vec<Vec<crate::Event>>) {
-    let map = TagMap::from_tagfile(tf);
-    let syms = Symbols::from_tagfile(tf);
-    let sessions = run
-        .sessions
-        .iter()
-        .map(|s| {
-            let mut decoder = SessionDecoder::new(&map);
-            let mut events = Vec::new();
-            decoder.extend(&s.records, &mut events);
-            events
-        })
-        .collect();
-    (syms, sessions)
 }
 
 /// Classifies when `name`'s tags were visible during a supervised run.
@@ -115,8 +95,8 @@ mod tests {
     use super::*;
     use hwprof_machine::EpromTap;
     use hwprof_profiler::{
-        BoardConfig, CaptureSupervisor, MemoryTransport, Profiler, RetryPolicy, SupervisorPolicy,
-        TagMask, TagMaskLevel,
+        BankSink, BoardConfig, CaptureSupervisor, MemoryTransport, Profiler, RetryPolicy,
+        SupervisorPolicy, TagMask, TagMaskLevel,
     };
 
     const TF: &str = "a/500\nb/502\nswtch/200!\n";
@@ -184,7 +164,14 @@ mod tests {
             let a = crate::Analyzer::for_tagfile(&tf).workers(workers);
             let par = a.run(&run).expect("ungated");
             assert_eq!(seq, par, "parallel({workers}) diverged");
-            let streamed = a.run_streaming(&run).expect("pipeline open");
+            let mut pipeline = crate::StreamAnalyzer::new(&tf, workers);
+            let mut feed = pipeline.feed().expect("pipeline open");
+            for s in &run.sessions {
+                assert!(feed.bank(s.records.clone()), "pipeline open");
+            }
+            drop(feed);
+            let mut streamed = pipeline.finish().expect("pipeline open");
+            streamed.note_coverage(&run.coverage);
             assert_eq!(seq, streamed, "streaming({workers}) diverged");
         }
     }

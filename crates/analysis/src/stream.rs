@@ -22,9 +22,9 @@ use hwprof_tagfile::TagFile;
 use hwprof_telemetry::{Counter, Gauge, Registry, SpanLog, SpanName, SpanTrack};
 
 use crate::anomaly::Anomalies;
-use crate::columnar::{ColumnarDecoder, DenseTagTable};
-use crate::events::{Event, Symbols};
-use crate::recon::{Reconstruction, SessionRecon};
+use crate::columnar::DenseTagTable;
+use crate::events::Symbols;
+use crate::recon::{BankRecon, Reconstruction};
 
 /// The pipeline was already closed: [`StreamAnalyzer::feed`] or
 /// [`StreamAnalyzer::finish`] was called after `finish` consumed the
@@ -213,23 +213,12 @@ pub struct StreamAnalyzer {
     journal: JournalSlot,
 }
 
-/// How a [`StreamAnalyzer`] treats malformed banks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Clean decode + strict reconstruction (bit-identical to a batch
-    /// [`crate::Analyzer::sessions`] pass).
-    Strict,
-    /// Recovery decode + resynchronizing reconstruction, anomalies
-    /// classified per bank (bit-identical to batch recovery analysis
-    /// over the same banks).
-    Recovering,
-}
-
 impl StreamAnalyzer {
-    /// Spawns `workers` analysis threads against the build's tag file,
-    /// with the default bank backlog.
+    /// Spawns `workers` analysis threads against the build's tag file:
+    /// clean decode plus strict reconstruction, bit-identical to a
+    /// batch [`crate::Analyzer::record_sessions`] pass over the banks.
     pub fn new(tf: &TagFile, workers: usize) -> Self {
-        Self::with_mode(tf, workers, DEFAULT_BACKLOG, Mode::Strict)
+        Self::spawn(tf, workers, false)
     }
 
     /// Spawns `workers` analysis threads in recovery mode: banks decode
@@ -239,19 +228,13 @@ impl StreamAnalyzer {
     /// banks still yield times plus a classified
     /// [`crate::Anomalies`] account.
     pub fn recovering(tf: &TagFile, workers: usize) -> Self {
-        Self::with_mode(tf, workers, DEFAULT_BACKLOG, Mode::Recovering)
+        Self::spawn(tf, workers, true)
     }
 
-    /// Spawns `workers` analysis threads; at most `backlog` banks wait
-    /// in the queue before the feed refuses (and the board overflows).
-    pub fn with_backlog(tf: &TagFile, workers: usize, backlog: usize) -> Self {
-        Self::with_mode(tf, workers, backlog, Mode::Strict)
-    }
-
-    fn with_mode(tf: &TagFile, workers: usize, backlog: usize, mode: Mode) -> Self {
+    fn spawn(tf: &TagFile, workers: usize, recover: bool) -> Self {
         let table = Arc::new(DenseTagTable::from_tagfile(tf));
         let syms = Symbols::from_tagfile(tf);
-        let (tx, rx) = std::sync::mpsc::sync_channel(backlog.max(1));
+        let (tx, rx) = std::sync::mpsc::sync_channel(DEFAULT_BACKLOG);
         let rx: Arc<Mutex<Receiver<QueuedBank>>> = Arc::new(Mutex::new(rx));
         let queued = Arc::new(AtomicUsize::new(0));
         let metrics: MetricsSlot = Arc::new(Mutex::new(None));
@@ -268,16 +251,9 @@ impl StreamAnalyzer {
                     .name(format!("hwprof-analyze-{w}"))
                     .spawn(move || {
                         let mut done = Vec::new();
-                        // Worker-lifetime hot-path state: the columnar
-                        // decoder's scratch columns, the event buffer
-                        // and the reconstructor's frame pool all
-                        // persist across banks — steady state decodes
-                        // and reconstructs without touching the
-                        // allocator (only the per-bank result vectors
-                        // grow).
-                        let mut decoder = ColumnarDecoder::new(&table);
-                        let mut recon = SessionRecon::new(&syms, matches!(mode, Mode::Recovering));
-                        let mut events: Vec<Event> = Vec::new();
+                        // Worker-lifetime hot-path state persists across
+                        // banks; only the per-bank result vectors grow.
+                        let mut step = BankRecon::new(&table, &syms, recover);
                         loop {
                             // Hold the receiver lock only to claim the
                             // next bank, never while analyzing it.
@@ -294,20 +270,8 @@ impl StreamAnalyzer {
                                 m.queue_depth
                                     .set((queued.load(Ordering::Relaxed) as isize).max(0) as u64);
                             }
-                            decoder.reset();
-                            events.clear();
                             let mut r = Reconstruction::empty(syms.clone());
-                            match mode {
-                                Mode::Strict => {
-                                    decoder.extend(&bank, &mut events);
-                                    recon.session_into(&events, &mut r);
-                                }
-                                Mode::Recovering => {
-                                    decoder.extend_recovering(&bank, &mut events);
-                                    recon.session_into(&events, &mut r);
-                                    r.note(&decoder.anomalies());
-                                }
-                            }
+                            let events = step.bank_into(&bank, &mut r);
                             if let Some(m) = &live {
                                 m.note_bank(events.len() as u64, &r.anomalies);
                             }
@@ -388,12 +352,6 @@ impl StreamAnalyzer {
             queued: Arc::clone(&self.queued),
             metrics: Arc::clone(&self.metrics),
         })
-    }
-
-    /// Banks queued and not yet claimed by a worker (backpressure
-    /// observability).
-    pub fn backlog(&self) -> usize {
-        self.queued.load(Ordering::Relaxed)
     }
 
     /// Closes the feed, waits for the workers to drain the queue, and

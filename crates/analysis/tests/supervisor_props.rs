@@ -9,11 +9,11 @@
 use proptest::prelude::*;
 
 use hwprof_analysis::{
-    reconstruct_session, Analyzer, Reconstruction, SessionDecoder, Symbols, TagMap,
+    reconstruct_session, Analyzer, Reconstruction, SessionDecoder, StreamAnalyzer, Symbols, TagMap,
 };
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
-    BoardConfig, CaptureSupervisor, FlakyTransport, MemoryTransport, Profiler, RawRecord,
+    BankSink, BoardConfig, CaptureSupervisor, FlakyTransport, MemoryTransport, Profiler, RawRecord,
     RetryPolicy, SupervisedRun, SupervisorPolicy, TagMask, TagMaskLevel,
 };
 use hwprof_tagfile::{TagFile, TagKind};
@@ -119,6 +119,28 @@ fn policy(
     }
 }
 
+/// The streaming stitch through the public pipeline: each delivered
+/// bank fed in order, the run's coverage folded in after `finish`.
+fn stream_stitch(
+    tf: &TagFile,
+    run: &SupervisedRun,
+    workers: usize,
+    telemetry: Option<&hwprof_telemetry::Registry>,
+) -> Reconstruction {
+    let mut pipeline = StreamAnalyzer::new(tf, workers);
+    if let Some(reg) = telemetry {
+        pipeline.set_telemetry(reg);
+    }
+    let mut feed = pipeline.feed().expect("pipeline open");
+    for s in &run.sessions {
+        assert!(feed.bank(s.records.clone()), "pipeline open");
+    }
+    drop(feed);
+    let mut r = pipeline.finish().expect("pipeline open");
+    r.note_coverage(&run.coverage);
+    r
+}
+
 /// Merged strict reconstruction of pre-filtered banks — the fixed-bank
 /// formulation the mask-monotonicity property uses.
 fn reconstruct_filtered(
@@ -210,7 +232,7 @@ proptest! {
         let a = Analyzer::for_tagfile(&tf).workers(workers);
         let par = a.run(&run).expect("ungated");
         prop_assert!(seq == par, "parallel({workers}) diverged");
-        let streamed = a.run_streaming(&run).expect("pipeline open");
+        let streamed = stream_stitch(&tf, &run, workers, None);
         prop_assert!(seq == streamed, "streaming({workers}) diverged");
     }
 
@@ -369,11 +391,7 @@ proptest! {
         );
         // The streaming pipeline's counters against the merged result.
         let sreg = hwprof_telemetry::Registry::new();
-        let r = Analyzer::for_tagfile(&tf)
-            .workers(workers)
-            .telemetry(&sreg)
-            .run_streaming(&run)
-            .expect("pipeline open");
+        let r = stream_stitch(&tf, &run, workers, Some(&sreg));
         let snap = sreg.snapshot();
         prop_assert_eq!(snap.value("stream.banks"), Some(run.sessions.len() as u64));
         prop_assert_eq!(snap.value("stream.events"), Some(r.tags as u64));

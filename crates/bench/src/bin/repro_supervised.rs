@@ -11,7 +11,7 @@ use std::process::exit;
 use hwprof::analysis::{summary_report, Analyzer};
 use hwprof::profiler::BoardConfig;
 use hwprof::{scenarios, Experiment, SupervisorPolicy};
-use hwprof_bench::{banner, pct, row};
+use hwprof_bench::{banner, pct, row, stream_stitch};
 
 const SEED: u64 = 0x1993_0617;
 /// CI gate: the stock-board run at the fixed seed must cover at least
@@ -84,8 +84,8 @@ fn main() {
     let stitcher = Analyzer::for_tagfile(&cap.tagfile);
     let seq = stitcher.run(&cap.run).expect("ungated");
     let par = stitcher.clone().workers(4).run(&cap.run).expect("ungated");
-    let streamed = stitcher.clone().workers(4).run_streaming(&cap.run);
-    let identical = seq == cap.profile && seq == par && streamed.as_ref() == Ok(&seq);
+    let streamed = stream_stitch(&cap.tagfile, &cap.run, 4, None);
+    let identical = seq == cap.profile && seq == par && streamed.as_ref() == Some(&seq);
     check(
         "batch/parallel/streaming stitches agree",
         "bit-identical",

@@ -8,12 +8,11 @@
 
 use std::process::exit;
 
-use hwprof::analysis::Analyzer;
 use hwprof::profiler::BoardConfig;
 use hwprof::snmpmib::MibExporter;
 use hwprof::telemetry::MetricValue;
 use hwprof::{scenarios, Experiment, FlakyTransport, MemoryTransport, Registry, SupervisorPolicy};
-use hwprof_bench::{banner, pct, row};
+use hwprof_bench::{banner, pct, row, stream_stitch};
 
 const SEED: u64 = 0x1993_0617;
 const WORKLOAD_BYTES: u64 = 1024 * 1024;
@@ -146,11 +145,7 @@ fn main() {
     // its own registry: the stream.* metrics must agree with the merged
     // reconstruction and with the per-class anomaly totals exactly.
     let sreg = Registry::new();
-    let r = Analyzer::for_tagfile(&cap.tagfile)
-        .workers(4)
-        .telemetry(&sreg)
-        .run_streaming(&cap.run)
-        .expect("pipeline open");
+    let r = stream_stitch(&cap.tagfile, &cap.run, 4, Some(&sreg)).expect("pipeline open");
     check(
         "streaming stitch matches the capture's profile",
         "bit-identical",

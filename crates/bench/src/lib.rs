@@ -16,6 +16,34 @@
 
 pub mod gate;
 
+use hwprof::Registry;
+use hwprof_analysis::{Reconstruction, StreamAnalyzer};
+use hwprof_profiler::{BankSink, SupervisedRun};
+use hwprof_tagfile::TagFile;
+
+/// Re-stitches a supervised run through the streaming pipeline: each
+/// delivered bank fed in order to `workers` analysis threads, the
+/// run's coverage folded into the merged result so it compares equal
+/// to `Analyzer::run`.  `reg` receives the pipeline's `stream.*`
+/// metrics.  `None` if the pipeline refused a bank.
+pub fn stream_stitch(
+    tf: &TagFile,
+    run: &SupervisedRun,
+    workers: usize,
+    reg: Option<&Registry>,
+) -> Option<Reconstruction> {
+    let mut pipeline = StreamAnalyzer::new(tf, workers);
+    if let Some(reg) = reg {
+        pipeline.set_telemetry(reg);
+    }
+    let mut feed = pipeline.feed().ok()?;
+    let fed = run.sessions.iter().all(|s| feed.bank(s.records.clone()));
+    drop(feed);
+    let mut r = pipeline.finish().ok()?;
+    r.note_coverage(&run.coverage);
+    fed.then_some(r)
+}
+
 /// Prints the experiment banner.
 pub fn banner(id: &str, title: &str) {
     println!("================================================================");

@@ -523,11 +523,7 @@ impl Experiment {
     /// [`Error::CoverageTooLow`] when the covered fraction ends below
     /// [`SupervisorPolicy::min_coverage_ppm`].
     pub fn supervised(self, policy: SupervisorPolicy) -> Result<SupervisedCapture, Error> {
-        let transport: Box<dyn Transport> = Box::new(FlakyTransport::new(
-            MemoryTransport::new(),
-            policy.transport_fail_ppm,
-            policy.seed,
-        ));
+        let transport = default_transport(&policy);
         self.supervised_with(policy, transport)
     }
 
@@ -535,14 +531,31 @@ impl Experiment {
     /// (e.g. a channel into a live pipeline, or a transport with a
     /// scripted outage).
     pub fn supervised_with(
-        mut self,
+        self,
         policy: SupervisorPolicy,
         transport: Box<dyn Transport>,
     ) -> Result<SupervisedCapture, Error> {
+        self.supervise(policy, transport, None)
+            .map(|(capture, _)| capture)
+    }
+
+    /// The one supervised body behind [`Experiment::supervised_with`]
+    /// and [`Experiment::record_with`]: mask setup, the run, the
+    /// delivery and coverage checks and the full-run stitch, with a
+    /// [`FlightRecorder`] subscribed to the session stream when `cfg`
+    /// is given.
+    fn supervise(
+        mut self,
+        policy: SupervisorPolicy,
+        transport: Box<dyn Transport>,
+        cfg: Option<RecorderConfig>,
+    ) -> Result<(SupervisedCapture, Option<FlightRecorder>), Error> {
         // The supervisor owns the arm switch; the board starts off.
         self.armed = false;
         let mut supervisor: Option<CaptureSupervisor> = None;
         let sup_slot = &mut supervisor;
+        let mut recorder: Option<FlightRecorder> = None;
+        let rec_slot = &mut recorder;
         let pol = policy.clone();
         let telem = self.telemetry.clone();
         let jour = self.journal.clone();
@@ -569,12 +582,26 @@ impl Experiment {
             if let Some(log) = &jour {
                 sup.set_span_log(log);
             }
+            if let Some(cfg) = cfg {
+                let rec = FlightRecorder::new(tagfile, cfg);
+                if let Some(reg) = &telem {
+                    rec.set_telemetry(reg);
+                }
+                if let Some(log) = &jour {
+                    rec.set_span_log(log);
+                }
+                sup.set_session_sink(Box::new(rec.clone()));
+                *rec_slot = Some(rec);
+            }
             *sup_slot = Some(sup.clone());
             Box::new(sup)
         })?;
         let sup = supervisor.expect("prepare ran the tap closure");
         let kernel = p.sim.run();
         let run = sup.finish();
+        if let Some(rec) = &recorder {
+            rec.seal(&run);
+        }
         let cov = run.coverage;
         if run.sessions.is_empty() && cov.banks_lost > 0 {
             return Err(Error::TransportFailed {
@@ -594,7 +621,7 @@ impl Experiment {
         let profile = Analyzer::for_tagfile(&p.tagfile)
             .run(&run)
             .expect("supervised stitch configures no anomaly budget");
-        Ok(SupervisedCapture {
+        let capture = SupervisedCapture {
             run,
             profile,
             tagfile: p.tagfile,
@@ -602,7 +629,8 @@ impl Experiment {
             kernel,
             telemetry: p.telemetry,
             journal: p.journal,
-        })
+        };
+        Ok((capture, recorder))
     }
 
     /// Continuous profiling: a supervised run with an always-on
@@ -620,92 +648,27 @@ impl Experiment {
         policy: SupervisorPolicy,
         cfg: RecorderConfig,
     ) -> Result<RecorderHandle, Error> {
-        let transport: Box<dyn Transport> = Box::new(FlakyTransport::new(
-            MemoryTransport::new(),
-            policy.transport_fail_ppm,
-            policy.seed,
-        ));
+        let transport = default_transport(&policy);
         self.record_with(policy, transport, cfg)
     }
 
     /// [`Experiment::record`] with a caller-supplied [`Transport`].
     pub fn record_with(
-        mut self,
+        self,
         policy: SupervisorPolicy,
         transport: Box<dyn Transport>,
         cfg: RecorderConfig,
     ) -> Result<RecorderHandle, Error> {
-        // The supervisor owns the arm switch; the board starts off.
-        self.armed = false;
-        let mut supervisor: Option<CaptureSupervisor> = None;
-        let sup_slot = &mut supervisor;
-        let mut recorder: Option<FlightRecorder> = None;
-        let rec_slot = &mut recorder;
-        let pol = policy.clone();
-        let telem = self.telemetry.clone();
-        let jour = self.journal.clone();
-        let p = self.prepare_with_tap(move |board, tagfile| {
-            let cswitch = tagfile
-                .entries()
-                .iter()
-                .filter(|e| e.kind == TagKind::ContextSwitch)
-                .map(|e| e.tag);
-            let mut mask = TagMask::new(cswitch);
-            if !pol.hot_functions.is_empty() {
-                mask.set_hot(
-                    pol.hot_functions
-                        .iter()
-                        .filter_map(|name| tagfile.tag_of(name)),
-                );
-            }
-            let sup = CaptureSupervisor::new(board.clone(), mask, pol, transport);
-            let rec = FlightRecorder::new(tagfile, cfg);
-            if let Some(reg) = &telem {
-                sup.set_telemetry(reg);
-                rec.set_telemetry(reg);
-            }
-            if let Some(log) = &jour {
-                sup.set_span_log(log);
-                rec.set_span_log(log);
-            }
-            sup.set_session_sink(Box::new(rec.clone()));
-            *rec_slot = Some(rec);
-            *sup_slot = Some(sup.clone());
-            Box::new(sup)
-        })?;
-        let sup = supervisor.expect("prepare ran the tap closure");
-        let recorder = recorder.expect("prepare ran the tap closure");
-        let kernel = p.sim.run();
-        let run = sup.finish();
-        recorder.seal(&run);
-        let cov = run.coverage;
-        if run.sessions.is_empty() && cov.banks_lost > 0 {
-            return Err(Error::TransportFailed {
-                banks_lost: cov.banks_lost,
-                failures: cov.transport_failures,
-            });
-        }
-        if policy.min_coverage_ppm > 0 && cov.timeline_us > 0 {
-            let achieved_ppm = (cov.covered_us.saturating_mul(1_000_000) / cov.timeline_us) as u32;
-            if achieved_ppm < policy.min_coverage_ppm {
-                return Err(Error::CoverageTooLow {
-                    achieved_ppm,
-                    required_ppm: policy.min_coverage_ppm,
-                });
-            }
-        }
-        let profile = Analyzer::for_tagfile(&p.tagfile)
-            .run(&run)
-            .expect("supervised stitch configures no anomaly budget");
+        let (c, recorder) = self.supervise(policy, transport, Some(cfg))?;
         Ok(RecorderHandle {
-            recorder,
-            run,
-            profile,
-            tagfile: p.tagfile,
-            link: p.link,
-            kernel,
-            telemetry: p.telemetry,
-            journal: p.journal,
+            recorder: recorder.expect("a recorder config subscribes a recorder"),
+            run: c.run,
+            profile: c.profile,
+            tagfile: c.tagfile,
+            link: c.link,
+            kernel: c.kernel,
+            telemetry: c.telemetry,
+            journal: c.journal,
         })
     }
 
@@ -729,11 +692,7 @@ impl Experiment {
         cfg: RecorderConfig,
         sentinel: SentinelConfig,
     ) -> Result<SentinelHandle, Error> {
-        let transport: Box<dyn Transport> = Box::new(FlakyTransport::new(
-            MemoryTransport::new(),
-            policy.transport_fail_ppm,
-            policy.seed,
-        ));
+        let transport = default_transport(&policy);
         self.watch_with(policy, transport, cfg, sentinel)
     }
 
@@ -756,6 +715,16 @@ impl Experiment {
             handle,
         })
     }
+}
+
+/// The policy's own seeded flaky wire: what `supervised`, `record` and
+/// `watch` upload through when the caller supplies no transport.
+fn default_transport(policy: &SupervisorPolicy) -> Box<dyn Transport> {
+    Box::new(FlakyTransport::new(
+        MemoryTransport::new(),
+        policy.transport_fail_ppm,
+        policy.seed,
+    ))
 }
 
 /// The trust gate shared by both capture modes: anomalies per million

@@ -25,10 +25,8 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 use hwprof::Error;
-use hwprof_analysis::{
-    Anomalies, ColumnarDecoder, DenseTagTable, Event, Reconstruction, SessionRecon, Symbols,
-};
-use hwprof_profiler::parse_raw;
+use hwprof_analysis::{BankRecon, DenseTagTable, Reconstruction, Symbols};
+use hwprof_profiler::{parse_raw, RawRecord};
 use hwprof_tagfile::TagFile;
 
 use crate::frame::{MachineId, ShardFrame};
@@ -45,13 +43,6 @@ pub struct MachineIngest {
     pub shards: u64,
     /// Records across those banks.
     pub records: u64,
-    /// Decode-level anomalies (duplicates, time jumps, truncations)
-    /// across the delivered banks — the data-integrity signal the
-    /// health state machine quarantines on.  Structural anomalies
-    /// from bank boundaries (open frames, orphan exits) live in
-    /// [`MachineIngest::profile`] and are *not* counted here: they
-    /// are normal for any supervised capture.
-    pub decode_anomalies: u64,
     /// Frames rejected (checksum mismatch or unparseable payload).
     pub corrupt_shards: u64,
     /// Frames dropped as duplicates of an already-ingested index
@@ -68,7 +59,6 @@ impl MachineIngest {
             profile: Reconstruction::empty(syms),
             shards: 0,
             records: 0,
-            decode_anomalies: 0,
             corrupt_shards: 0,
             dup_shards: 0,
             errors: Vec::new(),
@@ -148,26 +138,18 @@ impl FleetAggregator {
     }
 }
 
-/// Per-machine accumulation inside one worker: banks keyed by index,
-/// decoded eagerly on arrival, folded in index order at drain.
+/// Per-machine accumulation inside one worker: verified banks' parsed
+/// records keyed by index, decoded and folded in index order at drain.
 struct Slot {
-    banks: BTreeMap<u64, DecodedBank>,
+    banks: BTreeMap<u64, Vec<RawRecord>>,
     corrupt: u64,
     dups: u64,
     errors: Vec<Error>,
 }
 
-struct DecodedBank {
-    events: Vec<Event>,
-    anomalies: Anomalies,
-    records: u64,
-}
-
 fn shard_worker(tagfile: &TagFile, rx: Receiver<ShardFrame>) -> BTreeMap<MachineId, MachineIngest> {
     let table = DenseTagTable::from_tagfile(tagfile);
     let syms = Symbols::from_tagfile(tagfile);
-    let mut decoder = ColumnarDecoder::new(&table);
-    let mut events: Vec<Event> = Vec::new();
     let mut slots: BTreeMap<MachineId, Slot> = BTreeMap::new();
     for frame in rx {
         let slot = slots.entry(frame.machine).or_insert_with(|| Slot {
@@ -183,17 +165,7 @@ fn shard_worker(tagfile: &TagFile, rx: Receiver<ShardFrame>) -> BTreeMap<Machine
         let reason = if frame.verify() {
             match parse_raw(&frame.payload) {
                 Ok(records) => {
-                    decoder.reset();
-                    events.clear();
-                    decoder.extend(&records, &mut events);
-                    slot.banks.insert(
-                        frame.index,
-                        DecodedBank {
-                            events: events.clone(),
-                            anomalies: decoder.anomalies(),
-                            records: records.len() as u64,
-                        },
-                    );
+                    slot.banks.insert(frame.index, records);
                     continue;
                 }
                 Err(e) => e.to_string(),
@@ -211,26 +183,20 @@ fn shard_worker(tagfile: &TagFile, rx: Receiver<ShardFrame>) -> BTreeMap<Machine
     // Ingest closed: fold each machine in bank-index order — the same
     // order the machine's own supervisor sorts sessions into, so this
     // reproduces its sequential analysis exactly.
+    let mut step = BankRecon::new(&table, &syms, false);
     slots
         .into_iter()
         .map(|(machine, slot)| {
             let mut profile = Reconstruction::empty(syms.clone());
-            let mut recon = SessionRecon::new(&syms, false);
-            let mut decode_anomalies = Anomalies::default();
-            let mut shards = 0u64;
             let mut records = 0u64;
             for bank in slot.banks.values() {
-                recon.session_into(&bank.events, &mut profile);
-                decode_anomalies.merge(&bank.anomalies);
-                shards += 1;
-                records += bank.records;
+                step.bank_into(bank, &mut profile);
+                records += bank.len() as u64;
             }
-            profile.note(&decode_anomalies);
             let ingest = MachineIngest {
                 profile,
-                shards,
+                shards: slot.banks.len() as u64,
                 records,
-                decode_anomalies: decode_anomalies.total(),
                 corrupt_shards: slot.corrupt,
                 dup_shards: slot.dups,
                 errors: slot.errors,

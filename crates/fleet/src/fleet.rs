@@ -43,9 +43,6 @@ pub struct FleetPolicy {
     pub drain_deadline_us: u64,
     /// Coverage floor (ppm); machines below it classify as Degraded.
     pub degraded_coverage_ppm: u32,
-    /// Anomaly ceiling (ppm of hardware events); machines above it
-    /// classify as Quarantined.
-    pub quarantine_anomaly_ppm: u64,
     /// The observation window a Lost machine is assessed at in the
     /// fleet ledger (it reported nothing, so the fleet charges the
     /// window it was *supposed* to cover).
@@ -94,7 +91,6 @@ impl Default for FleetPolicy {
             },
             drain_deadline_us: 25_000,
             degraded_coverage_ppm: 900_000,
-            quarantine_anomaly_ppm: 500,
             window_us: 2_000_000,
             seed: 0x1993_0617,
             sentinel: None,
@@ -298,14 +294,11 @@ impl Fleet {
                         alive: true,
                         coverage_ppm: (summary.coverage.fraction() * 1e6) as u32,
                         breaker_trips: summary.coverage.breaker_trips,
-                        anomaly_ppm: ingest.decode_anomalies.saturating_mul(1_000_000)
-                            / (ingest.profile.tags as u64).max(1),
                         corrupt_shards: ingest.corrupt_shards,
                         shards_missing: summary.shards_sent.saturating_sub(arrived),
                         straggled,
                     };
-                    let (health, reasons) = signals
-                        .classify(policy.degraded_coverage_ppm, policy.quarantine_anomaly_ppm);
+                    let (health, reasons) = signals.classify(policy.degraded_coverage_ppm);
                     let cov = summary.coverage;
                     coverage.timeline_us += cov.timeline_us;
                     let profile = if health.is_included() {

@@ -1,10 +1,10 @@
 //! The per-machine health state machine.
 //!
 //! Each machine is an isolated fault domain classified after its run
-//! from signals the earlier PRs already maintain — the supervisor's
-//! circuit breaker and coverage ledger (PR 3), the anomaly-ppm
-//! accounting (PR 2), and the aggregator's shard bookkeeping.  States
-//! order by severity and only ever worsen within one classification:
+//! from signals the pipeline already maintains — the supervisor's
+//! circuit breaker and coverage ledger, and the aggregator's shard
+//! bookkeeping.  States order by severity and only ever worsen within
+//! one classification:
 //!
 //! * **Healthy** — full report, clean shards, coverage at or above
 //!   the floor.
@@ -12,8 +12,8 @@
 //!   floor, breaker trips, or a straggling drain that the hedge
 //!   recovered.  Included in the fleet profile.
 //! * **Quarantined** — the data itself is suspect: corrupt or missing
-//!   shards, or anomaly rate over the quarantine threshold.  The
-//!   machine's shards are *excluded by construction* — they are never
+//!   shards.  The machine's shards are *excluded by construction* —
+//!   they are never
 //!   merged into the fleet profile in the first place, so there is no
 //!   subtract-back path to get wrong.
 //! * **Lost** — no final report at all (crash, failed hedge, dead
@@ -72,8 +72,6 @@ pub struct HealthSignals {
     pub coverage_ppm: u32,
     /// Circuit-breaker trips from the machine's ledger.
     pub breaker_trips: u64,
-    /// Anomalies per million hardware events in the ingested data.
-    pub anomaly_ppm: u64,
     /// Shards the aggregator rejected (checksum/parse).
     pub corrupt_shards: u64,
     /// Shards the machine sent that never arrived at all.
@@ -86,11 +84,7 @@ impl HealthSignals {
     /// Runs the state machine over the signals: each firing signal
     /// worsens the state, and the returned reasons list one line per
     /// firing signal in a fixed order (so reports are deterministic).
-    pub fn classify(
-        &self,
-        degraded_coverage_ppm: u32,
-        quarantine_anomaly_ppm: u64,
-    ) -> (MachineHealth, Vec<String>) {
+    pub fn classify(&self, degraded_coverage_ppm: u32) -> (MachineHealth, Vec<String>) {
         if !self.alive {
             return (
                 MachineHealth::Lost,
@@ -106,13 +100,6 @@ impl HealthSignals {
         if self.shards_missing > 0 {
             health = health.worsen(MachineHealth::Quarantined);
             reasons.push(format!("{} shard(s) never arrived", self.shards_missing));
-        }
-        if self.anomaly_ppm > quarantine_anomaly_ppm {
-            health = health.worsen(MachineHealth::Quarantined);
-            reasons.push(format!(
-                "anomaly rate {} ppm over quarantine threshold {}",
-                self.anomaly_ppm, quarantine_anomaly_ppm
-            ));
         }
         if self.coverage_ppm < degraded_coverage_ppm {
             health = health.worsen(MachineHealth::Degraded);
@@ -159,38 +146,34 @@ mod tests {
 
     #[test]
     fn classification_table() {
-        let (h, r) = clean().classify(900_000, 500);
+        let (h, r) = clean().classify(900_000);
         assert_eq!(h, MachineHealth::Healthy);
         assert!(r.is_empty());
 
         let dead = HealthSignals::default();
-        assert_eq!(dead.classify(900_000, 500).0, MachineHealth::Lost);
+        assert_eq!(dead.classify(900_000).0, MachineHealth::Lost);
 
         let mut s = clean();
         s.coverage_ppm = 800_000;
-        assert_eq!(s.classify(900_000, 500).0, MachineHealth::Degraded);
+        assert_eq!(s.classify(900_000).0, MachineHealth::Degraded);
 
         let mut s = clean();
         s.breaker_trips = 2;
-        assert_eq!(s.classify(900_000, 500).0, MachineHealth::Degraded);
+        assert_eq!(s.classify(900_000).0, MachineHealth::Degraded);
 
         let mut s = clean();
         s.straggled = true;
-        assert_eq!(s.classify(900_000, 500).0, MachineHealth::Degraded);
+        assert_eq!(s.classify(900_000).0, MachineHealth::Degraded);
 
         let mut s = clean();
         s.corrupt_shards = 1;
-        assert_eq!(s.classify(900_000, 500).0, MachineHealth::Quarantined);
-
-        let mut s = clean();
-        s.anomaly_ppm = 501;
-        assert_eq!(s.classify(900_000, 500).0, MachineHealth::Quarantined);
+        assert_eq!(s.classify(900_000).0, MachineHealth::Quarantined);
 
         // Quarantine dominates degradation even when both fire.
         let mut s = clean();
         s.corrupt_shards = 1;
         s.coverage_ppm = 0;
-        let (h, reasons) = s.classify(900_000, 500);
+        let (h, reasons) = s.classify(900_000);
         assert_eq!(h, MachineHealth::Quarantined);
         assert_eq!(reasons.len(), 2);
     }

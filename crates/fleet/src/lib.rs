@@ -13,8 +13,8 @@
 //! Robustness is the point.  Each machine is an isolated fault
 //! domain with a monotone health state machine ([`MachineHealth`]:
 //! Healthy → Degraded → Quarantined → Lost) classified from the
-//! circuit-breaker, anomaly-ppm and coverage signals the earlier PRs
-//! already maintain.  Seeded [`ChaosPlan`]s layer fleet-level
+//! circuit-breaker, coverage and shard-integrity signals the pipeline
+//! already maintains.  Seeded [`ChaosPlan`]s layer fleet-level
 //! failures — machine crash mid-capture, transport outage, corrupt
 //! shard, slow straggler — on the PR-2 `FaultInjector`, and the
 //! driver answers with per-machine drain deadlines plus one hedged

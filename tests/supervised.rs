@@ -4,8 +4,8 @@
 //! in the report's Coverage block, and the three stitch paths agreeing
 //! bit-for-bit.  Plus the two new error paths.
 
-use hwprof::analysis::summary_report;
-use hwprof::profiler::{BoardConfig, GapCause};
+use hwprof::analysis::{summary_report, StreamAnalyzer};
+use hwprof::profiler::{BankSink, BoardConfig, GapCause};
 use hwprof::{
     scenarios, Analyzer, Error, Experiment, FlakyTransport, MemoryTransport, SupervisorPolicy,
     TagMaskLevel,
@@ -88,7 +88,14 @@ fn supervised_stitch_paths_are_bit_identical() {
         let fanned = stitcher.clone().workers(workers);
         let par = fanned.run(&cap.run).expect("ungated");
         assert_eq!(seq, par, "parallel({workers}) diverged");
-        let streamed = fanned.run_streaming(&cap.run).expect("pipeline open");
+        let mut pipeline = StreamAnalyzer::new(&cap.tagfile, workers);
+        let mut feed = pipeline.feed().expect("pipeline open");
+        for s in &cap.run.sessions {
+            assert!(feed.bank(s.records.clone()), "pipeline open");
+        }
+        drop(feed);
+        let mut streamed = pipeline.finish().expect("pipeline open");
+        streamed.note_coverage(&cap.run.coverage);
         assert_eq!(seq, streamed, "streaming({workers}) diverged");
     }
 }
