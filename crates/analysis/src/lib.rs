@@ -47,16 +47,15 @@ pub use events::{
 };
 pub use export::{validate_json, Exporter, JsonValue};
 pub use profile::Profile;
-pub use recon::{
-    reconstruct_session, reconstruct_session_recovering, BankRecon, FnAgg, Reconstruction,
-    SessionRecon,
-};
+pub use recon::{BankFold, BankRecon, FnAgg, Reconstruction, SessionRecon};
 pub use recorder::{DiffRow, FlightRecorder, RecorderLedger, WindowDiff, WindowRollup};
 pub use report::{fmt_us, summary_report};
 pub use sentinel::{
     AlertEntry, AlertJournal, AlertTransition, Baseline, Detector, FleetAlert, FleetSentinel,
     Sentinel, SentinelConfig, SentinelConfigBuilder, SentinelConfigError,
 };
-pub use stitch::{scale_factor, scaled_calls, visibility, visible_us, MaskVisibility};
+pub use stitch::{
+    scale_factor, scaled_calls, visibility, visible_us, MaskVisibility, SupervisedFold,
+};
 pub use stream::{BankFeed, PipelineClosed, RecordStream, StreamAnalyzer};
 pub use trace::{trace_report, TraceStyle};

@@ -10,6 +10,8 @@
 //! function exit (the resumed process must unwind through the function
 //! that called `swtch`).
 
+use std::collections::BTreeMap;
+
 use crate::anomaly::Anomalies;
 use crate::columnar::{ColumnarDecoder, DenseTagTable};
 use crate::events::{EvKind, Event, SymId, Symbols};
@@ -349,9 +351,10 @@ fn identify_resume(events: &[Event], syms: &Symbols) -> ResumeId {
 }
 
 impl<'a> SessionRecon<'a> {
-    /// A fresh reconstructor over `syms`; `recover` selects the
-    /// resynchronizing mode (see
-    /// [`reconstruct_session_recovering`]).
+    /// A fresh reconstructor over `syms`; `recover` resynchronizes a
+    /// mismatched exit by force-closing the frames above its own (never
+    /// past a context-switch frame) instead of counting an orphan, each
+    /// intervention classified in [`Reconstruction::anomalies`].
     pub fn new(syms: &'a Symbols, recover: bool) -> Self {
         SessionRecon {
             syms,
@@ -586,9 +589,9 @@ impl<'a> SessionRecon<'a> {
     }
 
     /// Reconstructs one capture session, accumulating the result
-    /// directly into `out` — exactly what
-    /// `out.merge(reconstruct_session(syms, events))` would produce,
-    /// without building the intermediate `Reconstruction` (every field
+    /// directly into `out` — exactly what merging the session's own
+    /// `Reconstruction` into `out` would produce, without building that
+    /// intermediate (every field
     /// is a sum, min, max or concatenation, so direct accumulation and
     /// merge-of-parts are the same fold).  Reconstruction state never
     /// crosses a session boundary; the frame pool does, which is the
@@ -737,32 +740,68 @@ impl<'a> BankRecon<'a> {
     }
 }
 
-/// Reconstructs a single capture session in isolation.
-///
-/// This is the unit of work the streaming analyzer hands to worker
-/// threads; per-session results combine with
-/// [`Reconstruction::merge`].  Session loops should hold a
-/// [`SessionRecon`] instead and call
-/// [`session_into`](SessionRecon::session_into) — same result, none of
-/// the per-session allocation.
-pub fn reconstruct_session(syms: &Symbols, events: &[Event]) -> Reconstruction {
-    let mut out = Reconstruction::empty(syms.clone());
-    SessionRecon::new(syms, false).session_into(events, &mut out);
-    out
+/// The index-ordered bank fold: banks arrive as `(index, records)` in
+/// any order and each is decoded once, through a [`BankRecon`] the
+/// caller lends.  The next expected index (from 0) folds straight in;
+/// any other bank waits as its own part until the indices before it
+/// arrive, and [`finish`](BankFold::finish) merges parts stuck behind a
+/// hole in index order — bit-identical, by the monoid, to folding the
+/// banks sorted by index as [`Analyzer::run`](crate::Analyzer::run) does.
+#[derive(Debug)]
+pub struct BankFold {
+    out: Reconstruction,
+    next: u64,
+    parts: BTreeMap<u64, Reconstruction>,
 }
 
-/// Reconstructs a single capture session in recovery mode.
-///
-/// Where strict reconstruction counts a mismatched exit as an orphan
-/// and keeps going, recovery mode first tries to resynchronize: the
-/// stack is searched top-down (stopping at a context-switch frame) for
-/// a frame matching the exit, and any frames above it — entries whose
-/// exits were lost — are force-closed without contributing statistics.
-/// Every intervention lands in [`Reconstruction::anomalies`].
-pub fn reconstruct_session_recovering(syms: &Symbols, events: &[Event]) -> Reconstruction {
-    let mut out = Reconstruction::empty(syms.clone());
-    SessionRecon::new(syms, true).session_into(events, &mut out);
-    out
+impl BankFold {
+    /// An empty fold against `syms`, expecting bank 0 first.
+    pub fn new(syms: &Symbols) -> Self {
+        BankFold {
+            out: Reconstruction::empty(syms.clone()),
+            next: 0,
+            parts: BTreeMap::new(),
+        }
+    }
+
+    /// Whether bank `index` is already folded or waiting.
+    pub fn holds(&self, index: u64) -> bool {
+        index < self.next || self.parts.contains_key(&index)
+    }
+
+    /// Decodes and folds bank `index`, returning its events; `None`
+    /// (nothing decoded) when the fold already holds that index.
+    pub fn push<'b>(
+        &mut self,
+        bank: &'b mut BankRecon<'_>,
+        index: u64,
+        records: &[RawRecord],
+    ) -> Option<&'b [Event]> {
+        if self.holds(index) {
+            return None;
+        }
+        if index == self.next {
+            bank.bank_into(records, &mut self.out);
+            self.next += 1;
+            while let Some(part) = self.parts.remove(&self.next) {
+                self.out.merge(part);
+                self.next += 1;
+            }
+        } else {
+            let mut part = Reconstruction::empty(self.out.syms.clone());
+            bank.bank_into(records, &mut part);
+            self.parts.insert(index, part);
+        }
+        Some(&bank.events)
+    }
+
+    /// The fold over every bank pushed.
+    pub fn finish(mut self) -> Reconstruction {
+        for part in std::mem::take(&mut self.parts).into_values() {
+            self.out.merge(part);
+        }
+        self.out
+    }
 }
 
 #[cfg(test)]
@@ -914,6 +953,75 @@ mod tests {
         assert_eq!(r.agg("a").unwrap().elapsed, 120);
         assert_eq!(r.total_elapsed, 120);
         assert_eq!(r.sessions, 2);
+    }
+
+    /// Three small banks and their in-order fold, the fold's oracle.
+    fn fold_fixture() -> (hwprof_tagfile::TagFile, Vec<Vec<RawRecord>>, Reconstruction) {
+        let tf = parse(TF).unwrap();
+        let banks = vec![
+            vec![rec(100, 0), rec(102, 10), rec(103, 30)],
+            vec![rec(101, 50), rec(100, 60), rec(101, 90)],
+            vec![rec(104, 100), rec(300, 105), rec(105, 120)],
+        ];
+        let sequential = crate::Analyzer::for_tagfile(&tf)
+            .record_sessions(&banks)
+            .expect("ungated");
+        (tf, banks, sequential)
+    }
+
+    #[test]
+    fn bank_fold_keeps_early_banks_aside_until_the_hole_fills() {
+        let (tf, banks, sequential) = fold_fixture();
+        let table = DenseTagTable::from_tagfile(&tf);
+        let syms = Symbols::from_tagfile(&tf);
+        let mut bank = BankRecon::new(&table, &syms, false);
+        let mut fold = BankFold::new(&syms);
+        for i in [2u64, 1] {
+            let events = fold.push(&mut bank, i, &banks[i as usize]);
+            assert_eq!(events.map(<[Event]>::len), Some(3), "bank {i} decoded");
+            assert!(fold.holds(i));
+        }
+        assert_eq!(fold.parts.len(), 2, "banks 1 and 2 wait behind bank 0");
+        assert!(!fold.holds(0));
+        fold.push(&mut bank, 0, &banks[0]).expect("fresh index");
+        assert!(fold.parts.is_empty(), "bank 0 released both parts");
+        assert_eq!(fold.next, 3);
+        assert_eq!(fold.finish(), sequential);
+    }
+
+    #[test]
+    fn bank_fold_drains_parts_behind_a_permanent_hole_at_finish() {
+        let (tf, banks, _) = fold_fixture();
+        let table = DenseTagTable::from_tagfile(&tf);
+        let syms = Symbols::from_tagfile(&tf);
+        let mut bank = BankRecon::new(&table, &syms, false);
+        let mut fold = BankFold::new(&syms);
+        // Bank 0 never arrives: both later banks wait until finish,
+        // which merges them in index order, not arrival order.
+        fold.push(&mut bank, 2, &banks[2]).expect("fresh index");
+        fold.push(&mut bank, 1, &banks[1]).expect("fresh index");
+        assert_eq!(fold.parts.len(), 2, "banks 1 and 2 still wait");
+        let want = crate::Analyzer::for_tagfile(&tf)
+            .record_sessions(&banks[1..])
+            .expect("ungated");
+        assert_eq!(fold.finish(), want);
+    }
+
+    #[test]
+    fn bank_fold_refuses_a_duplicate_index_without_decoding() {
+        let (tf, banks, sequential) = fold_fixture();
+        let table = DenseTagTable::from_tagfile(&tf);
+        let syms = Symbols::from_tagfile(&tf);
+        let mut bank = BankRecon::new(&table, &syms, false);
+        let mut fold = BankFold::new(&syms);
+        fold.push(&mut bank, 1, &banks[1]).expect("fresh index");
+        // A waiting index and a folded one are both duplicates, even
+        // with different records behind them.
+        assert!(fold.push(&mut bank, 1, &banks[2]).is_none());
+        fold.push(&mut bank, 0, &banks[0]).expect("fresh index");
+        assert!(fold.push(&mut bank, 0, &banks[2]).is_none());
+        fold.push(&mut bank, 2, &banks[2]).expect("fresh index");
+        assert_eq!(fold.finish(), sequential);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The always-on flight recorder: continuous supervised capture folded
 //! into fixed-width time-window rollups, with differential reports.
 //!
-//! A [`FlightRecorder`] subscribes to a `CaptureSupervisor` as its
-//! [`SessionSink`]: every delivered bank session is decoded through the
-//! columnar decoder and split across the fixed windows its events fall
-//! in, every gap is charged to the windows it darkens.  Each window's
-//! rollup is a full [`Reconstruction`] — the monoid again — folded in
-//! session-index order, so a window is bit-identical to a one-shot
-//! analysis of the same span no matter how the spill shelf permuted
-//! delivery (`recorder_props` pins this at 256 cases).
+//! A [`FlightRecorder`] is fed by the run's
+//! [`SupervisedFold`](crate::SupervisedFold), which decodes each
+//! delivered bank once: every session's events are split across the
+//! fixed windows they fall in, every gap is charged to the windows it
+//! darkens.  Each window's rollup is a full [`Reconstruction`] — the
+//! monoid again — folded in session-index order, so a window is
+//! bit-identical to a one-shot analysis of the same span no matter how
+//! the spill shelf permuted delivery (`recorder_props` pins this at 256
+//! cases).
 //!
 //! Windows tile absolute machine time from 0: window `w` covers
 //! `[w·W, (w+1)·W)` for width `W = RecorderConfig::window_us`, clipped
@@ -28,19 +29,16 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use hwprof_profiler::{
-    Coverage, Gap, GapCause, RecorderConfig, SessionSink, SupervisedRun, SupervisedSession,
-};
-use hwprof_tagfile::{TagFile, TagKind};
+use hwprof_profiler::{Coverage, Gap, GapCause, RecorderConfig, SupervisedRun, SupervisedSession};
+use hwprof_tagfile::TagFile;
 use hwprof_telemetry::{Counter, Gauge, Registry, SpanLog, SpanName, SpanTrack};
 
-use crate::anomaly::Anomalies;
 use crate::columnar::{ColumnarDecoder, DenseTagTable};
 use crate::events::{Event, SymId, Symbols};
 use crate::profile::{html_esc, Profile, HTML_STYLE};
 use crate::recon::{FnAgg, Reconstruction, SessionRecon};
 use crate::report::fmt_us;
-use crate::stitch::{visible_us, MaskVisibility};
+use crate::stitch::{visibility, visible_us, MaskVisibility};
 
 /// One session's events landing in one window, rebased to the window.
 struct Frag {
@@ -60,29 +58,15 @@ struct GapSpan {
     overflow: bool,
 }
 
-/// One retained window's raw material plus its cached fold.
+/// One retained window's raw material (strict decode flags no decode
+/// anomalies to charge) plus its cached fold.
 #[derive(Default)]
 struct WindowSlot {
     frags: Vec<Frag>,
-    /// Decode anomalies charged to this window (the window containing
-    /// the session's start), keyed by session index for determinism.
-    anoms: Vec<(u64, Anomalies)>,
     spans: Vec<CovSpan>,
     gaps: Vec<GapSpan>,
     /// Cached fold, tagged with the recorder bounds it was clipped to.
     cache: Option<(u64, u64, Reconstruction)>,
-}
-
-impl WindowSlot {
-    fn default_slot() -> WindowSlot {
-        WindowSlot {
-            frags: Vec::new(),
-            anoms: Vec::new(),
-            spans: Vec::new(),
-            gaps: Vec::new(),
-            cache: None,
-        }
-    }
 }
 
 struct RecMetrics {
@@ -123,7 +107,6 @@ struct RecorderInner {
     evicted_windows: u64,
     late_sessions: u64,
     sessions: u64,
-    fragments: u64,
     first_seen: Option<u64>,
     last_seen: u64,
     /// Hot tags of the sealed run, for coverage-scaled diffs.
@@ -148,13 +131,10 @@ impl RecorderInner {
     /// keep the ring contiguous), enforcing the retention budget.
     /// Returns false when `w` is already evicted — a late arrival.
     fn ensure_window(&mut self, w: u64) -> bool {
+        let before = self.windows.len();
         if !self.seen {
             self.seen = true;
             self.base_w = w;
-            self.windows.push_back(WindowSlot::default_slot());
-            if let Some(m) = &self.metrics {
-                m.windows.inc();
-            }
         } else if w < self.base_w {
             if self.evicted_windows > 0 {
                 return false;
@@ -162,19 +142,15 @@ impl RecorderInner {
             // Extend the front — only legal while nothing was evicted,
             // so the evicted region stays one contiguous prefix.
             while w < self.base_w {
-                self.windows.push_front(WindowSlot::default_slot());
+                self.windows.push_front(WindowSlot::default());
                 self.base_w -= 1;
-                if let Some(m) = &self.metrics {
-                    m.windows.inc();
-                }
             }
-        } else {
-            while w >= self.base_w + self.windows.len() as u64 {
-                self.windows.push_back(WindowSlot::default_slot());
-                if let Some(m) = &self.metrics {
-                    m.windows.inc();
-                }
-            }
+        }
+        while w >= self.base_w + self.windows.len() as u64 {
+            self.windows.push_back(WindowSlot::default());
+        }
+        if let Some(m) = &self.metrics {
+            m.windows.add((self.windows.len() - before) as u64);
         }
         self.trim();
         if let Some(m) = &self.metrics {
@@ -211,9 +187,9 @@ impl RecorderInner {
         (ws, we)
     }
 
-    /// Ingests one delivered session: decode, split events and covered
-    /// span across the windows they fall in.
-    fn ingest_session(&mut self, s: &SupervisedSession) {
+    /// Ingests one delivered session from its decoded `events`: split
+    /// the events and the covered span across the windows they fall in.
+    fn ingest_session(&mut self, s: &SupervisedSession, events: &[Event]) {
         if self.sealed {
             return;
         }
@@ -222,10 +198,6 @@ impl RecorderInner {
             m.sessions.inc();
         }
         let wd = self.cfg.window_us;
-        let mut decoder = ColumnarDecoder::new(&self.table);
-        let mut events = Vec::new();
-        decoder.extend(&s.records, &mut events);
-        let anoms = decoder.anomalies();
 
         self.note_seen(s.start_us, s.end_us);
         let last_event_end = events
@@ -253,57 +225,35 @@ impl RecorderInner {
                 }
                 let ws = (w * wd).max(s.start_us);
                 let we = ((w + 1) * wd).min(s.end_us);
-                let slot = self.slot_mut(w);
-                slot.spans.push(CovSpan {
+                self.touch(w).spans.push(CovSpan {
                     start_us: ws,
                     end_us: we,
                     level,
                 });
-                slot.cache = None;
             }
         }
 
         // Events per window, rebased to the window origin.
         let mut frags = 0u64;
-        let mut i = 0usize;
-        while i < events.len() {
-            let w = (s.start_us + events[i].t) / wd;
-            let mut j = i;
-            while j < events.len() && (s.start_us + events[j].t) / wd == w {
-                j += 1;
+        let window_of = |e: &Event| (s.start_us + e.t) / wd;
+        for run in events.chunk_by(|a, b| window_of(a) == window_of(b)) {
+            let w = window_of(&run[0]);
+            if w < self.base_w {
+                continue;
             }
-            if w >= self.base_w {
-                let rebased: Vec<Event> = events[i..j]
-                    .iter()
-                    .map(|e| Event {
-                        t: s.start_us + e.t - w * wd,
-                        kind: e.kind,
-                    })
-                    .collect();
-                let slot = self.slot_mut(w);
-                slot.frags.push(Frag {
-                    session: s.index,
-                    events: rebased,
-                });
-                slot.cache = None;
-                frags += 1;
-            }
-            i = j;
+            let rebased = run.iter().map(|e| Event {
+                t: s.start_us + e.t - w * wd,
+                kind: e.kind,
+            });
+            let frag = Frag {
+                session: s.index,
+                events: rebased.collect(),
+            };
+            self.touch(w).frags.push(frag);
+            frags += 1;
         }
-        self.fragments += frags;
         if let Some(m) = &self.metrics {
             m.fragments.add(frags);
-        }
-
-        // Decode anomalies are charged to the window holding the
-        // session's start.
-        if !anoms.is_clean() {
-            let w = s.start_us / wd;
-            if w >= self.base_w && self.seen {
-                let slot = self.slot_mut(w);
-                slot.anoms.push((s.index, anoms));
-                slot.cache = None;
-            }
         }
 
         if !any_retained {
@@ -331,11 +281,8 @@ impl RecorderInner {
             if !self.ensure_window(w) {
                 continue;
             }
-            let slot = self.slot_mut(w);
-            slot.gaps.push(GapSpan {
-                overflow: g.cause == GapCause::Overflow,
-            });
-            slot.cache = None;
+            let overflow = g.cause == GapCause::Overflow;
+            self.touch(w).gaps.push(GapSpan { overflow });
         }
     }
 
@@ -347,9 +294,11 @@ impl RecorderInner {
         self.last_seen = self.last_seen.max(end).max(start);
     }
 
-    fn slot_mut(&mut self, w: u64) -> &mut WindowSlot {
-        let i = (w - self.base_w) as usize;
-        &mut self.windows[i]
+    /// Window `w`'s slot, about to change: its cached fold is dropped.
+    fn touch(&mut self, w: u64) -> &mut WindowSlot {
+        let slot = &mut self.windows[(w - self.base_w) as usize];
+        slot.cache = None;
+        slot
     }
 
     /// Seals the finished run into the recorder: extends the timeline
@@ -412,14 +361,10 @@ impl RecorderInner {
             }
         }
         slot.frags.sort_by_key(|f| f.session);
-        slot.anoms.sort_by_key(|&(s, _)| s);
         let mut out = Reconstruction::empty(syms.clone());
         let mut recon = SessionRecon::new(syms, false);
         for frag in &slot.frags {
             recon.session_into(&frag.events, &mut out);
-        }
-        for (_, a) in &slot.anoms {
-            out.note(a);
         }
         let mut cov = Coverage::empty();
         cov.timeline_us = we - ws;
@@ -717,8 +662,9 @@ impl WindowDiff {
 }
 
 /// The always-on flight recorder.  Clones share state, like every
-/// other handle in this workspace: the supervisor holds one clone as
-/// its sink, the harness queries another live.
+/// other handle in this workspace: the run's
+/// [`SupervisedFold`](crate::SupervisedFold) feeds one clone, the
+/// harness queries another live.
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Arc<Mutex<RecorderInner>>,
@@ -752,7 +698,6 @@ impl FlightRecorder {
                 evicted_windows: 0,
                 late_sessions: 0,
                 sessions: 0,
-                fragments: 0,
                 first_seen: None,
                 last_seen: 0,
                 hot_tags: Vec::new(),
@@ -779,10 +724,20 @@ impl FlightRecorder {
         self.inner.lock().expect("recorder lock").cfg
     }
 
-    /// Feeds one delivered session (the [`SessionSink`] path calls
-    /// this; exposed for harnesses that drive the recorder directly).
+    /// Feeds one delivered session, decoding it strictly: the replay
+    /// entry for harnesses without a supervisor (supervised runs feed
+    /// the recorder decoded events through `SupervisedFold`).
     pub fn ingest_session(&self, s: &SupervisedSession) {
-        self.inner.lock().expect("recorder lock").ingest_session(s);
+        let mut inner = self.inner.lock().expect("recorder lock");
+        let mut events = Vec::new();
+        ColumnarDecoder::new(&inner.table).extend(&s.records, &mut events);
+        inner.ingest_session(s, &events);
+    }
+
+    /// Feeds one delivered session already decoded into `events`.
+    pub(crate) fn ingest_events(&self, s: &SupervisedSession, events: &[Event]) {
+        let mut inner = self.inner.lock().expect("recorder lock");
+        inner.ingest_session(s, events);
     }
 
     /// Feeds one gap (see [`FlightRecorder::ingest_session`]).
@@ -818,7 +773,10 @@ impl FlightRecorder {
     pub fn visibilities(&self) -> Vec<MaskVisibility> {
         let inner = self.inner.lock().expect("recorder lock");
         (0..inner.syms.len() as SymId)
-            .map(|s| mask_visibility(&inner.tf, &inner.hot_tags, inner.syms.name(s)))
+            .map(|s| {
+                visibility(&inner.tf, &inner.hot_tags, inner.syms.name(s))
+                    .unwrap_or(MaskVisibility::UnlessSwitchOnly)
+            })
             .collect()
     }
 
@@ -877,7 +835,8 @@ impl FlightRecorder {
                 continue;
             }
             let name = syms.name(s as u32).to_string();
-            let vis = mask_visibility(&inner.tf, &inner.hot_tags, &name);
+            let vis = visibility(&inner.tf, &inner.hot_tags, &name)
+                .unwrap_or(MaskVisibility::UnlessSwitchOnly);
             let rate = |f: &FnAgg, r: &Reconstruction| -> Option<f64> {
                 let vis_us = visible_us(&r.coverage, vis);
                 if vis_us == 0 {
@@ -934,29 +893,4 @@ impl FlightRecorder {
     pub fn sessions(&self) -> u64 {
         self.inner.lock().expect("recorder lock").sessions
     }
-}
-
-impl SessionSink for FlightRecorder {
-    fn session(&mut self, session: &SupervisedSession) {
-        self.ingest_session(session);
-    }
-
-    fn gap(&mut self, gap: &Gap) {
-        self.ingest_gap(gap);
-    }
-}
-
-/// [`MaskVisibility`] of `name`, from a sealed hot-tag set instead of
-/// a full `SupervisedRun` (same classification as `stitch::visibility`).
-fn mask_visibility(tf: &TagFile, hot_tags: &[u16], name: &str) -> MaskVisibility {
-    let Some(entry) = tf.entry_of(name) else {
-        return MaskVisibility::UnlessSwitchOnly;
-    };
-    if entry.kind == TagKind::ContextSwitch {
-        return MaskVisibility::AllLevels;
-    }
-    if hot_tags.binary_search(&entry.tag).is_ok() {
-        return MaskVisibility::AllOnly;
-    }
-    MaskVisibility::UnlessSwitchOnly
 }

@@ -20,15 +20,21 @@
 //!   the rest of the stream — so under a steady workload the estimate
 //!   is unbiased.
 //!
-//! The three stitch flavours (sequential, parallel, streaming) are
+//! A live run stitches as banks arrive ([`SupervisedFold`]), a finished
+//! one through [`Analyzer::run`](crate::Analyzer::run); both are
 //! bit-identical by the same argument as the plain analysis paths:
 //! identical per-session work, associative merge, merge order fixed by
 //! bank index.
 
-use hwprof_profiler::{Coverage, SupervisedRun};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use hwprof_profiler::{Coverage, Gap, SessionSink, SupervisedRun, SupervisedSession};
 use hwprof_tagfile::{TagFile, TagKind};
 
-use crate::recon::Reconstruction;
+use crate::columnar::DenseTagTable;
+use crate::events::Symbols;
+use crate::recon::{BankFold, BankRecon, Reconstruction};
+use crate::recorder::FlightRecorder;
 
 /// When a function's tags pass the EE-PAL, by ladder level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,13 +47,15 @@ pub enum MaskVisibility {
     AllOnly,
 }
 
-/// Classifies when `name`'s tags were visible during a supervised run.
-pub fn visibility(tf: &TagFile, run: &SupervisedRun, name: &str) -> Option<MaskVisibility> {
+/// Classifies when `name`'s tags were visible during a supervised run
+/// whose mask ended with the hot set `hot_tags` (sorted, as in
+/// [`SupervisedRun::hot_tags`]).
+pub fn visibility(tf: &TagFile, hot_tags: &[u16], name: &str) -> Option<MaskVisibility> {
     let entry = tf.entry_of(name)?;
     if entry.kind == TagKind::ContextSwitch {
         return Some(MaskVisibility::AllLevels);
     }
-    if run.hot_tags.binary_search(&entry.tag).is_ok() {
+    if hot_tags.binary_search(&entry.tag).is_ok() {
         return Some(MaskVisibility::AllOnly);
     }
     Some(MaskVisibility::UnlessSwitchOnly)
@@ -84,10 +92,72 @@ pub fn scaled_calls(
     r: &Reconstruction,
     name: &str,
 ) -> Option<f64> {
-    let vis = visibility(tf, run, name)?;
+    let vis = visibility(tf, &run.hot_tags, name)?;
     let factor = scale_factor(&r.coverage, vis)?;
     let calls = r.agg(name)?.calls;
     Some(calls as f64 * factor)
+}
+
+/// The live stitch of a supervised run, installed as a
+/// `CaptureSupervisor`'s session sink: each delivered bank is decoded
+/// once into a [`BankFold`], its events and every gap go on to an
+/// optional [`FlightRecorder`].  Clones share state.
+#[derive(Clone)]
+pub struct SupervisedFold(Arc<Mutex<FoldState>>);
+
+struct FoldState {
+    table: DenseTagTable,
+    syms: Symbols,
+    fold: BankFold,
+    recorder: Option<FlightRecorder>,
+}
+
+impl SupervisedFold {
+    /// A strict fold over `tf`'s build, feeding `recorder` if given.
+    pub fn new(tf: &TagFile, recorder: Option<FlightRecorder>) -> Self {
+        let syms = Symbols::from_tagfile(tf);
+        SupervisedFold(Arc::new(Mutex::new(FoldState {
+            table: DenseTagTable::from_tagfile(tf),
+            fold: BankFold::new(&syms),
+            syms,
+            recorder,
+        })))
+    }
+
+    fn state(&self) -> MutexGuard<'_, FoldState> {
+        self.0.lock().expect("fold lock")
+    }
+
+    /// Seals the recorder and returns the full-run profile, bit-identical
+    /// to `Analyzer::for_tagfile(tf).run(run)`.  The fold starts over.
+    pub fn finish(&self, run: &SupervisedRun) -> Reconstruction {
+        let mut st = self.state();
+        let fresh = BankFold::new(&st.syms);
+        let mut profile = std::mem::replace(&mut st.fold, fresh).finish();
+        profile.note_coverage(&run.coverage);
+        if let Some(rec) = &st.recorder {
+            rec.seal(run);
+        }
+        profile
+    }
+}
+
+impl SessionSink for SupervisedFold {
+    fn session(&mut self, session: &SupervisedSession) {
+        let mut guard = self.state();
+        let st = &mut *guard;
+        let mut bank = BankRecon::new(&st.table, &st.syms, false);
+        let events = st.fold.push(&mut bank, session.index, &session.records);
+        if let (Some(events), Some(rec)) = (events, &st.recorder) {
+            rec.ingest_events(session, events);
+        }
+    }
+
+    fn gap(&mut self, gap: &Gap) {
+        if let Some(rec) = &self.state().recorder {
+            rec.ingest_gap(gap);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -101,7 +171,9 @@ mod tests {
 
     const TF: &str = "a/500\nb/502\nswtch/200!\n";
 
-    fn supervised_fixture() -> (TagFile, SupervisedRun) {
+    /// A supervised run rolling through several banks, plus the live
+    /// stitch its [`SupervisedFold`] sink produced.
+    fn supervised_fixture() -> (TagFile, SupervisedRun, Reconstruction) {
         let tf = hwprof_tagfile::parse(TF).expect("static tag file");
         let board = Profiler::new(BoardConfig {
             capacity: 8,
@@ -121,6 +193,8 @@ mod tests {
             ..SupervisorPolicy::default()
         };
         let mut sup = CaptureSupervisor::new(board, mask, policy, Box::new(MemoryTransport::new()));
+        let live = SupervisedFold::new(&tf, None);
+        sup.set_session_sink(Box::new(live.clone()));
         // Nested a{b{}} call pairs with occasional switches, enough to
         // roll through several banks.
         let mut t = 1_000u64;
@@ -135,12 +209,14 @@ mod tests {
             }
             t += 20;
         }
-        (tf, sup.finish())
+        let run = sup.finish();
+        let profile = live.finish(&run);
+        (tf, run, profile)
     }
 
     #[test]
     fn stitched_charges_nothing_during_gaps() {
-        let (tf, run) = supervised_fixture();
+        let (tf, run, _) = supervised_fixture();
         assert!(run.sessions.len() > 1, "several banks");
         assert!(!run.gaps.is_empty());
         let r = crate::Analyzer::for_tagfile(&tf)
@@ -156,10 +232,11 @@ mod tests {
 
     #[test]
     fn three_stitch_paths_are_bit_identical() {
-        let (tf, run) = supervised_fixture();
+        let (tf, run, live) = supervised_fixture();
         let seq = crate::Analyzer::for_tagfile(&tf)
             .run(&run)
             .expect("ungated");
+        assert_eq!(seq, live, "the live fold diverged");
         for workers in [1, 2, 3] {
             let a = crate::Analyzer::for_tagfile(&tf).workers(workers);
             let par = a.run(&run).expect("ungated");
@@ -178,7 +255,7 @@ mod tests {
 
     #[test]
     fn report_carries_coverage_block() {
-        let (tf, run) = supervised_fixture();
+        let (tf, run, _) = supervised_fixture();
         let r = crate::Analyzer::for_tagfile(&tf)
             .run(&run)
             .expect("ungated");
@@ -205,19 +282,19 @@ mod tests {
             hot_tags: vec![502, 503],
         };
         assert_eq!(
-            visibility(&tf, &run, "swtch"),
+            visibility(&tf, &run.hot_tags, "swtch"),
             Some(MaskVisibility::AllLevels)
         );
         assert_eq!(
-            visibility(&tf, &run, "b"),
+            visibility(&tf, &run.hot_tags, "b"),
             Some(MaskVisibility::AllOnly),
             "b is in the hot set"
         );
         assert_eq!(
-            visibility(&tf, &run, "a"),
+            visibility(&tf, &run.hot_tags, "a"),
             Some(MaskVisibility::UnlessSwitchOnly)
         );
-        assert_eq!(visibility(&tf, &run, "nosuch"), None);
+        assert_eq!(visibility(&tf, &run.hot_tags, "nosuch"), None);
         assert_eq!(visible_us(&run.coverage, MaskVisibility::AllLevels), 80);
         assert_eq!(
             visible_us(&run.coverage, MaskVisibility::UnlessSwitchOnly),
@@ -238,7 +315,7 @@ mod tests {
 
     #[test]
     fn scaled_calls_extrapolates_masked_functions() {
-        let (tf, run) = supervised_fixture();
+        let (tf, run, _) = supervised_fixture();
         let r = crate::Analyzer::for_tagfile(&tf)
             .run(&run)
             .expect("ungated");

@@ -6,10 +6,10 @@
 //! host; HMTT-style hybrid tracing shows the capture stream must be
 //! drained and processed online to scale past the RAM.  The pipeline
 //! here is exact, not approximate: each bank is one capture session,
-//! sessions are reconstructed in isolation
-//! ([`crate::recon::reconstruct_session`]) and merged in bank order
-//! with the [`crate::Reconstruction`] monoid, so the result is
-//! bit-identical to a batch [`crate::Analyzer::sessions`] pass over the same
+//! decoded and reconstructed in isolation by a worker's
+//! [`BankRecon`], and the per-bank results are merged in bank order
+//! with the [`Reconstruction`] monoid, so the result is bit-identical
+//! to a batch [`crate::Analyzer::record_sessions`] pass over the same
 //! banks.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -222,11 +222,11 @@ impl StreamAnalyzer {
     }
 
     /// Spawns `workers` analysis threads in recovery mode: banks decode
-    /// tolerantly ([`SessionDecoder::push_recovering`]) and reconstruct
-    /// with resynchronization
-    /// ([`crate::recon::reconstruct_session_recovering`]), so corrupted
-    /// banks still yield times plus a classified
-    /// [`crate::Anomalies`] account.
+    /// tolerantly ([`crate::ColumnarDecoder::extend_recovering`]) and
+    /// reconstruct with resynchronization (a recovering
+    /// [`crate::SessionRecon`]), so corrupted banks still yield times
+    /// plus a classified [`crate::Anomalies`] account — bit-identical to
+    /// `Analyzer::for_tagfile(tf).recovering(true).record_sessions`.
     pub fn recovering(tf: &TagFile, workers: usize) -> Self {
         Self::spawn(tf, workers, true)
     }

@@ -12,8 +12,7 @@
 use proptest::prelude::*;
 
 use hwprof_analysis::{
-    reconstruct_session, validate_json, Analyzer, JsonValue, Profile, Reconstruction,
-    SessionDecoder, Symbols, TagMap,
+    validate_json, Analyzer, JsonValue, Profile, Reconstruction, SessionDecoder, Symbols, TagMap,
 };
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
@@ -120,7 +119,7 @@ fn reconstruct_plain(tf: &TagFile, records: &[RawRecord]) -> Reconstruction {
     let mut events = Vec::new();
     decoder.extend(records, &mut events);
     let mut out = Reconstruction::empty(syms.clone());
-    out.merge(reconstruct_session(&syms, &events));
+    out.merge(Analyzer::new(&syms).session(&events).expect("ungated"));
     out
 }
 

@@ -10,9 +10,9 @@ use proptest::prelude::*;
 
 use hwprof_analysis::anomaly::Anomalies;
 use hwprof_analysis::{
-    decode_recovering, reconstruct_session_recovering, summary_report,
+    decode_recovering, summary_report,
     trace::{trace_report, TraceStyle},
-    Reconstruction, RecordStream, StreamAnalyzer, Symbols,
+    Analyzer, Reconstruction, RecordStream, StreamAnalyzer, Symbols,
 };
 use hwprof_profiler::{
     parse_raw_lossy, serialize_raw, FaultInjector, FaultSpec, RawRecord, TIME_MASK,
@@ -60,7 +60,10 @@ fn batch_recovering(tf: &TagFile, banks: &[Vec<RawRecord>]) -> Reconstruction {
     let mut out = Reconstruction::empty(syms);
     for bank in banks {
         let (s, events, anoms) = decode_recovering(bank, tf);
-        let mut r = reconstruct_session_recovering(&s, &events);
+        let mut r = Analyzer::new(&s)
+            .recovering(true)
+            .session(&events)
+            .expect("ungated");
         r.note(&anoms);
         out.merge(r);
     }
@@ -97,7 +100,7 @@ proptest! {
         let tf = hwprof_tagfile::parse("a/100\nb/102\nswtch/200!\nMARK/300=\n")
             .expect("static tag file");
         let (syms, events, anoms) = decode_recovering(&batch, &tf);
-        let mut r = reconstruct_session_recovering(&syms, &events);
+        let mut r = Analyzer::new(&syms).recovering(true).session(&events).expect("ungated");
         r.note(&anoms);
         if trailing > 0 {
             r.note(&Anomalies { truncations: 1, ..Anomalies::default() });
@@ -143,7 +146,7 @@ proptest! {
         let (tf, records) = balanced_stream(nfns, &ops);
         prop_assume!(records.len() >= 4);
         let (syms, clean_events, _) = decode_recovering(&records, &tf);
-        let clean = reconstruct_session_recovering(&syms, &clean_events);
+        let clean = Analyzer::new(&syms).recovering(true).session(&clean_events).expect("ungated");
         let spec = FaultSpec {
             drop_ppm,
             stuck_ppm,
@@ -157,7 +160,7 @@ proptest! {
         let bytes = inj.corrupt_upload(serialize_raw(&inj.corrupt_records(&records)));
         let (corrupted, trailing) = parse_raw_lossy(&bytes);
         let (s2, events, anoms) = decode_recovering(&corrupted, &tf);
-        let mut r = reconstruct_session_recovering(&s2, &events);
+        let mut r = Analyzer::new(&s2).recovering(true).session(&events).expect("ungated");
         r.note(&anoms);
         if trailing > 0 {
             r.note(&Anomalies { truncations: 1, ..Anomalies::default() });

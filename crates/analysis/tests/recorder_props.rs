@@ -3,7 +3,9 @@
 //! one-shot analysis of the same span, a range query must equal the
 //! monoid fold of its windows, the eviction ledger must stay exact
 //! (`covered + dark + evicted == elapsed`, zero slack), and diffs must
-//! be antisymmetric.
+//! be antisymmetric.  The run's live [`SupervisedFold`], which feeds
+//! the recorder, must also stitch a full-run profile bit-identical to
+//! the post-hoc `Analyzer::run` of the finished run.
 //!
 //! Runs at 256 cases per property (`PROPTEST_CASES` overrides); the CI
 //! fault job pins exactly that.
@@ -11,8 +13,8 @@
 use proptest::prelude::*;
 
 use hwprof_analysis::{
-    ColumnarDecoder, DenseTagTable, Event, FlightRecorder, Reconstruction, SessionRecon, Symbols,
-    WindowRollup,
+    Analyzer, ColumnarDecoder, DenseTagTable, Event, FlightRecorder, Reconstruction, SessionRecon,
+    SupervisedFold, Symbols, WindowRollup,
 };
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
@@ -34,12 +36,14 @@ fn supervised_tagfile(nfns: u16) -> (TagFile, Vec<u16>, u16) {
     (tf, tags, swtch)
 }
 
-/// Drives a [`CaptureSupervisor`] with a [`FlightRecorder`] attached as
-/// its live session sink through a random balanced call stream over a
-/// deliberately tiny board, then seals the recorder on the finished
-/// run.  The recorder therefore sees sessions in *delivery* order —
-/// spill-shelf permutations included — while the returned run holds
-/// them in bank order for the one-shot oracle.
+/// Drives a [`CaptureSupervisor`] through a random balanced call stream
+/// over a deliberately tiny board, with a [`SupervisedFold`] feeding a
+/// [`FlightRecorder`] as its live session sink, then finishes the fold
+/// (sealing the recorder) on the finished run.  The fold and the
+/// recorder therefore see sessions in *delivery* order — spill-shelf
+/// permutations included — while the returned run holds them in bank
+/// order for the one-shot oracles.  Returns the fold's full-run
+/// profile last.
 #[allow(clippy::too_many_arguments)]
 fn drive_recorded(
     nfns: u16,
@@ -50,7 +54,7 @@ fn drive_recorded(
     outage: Option<(u64, u64)>,
     seed: u64,
     cfg: RecorderConfig,
-) -> (TagFile, SupervisedRun, FlightRecorder) {
+) -> (TagFile, SupervisedRun, FlightRecorder, Reconstruction) {
     let (tf, tags, swtch) = supervised_tagfile(nfns);
     let board = Profiler::new(BoardConfig {
         capacity,
@@ -63,7 +67,8 @@ fn drive_recorded(
     }
     let mut sup = CaptureSupervisor::new(board, mask, policy, Box::new(transport));
     let rec = FlightRecorder::new(&tf, cfg);
-    sup.set_session_sink(Box::new(rec.clone()));
+    let live = SupervisedFold::new(&tf, Some(rec.clone()));
+    sup.set_session_sink(Box::new(live.clone()));
     let mut stack: Vec<u16> = Vec::new();
     let mut t = 1_000u64;
     for (i, &(sel, dt)) in ops.iter().enumerate() {
@@ -88,8 +93,8 @@ fn drive_recorded(
         sup.on_read(tag + 1, t);
     }
     let run = sup.finish();
-    rec.seal(&run);
-    (tf, run, rec)
+    let profile = live.finish(&run);
+    (tf, run, rec, profile)
 }
 
 /// A small, fast-moving policy shaped by the proptest inputs.
@@ -213,7 +218,7 @@ proptest! {
     ) {
         let pol = policy(drain_budget, spill, ladder_sel == 1, seed);
         let cfg = config(window_us, retain);
-        let (tf, run, rec) =
+        let (tf, run, rec, _) =
             drive_recorded(nfns, &ops, pol, capacity, fail_ppm, None, seed, cfg);
         for w in rec.retained() {
             let rollup = rec.window(w);
@@ -246,7 +251,7 @@ proptest! {
     ) {
         let pol = policy(30, 2, false, seed);
         let cfg = config(window_us, retain);
-        let (_tf, _run, rec) =
+        let (_tf, _run, rec, _) =
             drive_recorded(nfns, &ops, pol, capacity, fail_ppm, None, seed, cfg);
         let retained = rec.retained();
         prop_assume!(!retained.is_empty());
@@ -290,7 +295,7 @@ proptest! {
         let pol = policy(20, spill, false, seed);
         let cfg = config(window_us, retain);
         let outage = (outage_len > 0).then_some((outage_start, outage_start + outage_len));
-        let (_tf, run, rec) =
+        let (_tf, run, rec, _) =
             drive_recorded(nfns, &ops, pol, capacity, fail_ppm, outage, seed, cfg);
         let ledger = rec.ledger();
         prop_assert!(
@@ -310,6 +315,33 @@ proptest! {
         prop_assert_eq!(rec.ledger(), ledger);
     }
 
+    /// The live fold's full-run profile is bit-identical to the
+    /// post-hoc stitch of the finished run under every seeded fail and
+    /// outage schedule: delivery permuted by the spill shelf, banks
+    /// lost for good (permanent holes in the index sequence), the mask
+    /// ladder moving.  Each bank was decoded once, as it arrived.
+    #[test]
+    fn live_fold_matches_the_post_hoc_stitch(
+        nfns in 1u16..5,
+        ops in prop::collection::vec((0u8..=255, 0u8..30), 8..250),
+        capacity in 4usize..20,
+        drain_budget in 1u64..150,
+        spill in 0usize..3,
+        ladder_sel in 0u8..2,
+        fail_ppm in 0u32..400_000,
+        outage_start in 0u64..6,
+        outage_len in 0u64..8,
+        seed in 0u64..1_000_000,
+    ) {
+        let pol = policy(drain_budget, spill, ladder_sel == 1, seed);
+        let outage = (outage_len > 0).then_some((outage_start, outage_start + outage_len));
+        let (tf, run, rec, live) =
+            drive_recorded(nfns, &ops, pol, capacity, fail_ppm, outage, seed, config(100, 8));
+        let stitched = Analyzer::for_tagfile(&tf).run(&run).expect("ungated");
+        prop_assert!(live == stitched, "live fold diverged from Analyzer::run");
+        prop_assert_eq!(rec.sessions(), run.sessions.len() as u64);
+    }
+
     /// Diffs are antisymmetric: `diff(b, a)` is `diff(a, b)` with every
     /// exact delta negated, the two sides swapped, and the identical
     /// row ranking (`|d_net|` is direction-blind).
@@ -327,7 +359,7 @@ proptest! {
     ) {
         let pol = policy(30, 2, true, seed);
         let cfg = config(window_us, retain);
-        let (_tf, _run, rec) =
+        let (_tf, _run, rec, _) =
             drive_recorded(nfns, &ops, pol, capacity, fail_ppm, None, seed, cfg);
         let retained = rec.retained();
         prop_assume!(!retained.is_empty());

@@ -8,9 +8,7 @@
 
 use proptest::prelude::*;
 
-use hwprof_analysis::{
-    reconstruct_session, Analyzer, Reconstruction, SessionDecoder, StreamAnalyzer, Symbols, TagMap,
-};
+use hwprof_analysis::{Analyzer, Reconstruction, SessionDecoder, StreamAnalyzer, Symbols, TagMap};
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
     BankSink, BoardConfig, CaptureSupervisor, FlakyTransport, MemoryTransport, Profiler, RawRecord,
@@ -157,7 +155,7 @@ fn reconstruct_filtered(
         let mut decoder = SessionDecoder::new(&map);
         let mut events = Vec::new();
         decoder.extend(&filtered, &mut events);
-        out.merge(reconstruct_session(&syms, &events));
+        out.merge(Analyzer::new(&syms).session(&events).expect("ungated"));
     }
     out
 }

@@ -3,11 +3,9 @@
 //! recovery mode.  Rate 0 must be bit-identical to the direct path;
 //! at every rate each injected fault must show up in the anomaly
 //! summary, and the hot-function ranking must degrade gracefully
-//! instead of collapsing.
+//! instead of collapsing.  Exits non-zero when an exactness row is off.
 
-use hwprof::analysis::{
-    decode_recovering, reconstruct_session_recovering, summary_report, Anomalies, Reconstruction,
-};
+use hwprof::analysis::{summary_report, Analyzer, Anomalies, Reconstruction};
 use hwprof::profiler::{parse_raw_lossy, serialize_raw, FaultInjector, FaultSpec};
 use hwprof::{scenarios, Experiment};
 use hwprof_bench::{banner, row};
@@ -28,11 +26,10 @@ fn main() {
         .try_run()
         .expect("experiment runs");
     let clean_bytes = serialize_raw(&capture.records);
+    let recovering = Analyzer::for_tagfile(&capture.tagfile).recovering(true);
     let analyze = |bytes: &[u8]| -> Reconstruction {
         let (records, trailing) = parse_raw_lossy(bytes);
-        let (syms, events, anoms) = decode_recovering(&records, &capture.tagfile);
-        let mut r = reconstruct_session_recovering(&syms, &events);
-        r.note(&anoms);
+        let mut r = recovering.records(&records).expect("ungated");
         if trailing > 0 {
             r.note(&Anomalies {
                 truncations: 1,
@@ -62,6 +59,7 @@ fn main() {
         "rate ppm", "injected", "anomalies", "elapsed us", "hot net us", "hot drift %"
     );
     let mut faulted_summary = None;
+    let mut exact = true;
     for rate in RATES_PPM {
         let inj = FaultInjector::new(
             FaultSpec {
@@ -85,6 +83,7 @@ fn main() {
             drift
         );
         if rate == 0 {
+            exact &= r == clean;
             row(
                 "rate 0 through the injector is bit-identical",
                 "yes",
@@ -92,11 +91,13 @@ fn main() {
                 r == clean,
             );
         } else {
+            let surfaced = counts.total() == 0 || r.anomalies.total() > 0;
+            exact &= surfaced;
             row(
                 &format!("{rate} ppm: faults surface as anomalies"),
                 "anomalies > 0",
                 &r.anomalies.total().to_string(),
-                counts.total() == 0 || r.anomalies.total() > 0,
+                surfaced,
             );
             row(
                 &format!("{rate} ppm: hottest function still found"),
@@ -116,4 +117,7 @@ fn main() {
         RATES_PPM.last().expect("nonempty")
     );
     println!("{}", summary_report(&worst, Some(10)));
+    if !exact {
+        std::process::exit(1);
+    }
 }

@@ -1,6 +1,7 @@
 //! E14 — the streaming pipeline: a drain-while-armed capture an order
 //! of magnitude past the 16384-event RAM, analyzed concurrently with
-//! the run, plus the batch-vs-parallel reconstruction speedup.
+//! the run, plus the batch-vs-parallel reconstruction speedup.  Exits
+//! non-zero when parallel != batch; the other rows are informational.
 
 use std::time::Instant;
 
@@ -117,4 +118,7 @@ fn main() {
         ),
         ok,
     );
+    if !identical {
+        std::process::exit(1);
+    }
 }

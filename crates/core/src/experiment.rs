@@ -6,7 +6,7 @@
 //! `_ProfileBase` with the two-stage link, flip the board's switch, run
 //! the workload, carry the RAMs to the "UNIX host" (the analysis crate).
 //!
-//! Three capture modes:
+//! Four capture modes:
 //!
 //! * [`Experiment::try_run`] — the paper's one-shot capture: the RAM
 //!   fills once, the whole image is uploaded afterwards.
@@ -19,10 +19,13 @@
 //!   ktrace-style software tracing) observes the same run through the
 //!   shared arm/drain/finish lifecycle and normalizes into the same
 //!   [`Reconstruction`].
+//! * [`Experiment::supervised`] (and `record`, `watch`) — a
+//!   [`CaptureSupervisor`] keeps the capture alive across overflow and
+//!   transport loss, each delivered bank decoded once as it arrives.
 
 use hwprof_analysis::{
     Analyzer, Anomalies, Detector, FlightRecorder, Profile, Reconstruction, RecorderLedger,
-    Sentinel, SentinelConfig, StreamAnalyzer, WindowDiff, WindowRollup,
+    Sentinel, SentinelConfig, StreamAnalyzer, SupervisedFold, WindowDiff, WindowRollup,
 };
 use hwprof_instrument::{two_stage_link, Compiler, KernelImage, LinkResult, ModuleSelect};
 use hwprof_kernel386::funcs::{KFn, FUNCS, INLINES};
@@ -304,19 +307,21 @@ impl Experiment {
     }
 
     /// Compiles, links, plugs the board in and spawns the scenario's
-    /// processes; shared by both capture modes.
+    /// processes; shared by every capture mode.
     fn prepare(self) -> Result<PreparedRun, Error> {
-        self.prepare_with_tap(|board, _| Box::new(board.clone()))
+        self.prepare_with_tap(|board, _| (Box::new(board.clone()), ()))
+            .map(|(p, ())| p)
     }
 
     /// [`prepare`](Experiment::prepare) with a custom EPROM-socket tap:
     /// `make_tap` receives the freshly built board and the build's tag
     /// file and returns whatever sits on the socket (the bare board for
-    /// plain captures, a [`CaptureSupervisor`] for supervised ones).
-    fn prepare_with_tap(
+    /// plain captures, a [`CaptureSupervisor`] for supervised ones),
+    /// plus whatever the caller needs back from the build.
+    fn prepare_with_tap<T>(
         self,
-        make_tap: impl FnOnce(&Profiler, &TagFile) -> Box<dyn EpromTap>,
-    ) -> Result<PreparedRun, Error> {
+        make_tap: impl FnOnce(&Profiler, &TagFile) -> (Box<dyn EpromTap>, T),
+    ) -> Result<(PreparedRun, T), Error> {
         let telemetry = self.telemetry;
         let journal = self.journal;
         let scenario = self.scenario.ok_or(Error::MissingScenario)?;
@@ -340,7 +345,7 @@ impl Experiment {
         if self.armed {
             board.set_switch(true);
         }
-        let tap = make_tap(&board, &tagfile);
+        let (tap, made) = make_tap(&board, &tagfile);
         let mut builder = SimBuilder::new()
             .cost(self.cost)
             .config(self.config)
@@ -357,14 +362,15 @@ impl Experiment {
         if sim.process_count() == 0 {
             return Err(Error::EmptyScenario);
         }
-        Ok(PreparedRun {
+        let p = PreparedRun {
             board,
             sim,
             tagfile,
             link,
             telemetry,
             journal,
-        })
+        };
+        Ok((p, made))
     }
 
     /// Builds, links, runs and uploads.
@@ -511,10 +517,11 @@ impl Experiment {
     /// and a circuit breaker over the policy's seeded transport) and the
     /// board re-armed, each swap leaving an explicit coverage gap; under
     /// sustained overload the EE-PAL tag mask steps down its ladder and
-    /// back up when pressure subsides.  The per-bank sessions are
-    /// stitched into one timeline reconstruction
-    /// ([`Analyzer::run`](hwprof_analysis::Analyzer::run)) whose report
-    /// carries a "Coverage" block.
+    /// back up when pressure subsides.  A [`SupervisedFold`] decodes
+    /// each bank once as it is delivered and stitches the sessions into
+    /// one timeline reconstruction — bit-identical to
+    /// [`Analyzer::run`](hwprof_analysis::Analyzer::run) over the
+    /// finished run — whose report carries a "Coverage" block.
     ///
     /// # Errors
     ///
@@ -535,31 +542,26 @@ impl Experiment {
         policy: SupervisorPolicy,
         transport: Box<dyn Transport>,
     ) -> Result<SupervisedCapture, Error> {
-        self.supervise(policy, transport, None)
+        self.supervise(policy, transport, |_| None)
             .map(|(capture, _)| capture)
     }
 
     /// The one supervised body behind [`Experiment::supervised_with`]
-    /// and [`Experiment::record_with`]: mask setup, the run, the
-    /// delivery and coverage checks and the full-run stitch, with a
-    /// [`FlightRecorder`] subscribed to the session stream when `cfg`
-    /// is given.
-    fn supervise(
+    /// and [`Experiment::record_with`]: mask setup, the run with its
+    /// live [`SupervisedFold`] feeding the [`FlightRecorder`] that
+    /// `recorder` builds (if any), the delivery and coverage checks.
+    fn supervise<R: Clone + Into<Option<FlightRecorder>>>(
         mut self,
         policy: SupervisorPolicy,
         transport: Box<dyn Transport>,
-        cfg: Option<RecorderConfig>,
-    ) -> Result<(SupervisedCapture, Option<FlightRecorder>), Error> {
+        recorder: impl FnOnce(&TagFile) -> R,
+    ) -> Result<(SupervisedCapture, R), Error> {
         // The supervisor owns the arm switch; the board starts off.
         self.armed = false;
-        let mut supervisor: Option<CaptureSupervisor> = None;
-        let sup_slot = &mut supervisor;
-        let mut recorder: Option<FlightRecorder> = None;
-        let rec_slot = &mut recorder;
         let pol = policy.clone();
         let telem = self.telemetry.clone();
         let jour = self.journal.clone();
-        let p = self.prepare_with_tap(move |board, tagfile| {
+        let (p, (sup, fold, kept)) = self.prepare_with_tap(move |board, tagfile| {
             // The EE-PAL decode for this build: context-switch tags
             // always pass; pinned hot functions resolve by name.
             let cswitch = tagfile
@@ -582,26 +584,23 @@ impl Experiment {
             if let Some(log) = &jour {
                 sup.set_span_log(log);
             }
-            if let Some(cfg) = cfg {
-                let rec = FlightRecorder::new(tagfile, cfg);
+            let kept = recorder(tagfile);
+            let rec: Option<FlightRecorder> = kept.clone().into();
+            if let Some(rec) = &rec {
                 if let Some(reg) = &telem {
                     rec.set_telemetry(reg);
                 }
                 if let Some(log) = &jour {
                     rec.set_span_log(log);
                 }
-                sup.set_session_sink(Box::new(rec.clone()));
-                *rec_slot = Some(rec);
             }
-            *sup_slot = Some(sup.clone());
-            Box::new(sup)
+            let fold = SupervisedFold::new(tagfile, rec);
+            sup.set_session_sink(Box::new(fold.clone()));
+            (Box::new(sup.clone()), (sup, fold, kept))
         })?;
-        let sup = supervisor.expect("prepare ran the tap closure");
         let kernel = p.sim.run();
         let run = sup.finish();
-        if let Some(rec) = &recorder {
-            rec.seal(&run);
-        }
+        let profile = fold.finish(&run);
         let cov = run.coverage;
         if run.sessions.is_empty() && cov.banks_lost > 0 {
             return Err(Error::TransportFailed {
@@ -618,9 +617,6 @@ impl Experiment {
                 });
             }
         }
-        let profile = Analyzer::for_tagfile(&p.tagfile)
-            .run(&run)
-            .expect("supervised stitch configures no anomaly budget");
         let capture = SupervisedCapture {
             run,
             profile,
@@ -630,7 +626,7 @@ impl Experiment {
             telemetry: p.telemetry,
             journal: p.journal,
         };
-        Ok((capture, recorder))
+        Ok((capture, kept))
     }
 
     /// Continuous profiling: a supervised run with an always-on
@@ -659,9 +655,9 @@ impl Experiment {
         transport: Box<dyn Transport>,
         cfg: RecorderConfig,
     ) -> Result<RecorderHandle, Error> {
-        let (c, recorder) = self.supervise(policy, transport, Some(cfg))?;
+        let (c, recorder) = self.supervise(policy, transport, |tf| FlightRecorder::new(tf, cfg))?;
         Ok(RecorderHandle {
-            recorder: recorder.expect("a recorder config subscribes a recorder"),
+            recorder,
             run: c.run,
             profile: c.profile,
             tagfile: c.tagfile,
@@ -741,6 +737,14 @@ fn check_anomaly_limit(anomalies: &Anomalies, tags: u64, limit_ppm: u32) -> Resu
     Ok(())
 }
 
+/// `p` carrying the run's span journal, if one was configured.
+fn with_journal<'a>(p: Profile<'a>, journal: &Option<SpanLog>) -> Profile<'a> {
+    match journal {
+        Some(log) => p.spans(log),
+        None => p,
+    }
+}
+
 /// Everything `prepare` sets up before a run.
 struct PreparedRun {
     board: Profiler,
@@ -785,10 +789,14 @@ impl Capture {
             .expect("strict analysis configures no anomaly budget")
     }
 
-    /// Recovery-mode analysis of this capture, with the upload-level
-    /// truncation (bytes that never completed a record) folded into the
-    /// anomaly ledger alongside the decode/reconstruction classes.
-    fn recovered(&self) -> Reconstruction {
+    /// Recovery-mode analysis with a trust gate: the upload-level
+    /// truncation (bytes that never completed a record) joins the
+    /// decode/reconstruction classes in the anomaly ledger, and the
+    /// call errors with [`Error::CorruptUpload`] if classified
+    /// anomalies exceed `limit_ppm` per million tags (defaulting to the
+    /// experiment's [`Experiment::anomaly_limit_ppm`], else 1000000 —
+    /// never refuse).
+    pub fn try_analyze(&self, limit_ppm: Option<u32>) -> Result<Reconstruction, Error> {
         let mut r = Analyzer::for_tagfile(&self.tagfile)
             .recovering(true)
             .records(&self.records)
@@ -799,25 +807,14 @@ impl Capture {
                 ..Anomalies::default()
             });
         }
-        r
-    }
-
-    /// Recovery-mode analysis with a trust gate: errors with
-    /// [`Error::CorruptUpload`] if classified anomalies exceed
-    /// `limit_ppm` per million tags (defaulting to the experiment's
-    /// [`Experiment::anomaly_limit_ppm`], else 1000000 — never refuse).
-    pub fn try_analyze(&self, limit_ppm: Option<u32>) -> Result<Reconstruction, Error> {
-        let r = self.recovered();
         let limit = limit_ppm.or(self.anomaly_limit_ppm).unwrap_or(1_000_000);
         check_anomaly_limit(&r.anomalies, r.tags as u64, limit)?;
         Ok(r)
     }
 
-    /// Fraction of wall time the CPU was busy (from the scheduler, not
-    /// the capture).
+    /// [`Kernel::busy_fraction`] of the run.
     pub fn busy_fraction(&self) -> f64 {
-        let total = self.kernel.machine.now.max(1);
-        1.0 - self.kernel.sched.idle_cycles as f64 / total as f64
+        self.kernel.busy_fraction()
     }
 }
 
@@ -851,18 +848,15 @@ impl BackendCapture {
     /// configured — the one render/export surface every capture path
     /// shares.
     pub fn as_profile(&self) -> Profile<'_> {
-        let p = Profile::new(&self.profile).name(self.backend);
-        match &self.journal {
-            Some(log) => p.spans(log),
-            None => p,
-        }
+        with_journal(
+            Profile::new(&self.profile).name(self.backend),
+            &self.journal,
+        )
     }
 
-    /// Fraction of wall time the CPU was busy (from the scheduler, not
-    /// the capture).
+    /// [`Kernel::busy_fraction`] of the run.
     pub fn busy_fraction(&self) -> f64 {
-        let total = self.kernel.machine.now.max(1);
-        1.0 - self.kernel.sched.idle_cycles as f64 / total as f64
+        self.kernel.busy_fraction()
     }
 }
 
@@ -898,18 +892,12 @@ impl StreamCapture {
     /// `.folded()` / `.html()` render it for Perfetto, speedscope,
     /// flamegraph and standalone-report tooling.
     pub fn as_profile(&self) -> Profile<'_> {
-        let p = Profile::new(&self.profile);
-        match &self.journal {
-            Some(log) => p.spans(log),
-            None => p,
-        }
+        with_journal(Profile::new(&self.profile), &self.journal)
     }
 
-    /// Fraction of wall time the CPU was busy (from the scheduler, not
-    /// the capture).
+    /// [`Kernel::busy_fraction`] of the run.
     pub fn busy_fraction(&self) -> f64 {
-        let total = self.kernel.machine.now.max(1);
-        1.0 - self.kernel.sched.idle_cycles as f64 / total as f64
+        self.kernel.busy_fraction()
     }
 }
 
@@ -949,11 +937,7 @@ impl SupervisedCapture {
     /// `.speedscope()` / `.folded()` / `.html()` render the whole
     /// capture — kernel activity and pipeline — as one trace.
     pub fn as_profile(&self) -> Profile<'_> {
-        let p = Profile::new(&self.profile).run(&self.run);
-        match &self.journal {
-            Some(log) => p.spans(log),
-            None => p,
-        }
+        with_journal(Profile::new(&self.profile).run(&self.run), &self.journal)
     }
 
     /// A point-in-time snapshot of the run's telemetry registry, when
@@ -972,11 +956,9 @@ impl SupervisedCapture {
             .map(|snap| HealthReport::new(snap, self.run.coverage))
     }
 
-    /// Fraction of wall time the CPU was busy (from the scheduler, not
-    /// the capture).
+    /// [`Kernel::busy_fraction`] of the run.
     pub fn busy_fraction(&self) -> f64 {
-        let total = self.kernel.machine.now.max(1);
-        1.0 - self.kernel.sched.idle_cycles as f64 / total as f64
+        self.kernel.busy_fraction()
     }
 }
 
@@ -1051,11 +1033,7 @@ impl RecorderHandle {
     /// on the supervised timeline; individual windows render through
     /// [`WindowRollup::as_profile`].
     pub fn as_profile(&self) -> Profile<'_> {
-        let p = Profile::new(&self.profile).run(&self.run);
-        match &self.journal {
-            Some(log) => p.spans(log),
-            None => p,
-        }
+        with_journal(Profile::new(&self.profile).run(&self.run), &self.journal)
     }
 
     /// A point-in-time snapshot of the run's telemetry registry, when
@@ -1064,11 +1042,9 @@ impl RecorderHandle {
         self.telemetry.as_ref().map(Registry::snapshot)
     }
 
-    /// Fraction of wall time the CPU was busy (from the scheduler, not
-    /// the capture).
+    /// [`Kernel::busy_fraction`] of the run.
     pub fn busy_fraction(&self) -> f64 {
-        let total = self.kernel.machine.now.max(1);
-        1.0 - self.kernel.sched.idle_cycles as f64 / total as f64
+        self.kernel.busy_fraction()
     }
 }
 

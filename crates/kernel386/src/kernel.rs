@@ -278,4 +278,11 @@ impl Kernel {
     pub fn now_us(&self) -> u64 {
         self.machine.now_us()
     }
+
+    /// Fraction of wall time the CPU was busy (from the scheduler's
+    /// idle accounting, not from any capture).
+    pub fn busy_fraction(&self) -> f64 {
+        let total = self.machine.now.max(1);
+        1.0 - self.sched.idle_cycles as f64 / total as f64
+    }
 }

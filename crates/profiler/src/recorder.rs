@@ -10,10 +10,11 @@
 //! observe a capture history that disagrees with the post-run
 //! [`SupervisedRun`](crate::SupervisedRun).
 //!
-//! The analysis crate's `FlightRecorder` implements [`SessionSink`];
-//! this module only defines the subscription contract plus the
-//! [`RecorderConfig`] the recorder is built from, so the profiler crate
-//! stays free of any dependency on reconstruction machinery.
+//! The analysis crate's `SupervisedFold` implements [`SessionSink`] and
+//! feeds its `FlightRecorder`; this module only defines the
+//! subscription contract plus the [`RecorderConfig`] the recorder is
+//! built from, so the profiler crate stays free of any dependency on
+//! reconstruction machinery.
 
 use crate::supervisor::{Gap, SupervisedSession};
 

@@ -701,7 +701,7 @@ struct SupervisorState {
     /// observational, so the supervised machine is bit-identical with
     /// or without it.
     journal: Option<SpanLog>,
-    /// Live subscriber (the flight recorder); like the journal it is
+    /// Live subscriber (the analysis fold); like the journal it is
     /// purely observational — it sees each session/gap at the single
     /// sites below and never influences the capture machine.
     sink: Option<Box<dyn SessionSink>>,
@@ -1254,7 +1254,7 @@ impl CaptureSupervisor {
         s.journal = Some(log.clone());
     }
 
-    /// Subscribes a live consumer (the flight recorder) to the capture
+    /// Subscribes a live consumer (the analysis fold) to the capture
     /// stream: `sink` sees every delivered session and every gap at the
     /// same single sites that feed the Coverage ledger.  Purely
     /// observational — the supervised run is bit-identical with or

@@ -4,8 +4,8 @@
 //! `BoardOverflow` error plus a partial-but-analyzable capture.
 
 use hwprof::analysis::{
-    decode_recovering, reconstruct_session_recovering, summary_report, Anomalies, Reconstruction,
-    SessionRecon, StreamAnalyzer, Symbols,
+    decode_recovering, summary_report, Analyzer, Anomalies, Reconstruction, SessionRecon,
+    StreamAnalyzer, Symbols,
 };
 use hwprof::profiler::{
     parse_raw_lossy, serialize_raw, BankSink, BoardConfig, FaultInjector, FaultSpec, RawRecord,
@@ -36,7 +36,10 @@ fn flat_stream(pairs: u16) -> (TagFile, Vec<RawRecord>) {
 fn analyze_bytes(tf: &TagFile, bytes: &[u8]) -> Reconstruction {
     let (records, trailing) = parse_raw_lossy(bytes);
     let (syms, events, anoms) = decode_recovering(&records, tf);
-    let mut r = reconstruct_session_recovering(&syms, &events);
+    let mut r = Analyzer::new(&syms)
+        .recovering(true)
+        .session(&events)
+        .expect("ungated");
     r.note(&anoms);
     if trailing > 0 {
         r.note(&Anomalies {
@@ -318,7 +321,10 @@ fn arena_recon_accumulation_matches_merged_one_shots() {
 
     let mut merged = Reconstruction::empty(syms.clone());
     for (events, anoms) in &sessions {
-        let mut r = reconstruct_session_recovering(&syms, events);
+        let mut r = Analyzer::new(&syms)
+            .recovering(true)
+            .session(events)
+            .expect("ungated");
         r.note(anoms);
         merged.merge(r);
     }

@@ -13,9 +13,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use hwprof::analysis::{
-    decode_recovering, reconstruct_session_recovering, summary_report,
+    decode_recovering, summary_report,
     trace::{trace_report, TraceStyle},
-    Anomalies, Reconstruction,
+    Analyzer, Anomalies, Reconstruction,
 };
 use hwprof::profiler::{parse_raw_lossy, serialize_raw, FaultInjector, FaultSpec, RawRecord};
 use hwprof::tagfile::{TagFile, TagKind};
@@ -71,7 +71,10 @@ fn fixture() -> (TagFile, Vec<RawRecord>) {
 fn analyze(tf: &TagFile, bytes: &[u8]) -> Reconstruction {
     let (records, trailing) = parse_raw_lossy(bytes);
     let (syms, events, anoms) = decode_recovering(&records, tf);
-    let mut r = reconstruct_session_recovering(&syms, &events);
+    let mut r = Analyzer::new(&syms)
+        .recovering(true)
+        .session(&events)
+        .expect("ungated");
     r.note(&anoms);
     if trailing > 0 {
         r.note(&Anomalies {

@@ -13,7 +13,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use hwprof::analysis::{decode_recovering, reconstruct_session_recovering, Reconstruction};
+use hwprof::analysis::{decode_recovering, Analyzer, Reconstruction};
 use hwprof::profiler::{parse_raw_lossy, serialize_raw, BoardConfig, RawRecord};
 use hwprof::tagfile::{TagFile, TagKind};
 use hwprof::{
@@ -77,7 +77,10 @@ fn figure4() -> Reconstruction {
     let (parsed, trailing) = parse_raw_lossy(&serialize_raw(&records));
     assert_eq!(trailing, 0);
     let (syms, events, anoms) = decode_recovering(&parsed, &tf);
-    let r = reconstruct_session_recovering(&syms, &events);
+    let r = Analyzer::new(&syms)
+        .recovering(true)
+        .session(&events)
+        .expect("ungated");
     assert!(anoms.is_clean(), "fixture must decode cleanly");
     r
 }
