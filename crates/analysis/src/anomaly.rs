@@ -49,14 +49,21 @@ impl Anomalies {
         self.truncations += other.truncations;
     }
 
+    /// Every class's count with its field name, in field order.
+    pub fn classes(&self) -> [(u64, &'static str); 6] {
+        [
+            (self.orphan_exits, "orphan_exits"),
+            (self.unmatched_entries, "unmatched_entries"),
+            (self.unknown_tags, "unknown_tags"),
+            (self.time_jumps, "time_jumps"),
+            (self.duplicates, "duplicates"),
+            (self.truncations, "truncations"),
+        ]
+    }
+
     /// Total anomalies across every class.
     pub fn total(&self) -> u64 {
-        self.orphan_exits
-            + self.unmatched_entries
-            + self.unknown_tags
-            + self.time_jumps
-            + self.duplicates
-            + self.truncations
+        self.classes().iter().map(|&(n, _)| n).sum()
     }
 
     /// True if nothing was flagged.
@@ -88,20 +95,12 @@ impl std::fmt::Display for Anomalies {
             return write!(f, "clean");
         }
         let mut first = true;
-        let classes: [(u64, &str); 6] = [
-            (self.orphan_exits, "orphan exits"),
-            (self.unmatched_entries, "unmatched entries"),
-            (self.unknown_tags, "unknown tags"),
-            (self.time_jumps, "time jumps"),
-            (self.duplicates, "duplicates"),
-            (self.truncations, "truncations"),
-        ];
-        for (n, what) in classes {
+        for (n, name) in self.classes() {
             if n > 0 {
                 if !first {
                     write!(f, ", ")?;
                 }
-                write!(f, "{n} {what}")?;
+                write!(f, "{n} {}", name.replace('_', " "))?;
                 first = false;
             }
         }

@@ -1,5 +1,7 @@
 //! Raw record decoding: 24-bit time unwrap and tag-to-name matching.
 
+use std::sync::Arc;
+
 use crate::anomaly::Anomalies;
 use hwprof_profiler::{RawRecord, TIME_MASK};
 use hwprof_tagfile::{TagFile, TagKind};
@@ -15,22 +17,25 @@ pub const TIME_JUMP_THRESHOLD: u32 = 1 << 23;
 /// Index into the symbol table.
 pub type SymId = u32;
 
-/// The symbol table: one entry per tag-file name.
+/// The symbol table: one entry per tag-file name.  Shared, not copied,
+/// by clones: every per-bank [`crate::Reconstruction`] carries one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Symbols {
-    names: Vec<String>,
-    cswitch: Vec<bool>,
+    names: Arc<[String]>,
+    cswitch: Arc<[bool]>,
 }
 
 impl Symbols {
     /// Builds a symbol table from a tag file.
     pub fn from_tagfile(tf: &TagFile) -> Self {
-        let mut s = Symbols::default();
-        for e in tf.entries() {
-            s.names.push(e.name.clone());
-            s.cswitch.push(e.kind == TagKind::ContextSwitch);
+        Symbols {
+            names: tf.entries().iter().map(|e| e.name.clone()).collect(),
+            cswitch: tf
+                .entries()
+                .iter()
+                .map(|e| e.kind == TagKind::ContextSwitch)
+                .collect(),
         }
-        s
     }
 
     /// Builds a symbol table from bare names (no context-switch
@@ -38,8 +43,8 @@ impl Symbols {
     /// clock sampling, event counters — normalize their output against
     /// the kernel's function table with this.
     pub fn from_names<S: Into<String>>(names: impl IntoIterator<Item = S>) -> Self {
-        let names: Vec<String> = names.into_iter().map(Into::into).collect();
-        let cswitch = vec![false; names.len()];
+        let names: Arc<[String]> = names.into_iter().map(Into::into).collect();
+        let cswitch = vec![false; names.len()].into();
         Symbols { names, cswitch }
     }
 

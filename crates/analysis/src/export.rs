@@ -835,12 +835,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = s.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of unescaped characters whole: `"` and
+                // `\` are ASCII, so the run ends on a character boundary.
+                let start = *pos;
+                let run = b[start..].iter().position(|&c| c == b'"' || c == b'\\');
+                *pos = run.map_or(b.len(), |n| start + n);
+                let run = std::str::from_utf8(&b[start..*pos])
+                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+                out.push_str(run);
             }
         }
     }
@@ -1052,6 +1054,17 @@ mod tests {
         assert!(validate_json("{\"a\":1} extra").is_err());
         assert!(validate_json("[1,2").is_err());
         assert!(validate_json("").is_err());
+    }
+
+    /// A document holding one 1 MiB string, multi-byte characters
+    /// included, parses back to that string: unescaped runs are copied
+    /// whole instead of re-checking the rest of the input per character.
+    #[test]
+    fn validator_parses_a_mebibyte_string() {
+        let text = "in µs, ".repeat(1 << 17);
+        assert_eq!(text.len(), 1 << 20);
+        let doc = validate_json(&format!("\"{text}\"")).expect("valid");
+        assert_eq!(doc.as_str(), Some(text.as_str()));
     }
 
     #[test]

@@ -57,5 +57,5 @@ pub use sentinel::{
 pub use stitch::{
     scale_factor, scaled_calls, visibility, visible_us, MaskVisibility, SupervisedFold,
 };
-pub use stream::{BankFeed, PipelineClosed, RecordStream, StreamAnalyzer};
+pub use stream::{BankFeed, BankJob, StreamAnalyzer, StreamOutcome};
 pub use trace::{trace_report, TraceStyle};

@@ -4,9 +4,9 @@ use proptest::prelude::*;
 
 use crate::events::{decode, EvKind, Event, SessionDecoder, Symbols, TagMap};
 use crate::recon::Reconstruction;
-use crate::stream::{RecordStream, StreamAnalyzer};
+use crate::stream::StreamAnalyzer;
 use crate::Analyzer;
-use hwprof_profiler::{parse_raw, serialize_raw, BankSink, RawRecord};
+use hwprof_profiler::{parse_raw, serialize_raw, BankSink, RawRecord, RecordStream};
 use hwprof_tagfile::{TagFile, TagKind};
 
 fn analyze(syms: &Symbols, events: &[Event]) -> Reconstruction {
@@ -294,8 +294,8 @@ proptest! {
             cuts.iter().map(|c| c % (records.len() + 1)).collect();
         bounds.sort_unstable();
         bounds.dedup();
-        let mut analyzer = StreamAnalyzer::new(&tf, workers);
-        let mut feed = analyzer.feed().expect("pipeline open");
+        let analyzer = StreamAnalyzer::new(&tf, workers);
+        let mut feed = analyzer.feed();
         let mut prev = 0;
         for p in bounds.into_iter().chain([records.len()]) {
             if p < prev {
@@ -305,7 +305,7 @@ proptest! {
             prev = p;
         }
         drop(feed);
-        let streamed = analyzer.finish().expect("first finish");
+        let streamed = analyzer.finish().remove(&0).unwrap().profile;
         let sessions = cut_sessions(&records, &map, &cuts);
         let batch = analyze_sessions(&syms, &sessions);
         prop_assert_eq!(streamed, batch);

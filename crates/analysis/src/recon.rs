@@ -740,18 +740,28 @@ impl<'a> BankRecon<'a> {
     }
 }
 
-/// The index-ordered bank fold: banks arrive as `(index, records)` in
-/// any order and each is decoded once, through a [`BankRecon`] the
-/// caller lends.  The next expected index (from 0) folds straight in;
-/// any other bank waits as its own part until the indices before it
-/// arrive, and [`finish`](BankFold::finish) merges parts stuck behind a
-/// hole in index order — bit-identical, by the monoid, to folding the
-/// banks sorted by index as [`Analyzer::run`](crate::Analyzer::run) does.
+/// The index-ordered bank fold: banks arrive in any order, each
+/// decoded once, through a [`BankRecon`] the caller lends
+/// ([`push`](BankFold::push)).  The next expected index (from 0) folds
+/// straight in; any other bank waits as its own part until the indices
+/// before it arrive, and [`finish`](BankFold::finish) merges parts
+/// stuck behind a hole in index order — bit-identical, by the monoid,
+/// to folding the banks sorted by index as
+/// [`Analyzer::run`](crate::Analyzer::run) does.
 #[derive(Debug)]
 pub struct BankFold {
     out: Reconstruction,
     next: u64,
     parts: BTreeMap<u64, Reconstruction>,
+}
+
+/// What one bank decodes into, lent out of a [`BankFold`]: the fold's
+/// accumulator when the bank is the next expected one, else a fresh
+/// part for bank `part`.
+#[derive(Debug)]
+pub(crate) struct Lent {
+    part: Option<u64>,
+    pub(crate) out: Reconstruction,
 }
 
 impl BankFold {
@@ -780,19 +790,38 @@ impl BankFold {
         if self.holds(index) {
             return None;
         }
-        if index == self.next {
-            bank.bank_into(records, &mut self.out);
-            self.next += 1;
-            while let Some(part) = self.parts.remove(&self.next) {
-                self.out.merge(part);
+        let mut lent = self.lend(index);
+        bank.bank_into(records, &mut lent.out);
+        self.restore(lent);
+        Some(&bank.events)
+    }
+
+    /// Lends out what bank `index` decodes into, so the caller can
+    /// decode it without holding the fold.  The caller checks
+    /// [`holds`](BankFold::holds) first and has at most one loan per
+    /// index out; other banks may be lent and restored meanwhile.
+    pub(crate) fn lend(&mut self, index: u64) -> Lent {
+        let mut out = Reconstruction::empty(self.out.syms.clone());
+        let part = (index != self.next).then_some(index);
+        if part.is_none() {
+            std::mem::swap(&mut out, &mut self.out);
+        }
+        Lent { part, out }
+    }
+
+    /// Folds a lent bank back in, with every part it releases.
+    pub(crate) fn restore(&mut self, lent: Lent) {
+        match lent.part {
+            None => {
+                self.out = lent.out;
                 self.next += 1;
             }
-        } else {
-            let mut part = Reconstruction::empty(self.out.syms.clone());
-            bank.bank_into(records, &mut part);
-            self.parts.insert(index, part);
+            Some(index) => _ = self.parts.insert(index, lent.out),
         }
-        Some(&bank.events)
+        while let Some(part) = self.parts.remove(&self.next) {
+            self.out.merge(part);
+            self.next += 1;
+        }
     }
 
     /// The fold over every bank pushed.
@@ -1005,6 +1034,30 @@ mod tests {
             .record_sessions(&banks[1..])
             .expect("ungated");
         assert_eq!(fold.finish(), want);
+    }
+
+    #[test]
+    fn bank_fold_lends_the_next_bank_in_place_and_parks_the_rest() {
+        let (tf, banks, sequential) = fold_fixture();
+        let table = DenseTagTable::from_tagfile(&tf);
+        let syms = Symbols::from_tagfile(&tf);
+        let mut bank = BankRecon::new(&table, &syms, false);
+        let mut fold = BankFold::new(&syms);
+        let mut zero = fold.lend(0);
+        // While bank 0 is out, banks 1 and 2 are lent as parts; bank 2
+        // waits, and bank 1, back last, releases it.
+        let mut one = fold.lend(1);
+        let mut two = fold.lend(2);
+        assert_eq!((zero.part, one.part, two.part), (None, Some(1), Some(2)));
+        for (lent, i) in [(&mut zero, 0), (&mut one, 1), (&mut two, 2)] {
+            bank.bank_into(&banks[i], &mut lent.out);
+        }
+        fold.restore(two);
+        fold.restore(zero);
+        assert_eq!((fold.next, fold.parts.len()), (1, 1));
+        fold.restore(one);
+        assert_eq!((fold.next, fold.parts.len()), (3, 0), "bank 1 released 2");
+        assert_eq!(fold.finish(), sequential);
     }
 
     #[test]

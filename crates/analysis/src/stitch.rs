@@ -241,13 +241,13 @@ mod tests {
             let a = crate::Analyzer::for_tagfile(&tf).workers(workers);
             let par = a.run(&run).expect("ungated");
             assert_eq!(seq, par, "parallel({workers}) diverged");
-            let mut pipeline = crate::StreamAnalyzer::new(&tf, workers);
-            let mut feed = pipeline.feed().expect("pipeline open");
+            let pipeline = crate::StreamAnalyzer::new(&tf, workers);
+            let mut feed = pipeline.feed();
             for s in &run.sessions {
                 assert!(feed.bank(s.records.clone()), "pipeline open");
             }
             drop(feed);
-            let mut streamed = pipeline.finish().expect("pipeline open");
+            let mut streamed = pipeline.finish().remove(&0).unwrap().profile;
             streamed.note_coverage(&run.coverage);
             assert_eq!(seq, streamed, "streaming({workers}) diverged");
         }

@@ -1,54 +1,43 @@
-//! The streaming analysis pipeline: capture banks drained off the
-//! board while it stays armed are decoded and reconstructed on worker
-//! threads, concurrently with the run that produces them.
+//! The bank pool: capture banks — drained off the board while it stays
+//! armed, or uploaded by fleet machines — are decoded, reconstructed
+//! and folded on one pool of worker threads while the runs that
+//! produce them are still going.  HMTT-style hybrid tracing shows the
+//! capture stream must be processed online to scale past the RAM; the
+//! pool does it exactly:
 //!
-//! The paper carried one battery-backed RAM at a time to the UNIX
-//! host; HMTT-style hybrid tracing shows the capture stream must be
-//! drained and processed online to scale past the RAM.  The pipeline
-//! here is exact, not approximate: each bank is one capture session,
-//! decoded and reconstructed in isolation by a worker's
-//! [`BankRecon`], and the per-bank results are merged in bank order
-//! with the [`Reconstruction`] monoid, so the result is bit-identical
-//! to a batch [`crate::Analyzer::record_sessions`] pass over the same
-//! banks.
+//! * a [`BankJob`] is one bank of one *stream* (0 for a single capture,
+//!   the machine id in a fleet); a worker's warm [`BankRecon`] decodes
+//!   it in isolation, outside the stream's lock, and the stream's
+//!   [`BankFold`] folds it in bank-index order, bit-identical to a batch
+//!   [`crate::Analyzer::record_sessions`] pass over the stream's banks;
+//! * each job runs on worker `lane % workers` ([`BankJob::lane`]): a
+//!   fleet machine's banks stay on one worker, in order, so each folds
+//!   straight into its profile, while a single capture's banks go
+//!   round-robin; every copy of a bank reaches the same worker in
+//!   arrival order, so the duplicate check before decode is exact;
+//! * a job that panics marks its stream failed at that bank
+//!   ([`StreamOutcome::panicked`]): the pool stops folding that stream
+//!   and discards its profile, the worker carries on with a fresh bank
+//!   step, and no other stream notices.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 
-use hwprof_profiler::{BankSink, RawRecord, RecordError};
+use hwprof_profiler::{BankSink, RawRecord};
 use hwprof_tagfile::TagFile;
 use hwprof_telemetry::{Counter, Gauge, Registry, SpanLog, SpanName, SpanTrack};
 
 use crate::anomaly::Anomalies;
 use crate::columnar::DenseTagTable;
 use crate::events::Symbols;
-use crate::recon::{BankRecon, Reconstruction};
+use crate::recon::{BankFold, BankRecon, Lent, Reconstruction};
 
-/// The pipeline was already closed: [`StreamAnalyzer::feed`] or
-/// [`StreamAnalyzer::finish`] was called after `finish` consumed the
-/// feed.  A library error, never a panic (the analyzer runs inside the
-/// capture path where aborting loses the whole session).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineClosed;
-
-impl std::fmt::Display for PipelineClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "streaming pipeline already closed by finish()")
-    }
-}
-
-impl std::error::Error for PipelineClosed {}
-
-/// An indexed bank in flight between the feed and a worker.
-type QueuedBank = (usize, Vec<RawRecord>);
-
-/// Live pipeline telemetry, shared by the feed and the workers.
-///
-/// Opt-in ([`StreamAnalyzer::set_telemetry`]) and touched once per
-/// *bank*, never per event, so the hot decode loop is unaffected.
-#[derive(Clone)]
+/// Live pipeline telemetry, opt-in ([`StreamAnalyzer::set_telemetry`])
+/// and touched once per *bank*, never per event.
 struct StreamMetrics {
     /// `stream.banks`: banks claimed and analyzed by workers.
     banks: Counter,
@@ -56,15 +45,9 @@ struct StreamMetrics {
     events: Counter,
     /// `stream.queue_depth`: banks queued and not yet claimed.
     queue_depth: Gauge,
-    /// `stream.anomalies.<class>`: classified anomalies, summed per
-    /// bank — field-for-field the same values the merged
-    /// [`Reconstruction::anomalies`] accumulates.
-    orphan_exits: Counter,
-    unmatched_entries: Counter,
-    unknown_tags: Counter,
-    time_jumps: Counter,
-    duplicates: Counter,
-    truncations: Counter,
+    /// `stream.anomalies.<class>`, summed per bank in [`Anomalies`]
+    /// field order — the same values the folded profile accumulates.
+    anomalies: [Counter; 6],
 }
 
 impl StreamMetrics {
@@ -73,88 +56,26 @@ impl StreamMetrics {
             banks: reg.counter("stream.banks"),
             events: reg.counter("stream.events"),
             queue_depth: reg.gauge("stream.queue_depth"),
-            orphan_exits: reg.counter("stream.anomalies.orphan_exits"),
-            unmatched_entries: reg.counter("stream.anomalies.unmatched_entries"),
-            unknown_tags: reg.counter("stream.anomalies.unknown_tags"),
-            time_jumps: reg.counter("stream.anomalies.time_jumps"),
-            duplicates: reg.counter("stream.anomalies.duplicates"),
-            truncations: reg.counter("stream.anomalies.truncations"),
+            anomalies: Anomalies::default()
+                .classes()
+                .map(|(_, class)| reg.counter(&format!("stream.anomalies.{class}"))),
         }
     }
 
-    fn note_bank(&self, events: u64, a: &Anomalies) {
+    /// Counts one bank whose anomalies took the running total from
+    /// `before` to `after`.
+    fn note_bank(&self, events: u64, before: &Anomalies, after: &Anomalies) {
         self.banks.inc();
         self.events.add(events);
-        self.orphan_exits.add(a.orphan_exits);
-        self.unmatched_entries.add(a.unmatched_entries);
-        self.unknown_tags.add(a.unknown_tags);
-        self.time_jumps.add(a.time_jumps);
-        self.duplicates.add(a.duplicates);
-        self.truncations.add(a.truncations);
-    }
-}
-
-/// The late-bound telemetry slot: `set_telemetry` fills it after the
-/// workers are already parked on the queue, so they re-read it per
-/// bank (one mutex lock per bank, nothing per event).
-type MetricsSlot = Arc<Mutex<Option<StreamMetrics>>>;
-
-/// The late-bound span journal slot, same shape as [`MetricsSlot`]:
-/// workers re-read it once per bank and record one analyze span per
-/// bank, never anything per event.
-type JournalSlot = Arc<Mutex<Option<SpanLog>>>;
-
-/// Incremental 5-byte record decode: accepts the upload byte stream in
-/// arbitrary chunks, carrying partial records across chunk boundaries.
-///
-/// Feeding any chunking of a byte stream yields exactly
-/// [`hwprof_profiler::parse_raw`] of the whole stream.
-#[derive(Debug, Default)]
-pub struct RecordStream {
-    pending: Vec<u8>,
-}
-
-impl RecordStream {
-    /// An empty decoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds the next chunk of upload bytes, appending every completed
-    /// 5-byte record to `out`.
-    pub fn push(&mut self, bytes: &[u8], out: &mut Vec<RawRecord>) {
-        self.pending.extend_from_slice(bytes);
-        let complete = self.pending.len() - self.pending.len() % 5;
-        for c in self.pending[..complete].chunks_exact(5) {
-            out.push(RawRecord {
-                tag: u16::from_le_bytes([c[0], c[1]]),
-                time: u32::from_le_bytes([c[2], c[3], c[4], 0]),
-            });
-        }
-        self.pending.drain(..complete);
-    }
-
-    /// Ends the stream: trailing bytes that never completed a record
-    /// are a truncated upload.
-    pub fn finish(self) -> Result<(), RecordError> {
-        if self.pending.is_empty() {
-            Ok(())
-        } else {
-            Err(RecordError::TruncatedStream {
-                len: self.pending.len(),
-            })
+        let deltas = after.classes().into_iter().zip(before.classes());
+        for (counter, ((a, _), (b, _))) in self.anomalies.iter().zip(deltas) {
+            counter.add(a - b);
         }
     }
-
-    /// Ends the stream tolerantly, returning how many trailing bytes
-    /// never completed a record (0 for a clean upload, 1-4 for one cut
-    /// mid-record — a truncation anomaly, not an error).
-    pub fn finish_lossy(self) -> usize {
-        self.pending.len()
-    }
 }
 
-/// Banks the feed queues ahead of the workers before refusing more.
+/// Banks queued ahead of the workers, in equal shares per worker,
+/// before the board's feed is refused.
 ///
 /// A bank is at most half the board RAM (64 K events × 8 bytes on the
 /// wide board), so the default backlog bounds pipeline memory around
@@ -162,55 +83,234 @@ impl RecordStream {
 /// operator swapping RAMs could.
 pub const DEFAULT_BACKLOG: usize = 256;
 
-/// The board-facing end of the pipeline: assigns bank indices (bank
-/// order is session order) and queues banks for the workers.
-pub struct BankFeed {
-    next: usize,
-    tx: SyncSender<QueuedBank>,
-    queued: Arc<AtomicUsize>,
-    metrics: MetricsSlot,
+/// One bank of work for the pool.
+pub trait BankJob: Send + 'static {
+    /// The bank's stream: 0 for a single capture, the machine id in a
+    /// fleet.
+    fn stream(&self) -> u32;
+    /// The bank's index within its stream; banks fold in index order.
+    fn index(&self) -> u64;
+    /// Jobs with equal lanes run on one worker, in submission order.
+    /// A function of `(stream, index)`, so the duplicate check before
+    /// decode is exact.  The default keeps a stream on one worker,
+    /// where each bank folds straight into the stream's profile.
+    fn lane(&self) -> u64 {
+        u64::from(self.stream())
+    }
+    /// The bank's records, or why it was rejected.  Runs on the
+    /// worker, inside the pool's panic boundary.
+    fn records(self: Box<Self>) -> Result<Vec<RawRecord>, String>;
 }
 
-impl std::fmt::Debug for BankFeed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BankFeed")
-            .field("next", &self.next)
-            .finish()
+type Job = Box<dyn BankJob>;
+
+/// A bank the board drained: stream 0, indexed by its feed.
+struct BoardBank(u64, Vec<RawRecord>);
+
+impl BankJob for BoardBank {
+    fn stream(&self) -> u32 {
+        0
+    }
+
+    fn index(&self) -> u64 {
+        self.0
+    }
+
+    /// A single capture's banks go round-robin over the workers.
+    fn lane(&self) -> u64 {
+        self.0
+    }
+
+    fn records(self: Box<Self>) -> Result<Vec<RawRecord>, String> {
+        Ok(self.1)
+    }
+}
+
+/// Everything the pool folded for one stream.
+#[derive(Debug)]
+pub struct StreamOutcome {
+    /// The stream's banks, folded in bank-index order; empty once the
+    /// stream has [`panicked`](StreamOutcome::panicked).
+    pub profile: Reconstruction,
+    /// Banks decoded and folded in.
+    pub banks: u64,
+    /// Records across those banks.
+    pub records: u64,
+    /// Banks skipped as copies of an index already held.
+    pub duplicates: u64,
+    /// `(index, reason)` per bank whose records were rejected, in
+    /// index order.
+    pub rejections: Vec<(u64, String)>,
+    /// The first bank whose analysis panicked.  The pool then stops
+    /// folding the stream — its later banks are skipped — and discards
+    /// its profile.
+    pub panicked: Option<u64>,
+}
+
+/// The state the workers and feeds share.
+struct Pool {
+    table: DenseTagTable,
+    syms: Symbols,
+    recover: bool,
+    /// Each stream's live fold and its outcome so far (whose `profile`
+    /// the fold replaces at [`StreamAnalyzer::finish`]), under the
+    /// stream's own lock: streams fold in parallel, and the map is
+    /// write-locked only to open a stream.
+    streams: RwLock<BTreeMap<u32, Mutex<(BankFold, StreamOutcome)>>>,
+    /// Jobs submitted and not yet claimed by a worker.
+    queued: AtomicIsize,
+    metrics: OnceLock<StreamMetrics>,
+    journal: OnceLock<SpanLog>,
+}
+
+impl Pool {
+    /// Runs `f` on `stream`'s fold and outcome under the stream's lock,
+    /// opening the stream on first use.
+    fn stream<R>(&self, stream: u32, f: impl FnOnce(&mut BankFold, &mut StreamOutcome) -> R) -> R {
+        let streams = self.streams.read().unwrap();
+        if let Some(slot) = streams.get(&stream) {
+            let (fold, out) = &mut *slot.lock().unwrap();
+            return f(fold, out);
+        }
+        drop(streams);
+        let open = || {
+            let out = StreamOutcome {
+                profile: Reconstruction::empty(self.syms.clone()),
+                banks: 0,
+                records: 0,
+                duplicates: 0,
+                rejections: Vec::new(),
+                panicked: None,
+            };
+            Mutex::new((BankFold::new(&self.syms), out))
+        };
+        let mut streams = self.streams.write().unwrap();
+        let slot = streams.entry(stream).or_insert_with(open);
+        let (fold, out) = slot.get_mut().unwrap();
+        f(fold, out)
+    }
+
+    /// Moves the queue depth by `delta` jobs and reports it.
+    fn note_queue(&self, delta: isize) {
+        let depth = self.queued.fetch_add(delta, Ordering::Relaxed) + delta;
+        if let Some(m) = self.metrics.get() {
+            m.queue_depth.set(depth as u64);
+        }
+    }
+
+    /// One worker's life: claim jobs until every feed is dropped.
+    fn work(&self, jobs: Receiver<Job>) {
+        let mut step = BankRecon::new(&self.table, &self.syms, self.recover);
+        for job in jobs {
+            self.note_queue(-1);
+            let (stream, index) = (job.stream(), job.index());
+            // Skip copies of a bank already held, and a failed stream.
+            let skip = self.stream(stream, |fold, out| {
+                let dup = fold.holds(index);
+                out.duplicates += u64::from(dup);
+                dup || out.panicked.is_some()
+            });
+            if skip {
+                continue;
+            }
+            let analyzed = catch_unwind(AssertUnwindSafe(|| self.analyze(&mut step, job)));
+            let panicked = analyzed.is_err();
+            self.stream(stream, |fold, out| match analyzed {
+                Ok(Ok((lent, records))) => {
+                    fold.restore(lent);
+                    out.banks += 1;
+                    out.records += records;
+                }
+                Ok(Err(why)) => out.rejections.push((index, why)),
+                // The bank's loan, perhaps the stream's profile itself,
+                // died with the panic.
+                Err(_) => out.panicked = out.panicked.or(Some(index)),
+            });
+            if panicked {
+                step = BankRecon::new(&self.table, &self.syms, self.recover);
+            }
+        }
+    }
+
+    /// Decodes and reconstructs one bank outside the stream's lock,
+    /// into what the stream's fold lends it: the profile itself when
+    /// the bank is the next one, else a fresh part.
+    fn analyze(&self, step: &mut BankRecon, job: Job) -> Result<(Lent, u64), String> {
+        let (stream, index) = (job.stream(), job.index());
+        let records = job.records()?;
+        let mut lent = self.stream(stream, |fold, _| fold.lend(index));
+        #[cfg(test)]
+        assert!(!records.contains(&tests::TRIPWIRE), "bank {index} trips");
+        lent.out.trace.reserve(records.len());
+        let before = lent.out.anomalies;
+        let events = step.bank_into(&records, &mut lent.out);
+        if let Some(m) = self.metrics.get() {
+            m.note_bank(events.len() as u64, &before, &lent.out.anomalies);
+        }
+        if let Some(log) = self.journal.get() {
+            // One analyze span per bank, spanning the bank's
+            // (session-relative) event times; the exporter rebases it
+            // onto the supervised timeline by session index.
+            let first = events.first().map_or(0, |e| e.t);
+            let last = events.last().map_or(first, |e| e.t);
+            let n = events.len() as u64;
+            log.begin(SpanTrack::Analyzer, SpanName::Analyze, first, index, n);
+            log.end(SpanTrack::Analyzer, SpanName::Analyze, last, index, n);
+        }
+        Ok((lent, records.len() as u64))
+    }
+}
+
+/// A cloneable feed into the pool.  As the board's drain sink it
+/// queues banks as stream 0, indexed in arrival order (use one feed per
+/// capture), and refuses a bank whose worker's queue is full;
+/// [`submit`](BankFeed::submit) queues any [`BankJob`], waiting for
+/// room instead.  The workers run until every feed is dropped.
+#[derive(Clone)]
+pub struct BankFeed {
+    next: u64,
+    lanes: Arc<[SyncSender<Job>]>,
+    pool: Arc<Pool>,
+}
+
+impl BankFeed {
+    /// Queues `job` on its worker, waiting while that worker's queue
+    /// is full.
+    pub fn submit(&self, job: impl BankJob) {
+        self.send(Box::new(job), true);
+    }
+
+    fn send(&self, job: Job, wait: bool) -> bool {
+        let lane = &self.lanes[(job.lane() % self.lanes.len() as u64) as usize];
+        self.pool.note_queue(1);
+        // The workers outlive every feed, so only a full queue refuses.
+        let sent = if wait {
+            lane.send(job).is_ok()
+        } else {
+            lane.try_send(job).is_ok()
+        };
+        if !sent {
+            self.pool.note_queue(-1);
+        }
+        sent
     }
 }
 
 impl BankSink for BankFeed {
     fn bank(&mut self, records: Vec<RawRecord>) -> bool {
-        match self.tx.try_send((self.next, records)) {
-            Ok(()) => {
-                self.next += 1;
-                self.queued.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &*self.metrics.lock().unwrap_or_else(|e| e.into_inner()) {
-                    // A worker may have claimed (and decremented) this
-                    // bank already, briefly wrapping the counter below
-                    // zero; clamp the gauge rather than racing it.
-                    m.queue_depth
-                        .set((self.queued.load(Ordering::Relaxed) as isize).max(0) as u64);
-                }
-                true
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => false,
-        }
+        let accepted = self.send(Box::new(BoardBank(self.next, records)), false);
+        self.next += u64::from(accepted);
+        accepted
     }
 }
 
-/// The analysis end of the pipeline: worker threads drain queued banks,
-/// decode each as one capture session and reconstruct it; [`finish`]
-/// merges the per-bank results in bank order.
-///
-/// [`finish`]: StreamAnalyzer::finish
+/// The bank pool: `workers` threads, each with a warm [`BankRecon`],
+/// and one [`BankFold`] per stream, each under its own lock.  Banks arrive
+/// through [`BankFeed`]s; [`finish`](StreamAnalyzer::finish) hands back
+/// every stream's [`StreamOutcome`].
 pub struct StreamAnalyzer {
-    tx: Option<SyncSender<QueuedBank>>,
-    workers: Vec<JoinHandle<Vec<(usize, Reconstruction)>>>,
-    syms: Symbols,
-    queued: Arc<AtomicUsize>,
-    metrics: MetricsSlot,
-    journal: JournalSlot,
+    feed: BankFeed,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl StreamAnalyzer {
@@ -232,212 +332,259 @@ impl StreamAnalyzer {
     }
 
     fn spawn(tf: &TagFile, workers: usize, recover: bool) -> Self {
-        let table = Arc::new(DenseTagTable::from_tagfile(tf));
-        let syms = Symbols::from_tagfile(tf);
-        let (tx, rx) = std::sync::mpsc::sync_channel(DEFAULT_BACKLOG);
-        let rx: Arc<Mutex<Receiver<QueuedBank>>> = Arc::new(Mutex::new(rx));
-        let queued = Arc::new(AtomicUsize::new(0));
-        let metrics: MetricsSlot = Arc::new(Mutex::new(None));
-        let journal: JournalSlot = Arc::new(Mutex::new(None));
-        let workers = (0..workers.max(1))
+        let pool = Arc::new(Pool {
+            table: DenseTagTable::from_tagfile(tf),
+            syms: Symbols::from_tagfile(tf),
+            recover,
+            streams: RwLock::new(BTreeMap::new()),
+            queued: AtomicIsize::new(0),
+            metrics: OnceLock::new(),
+            journal: OnceLock::new(),
+        });
+        let workers = workers.max(1);
+        let (lanes, workers): (Vec<_>, Vec<_>) = (0..workers)
             .map(|w| {
-                let rx = Arc::clone(&rx);
-                let table = Arc::clone(&table);
-                let syms = syms.clone();
-                let queued = Arc::clone(&queued);
-                let metrics = Arc::clone(&metrics);
-                let journal = Arc::clone(&journal);
-                std::thread::Builder::new()
+                let (tx, rx) = std::sync::mpsc::sync_channel((DEFAULT_BACKLOG / workers).max(1));
+                let pool = Arc::clone(&pool);
+                let worker = std::thread::Builder::new()
                     .name(format!("hwprof-analyze-{w}"))
-                    .spawn(move || {
-                        let mut done = Vec::new();
-                        // Worker-lifetime hot-path state persists across
-                        // banks; only the per-bank result vectors grow.
-                        let mut step = BankRecon::new(&table, &syms, recover);
-                        loop {
-                            // Hold the receiver lock only to claim the
-                            // next bank, never while analyzing it.
-                            let claimed = {
-                                let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-                                rx.recv()
-                            };
-                            let Ok((idx, bank)) = claimed else {
-                                break;
-                            };
-                            queued.fetch_sub(1, Ordering::Relaxed);
-                            let live = metrics.lock().unwrap_or_else(|e| e.into_inner()).clone();
-                            if let Some(m) = &live {
-                                m.queue_depth
-                                    .set((queued.load(Ordering::Relaxed) as isize).max(0) as u64);
-                            }
-                            let mut r = Reconstruction::empty(syms.clone());
-                            let events = step.bank_into(&bank, &mut r);
-                            if let Some(m) = &live {
-                                m.note_bank(events.len() as u64, &r.anomalies);
-                            }
-                            let log = journal.lock().unwrap_or_else(|e| e.into_inner()).clone();
-                            if let Some(log) = &log {
-                                // One analyze span per bank, spanning the
-                                // bank's (session-relative) event times; the
-                                // exporter rebases it onto the supervised
-                                // timeline by session index.
-                                let first = events.first().map_or(0, |e| e.t);
-                                let last = events.last().map_or(first, |e| e.t);
-                                let n = events.len() as u64;
-                                log.begin(
-                                    SpanTrack::Analyzer,
-                                    SpanName::Analyze,
-                                    first,
-                                    idx as u64,
-                                    n,
-                                );
-                                log.end(
-                                    SpanTrack::Analyzer,
-                                    SpanName::Analyze,
-                                    last,
-                                    idx as u64,
-                                    n,
-                                );
-                            }
-                            done.push((idx, r));
-                        }
-                        done
-                    })
-                    .expect("spawning an analysis worker thread")
+                    .spawn(move || pool.work(rx))
+                    .expect("spawning an analysis worker thread");
+                (tx, worker)
             })
-            .collect();
-        StreamAnalyzer {
-            tx: Some(tx),
-            workers,
-            syms,
-            queued,
-            metrics,
-            journal,
-        }
+            .unzip();
+        let feed = BankFeed {
+            next: 0,
+            lanes: lanes.into(),
+            pool,
+        };
+        StreamAnalyzer { feed, workers }
     }
 
     /// Registers the pipeline's telemetry (`stream.banks`,
     /// `stream.events`, `stream.queue_depth`, and per-class
-    /// `stream.anomalies.*`) in `reg`.  Call before handing out a
-    /// [`feed`](StreamAnalyzer::feed); banks analyzed earlier are not
-    /// retroactively counted.  The workers read the slot once per bank,
-    /// so disabled telemetry costs nothing on the decode path.
+    /// `stream.anomalies.*`) in `reg`; the first registry set wins.
+    /// Call before handing out a [`feed`](StreamAnalyzer::feed): banks
+    /// analyzed earlier are not retroactively counted.
     pub fn set_telemetry(&self, reg: &Registry) {
-        *self.metrics.lock().unwrap_or_else(|e| e.into_inner()) = Some(StreamMetrics::new(reg));
+        let _ = self.feed.pool.metrics.set(StreamMetrics::new(reg));
     }
 
     /// Attaches a span journal: each analyzed bank records one
     /// `analyze` begin/end pair on the analyzer track (`id` = bank
     /// index, `arg` = decoded event count, times = the bank's first and
-    /// last event times).  Same late-binding contract as
-    /// [`set_telemetry`](StreamAnalyzer::set_telemetry): one lock per
-    /// bank, nothing on the decode path, banks analyzed earlier are not
-    /// retroactively recorded.
+    /// last event times).  Same contract as
+    /// [`set_telemetry`](StreamAnalyzer::set_telemetry).
     pub fn set_span_log(&self, log: &SpanLog) {
-        *self.journal.lock().unwrap_or_else(|e| e.into_inner()) = Some(log.clone());
+        let _ = self.feed.pool.journal.set(log.clone());
     }
 
-    /// The feed to hand the board (its drain sink).  Bank order through
-    /// one feed defines session order; use a single feed per capture.
-    ///
-    /// Errors (never panics) if the pipeline was already closed by
-    /// [`finish`].
-    ///
-    /// [`finish`]: StreamAnalyzer::finish
-    pub fn feed(&self) -> Result<BankFeed, PipelineClosed> {
-        let tx = self.tx.as_ref().ok_or(PipelineClosed)?.clone();
-        Ok(BankFeed {
-            next: 0,
-            tx,
-            queued: Arc::clone(&self.queued),
-            metrics: Arc::clone(&self.metrics),
-        })
+    /// A feed: the board's drain sink, or a fleet's uplink.
+    pub fn feed(&self) -> BankFeed {
+        self.feed.clone()
     }
 
-    /// Closes the feed, waits for the workers to drain the queue, and
-    /// merges the per-bank reconstructions in bank order.
-    ///
-    /// Errors (never panics) if called a second time: the workers are
-    /// gone and the first call already returned the result.
-    pub fn finish(&mut self) -> Result<Reconstruction, PipelineClosed> {
-        if self.tx.is_none() {
-            return Err(PipelineClosed);
+    /// Closes the pool, waits for the workers to drain their queues
+    /// (every feed must be dropped first), and returns the outcome of
+    /// every stream that received a bank.
+    pub fn finish(self) -> BTreeMap<u32, StreamOutcome> {
+        let pool = Arc::clone(&self.feed.pool);
+        drop(self.feed);
+        for worker in self.workers {
+            // Each bank runs inside `catch_unwind`, so only a bug in the
+            // pool's own bookkeeping can end a worker early.
+            worker.join().expect("worker panicked outside a bank");
         }
-        drop(self.tx.take());
-        let mut parts: Vec<(usize, Reconstruction)> = Vec::new();
-        for handle in self.workers.drain(..) {
-            match handle.join() {
-                Ok(done) => parts.extend(done),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-        // The queue is drained; settle the gauge (workers' last writes
-        // race each other, so the final value is set here, not there).
-        if let Some(m) = &*self.metrics.lock().unwrap_or_else(|e| e.into_inner()) {
+        if let Some(m) = pool.metrics.get() {
             m.queue_depth.set(0);
         }
-        parts.sort_by_key(|(i, _)| *i);
-        let mut out = Reconstruction::empty(self.syms.clone());
-        out.trace
-            .reserve(parts.iter().map(|(_, r)| r.trace.len()).sum());
-        for (_, r) in parts {
-            out.merge(r);
-        }
-        Ok(out)
+        let streams = std::mem::take(&mut *pool.streams.write().unwrap());
+        streams
+            .into_iter()
+            .map(|(stream, slot)| {
+                let (fold, mut out) = slot.into_inner().unwrap();
+                if out.panicked.is_none() {
+                    out.profile = fold.finish();
+                }
+                out.rejections.sort_by_key(|&(index, _)| index);
+                (stream, out)
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn tagfile() -> TagFile {
         hwprof_tagfile::parse("a/100\nb/102\n").unwrap()
     }
 
-    /// Regression: using the pipeline after `finish()` must be a
-    /// library error, never the old `expect("feed() before finish()")`
-    /// panic.
+    fn rec(tag: u16, time: u32) -> RawRecord {
+        RawRecord { tag, time }
+    }
+
+    /// A record that makes the worker panic after the bank's loan is
+    /// taken, as a bug in decode or reconstruction would.
+    pub(super) const TRIPWIRE: RawRecord = RawRecord {
+        tag: u16::MAX,
+        time: u32::MAX,
+    };
+
+    /// A test bank of any stream; `records: None` panics when claimed.
+    struct TestBank {
+        stream: u32,
+        index: u64,
+        records: Option<Vec<RawRecord>>,
+    }
+
+    impl BankJob for TestBank {
+        fn stream(&self) -> u32 {
+            self.stream
+        }
+
+        fn index(&self) -> u64 {
+            self.index
+        }
+
+        fn records(self: Box<Self>) -> Result<Vec<RawRecord>, String> {
+            match self.records {
+                Some(records) => Ok(records),
+                None => panic!("stream {} bank {} is poisoned", self.stream, self.index),
+            }
+        }
+    }
+
+    /// Stream 1's bank 0: parks its worker until released.
+    struct Park {
+        parked: mpsc::Sender<()>,
+        release: mpsc::Receiver<()>,
+    }
+
+    impl BankJob for Park {
+        fn stream(&self) -> u32 {
+            1
+        }
+
+        fn index(&self) -> u64 {
+            0
+        }
+
+        fn records(self: Box<Self>) -> Result<Vec<RawRecord>, String> {
+            self.parked.send(()).expect("the test waits for the park");
+            self.release.recv().expect("the test releases the park");
+            Ok(Vec::new())
+        }
+    }
+
+    fn record_sessions(tf: &TagFile, banks: &[Vec<RawRecord>]) -> Reconstruction {
+        crate::Analyzer::for_tagfile(tf)
+            .record_sessions(banks)
+            .expect("ungated")
+    }
+
+    /// With its one worker parked, the pool takes exactly
+    /// `DEFAULT_BACKLOG` board banks and refuses the next; once the
+    /// worker is released, stream 0 folds exactly the accepted banks.
     #[test]
-    fn pipeline_use_after_finish_is_an_error_not_a_panic() {
-        let mut analyzer = StreamAnalyzer::new(&tagfile(), 2);
-        let mut feed = analyzer.feed().expect("open pipeline hands out feeds");
-        assert!(feed.bank(vec![
-            RawRecord { tag: 100, time: 0 },
-            RawRecord { tag: 101, time: 9 },
-        ]));
+    fn a_full_worker_queue_refuses_the_next_board_bank() {
+        let tf = tagfile();
+        let analyzer = StreamAnalyzer::new(&tf, 1);
+        let (parked_tx, parked) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        analyzer.feed().submit(Park {
+            parked: parked_tx,
+            release: release_rx,
+        });
+        parked.recv().expect("the worker claims the park");
+        let bank = |i: u32| vec![rec(100, 10 * i), rec(101, 10 * i + 1 + i % 7)];
+        let banks: Vec<_> = (0..DEFAULT_BACKLOG as u32).map(bank).collect();
+        let mut feed = analyzer.feed();
+        for b in &banks {
+            assert!(feed.bank(b.clone()), "the queue has room");
+        }
+        assert!(!feed.bank(bank(999)), "the worker's queue is full");
+        release.send(()).expect("the park waits");
         drop(feed);
-        let r = analyzer.finish().expect("first finish yields the result");
-        assert_eq!(r.agg("a").unwrap().calls, 1);
-        assert_eq!(analyzer.feed().unwrap_err(), PipelineClosed);
-        assert_eq!(analyzer.finish().unwrap_err(), PipelineClosed);
-        // Still closed on the third try; no state corruption.
-        assert_eq!(analyzer.feed().unwrap_err(), PipelineClosed);
+        let streams = analyzer.finish();
+        assert_eq!(streams[&0].banks, DEFAULT_BACKLOG as u64);
+        assert_eq!(streams[&0].profile, record_sessions(&tf, &banks));
+        assert_eq!(streams[&1].banks, 1, "the park folds as an empty bank");
+    }
+
+    /// A bank that panics among clean banks of two streams on one
+    /// worker, either claiming its records or decoding them into the
+    /// stream's lent profile: `finish` returns normally and names the
+    /// panicked bank, its stream stops folding and is discarded, and
+    /// the worker goes on to fold the other stream bit-identically.
+    #[test]
+    fn a_panicking_bank_stays_inside_its_stream() {
+        let tf = tagfile();
+        let banks_a: Vec<Vec<RawRecord>> = (0..5u32)
+            .map(|i| vec![rec(100, 0), rec(102, 3), rec(103, 4 + i), rec(101, 9 + i)])
+            .collect();
+        let banks_b: Vec<Vec<RawRecord>> = (0..5u32)
+            .map(|i| vec![rec(102, 0), rec(103, 2 * i + 1), rec(101, 20)])
+            .collect();
+        let trip = vec![rec(100, 0), TRIPWIRE, rec(101, 9)];
+        for (workers, bad) in [
+            (1, None),
+            (3, None),
+            (1, Some(trip.clone())),
+            (3, Some(trip)),
+        ] {
+            let analyzer = StreamAnalyzer::new(&tf, workers);
+            let pool = analyzer.feed();
+            // Streams 1 and 4 share a worker at 1 and at 3 workers;
+            // stream 1's bank 2, the next one it expects, panics.
+            for i in 0..5 {
+                let a = if i == 2 {
+                    bad.clone()
+                } else {
+                    Some(banks_a[i].clone())
+                };
+                pool.submit(TestBank {
+                    stream: 1,
+                    index: i as u64,
+                    records: a,
+                });
+                pool.submit(TestBank {
+                    stream: 4,
+                    index: i as u64,
+                    records: Some(banks_b[i].clone()),
+                });
+            }
+            drop(pool);
+            let streams = analyzer.finish();
+            let (a, b) = (&streams[&1], &streams[&4]);
+            let case = format!("workers {workers}, tripwire {}", bad.is_some());
+            assert_eq!(a.panicked, Some(2), "{case}");
+            assert_eq!(
+                (a.banks, a.records),
+                (2, 8),
+                "{case}: banks 3 and 4 skipped"
+            );
+            assert_eq!(a.profile, Reconstruction::empty(Symbols::from_tagfile(&tf)));
+            assert_eq!(b.panicked, None);
+            assert_eq!((b.banks, b.records), (5, 15), "{case}");
+            assert_eq!(b.profile, record_sessions(&tf, &banks_b), "{case}");
+        }
     }
 
     /// Recovery-mode streaming classifies anomalies per bank and merges
     /// them through the monoid.
     #[test]
     fn recovering_pipeline_counts_anomalies() {
-        let mut analyzer = StreamAnalyzer::recovering(&tagfile(), 2);
-        let mut feed = analyzer.feed().expect("open");
+        let analyzer = StreamAnalyzer::recovering(&tagfile(), 2);
+        let mut feed = analyzer.feed();
         // Bank 0: a clean pair plus a stuck-counter duplicate.
-        assert!(feed.bank(vec![
-            RawRecord { tag: 100, time: 0 },
-            RawRecord { tag: 100, time: 0 },
-            RawRecord { tag: 101, time: 9 },
-        ]));
+        assert!(feed.bank(vec![rec(100, 0), rec(100, 0), rec(101, 9)]));
         // Bank 1: a spurious garbage tag.
-        assert!(feed.bank(vec![
-            RawRecord { tag: 100, time: 20 },
-            RawRecord {
-                tag: 0x9999,
-                time: 25
-            },
-            RawRecord { tag: 101, time: 30 },
-        ]));
+        assert!(feed.bank(vec![rec(100, 20), rec(0x9999, 25), rec(101, 30)]));
         drop(feed);
-        let r = analyzer.finish().expect("first finish");
+        let r = analyzer.finish().remove(&0).unwrap().profile;
         assert_eq!(r.agg("a").unwrap().calls, 2);
         assert_eq!(r.anomalies.duplicates, 1);
         assert_eq!(r.anomalies.unknown_tags, 1);
@@ -451,24 +598,13 @@ mod tests {
     #[test]
     fn stream_telemetry_matches_merged_result() {
         let reg = Registry::new();
-        let mut analyzer = StreamAnalyzer::recovering(&tagfile(), 2);
+        let analyzer = StreamAnalyzer::recovering(&tagfile(), 2);
         analyzer.set_telemetry(&reg);
-        let mut feed = analyzer.feed().expect("open");
-        assert!(feed.bank(vec![
-            RawRecord { tag: 100, time: 0 },
-            RawRecord { tag: 100, time: 0 },
-            RawRecord { tag: 101, time: 9 },
-        ]));
-        assert!(feed.bank(vec![
-            RawRecord { tag: 100, time: 20 },
-            RawRecord {
-                tag: 0x9999,
-                time: 25
-            },
-            RawRecord { tag: 101, time: 30 },
-        ]));
+        let mut feed = analyzer.feed();
+        assert!(feed.bank(vec![rec(100, 0), rec(100, 0), rec(101, 9)]));
+        assert!(feed.bank(vec![rec(100, 20), rec(0x9999, 25), rec(101, 30)]));
         drop(feed);
-        let r = analyzer.finish().expect("first finish");
+        let r = analyzer.finish().remove(&0).unwrap().profile;
         let snap = reg.snapshot();
         assert_eq!(snap.value("stream.banks"), Some(2));
         assert_eq!(snap.value("stream.events"), Some(r.tags as u64));
@@ -488,16 +624,5 @@ mod tests {
         }
         assert_eq!(r.anomalies.duplicates, 1);
         assert_eq!(r.anomalies.unknown_tags, 1);
-    }
-
-    #[test]
-    fn record_stream_finish_lossy_reports_trailing() {
-        let mut rs = RecordStream::new();
-        let mut out = Vec::new();
-        rs.push(&[1, 2, 3, 4, 5, 6, 7], &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(rs.finish_lossy(), 2);
-        let rs2 = RecordStream::new();
-        assert_eq!(rs2.finish_lossy(), 0);
     }
 }

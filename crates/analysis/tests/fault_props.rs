@@ -12,10 +12,10 @@ use hwprof_analysis::anomaly::Anomalies;
 use hwprof_analysis::{
     decode_recovering, summary_report,
     trace::{trace_report, TraceStyle},
-    Analyzer, Reconstruction, RecordStream, StreamAnalyzer, Symbols,
+    Analyzer, Reconstruction, StreamAnalyzer, Symbols,
 };
 use hwprof_profiler::{
-    parse_raw_lossy, serialize_raw, FaultInjector, FaultSpec, RawRecord, TIME_MASK,
+    parse_raw_lossy, serialize_raw, FaultInjector, FaultSpec, RawRecord, RecordStream, TIME_MASK,
 };
 use hwprof_tagfile::{TagFile, TagKind};
 
@@ -217,13 +217,13 @@ proptest! {
             banks.push(corrupted[prev..p].to_vec());
             prev = p;
         }
-        let mut analyzer = StreamAnalyzer::recovering(&tf, workers);
-        let mut feed = analyzer.feed().expect("open pipeline");
+        let analyzer = StreamAnalyzer::recovering(&tf, workers);
+        let mut feed = analyzer.feed();
         for bank in &banks {
             prop_assert!(hwprof_profiler::BankSink::bank(&mut feed, bank.clone()));
         }
         drop(feed);
-        let streamed = analyzer.finish().expect("first finish");
+        let streamed = analyzer.finish().remove(&0).unwrap().profile;
         let batch = batch_recovering(&tf, &banks);
         prop_assert_eq!(streamed, batch);
     }

@@ -125,16 +125,16 @@ fn stream_stitch(
     workers: usize,
     telemetry: Option<&hwprof_telemetry::Registry>,
 ) -> Reconstruction {
-    let mut pipeline = StreamAnalyzer::new(tf, workers);
+    let pipeline = StreamAnalyzer::new(tf, workers);
     if let Some(reg) = telemetry {
         pipeline.set_telemetry(reg);
     }
-    let mut feed = pipeline.feed().expect("pipeline open");
+    let mut feed = pipeline.feed();
     for s in &run.sessions {
         assert!(feed.bank(s.records.clone()), "pipeline open");
     }
     drop(feed);
-    let mut r = pipeline.finish().expect("pipeline open");
+    let mut r = pipeline.finish().remove(&0).unwrap().profile;
     r.note_coverage(&run.coverage);
     r
 }

@@ -178,13 +178,13 @@ fn bench_streaming(c: &mut Criterion) {
     g.bench_function("end_to_end_1m", |b| {
         b.iter_batched(
             || StreamAnalyzer::new(&tf, 4),
-            |mut analyzer| {
-                let mut feed = analyzer.feed().expect("open pipeline");
+            |analyzer| {
+                let mut feed = analyzer.feed();
                 for bank in &banks {
                     assert!(feed.bank(bank.clone()));
                 }
                 drop(feed);
-                analyzer.finish().expect("first finish")
+                analyzer.finish()
             },
             BatchSize::LargeInput,
         );

@@ -17,7 +17,7 @@
 pub mod gate;
 
 use hwprof::Registry;
-use hwprof_analysis::{Reconstruction, StreamAnalyzer};
+use hwprof_analysis::{Reconstruction, StreamAnalyzer, Symbols};
 use hwprof_profiler::{BankSink, SupervisedRun};
 use hwprof_tagfile::TagFile;
 
@@ -32,14 +32,18 @@ pub fn stream_stitch(
     workers: usize,
     reg: Option<&Registry>,
 ) -> Option<Reconstruction> {
-    let mut pipeline = StreamAnalyzer::new(tf, workers);
+    let pipeline = StreamAnalyzer::new(tf, workers);
     if let Some(reg) = reg {
         pipeline.set_telemetry(reg);
     }
-    let mut feed = pipeline.feed().ok()?;
+    let mut feed = pipeline.feed();
     let fed = run.sessions.iter().all(|s| feed.bank(s.records.clone()));
     drop(feed);
-    let mut r = pipeline.finish().ok()?;
+    let empty = || Reconstruction::empty(Symbols::from_tagfile(tf));
+    let mut r = pipeline
+        .finish()
+        .remove(&0)
+        .map_or_else(empty, |s| s.profile);
     r.note_coverage(&run.coverage);
     fed.then_some(r)
 }

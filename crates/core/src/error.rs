@@ -1,6 +1,5 @@
 //! Errors an [`Experiment`](crate::Experiment) run can hit.
 
-use hwprof_analysis::PipelineClosed;
 use hwprof_instrument::LinkError;
 use hwprof_tagfile::TagFileError;
 
@@ -43,8 +42,12 @@ pub enum Error {
         /// The caller's threshold, in anomalies per million tags.
         limit_ppm: u32,
     },
-    /// The streaming pipeline was used after `finish()` closed it.
-    PipelineClosed,
+    /// Analyzing a streamed bank panicked; the worker survived, but
+    /// the capture's profile was discarded.
+    AnalysisPanicked {
+        /// Index of the first bank whose analysis panicked.
+        bank: u64,
+    },
     /// A supervised capture delivered nothing: the upload transport
     /// stayed down and every captured bank was lost.
     TransportFailed {
@@ -99,7 +102,8 @@ impl Error {
     ///
     /// Configuration and build errors ([`Error::MissingScenario`],
     /// [`Error::EmptyScenario`], [`Error::Compile`], [`Error::Link`]),
-    /// API misuse ([`Error::PipelineClosed`]), deterministic data
+    /// a panicked analysis worker ([`Error::AnalysisPanicked`] — the
+    /// same banks reach the same code), deterministic data
     /// corruption ([`Error::CorruptUpload`] — the fault schedule is
     /// seeded, so a re-run reproduces it) and backend misconfiguration
     /// ([`Error::BackendFailed`] — the same backend observes the same
@@ -135,10 +139,11 @@ impl std::fmt::Display for Error {
                 limit_ppm,
             } => write!(
                 f,
-                "upload too corrupt to trust: {anomalies} anomalies in {tags} tags                  (limit {limit_ppm} per million)"
+                "upload too corrupt to trust: {anomalies} anomalies in {tags} tags \
+                 (limit {limit_ppm} per million)"
             ),
-            Error::PipelineClosed => {
-                write!(f, "streaming pipeline already closed by finish()")
+            Error::AnalysisPanicked { bank } => {
+                write!(f, "analysis panicked on bank {bank}; profile discarded")
             }
             Error::TransportFailed {
                 banks_lost,
@@ -193,8 +198,26 @@ impl From<LinkError> for Error {
     }
 }
 
-impl From<PipelineClosed> for Error {
-    fn from(_: PipelineClosed) -> Self {
-        Error::PipelineClosed
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn display_text_is_pinned() {
+        let corrupt = Error::CorruptUpload {
+            anomalies: 7,
+            tags: 1000,
+            limit_ppm: 500,
+        };
+        assert_eq!(
+            corrupt.to_string(),
+            "upload too corrupt to trust: 7 anomalies in 1000 tags (limit 500 per million)"
+        );
+        let panicked = Error::AnalysisPanicked { bank: 3 };
+        assert_eq!(
+            panicked.to_string(),
+            "analysis panicked on bank 3; profile discarded"
+        );
+        assert!(!panicked.is_retryable());
     }
 }

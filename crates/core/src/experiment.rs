@@ -25,7 +25,7 @@
 
 use hwprof_analysis::{
     Analyzer, Anomalies, Detector, FlightRecorder, Profile, Reconstruction, RecorderLedger,
-    Sentinel, SentinelConfig, StreamAnalyzer, SupervisedFold, WindowDiff, WindowRollup,
+    Sentinel, SentinelConfig, StreamAnalyzer, SupervisedFold, Symbols, WindowDiff, WindowRollup,
 };
 use hwprof_instrument::{two_stage_link, Compiler, KernelImage, LinkResult, ModuleSelect};
 use hwprof_kernel386::funcs::{KFn, FUNCS, INLINES};
@@ -459,13 +459,15 @@ impl Experiment {
     ///
     /// Everything [`Experiment::try_run`] reports, plus
     /// [`Error::BoardOverflow`] if the pipeline ever refused a bank and
-    /// the board stopped storing.
+    /// the board stopped storing, and [`Error::AnalysisPanicked`] if
+    /// analyzing a bank panicked (the worker survives, but the pool
+    /// discards the capture's profile).
     pub fn try_run_streaming(self, workers: usize) -> Result<StreamCapture, Error> {
         let faults = self.faults;
         let anomaly_limit_ppm = self.anomaly_limit_ppm;
         let p = self.prepare()?;
         let injector = faults.map(|(spec, seed)| FaultInjector::new(spec, seed));
-        let mut analyzer = match injector {
+        let analyzer = match injector {
             Some(_) => StreamAnalyzer::recovering(&p.tagfile, workers),
             None => StreamAnalyzer::new(&p.tagfile, workers),
         };
@@ -477,8 +479,8 @@ impl Experiment {
         }
         let feed: Box<dyn hwprof_profiler::BankSink> = match &injector {
             // Banks corrupt (or are refused) in transit to the workers.
-            Some(inj) => Box::new(inj.sink(Box::new(analyzer.feed()?))),
-            None => Box::new(analyzer.feed()?),
+            Some(inj) => Box::new(inj.sink(Box::new(analyzer.feed()))),
+            None => Box::new(analyzer.feed()),
         };
         p.board.set_drain(feed);
         let kernel = p.sim.run();
@@ -492,7 +494,13 @@ impl Experiment {
         drop(p.board.clear_drain());
         let banks = p.board.banks_drained();
         let missed = p.board.missed();
-        let profile = analyzer.finish()?;
+        // The board's banks are stream 0, absent if none was drained.
+        let stream = analyzer.finish().remove(&0);
+        if let Some(bank) = stream.as_ref().and_then(|s| s.panicked) {
+            return Err(Error::AnalysisPanicked { bank });
+        }
+        let empty = || Reconstruction::empty(Symbols::from_tagfile(&p.tagfile));
+        let profile = stream.map_or_else(empty, |s| s.profile);
         if overflowed {
             return Err(Error::BoardOverflow { banks, missed });
         }

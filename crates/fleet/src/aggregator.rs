@@ -1,33 +1,25 @@
-//! The sharded fleet aggregator: a pool of shard workers, each owning
-//! the machines `machine % shards` maps to.
+//! The fleet aggregator: a thin adapter over the one bank pool,
+//! [`StreamAnalyzer`], with one stream per machine.  Machines upload
+//! through cloneable [`BankFeed`]s; a machine's frames run on worker
+//! `machine % shards`, in arrival order.  Two properties fall out:
 //!
-//! The service shape follows the long-running ingest structure of
-//! foundry's anvil node: every machine uploads through a cloneable
-//! handle onto its owning shard's channel, and every worker runs its
-//! own decode loop until the channels drain.  Two properties fall out
-//! of that shape:
-//!
-//! * **Fault isolation** — a corrupt shard is rejected inside one
-//!   worker with an [`Error::ShardCorrupt`](hwprof::Error::ShardCorrupt)
-//!   recorded against one machine; no other machine's pipeline even
-//!   observes it.
-//! * **Bit-identical results** — workers never fold across machines.
-//!   Each machine folds through its own [`BankFold`] as frames arrive:
-//!   every verified bank is decoded once, and banks ahead of a missing
-//!   index wait as reconstructed parts, merged in bank-index order —
-//!   exactly the order `CaptureSupervisor::finish()` sorts its
-//!   sessions into.  The per-machine result therefore matches the
-//!   machine's own sequential `Analyzer::run` bit for bit, no matter
-//!   how frames interleaved on the wire or how many workers ran, and no
-//!   raw records outlive their bank's fold.
+//! * **Fault isolation** — a frame is verified and parsed inside its
+//!   own [`BankJob::records`] on a worker, so a corrupt shard becomes
+//!   an [`Error::ShardCorrupt`](hwprof::Error::ShardCorrupt) against one
+//!   machine; so does a bank whose analysis panics ("analysis
+//!   panicked").  No other machine's stream observes either, and the
+//!   health rules quarantine that machine alone.
+//! * **Bit-identical results** — each machine folds its verified banks
+//!   in bank-index order, the order `CaptureSupervisor::finish()` sorts
+//!   its sessions into, so its result matches its own sequential
+//!   `Analyzer::run` bit for bit however frames interleaved on the
+//!   wire and however many workers ran.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
 
 use hwprof::Error;
-use hwprof_analysis::{BankFold, BankRecon, DenseTagTable, Reconstruction, Symbols};
-use hwprof_profiler::parse_raw;
+use hwprof_analysis::{BankFeed, BankJob, Reconstruction, StreamAnalyzer, StreamOutcome, Symbols};
+use hwprof_profiler::{parse_raw, RawRecord};
 use hwprof_tagfile::TagFile;
 
 use crate::frame::{MachineId, ShardFrame};
@@ -44,12 +36,14 @@ pub struct MachineIngest {
     pub shards: u64,
     /// Records across those banks.
     pub records: u64,
-    /// Frames rejected (checksum mismatch or unparseable payload).
+    /// Frames rejected (checksum mismatch, unparseable payload, or an
+    /// analysis that panicked).
     pub corrupt_shards: u64,
     /// Frames dropped as duplicates of an already-ingested index
     /// (a hedged re-drain that raced the original delivery).
     pub dup_shards: u64,
-    /// One [`Error::ShardCorrupt`] per rejected frame.
+    /// One [`Error::ShardCorrupt`] per rejected frame, in bank-index
+    /// order.
     pub errors: Vec<Error>,
 }
 
@@ -65,106 +59,143 @@ impl MachineIngest {
             errors: Vec::new(),
         }
     }
+
+    /// The fleet's view of `machine`'s stream: each rejected frame, and
+    /// the bank whose analysis panicked, is one corrupt shard.
+    fn from_stream(machine: MachineId, stream: StreamOutcome) -> Self {
+        let mut rejected = stream.rejections;
+        if let Some(bank) = stream.panicked {
+            rejected.push((bank, "analysis panicked".to_string()));
+            rejected.sort_by_key(|&(index, _)| index);
+        }
+        MachineIngest {
+            profile: stream.profile,
+            shards: stream.banks,
+            records: stream.records,
+            corrupt_shards: rejected.len() as u64,
+            dup_shards: stream.duplicates,
+            errors: rejected
+                .into_iter()
+                .map(|(shard, reason)| Error::ShardCorrupt {
+                    machine,
+                    shard,
+                    reason,
+                })
+                .collect(),
+        }
+    }
+}
+
+impl BankJob for ShardFrame {
+    fn stream(&self) -> u32 {
+        self.machine
+    }
+
+    fn index(&self) -> u64 {
+        self.index
+    }
+
+    /// Verifies the checksum, then parses the payload: a corrupt frame
+    /// is rejected whole, never half-decoded.
+    fn records(self: Box<Self>) -> Result<Vec<RawRecord>, String> {
+        if !self.verify() {
+            return Err("checksum mismatch".to_string());
+        }
+        parse_raw(&self.payload).map_err(|e| e.to_string())
+    }
 }
 
 /// The long-running aggregation service.  Spawn it, hand every
-/// machine its [`FleetAggregator::sender`], then
+/// machine its [`FleetAggregator::handle`], then
 /// [`FleetAggregator::finish`] once the fleet has drained.
 pub struct FleetAggregator {
-    shards: Vec<Sender<ShardFrame>>,
-    workers: Vec<JoinHandle<BTreeMap<MachineId, MachineIngest>>>,
+    pool: StreamAnalyzer,
 }
 
 impl FleetAggregator {
-    /// Starts `shards` workers (clamped to at least one), each with
-    /// its own decoder built from `tagfile`.
+    /// Starts the pool with `shards` workers (clamped to at least one)
+    /// against `tagfile`.
     pub fn spawn(tagfile: &TagFile, shards: usize) -> FleetAggregator {
-        let (shards, workers): (Vec<_>, Vec<_>) = (0..shards.max(1))
-            .map(|_| {
-                let (tx, rx) = channel::<ShardFrame>();
-                let tf = tagfile.clone();
-                (tx, std::thread::spawn(move || shard_worker(&tf, rx)))
-            })
-            .unzip();
-        FleetAggregator { shards, workers }
-    }
-
-    /// The ingest handle of the shard that owns `machine`.  The machine
-    /// uploads its own frames through it; dropping every handle (plus
-    /// the aggregator's own, at [`FleetAggregator::finish`]) is what
-    /// ends the service.
-    pub fn sender(&self, machine: MachineId) -> Sender<ShardFrame> {
-        self.shards[machine as usize % self.shards.len()].clone()
-    }
-
-    /// Feeds one frame to the shard owning `frame.machine` (used for
-    /// hedged re-drains, which happen after the machines exited).
-    pub fn feed(&self, frame: ShardFrame) {
-        // A worker can only be gone if it panicked; the panic
-        // resurfaces at finish() when the thread is joined.
-        let _ = self.sender(frame.machine).send(frame);
-    }
-
-    /// Closes ingest, drains the pipeline, and returns every
-    /// machine's ingest.  Worker maps are disjoint by construction
-    /// (machine→worker is a function of the id), so the union is a
-    /// plain merge.
-    pub fn finish(self) -> BTreeMap<MachineId, MachineIngest> {
-        drop(self.shards);
-        let mut out = BTreeMap::new();
-        for worker in self.workers {
-            match worker.join() {
-                Ok(map) => out.extend(map),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
+        FleetAggregator {
+            pool: StreamAnalyzer::new(tagfile, shards),
         }
-        out
+    }
+
+    /// The ingest handle machines upload their frames through; every
+    /// handle must be dropped before [`FleetAggregator::finish`].
+    pub fn handle(&self) -> BankFeed {
+        self.pool.feed()
+    }
+
+    /// Feeds one frame (used for hedged re-drains, which happen after
+    /// the machines exited).
+    pub fn feed(&self, frame: ShardFrame) {
+        self.pool.feed().submit(frame);
+    }
+
+    /// Closes ingest, drains the pool, and returns every machine's
+    /// ingest.
+    pub fn finish(self) -> BTreeMap<MachineId, MachineIngest> {
+        self.pool
+            .finish()
+            .into_iter()
+            .map(|(machine, stream)| (machine, MachineIngest::from_stream(machine, stream)))
+            .collect()
     }
 }
 
-fn shard_worker(tagfile: &TagFile, rx: Receiver<ShardFrame>) -> BTreeMap<MachineId, MachineIngest> {
-    let table = DenseTagTable::from_tagfile(tagfile);
-    let syms = Symbols::from_tagfile(tagfile);
-    // One warm bank step serves every machine this worker owns.
-    let mut step = BankRecon::new(&table, &syms, false);
-    // Per machine: its live fold, and the ingest counters whose
-    // `profile` the fold replaces at drain.
-    let mut slots: BTreeMap<MachineId, (BankFold, MachineIngest)> = BTreeMap::new();
-    for frame in rx {
-        let (fold, ingest) = slots
-            .entry(frame.machine)
-            .or_insert_with(|| (BankFold::new(&syms), MachineIngest::empty(syms.clone())));
-        if fold.holds(frame.index) {
-            ingest.dup_shards += 1;
-            continue;
-        }
-        let reason = if frame.verify() {
-            match parse_raw(&frame.payload) {
-                Ok(records) => {
-                    fold.push(&mut step, frame.index, &records);
-                    ingest.shards += 1;
-                    ingest.records += records.len() as u64;
-                    continue;
-                }
-                Err(e) => e.to_string(),
-            }
-        } else {
-            "checksum mismatch".to_string()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::health::{HealthSignals, MachineHealth};
+
+    /// A panicked bank among a machine's rejections maps to one more
+    /// corrupt shard, in index order, and quarantines the machine.
+    #[test]
+    fn a_panicked_bank_is_a_corrupt_shard() {
+        let syms = Symbols::from_tagfile(&hwprof_tagfile::parse("a/100\n").unwrap());
+        let stream = StreamOutcome {
+            profile: Reconstruction::empty(syms),
+            banks: 3,
+            records: 30,
+            duplicates: 1,
+            rejections: vec![(1, "checksum mismatch".to_string()), (5, "bad".to_string())],
+            panicked: Some(4),
         };
-        ingest.corrupt_shards += 1;
-        ingest.errors.push(Error::ShardCorrupt {
-            machine: frame.machine,
-            shard: frame.index,
-            reason,
-        });
+        let ingest = MachineIngest::from_stream(7, stream);
+        assert_eq!(
+            (ingest.shards, ingest.records, ingest.dup_shards),
+            (3, 30, 1)
+        );
+        assert_eq!(ingest.corrupt_shards, 3);
+        let shards: Vec<_> = ingest
+            .errors
+            .iter()
+            .map(|e| match e {
+                Error::ShardCorrupt {
+                    machine: 7,
+                    shard,
+                    reason,
+                } => (*shard, reason.as_str()),
+                other => panic!("unexpected error {other}"),
+            })
+            .collect();
+        assert_eq!(
+            shards,
+            [
+                (1, "checksum mismatch"),
+                (4, "analysis panicked"),
+                (5, "bad")
+            ]
+        );
+        let signals = HealthSignals {
+            alive: true,
+            coverage_ppm: 1_000_000,
+            breaker_trips: 0,
+            corrupt_shards: ingest.corrupt_shards,
+            shards_missing: 0,
+            straggled: false,
+        };
+        assert_eq!(signals.classify(0).0, MachineHealth::Quarantined);
     }
-    // Ingest closed: merge each machine's parts still waiting behind a
-    // bank that never arrived.
-    slots
-        .into_iter()
-        .map(|(machine, (fold, mut ingest))| {
-            ingest.profile = fold.finish();
-            (machine, ingest)
-        })
-        .collect()
 }

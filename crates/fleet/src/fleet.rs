@@ -185,7 +185,7 @@ impl Fleet {
             let handles: Vec<_> = specs
                 .iter()
                 .map(|spec| {
-                    let ingest = aggregator.sender(spec.id);
+                    let ingest = aggregator.handle();
                     let registry = telemetry
                         .as_ref()
                         .map(|r| r.prefixed(&format!("m{}.", spec.id)));

@@ -6,9 +6,9 @@
 //! spins up N machines — distinct seeds, distinct workload mixes,
 //! each under its own `CaptureSupervisor` on its own worker thread —
 //! and streams their capture banks as checksummed [`ShardFrame`]s
-//! into a sharded [`FleetAggregator`] (one channel per shard worker,
-//! each machine uploading onto its owner's, the long-running service
-//! shape of foundry's anvil node).
+//! into a [`FleetAggregator`]: the analysis crate's one bank pool,
+//! with one stream per machine and `shards` workers, each machine
+//! uploading through a cloneable feed.
 //!
 //! Robustness is the point.  Each machine is an isolated fault
 //! domain with a monotone health state machine ([`MachineHealth`]:

@@ -13,12 +13,11 @@
 //! straggler buffers frames for a late drain instead of streaming
 //! them.
 
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 
 use hwprof::scenarios;
 use hwprof::{Error, Experiment, Scenario};
-use hwprof_analysis::{AlertJournal, Reconstruction};
+use hwprof_analysis::{AlertJournal, BankFeed, Reconstruction};
 use hwprof_profiler::{
     Coverage, FlakyTransport, RawRecord, SupervisorPolicy, TagMaskLevel, Transport, TransportError,
 };
@@ -159,7 +158,7 @@ struct UplinkShared {
 struct Uplink {
     machine: MachineId,
     /// `Some` streams to the aggregator; `None` buffers (straggler).
-    live: Option<Sender<ShardFrame>>,
+    live: Option<BankFeed>,
     shared: Arc<Mutex<UplinkShared>>,
     corrupt_shard: Option<u64>,
     corrupt_seed: u64,
@@ -183,12 +182,10 @@ impl Transport for Uplink {
         }
         shared.sent += 1;
         match &self.live {
-            Some(tx) => tx.send(frame).map_err(|_| TransportError),
-            None => {
-                shared.buffer.push(frame);
-                Ok(())
-            }
+            Some(feed) => feed.submit(frame),
+            None => shared.buffer.push(frame),
         }
+        Ok(())
     }
 }
 
@@ -198,7 +195,7 @@ pub(crate) fn run_machine(
     spec: &MachineSpec,
     policy: &FleetPolicy,
     chaos: Option<ChaosEvent>,
-    ingest: Sender<ShardFrame>,
+    ingest: BankFeed,
     telemetry: Option<Registry>,
 ) -> MachineOutcome {
     let mut crash_after = None;

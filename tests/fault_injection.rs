@@ -272,7 +272,7 @@ fn refused_bank_capture_stays_analyzable() {
     // Analysis-level check of the same path: banks accepted before the
     // refusal still merge into a usable partial reconstruction.
     let (tf, records) = flat_stream(100);
-    let mut analyzer = StreamAnalyzer::recovering(&tf, 2);
+    let analyzer = StreamAnalyzer::recovering(&tf, 2);
     let inj = FaultInjector::new(
         FaultSpec {
             refuse_after: Some(1),
@@ -280,12 +280,12 @@ fn refused_bank_capture_stays_analyzable() {
         },
         4,
     );
-    let mut sink = inj.sink(Box::new(analyzer.feed().expect("open pipeline")));
+    let mut sink = inj.sink(Box::new(analyzer.feed()));
     let half = records.len() / 2;
     assert!(sink.bank(records[..half].to_vec()), "first bank accepted");
     assert!(!sink.bank(records[half..].to_vec()), "second bank refused");
     drop(sink);
-    let r = analyzer.finish().expect("pipeline drains without hanging");
+    let r = analyzer.finish().remove(&0).unwrap().profile;
     assert_eq!(inj.counts().refused_banks, 1);
     assert_eq!(r.sessions, 1, "only the accepted bank was analyzed");
     let expected_calls: u64 = (half / 2) as u64;

@@ -88,13 +88,13 @@ fn supervised_stitch_paths_are_bit_identical() {
         let fanned = stitcher.clone().workers(workers);
         let par = fanned.run(&cap.run).expect("ungated");
         assert_eq!(seq, par, "parallel({workers}) diverged");
-        let mut pipeline = StreamAnalyzer::new(&cap.tagfile, workers);
-        let mut feed = pipeline.feed().expect("pipeline open");
+        let pipeline = StreamAnalyzer::new(&cap.tagfile, workers);
+        let mut feed = pipeline.feed();
         for s in &cap.run.sessions {
             assert!(feed.bank(s.records.clone()), "pipeline open");
         }
         drop(feed);
-        let mut streamed = pipeline.finish().expect("pipeline open");
+        let mut streamed = pipeline.finish().remove(&0).unwrap().profile;
         streamed.note_coverage(&cap.run.coverage);
         assert_eq!(seq, streamed, "streaming({workers}) diverged");
     }
