@@ -1,11 +1,8 @@
 //! One front door to every analysis flavour.
 //!
-//! The crate grew nine `analyze*` entry points as capture modes were
-//! added: one-session and multi-session batch, the explicit iterator
-//! fold, the thread-pool fan-out, and the three gap-aware stitched
-//! flavours for supervised runs — plus the recovery-mode variants in
-//! the `hwprof` facade.  They all compose the same three independent
-//! choices, which [`Analyzer`] makes explicit:
+//! Every analysis — one session or many, batch or fanned out, plain or
+//! gap-aware over a supervised run — composes the same three
+//! independent choices, which [`Analyzer`] makes explicit:
 //!
 //! * **decode/reconstruction mode** — strict, or
 //!   [recovering](Analyzer::recovering) (tolerant decode plus
@@ -18,10 +15,8 @@
 //!   budget](Analyzer::limit_ppm) in parts per million of captured
 //!   tags, refused with [`AnalyzerError::AnomalyLimit`] when crossed.
 //!
-//! The old free functions have been deleted (they lived out PRs 4–5 as
-//! thin `#[deprecated]` wrappers); every combination they covered (and
-//! several they never did, like recovering + parallel) is one builder
-//! chain here:
+//! Every combination, recovering + parallel included, is one builder
+//! chain:
 //!
 //! ```
 //! use hwprof_analysis::Analyzer;
@@ -220,11 +215,10 @@ impl Analyzer {
     /// The trust gate, applied by every public entry point.
     fn gate(&self, r: Reconstruction) -> Result<Reconstruction, AnalyzerError> {
         if let Some(limit_ppm) = self.limit_ppm {
-            let anomalies = r.anomalies.total();
             let tags = r.tags as u64;
-            if anomalies * 1_000_000 > tags.max(1) * u64::from(limit_ppm) {
+            if r.anomalies.exceeds(tags, limit_ppm) {
                 return Err(AnalyzerError::AnomalyLimit {
-                    anomalies,
+                    anomalies: r.anomalies.total(),
                     tags,
                     limit_ppm,
                 });

@@ -66,6 +66,13 @@ impl Anomalies {
         self.classes().iter().map(|&(n, _)| n).sum()
     }
 
+    /// The anomaly budget: true when these anomalies exceed `limit_ppm`
+    /// per million of `tags` captured tags (an empty capture counts as
+    /// one tag).
+    pub fn exceeds(&self, tags: u64, limit_ppm: u32) -> bool {
+        self.total() * 1_000_000 > tags.max(1) * u64::from(limit_ppm)
+    }
+
     /// True if nothing was flagged.
     pub fn is_clean(&self) -> bool {
         self.total() == 0
@@ -131,6 +138,24 @@ mod tests {
         assert_eq!(a.total(), 10);
         assert!(!a.is_clean());
         assert!(Anomalies::default().is_clean());
+    }
+
+    #[test]
+    fn budget_passes_at_the_limit_and_counts_no_tags_as_one() {
+        let two = Anomalies {
+            unknown_tags: 2,
+            ..Anomalies::default()
+        };
+        // 2 anomalies in 1000 tags is exactly 2000 ppm.
+        assert!(!two.exceeds(1_000, 2_000), "at the limit passes");
+        let three = Anomalies {
+            duplicates: 1,
+            ..two
+        };
+        assert!(three.exceeds(1_000, 2_000), "one over fails");
+        // No tags counts as one: 2 anomalies are 2000000 ppm of it.
+        assert!(!two.exceeds(0, 2_000_000));
+        assert!(two.exceeds(0, 1_999_999));
     }
 
     #[test]

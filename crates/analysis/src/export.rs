@@ -1,23 +1,25 @@
 //! Standards-based trace export.
 //!
 //! The paper renders its reconstruction as the Figure 4 ASCII report;
-//! this module lifts the same [`Reconstruction`] into three formats
-//! modern tooling consumes directly:
+//! this module lifts the same [`Reconstruction`](crate::Reconstruction)
+//! into three formats modern tooling consumes directly, each rendered
+//! from the [`Profile`] view:
 //!
-//! * **Chrome Trace Event JSON** ([`Exporter::chrome_trace`]) — loads
+//! * **Chrome Trace Event JSON** ([`Profile::chrome_trace`]) — loads
 //!   in Perfetto / `chrome://tracing`.  Each capture session becomes a
 //!   process, and each thread of control the reconstructor untangled
 //!   from the paper's `!`-multiplexed stream becomes a thread lane of
-//!   nested `B`/`E` spans.  When a [`SupervisedRun`] is attached,
+//!   nested `B`/`E` spans.  When a
+//!   [`SupervisedRun`](hwprof_profiler::SupervisedRun) is attached,
 //!   coverage [`Gap`](hwprof_profiler::Gap)s and mask-ladder moves are
-//!   emitted as instant
-//!   events on a "capture timeline" process, anomaly totals as a
-//!   counter track, and a [`SpanLog`] journal renders as pipeline lanes
-//!   (supervisor / transport / analyzer / board) on the same clock — a
-//!   supervised run reads as one unified timeline.
-//! * **speedscope JSON** ([`Exporter::speedscope`]) — one evented
+//!   emitted as instant events on a "capture timeline" process,
+//!   anomaly totals as a counter track, and a
+//!   [`SpanLog`](hwprof_telemetry::SpanLog) journal renders as
+//!   pipeline lanes (supervisor / transport / analyzer / board) on the
+//!   same clock — a supervised run reads as one unified timeline.
+//! * **speedscope JSON** ([`Profile::speedscope`]) — one evented
 //!   profile per thread of control.
-//! * **folded stacks** ([`Exporter::folded`]) — `a;b;c net_us` lines
+//! * **folded stacks** ([`Profile::folded`]) — `a;b;c net_us` lines
 //!   for flamegraph tooling, aggregated across the whole run.  The
 //!   weights are per-call *net* (exclusive) microseconds, so the folded
 //!   total equals the reconstruction's net-time accounting exactly.
@@ -32,99 +34,20 @@
 
 use std::collections::BTreeMap;
 
-use hwprof_profiler::{GapCause, SupervisedRun, TagMaskLevel};
-use hwprof_telemetry::{SpanEvent, SpanLog, SpanName, SpanPhase, SpanTrack};
+use hwprof_profiler::{GapCause, TagMaskLevel};
+use hwprof_telemetry::{SpanEvent, SpanName, SpanPhase, SpanTrack};
 
 use crate::events::SymId;
-use crate::recon::{ItemKind, Reconstruction, TraceItem};
-use crate::sentinel::AlertEntry;
+use crate::profile::Profile;
+use crate::recon::{ItemKind, TraceItem};
 
 /// Synthetic pid of the coverage/anomaly overlay process.
 const OVERLAY_PID: u64 = 0;
 /// Synthetic pid of the span-journal pipeline process.
 const PIPELINE_PID: u64 = 1_000_000;
 
-/// Builder that renders a [`Reconstruction`] (plus optional supervised
-/// run context and span journal) into the three export formats.
-#[derive(Debug, Clone)]
-pub struct Exporter<'a> {
-    r: &'a Reconstruction,
-    run: Option<&'a SupervisedRun>,
-    spans: Vec<SpanEvent>,
-    alerts: Vec<AlertEntry>,
-    name: String,
-}
-
-impl<'a> Exporter<'a> {
-    /// An exporter over a plain reconstruction.
-    pub fn new(r: &'a Reconstruction) -> Self {
-        Exporter {
-            r,
-            run: None,
-            spans: Vec::new(),
-            alerts: Vec::new(),
-            name: "hwprof".to_string(),
-        }
-    }
-
-    /// Profile name stamped into the JSON outputs.
-    pub fn name(mut self, name: &str) -> Self {
-        self.name = name.to_string();
-        self
-    }
-
-    /// Attaches supervised-run context: sessions are re-based onto the
-    /// run timeline, and gaps / mask moves / coverage render as overlay
-    /// events.
-    pub fn run(mut self, run: &'a SupervisedRun) -> Self {
-        self.run = Some(run);
-        self
-    }
-
-    /// Attaches a span journal; its events render as pipeline lanes in
-    /// the Chrome trace.
-    pub fn spans(self, log: &SpanLog) -> Self {
-        let events = log.snapshot();
-        self.span_events(events)
-    }
-
-    /// Attaches sentinel alert-journal entries; they render as instant
-    /// markers on a dedicated overlay lane in the Chrome trace.  An
-    /// empty slice leaves every output byte-identical to an exporter
-    /// with no alerts attached.
-    pub fn alerts(mut self, entries: &[AlertEntry]) -> Self {
-        self.alerts = entries.to_vec();
-        self
-    }
-
-    /// Like [`Exporter::spans`], from an already-snapshotted event list.
-    pub fn span_events(mut self, mut events: Vec<SpanEvent>) -> Self {
-        // Concurrent writers (analysis workers) make the journal's slot
-        // order nondeterministic; a total order on the event value
-        // itself makes every export deterministic.
-        events.sort_by_key(|e| (e.t_us, e.track, e.name, e.id, e.phase, e.arg));
-        self.spans = events;
-        self
-    }
-
-    // ---- shared walk ---------------------------------------------------
-
-    /// Crate-internal constructor for [`Profile`](crate::Profile), the
-    /// one place outside this module allowed to assemble an exporter:
-    /// every other caller goes through the `Profile` surface.
-    pub(crate) fn assemble(
-        r: &'a Reconstruction,
-        run: Option<&'a SupervisedRun>,
-        spans: Vec<SpanEvent>,
-        alerts: Vec<AlertEntry>,
-        name: &str,
-    ) -> Self {
-        let mut ex = Exporter::new(r).name(name).span_events(spans);
-        ex.run = run;
-        ex.alerts = alerts;
-        ex
-    }
-
+/// The three export formats, rendered from the [`Profile`] view.
+impl<'a> Profile<'a> {
     /// Trace items grouped per (session, lane), in deterministic order.
     fn lanes(&self) -> BTreeMap<(usize, u32), Vec<&'a TraceItem>> {
         let mut lanes: BTreeMap<(usize, u32), Vec<&TraceItem>> = BTreeMap::new();
@@ -160,11 +83,10 @@ impl<'a> Exporter<'a> {
     }
 
     /// Last microsecond of the export (for counter tracks).
-    fn end_ts(&self, base: u64) -> u64 {
+    fn end_ts(&self) -> u64 {
         if let Some(run) = self.run {
             return run.coverage.timeline_us;
         }
-        let _ = base;
         self.r
             .trace
             .iter()
@@ -322,7 +244,7 @@ impl<'a> Exporter<'a> {
             a.duplicates,
             a.truncations,
         );
-        for ts in [0, self.end_ts(base)] {
+        for ts in [0, self.end_ts()] {
             ev.push(format!(
                 "{{\"ph\":\"C\",\"pid\":{OVERLAY_PID},\"tid\":0,\"ts\":{ts},\
                  \"name\":\"anomalies\",\"args\":{counters}}}",
@@ -913,7 +835,9 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
 mod tests {
     use super::*;
     use crate::events::decode;
+    use crate::recon::Reconstruction;
     use hwprof_profiler::RawRecord;
+    use hwprof_telemetry::SpanLog;
 
     fn rec(tag: u16, time: u32) -> RawRecord {
         RawRecord { tag, time }
@@ -944,7 +868,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_balanced_spans() {
         let r = fixture();
-        let out = Exporter::new(&r).chrome_trace();
+        let out = Profile::new(&r).chrome_trace();
         let doc = validate_json(&out).expect("valid JSON");
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         assert!(!events.is_empty());
@@ -985,7 +909,7 @@ mod tests {
     #[test]
     fn speedscope_profiles_are_monotonic() {
         let r = fixture();
-        let out = Exporter::new(&r).speedscope();
+        let out = Profile::new(&r).speedscope();
         let doc = validate_json(&out).expect("valid JSON");
         let profiles = doc.get("profiles").unwrap().as_array().unwrap();
         assert!(!profiles.is_empty());
@@ -1014,7 +938,7 @@ mod tests {
     #[test]
     fn folded_total_matches_net_accounting() {
         let r = fixture();
-        let out = Exporter::new(&r).folded();
+        let out = Profile::new(&r).folded();
         let total: u64 = out
             .lines()
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
@@ -1036,7 +960,7 @@ mod tests {
         log.instant(SpanTrack::Transport, SpanName::Retry, 95, 0, 1);
         log.begin(SpanTrack::Transport, SpanName::Upload, 90, 0, 0);
         // Deliberately left open.
-        let out = Exporter::new(&r).spans(&log).chrome_trace();
+        let out = Profile::new(&r).spans(&log).chrome_trace();
         validate_json(&out).expect("valid JSON");
         assert!(out.contains("\"name\":\"capture pipeline\""));
         assert!(out.contains("\"ph\":\"X\""), "paired span becomes a slice");

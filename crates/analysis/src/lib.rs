@@ -45,7 +45,7 @@ pub use events::{
     decode, decode_recovering, decode_recovering_scalar, decode_scalar, unwrap_times, EvKind,
     Event, SessionDecoder, SymId, Symbols, TagMap, TimeUnwrapper, TIME_JUMP_THRESHOLD,
 };
-pub use export::{validate_json, Exporter, JsonValue};
+pub use export::{validate_json, JsonValue};
 pub use profile::Profile;
 pub use recon::{BankFold, BankRecon, FnAgg, Reconstruction, SessionRecon};
 pub use recorder::{DiffRow, FlightRecorder, RecorderLedger, WindowDiff, WindowRollup};

@@ -17,17 +17,16 @@
 //! ```
 //!
 //! The text reports ([`Profile::summary_report`], [`Profile::describe`])
-//! and the machine formats ([`Profile::chrome_trace`],
-//! [`Profile::speedscope`], [`Profile::folded`]) delegate to the
-//! existing report/export machinery; [`Profile::html`] renders a
-//! self-contained, byte-deterministic HTML report with no external
-//! assets and no new dependencies.
+//! render here and in [`crate::report`]; the machine formats
+//! ([`Profile::chrome_trace`], [`Profile::speedscope`],
+//! [`Profile::folded`]) render in [`crate::export`]; [`Profile::html`]
+//! renders a self-contained, byte-deterministic HTML report with no
+//! external assets and no new dependencies.
 
 use hwprof_profiler::SupervisedRun;
 use hwprof_telemetry::{SpanEvent, SpanLog};
 
 use crate::events::SymId;
-use crate::export::Exporter;
 use crate::recon::Reconstruction;
 use crate::report::{fmt_us, summary_report};
 use crate::sentinel::AlertEntry;
@@ -35,11 +34,13 @@ use crate::sentinel::AlertEntry;
 /// A borrowed, render-ready view over one reconstruction.
 #[derive(Debug, Clone)]
 pub struct Profile<'a> {
-    r: &'a Reconstruction,
-    run: Option<&'a SupervisedRun>,
-    spans: Vec<SpanEvent>,
-    alerts: Vec<AlertEntry>,
-    name: String,
+    pub(crate) r: &'a Reconstruction,
+    pub(crate) run: Option<&'a SupervisedRun>,
+    /// Span-journal events in the total order [`Profile::span_events`]
+    /// sorts them into.
+    pub(crate) spans: Vec<SpanEvent>,
+    pub(crate) alerts: Vec<AlertEntry>,
+    pub(crate) name: String,
 }
 
 impl<'a> Profile<'a> {
@@ -67,13 +68,18 @@ impl<'a> Profile<'a> {
         self
     }
 
-    /// Attaches a span journal; its events render as pipeline lanes.
+    /// Attaches a span journal; its events render as pipeline lanes in
+    /// the Chrome trace.  An inert journal attaches nothing.
     pub fn spans(self, log: &SpanLog) -> Self {
         self.span_events(log.snapshot())
     }
 
     /// Like [`Profile::spans`], from an already-snapshotted event list.
-    pub fn span_events(mut self, events: Vec<SpanEvent>) -> Self {
+    pub fn span_events(mut self, mut events: Vec<SpanEvent>) -> Self {
+        // Concurrent writers (analysis workers) make the journal's slot
+        // order nondeterministic; a total order on the event value
+        // itself makes every export deterministic.
+        events.sort_by_key(|e| (e.t_us, e.track, e.name, e.id, e.phase, e.arg));
         self.spans = events;
         self
     }
@@ -90,33 +96,6 @@ impl<'a> Profile<'a> {
     /// The underlying reconstruction.
     pub fn reconstruction(&self) -> &'a Reconstruction {
         self.r
-    }
-
-    /// The configured exporter (the escape hatch for callers that want
-    /// the builder itself rather than a finished document).
-    pub fn exporter(&self) -> Exporter<'a> {
-        Exporter::assemble(
-            self.r,
-            self.run,
-            self.spans.clone(),
-            self.alerts.clone(),
-            &self.name,
-        )
-    }
-
-    /// Chrome Trace Event JSON (Perfetto / `chrome://tracing`).
-    pub fn chrome_trace(&self) -> String {
-        self.exporter().chrome_trace()
-    }
-
-    /// speedscope JSON.
-    pub fn speedscope(&self) -> String {
-        self.exporter().speedscope()
-    }
-
-    /// Folded flamegraph stacks.
-    pub fn folded(&self) -> String {
-        self.exporter().folded()
     }
 
     /// The paper's Figure-3 per-function summary (`top` caps the body

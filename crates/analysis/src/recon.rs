@@ -284,12 +284,10 @@ impl Reconstruction {
 
 /// The reusable session reconstructor — the arena of the hot path.
 ///
-/// Reconstruction used to build a throwaway machine per session: two
-/// symbol-table clones, two stats vectors, a fresh edges map and trace
-/// vector, plus a newly grown frame stack for every process birth —
-/// all dropped at session end and re-grown for the next bank.  At
-/// fleet scale that allocator churn dominates.  A `SessionRecon` is
-/// created once and fed many sessions:
+/// Per-session allocation (symbol tables, stats vectors, edge maps,
+/// trace vectors, a frame stack per process birth) would dominate at
+/// fleet scale, so a `SessionRecon` is created once and fed many
+/// sessions:
 ///
 /// * results accumulate **directly into a shared [`Reconstruction`]**
 ///   ([`session_into`](SessionRecon::session_into)) — bit-identical to

@@ -22,7 +22,7 @@
 //! On top of the ring sits the query surface — [`FlightRecorder::window`],
 //! [`FlightRecorder::range`] (merged through the monoid),
 //! [`FlightRecorder::diff`] and [`WindowDiff::movers`] — and the same
-//! [`Profile`](crate::Profile) render surface every other capture path
+//! [`Profile`] render surface every other capture path
 //! uses, plus a self-contained byte-deterministic HTML report per
 //! window ([`WindowRollup::html`]) and per diff ([`WindowDiff::html`]).
 
@@ -31,7 +31,9 @@ use std::sync::{Arc, Mutex};
 
 use hwprof_profiler::{Coverage, Gap, GapCause, RecorderConfig, SupervisedRun, SupervisedSession};
 use hwprof_tagfile::TagFile;
-use hwprof_telemetry::{Counter, Gauge, Registry, SpanLog, SpanName, SpanTrack};
+use hwprof_telemetry::{
+    Counter, Gauge, Registry, SpanEvent, SpanLog, SpanName, SpanPhase, SpanTrack,
+};
 
 use crate::columnar::{ColumnarDecoder, DenseTagTable};
 use crate::events::{Event, SymId, Symbols};
@@ -69,6 +71,8 @@ struct WindowSlot {
     cache: Option<(u64, u64, Reconstruction)>,
 }
 
+/// `rec.*` self-metrics; inert until [`FlightRecorder::set_telemetry`].
+#[derive(Default)]
 struct RecMetrics {
     sessions: Counter,
     fragments: Counter,
@@ -112,8 +116,8 @@ struct RecorderInner {
     /// Hot tags of the sealed run, for coverage-scaled diffs.
     hot_tags: Vec<u16>,
     sealed: bool,
-    metrics: Option<RecMetrics>,
-    journal: Option<SpanLog>,
+    metrics: RecMetrics,
+    journal: SpanLog,
 }
 
 impl RecorderInner {
@@ -149,13 +153,11 @@ impl RecorderInner {
         while w >= self.base_w + self.windows.len() as u64 {
             self.windows.push_back(WindowSlot::default());
         }
-        if let Some(m) = &self.metrics {
-            m.windows.add((self.windows.len() - before) as u64);
-        }
+        self.metrics
+            .windows
+            .add((self.windows.len() - before) as u64);
         self.trim();
-        if let Some(m) = &self.metrics {
-            m.retained.set(self.windows.len() as u64);
-        }
+        self.metrics.retained.set(self.windows.len() as u64);
         w >= self.base_w
     }
 
@@ -168,13 +170,10 @@ impl RecorderInner {
             self.base_w += 1;
             self.evicted_windows += 1;
             let (ws, we) = self.window_span(w);
-            if let Some(m) = &self.metrics {
-                m.evicted.inc();
-                m.evicted_us.add(we - ws);
-            }
-            if let Some(j) = &self.journal {
-                j.instant(SpanTrack::Recorder, SpanName::Evict, we, w, we - ws);
-            }
+            self.metrics.evicted.inc();
+            self.metrics.evicted_us.add(we - ws);
+            self.journal
+                .instant(SpanTrack::Recorder, SpanName::Evict, we, w, we - ws);
         }
     }
 
@@ -194,9 +193,7 @@ impl RecorderInner {
             return;
         }
         self.sessions += 1;
-        if let Some(m) = &self.metrics {
-            m.sessions.inc();
-        }
+        self.metrics.sessions.inc();
         let wd = self.cfg.window_us;
 
         self.note_seen(s.start_us, s.end_us);
@@ -252,15 +249,11 @@ impl RecorderInner {
             self.touch(w).frags.push(frag);
             frags += 1;
         }
-        if let Some(m) = &self.metrics {
-            m.fragments.add(frags);
-        }
+        self.metrics.fragments.add(frags);
 
         if !any_retained {
             self.late_sessions += 1;
-            if let Some(m) = &self.metrics {
-                m.late_sessions.inc();
-            }
+            self.metrics.late_sessions.inc();
         }
     }
 
@@ -269,9 +262,7 @@ impl RecorderInner {
         if self.sealed {
             return;
         }
-        if let Some(m) = &self.metrics {
-            m.gaps.inc();
-        }
+        self.metrics.gaps.inc();
         self.note_seen(g.start_us, g.end_us);
         if g.end_us <= g.start_us {
             return;
@@ -331,17 +322,26 @@ impl RecorderInner {
         }
         self.hot_tags = run.hot_tags.clone();
         self.sealed = true;
-        if let Some(j) = &self.journal {
-            // Journal the retained ring once it is final: one window
-            // span per retained window, at its clipped bounds.
-            for off in 0..self.windows.len() {
-                let w = self.base_w + off as u64;
-                let (ws, we) = self.window_span(w);
-                let frags = self.windows[off].frags.len() as u64;
-                j.begin(SpanTrack::Recorder, SpanName::Window, ws, w, 0);
-                j.end(SpanTrack::Recorder, SpanName::Window, we, w, frags);
-            }
-        }
+        // Journal the retained ring once it is final: one window
+        // span per retained window, at its clipped bounds.
+        let spans = (0..self.windows.len()).flat_map(|off| {
+            let w = self.base_w + off as u64;
+            let (ws, we) = self.window_span(w);
+            let frags = self.windows[off].frags.len() as u64;
+            let event = |t_us, phase, arg| SpanEvent {
+                t_us,
+                phase,
+                track: SpanTrack::Recorder,
+                name: SpanName::Window,
+                id: w,
+                arg,
+            };
+            [
+                event(ws, SpanPhase::Begin, 0),
+                event(we, SpanPhase::End, frags),
+            ]
+        });
+        self.journal.extend(spans);
     }
 
     /// Folds (or returns the cached fold of) window `w`.
@@ -702,21 +702,23 @@ impl FlightRecorder {
                 last_seen: 0,
                 hot_tags: Vec::new(),
                 sealed: false,
-                metrics: None,
-                journal: None,
+                metrics: RecMetrics::default(),
+                journal: SpanLog::default(),
             })),
         }
     }
 
-    /// Enables live self-metrics under `rec.` in `reg`.
+    /// Publishes live self-metrics under `rec.` into `reg`; an inert
+    /// `reg` (the default) records nothing.
     pub fn set_telemetry(&self, reg: &Registry) {
-        self.inner.lock().expect("recorder lock").metrics = Some(RecMetrics::new(reg));
+        self.inner.lock().expect("recorder lock").metrics = RecMetrics::new(reg);
     }
 
     /// Attaches a span journal: window spans land on the `recorder`
-    /// lane at seal, evictions as instants when they happen.
+    /// lane at seal, evictions as instants when they happen.  An inert
+    /// `log` (the default) records nothing and computes no span.
     pub fn set_span_log(&self, log: &SpanLog) {
-        self.inner.lock().expect("recorder lock").journal = Some(log.clone());
+        self.inner.lock().expect("recorder lock").journal = log.clone();
     }
 
     /// The recorder's config.

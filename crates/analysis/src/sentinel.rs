@@ -555,7 +555,8 @@ struct HState {
     firing: bool,
 }
 
-/// `sent.*` self-metrics.
+/// `sent.*` self-metrics; inert until [`Sentinel::set_telemetry`].
+#[derive(Default)]
 struct SentMetrics {
     windows: Counter,
     breaches: Counter,
@@ -596,7 +597,7 @@ pub struct Sentinel {
     windows_evaluated: u64,
     firing_count: u64,
     next_window: u64,
-    metrics: Option<SentMetrics>,
+    metrics: SentMetrics,
 }
 
 impl std::fmt::Debug for Sentinel {
@@ -621,13 +622,14 @@ impl Sentinel {
             windows_evaluated: 0,
             firing_count: 0,
             next_window: 0,
-            metrics: None,
+            metrics: SentMetrics::default(),
         }
     }
 
-    /// Enables live self-metrics under `sent.` in `reg`.
+    /// Publishes live self-metrics under `sent.` into `reg`; an inert
+    /// `reg` (the default) records nothing.
     pub fn set_telemetry(&mut self, reg: &Registry) {
-        self.metrics = Some(SentMetrics::new(reg));
+        self.metrics = SentMetrics::new(reg);
     }
 
     /// The config this sentinel evaluates with.
@@ -691,9 +693,7 @@ impl Sentinel {
         ledger: Option<&RecorderLedger>,
     ) {
         self.windows_evaluated += 1;
-        if let Some(m) = &self.metrics {
-            m.windows.inc();
-        }
+        self.metrics.windows.inc();
         if !self.baseline.is_frozen() {
             self.baseline.absorb(recon, self.cfg.warmup_windows);
             return;
@@ -836,9 +836,7 @@ impl Sentinel {
             delta: observed as i64 - baseline as i64,
         };
         if breach {
-            if let Some(m) = &self.metrics {
-                m.breaches.inc();
-            }
+            self.metrics.breaches.inc();
             let state = self.states.entry((detector, key)).or_default();
             if state.firing {
                 // Already alerting; a further breach just holds it.
@@ -849,19 +847,15 @@ impl Sentinel {
             state.clears = 0;
             if state.breaches == 1 {
                 self.journal.push(entry(AlertTransition::Pending));
-                if let Some(m) = &self.metrics {
-                    m.pending.inc();
-                }
+                self.metrics.pending.inc();
             }
             if state.breaches >= self.cfg.fire_after {
                 state.firing = true;
                 state.breaches = 0;
                 self.journal.push(entry(AlertTransition::Firing));
                 self.firing_count += 1;
-                if let Some(m) = &self.metrics {
-                    m.fired.inc();
-                    m.firing.set(self.firing_count);
-                }
+                self.metrics.fired.inc();
+                self.metrics.firing.set(self.firing_count);
             }
         } else {
             let Some(state) = self.states.get_mut(&(detector, key)) else {
@@ -875,10 +869,8 @@ impl Sentinel {
                     state.breaches = 0;
                     self.journal.push(entry(AlertTransition::Resolved));
                     self.firing_count -= 1;
-                    if let Some(m) = &self.metrics {
-                        m.resolved.inc();
-                        m.firing.set(self.firing_count);
-                    }
+                    self.metrics.resolved.inc();
+                    self.metrics.firing.set(self.firing_count);
                 }
             } else {
                 // A broken pre-Firing streak resets silently.

@@ -22,9 +22,8 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 
 use hwprof_profiler::{BankSink, RawRecord};
@@ -36,8 +35,9 @@ use crate::columnar::DenseTagTable;
 use crate::events::Symbols;
 use crate::recon::{BankFold, BankRecon, Lent, Reconstruction};
 
-/// Live pipeline telemetry, opt-in ([`StreamAnalyzer::set_telemetry`])
-/// and touched once per *bank*, never per event.
+/// Pipeline telemetry, taken at [`StreamAnalyzer::spawn`] and touched
+/// once per *bank*, never per event; inert unless a live registry was
+/// given.
 struct StreamMetrics {
     /// `stream.banks`: banks claimed and analyzed by workers.
     banks: Counter,
@@ -157,10 +157,8 @@ struct Pool {
     /// stream's own lock: streams fold in parallel, and the map is
     /// write-locked only to open a stream.
     streams: RwLock<BTreeMap<u32, Mutex<(BankFold, StreamOutcome)>>>,
-    /// Jobs submitted and not yet claimed by a worker.
-    queued: AtomicIsize,
-    metrics: OnceLock<StreamMetrics>,
-    journal: OnceLock<SpanLog>,
+    metrics: StreamMetrics,
+    journal: SpanLog,
 }
 
 impl Pool {
@@ -190,19 +188,11 @@ impl Pool {
         f(fold, out)
     }
 
-    /// Moves the queue depth by `delta` jobs and reports it.
-    fn note_queue(&self, delta: isize) {
-        let depth = self.queued.fetch_add(delta, Ordering::Relaxed) + delta;
-        if let Some(m) = self.metrics.get() {
-            m.queue_depth.set(depth as u64);
-        }
-    }
-
     /// One worker's life: claim jobs until every feed is dropped.
     fn work(&self, jobs: Receiver<Job>) {
         let mut step = BankRecon::new(&self.table, &self.syms, self.recover);
         for job in jobs {
-            self.note_queue(-1);
+            self.metrics.queue_depth.dec();
             let (stream, index) = (job.stream(), job.index());
             // Skip copies of a bank already held, and a failed stream.
             let skip = self.stream(stream, |fold, out| {
@@ -244,19 +234,16 @@ impl Pool {
         lent.out.trace.reserve(records.len());
         let before = lent.out.anomalies;
         let events = step.bank_into(&records, &mut lent.out);
-        if let Some(m) = self.metrics.get() {
-            m.note_bank(events.len() as u64, &before, &lent.out.anomalies);
-        }
-        if let Some(log) = self.journal.get() {
-            // One analyze span per bank, spanning the bank's
-            // (session-relative) event times; the exporter rebases it
-            // onto the supervised timeline by session index.
-            let first = events.first().map_or(0, |e| e.t);
-            let last = events.last().map_or(first, |e| e.t);
-            let n = events.len() as u64;
-            log.begin(SpanTrack::Analyzer, SpanName::Analyze, first, index, n);
-            log.end(SpanTrack::Analyzer, SpanName::Analyze, last, index, n);
-        }
+        let n = events.len() as u64;
+        self.metrics.note_bank(n, &before, &lent.out.anomalies);
+        // One analyze span per bank, spanning the bank's
+        // (session-relative) event times; the exporter rebases it onto
+        // the supervised timeline by session index.
+        let first = events.first().map_or(0, |e| e.t);
+        let last = events.last().map_or(first, |e| e.t);
+        let log = &self.journal;
+        log.begin(SpanTrack::Analyzer, SpanName::Analyze, first, index, n);
+        log.end(SpanTrack::Analyzer, SpanName::Analyze, last, index, n);
         Ok((lent, records.len() as u64))
     }
 }
@@ -282,7 +269,8 @@ impl BankFeed {
 
     fn send(&self, job: Job, wait: bool) -> bool {
         let lane = &self.lanes[(job.lane() % self.lanes.len() as u64) as usize];
-        self.pool.note_queue(1);
+        let depth = &self.pool.metrics.queue_depth;
+        depth.inc();
         // The workers outlive every feed, so only a full queue refuses.
         let sent = if wait {
             lane.send(job).is_ok()
@@ -290,7 +278,7 @@ impl BankFeed {
             lane.try_send(job).is_ok()
         };
         if !sent {
-            self.pool.note_queue(-1);
+            depth.dec();
         }
         sent
     }
@@ -318,7 +306,13 @@ impl StreamAnalyzer {
     /// clean decode plus strict reconstruction, bit-identical to a
     /// batch [`crate::Analyzer::record_sessions`] pass over the banks.
     pub fn new(tf: &TagFile, workers: usize) -> Self {
-        Self::spawn(tf, workers, false)
+        Self::spawn(
+            tf,
+            workers,
+            false,
+            &Registry::default(),
+            &SpanLog::default(),
+        )
     }
 
     /// Spawns `workers` analysis threads in recovery mode: banks decode
@@ -328,18 +322,31 @@ impl StreamAnalyzer {
     /// plus a classified [`crate::Anomalies`] account — bit-identical to
     /// `Analyzer::for_tagfile(tf).recovering(true).record_sessions`.
     pub fn recovering(tf: &TagFile, workers: usize) -> Self {
-        Self::spawn(tf, workers, true)
+        Self::spawn(tf, workers, true, &Registry::default(), &SpanLog::default())
     }
 
-    fn spawn(tf: &TagFile, workers: usize, recover: bool) -> Self {
+    /// Spawns the pool of [`new`](StreamAnalyzer::new) (or, with
+    /// `recover`, of [`recovering`](StreamAnalyzer::recovering)),
+    /// observed from its first bank on: `reg` receives `stream.banks`,
+    /// `stream.events`, `stream.queue_depth` and the per-class
+    /// `stream.anomalies.*`; `log` one `analyze` begin/end pair per
+    /// bank on the analyzer track (`id` = bank index, `arg` = decoded
+    /// event count, times = the bank's first and last event times).
+    /// Inert handles observe nothing.
+    pub fn spawn(
+        tf: &TagFile,
+        workers: usize,
+        recover: bool,
+        reg: &Registry,
+        log: &SpanLog,
+    ) -> Self {
         let pool = Arc::new(Pool {
             table: DenseTagTable::from_tagfile(tf),
             syms: Symbols::from_tagfile(tf),
             recover,
             streams: RwLock::new(BTreeMap::new()),
-            queued: AtomicIsize::new(0),
-            metrics: OnceLock::new(),
-            journal: OnceLock::new(),
+            metrics: StreamMetrics::new(reg),
+            journal: log.clone(),
         });
         let workers = workers.max(1);
         let (lanes, workers): (Vec<_>, Vec<_>) = (0..workers)
@@ -361,24 +368,6 @@ impl StreamAnalyzer {
         StreamAnalyzer { feed, workers }
     }
 
-    /// Registers the pipeline's telemetry (`stream.banks`,
-    /// `stream.events`, `stream.queue_depth`, and per-class
-    /// `stream.anomalies.*`) in `reg`; the first registry set wins.
-    /// Call before handing out a [`feed`](StreamAnalyzer::feed): banks
-    /// analyzed earlier are not retroactively counted.
-    pub fn set_telemetry(&self, reg: &Registry) {
-        let _ = self.feed.pool.metrics.set(StreamMetrics::new(reg));
-    }
-
-    /// Attaches a span journal: each analyzed bank records one
-    /// `analyze` begin/end pair on the analyzer track (`id` = bank
-    /// index, `arg` = decoded event count, times = the bank's first and
-    /// last event times).  Same contract as
-    /// [`set_telemetry`](StreamAnalyzer::set_telemetry).
-    pub fn set_span_log(&self, log: &SpanLog) {
-        let _ = self.feed.pool.journal.set(log.clone());
-    }
-
     /// A feed: the board's drain sink, or a fleet's uplink.
     pub fn feed(&self) -> BankFeed {
         self.feed.clone()
@@ -394,9 +383,6 @@ impl StreamAnalyzer {
             // Each bank runs inside `catch_unwind`, so only a bug in the
             // pool's own bookkeeping can end a worker early.
             worker.join().expect("worker panicked outside a bank");
-        }
-        if let Some(m) = pool.metrics.get() {
-            m.queue_depth.set(0);
         }
         let streams = std::mem::take(&mut *pool.streams.write().unwrap());
         streams
@@ -598,8 +584,7 @@ mod tests {
     #[test]
     fn stream_telemetry_matches_merged_result() {
         let reg = Registry::new();
-        let analyzer = StreamAnalyzer::recovering(&tagfile(), 2);
-        analyzer.set_telemetry(&reg);
+        let analyzer = StreamAnalyzer::spawn(&tagfile(), 2, true, &reg, &SpanLog::default());
         let mut feed = analyzer.feed();
         assert!(feed.bank(vec![rec(100, 0), rec(100, 0), rec(101, 9)]));
         assert!(feed.bank(vec![rec(100, 20), rec(0x9999, 25), rec(101, 30)]));

@@ -125,10 +125,9 @@ fn stream_stitch(
     workers: usize,
     telemetry: Option<&hwprof_telemetry::Registry>,
 ) -> Reconstruction {
-    let pipeline = StreamAnalyzer::new(tf, workers);
-    if let Some(reg) = telemetry {
-        pipeline.set_telemetry(reg);
-    }
+    let reg = telemetry.cloned().unwrap_or_default();
+    let inert = hwprof_telemetry::SpanLog::default();
+    let pipeline = StreamAnalyzer::spawn(tf, workers, false, &reg, &inert);
     let mut feed = pipeline.feed();
     for s in &run.sessions {
         assert!(feed.bank(s.records.clone()), "pipeline open");

@@ -30,27 +30,26 @@ const WORKLOAD_BYTES: u64 = 1024 * 1024;
 /// ladder engages at the default thresholds.
 const BOARD_EVENTS: usize = 1024;
 
-fn capture(journal: Option<&SpanLog>) -> SupervisedCapture {
+fn capture(journal: &SpanLog) -> SupervisedCapture {
     let policy = SupervisorPolicy {
         seed: SEED,
         min_coverage_ppm: 0,
         drain_budget_us: 2_000,
         ..SupervisorPolicy::default()
     };
-    let mut e = Experiment::new()
+    Experiment::new()
         .profile_all()
         .board(BoardConfig {
             capacity: BOARD_EVENTS,
             time_bits: 24,
         })
-        .scenario(scenarios::network_receive(WORKLOAD_BYTES, true));
-    if let Some(log) = journal {
-        e = e.journal(log);
-    }
-    e.supervised(policy).unwrap_or_else(|e| {
-        eprintln!("supervised export run failed: {e}");
-        exit(1);
-    })
+        .scenario(scenarios::network_receive(WORKLOAD_BYTES, true))
+        .journal(journal)
+        .supervised(policy)
+        .unwrap_or_else(|e| {
+            eprintln!("supervised export run failed: {e}");
+            exit(1);
+        })
 }
 
 fn golden_path() -> PathBuf {
@@ -124,7 +123,7 @@ fn main() {
     };
 
     let log = SpanLog::new();
-    let cap = capture(Some(&log));
+    let cap = capture(&log);
     let cov = *cap.coverage();
     println!(
         "supervised run: {} sessions, {} gaps, {} mask downgrades, {} journal spans\n",
@@ -240,7 +239,7 @@ fn main() {
 
     // The journal is observationally pure: the same seed without it
     // yields a bit-identical supervised run and folded profile.
-    let plain = capture(None);
+    let plain = capture(&SpanLog::default());
     let identical = plain.run.sessions == cap.run.sessions
         && plain.run.gaps == cap.run.gaps
         && plain.run.coverage == cap.run.coverage

@@ -25,15 +25,15 @@ fn policy(shards: usize) -> FleetPolicy {
     }
 }
 
-fn run(shards: usize, registry: Option<&Registry>) -> FleetReport {
-    let mut fleet = Fleet::new(policy(shards)).chaos(ChaosPlan::seeded(CHAOS_SEED, MACHINES));
-    if let Some(reg) = registry {
-        fleet = fleet.telemetry(reg);
-    }
-    fleet.run().unwrap_or_else(|e| {
-        eprintln!("fleet run failed: {e}");
-        exit(1);
-    })
+fn run(shards: usize, registry: &Registry) -> FleetReport {
+    Fleet::new(policy(shards))
+        .chaos(ChaosPlan::seeded(CHAOS_SEED, MACHINES))
+        .telemetry(registry)
+        .run()
+        .unwrap_or_else(|e| {
+            eprintln!("fleet run failed: {e}");
+            exit(1);
+        })
 }
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
     println!("chaos plan (seed {CHAOS_SEED}):\n{}", plan.describe());
     let registry = Registry::new();
     let started = std::time::Instant::now();
-    let report = run(4, Some(&registry));
+    let report = run(4, &registry);
     println!(
         "fleet of {MACHINES} machines aggregated in {}\n",
         ms(started.elapsed().as_micros() as u64)
@@ -187,7 +187,7 @@ fn main() {
 
     // --- byte determinism -------------------------------------------
     let text = report.describe();
-    let again = run(4, None).describe();
+    let again = run(4, &Registry::default()).describe();
     check(
         "re-run report is byte-identical",
         "same bytes",
@@ -198,7 +198,7 @@ fn main() {
         },
         text == again,
     );
-    let one_worker = run(1, None).describe();
+    let one_worker = run(1, &Registry::default()).describe();
     check(
         "worker count is invisible in the report",
         "1 worker == 4 workers",

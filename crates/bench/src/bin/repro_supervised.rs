@@ -10,7 +10,7 @@ use std::process::exit;
 
 use hwprof::analysis::{summary_report, Analyzer};
 use hwprof::profiler::BoardConfig;
-use hwprof::{scenarios, Experiment, SupervisorPolicy};
+use hwprof::{scenarios, Experiment, Registry, SupervisorPolicy};
 use hwprof_bench::{banner, pct, row, stream_stitch};
 
 const SEED: u64 = 0x1993_0617;
@@ -84,7 +84,7 @@ fn main() {
     let stitcher = Analyzer::for_tagfile(&cap.tagfile);
     let seq = stitcher.run(&cap.run).expect("ungated");
     let par = stitcher.clone().workers(4).run(&cap.run).expect("ungated");
-    let streamed = stream_stitch(&cap.tagfile, &cap.run, 4, None);
+    let streamed = stream_stitch(&cap.tagfile, &cap.run, 4, &Registry::default());
     let identical = seq == cap.profile && seq == par && streamed.as_ref() == Some(&seq);
     check(
         "batch/parallel/streaming stitches agree",

@@ -17,15 +17,12 @@ use hwprof_bench::{banner, pct, row, stream_stitch};
 const SEED: u64 = 0x1993_0617;
 const WORKLOAD_BYTES: u64 = 1024 * 1024;
 
-fn experiment(reg: Option<&Registry>) -> Experiment {
-    let mut e = Experiment::new()
+fn experiment(reg: &Registry) -> Experiment {
+    Experiment::new()
         .profile_all()
         .board(BoardConfig::default())
-        .scenario(scenarios::network_receive(WORKLOAD_BYTES, true));
-    if let Some(reg) = reg {
-        e = e.telemetry(reg);
-    }
-    e
+        .scenario(scenarios::network_receive(WORKLOAD_BYTES, true))
+        .telemetry(reg)
 }
 
 fn main() {
@@ -53,7 +50,7 @@ fn main() {
             .with_outage(5, 9),
     );
     let reg = Registry::new();
-    let cap = experiment(Some(&reg))
+    let cap = experiment(&reg)
         .supervised_with(policy, transport)
         .unwrap_or_else(|e| {
             eprintln!("supervised run failed: {e}");
@@ -145,7 +142,7 @@ fn main() {
     // its own registry: the stream.* metrics must agree with the merged
     // reconstruction and with the per-class anomaly totals exactly.
     let sreg = Registry::new();
-    let r = stream_stitch(&cap.tagfile, &cap.run, 4, Some(&sreg)).expect("pipeline open");
+    let r = stream_stitch(&cap.tagfile, &cap.run, 4, &sreg).expect("pipeline open");
     check(
         "streaming stitch matches the capture's profile",
         "bit-identical",
@@ -198,7 +195,7 @@ fn main() {
     // the EPROM socket, so switching it on must not change the
     // simulated machine by a single cycle — the same seeded run with
     // and without a registry produces a bit-identical capture.
-    let with = experiment(Some(&Registry::new()))
+    let with = experiment(&Registry::new())
         .supervised(SupervisorPolicy {
             seed: SEED,
             ..SupervisorPolicy::default()
@@ -207,7 +204,7 @@ fn main() {
             eprintln!("telemetry-on run failed: {e}");
             exit(1);
         });
-    let without = experiment(None)
+    let without = experiment(&Registry::default())
         .supervised(SupervisorPolicy {
             seed: SEED,
             ..SupervisorPolicy::default()

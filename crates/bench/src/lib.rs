@@ -16,7 +16,7 @@
 
 pub mod gate;
 
-use hwprof::Registry;
+use hwprof::{Registry, SpanLog};
 use hwprof_analysis::{Reconstruction, StreamAnalyzer, Symbols};
 use hwprof_profiler::{BankSink, SupervisedRun};
 use hwprof_tagfile::TagFile;
@@ -25,17 +25,14 @@ use hwprof_tagfile::TagFile;
 /// delivered bank fed in order to `workers` analysis threads, the
 /// run's coverage folded into the merged result so it compares equal
 /// to `Analyzer::run`.  `reg` receives the pipeline's `stream.*`
-/// metrics.  `None` if the pipeline refused a bank.
+/// metrics (none when inert).  `None` if the pipeline refused a bank.
 pub fn stream_stitch(
     tf: &TagFile,
     run: &SupervisedRun,
     workers: usize,
-    reg: Option<&Registry>,
+    reg: &Registry,
 ) -> Option<Reconstruction> {
-    let pipeline = StreamAnalyzer::new(tf, workers);
-    if let Some(reg) = reg {
-        pipeline.set_telemetry(reg);
-    }
+    let pipeline = StreamAnalyzer::spawn(tf, workers, false, reg, &SpanLog::default());
     let mut feed = pipeline.feed();
     let fed = run.sessions.iter().all(|s| feed.bank(s.records.clone()));
     drop(feed);

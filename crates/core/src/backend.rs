@@ -5,7 +5,6 @@
 //! PC sampling (the `kgmon`/`gprof` status quo), always-on event
 //! counters (the `vmstat`/`netstat` status quo), and ktrace-style
 //! software tracing (log every trigger in kernel memory, no hardware).
-//! Before this redesign each lived behind its own ad-hoc entry point;
 //! [`CaptureBackend`] puts them behind one arm/drain/finish lifecycle
 //! so a scenario written once runs unmodified under any of them:
 //!

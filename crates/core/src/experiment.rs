@@ -152,8 +152,10 @@ pub struct Experiment {
     armed: bool,
     faults: Option<(FaultSpec, u64)>,
     anomaly_limit_ppm: Option<u32>,
-    telemetry: Option<Registry>,
-    journal: Option<SpanLog>,
+    /// Inert unless [`Experiment::telemetry`] set a live registry.
+    telemetry: Registry,
+    /// Inert unless [`Experiment::journal`] set a live journal.
+    journal: SpanLog,
     backend: Option<Box<dyn CaptureBackend>>,
 }
 
@@ -175,8 +177,8 @@ impl Experiment {
             armed: true,
             faults: None,
             anomaly_limit_ppm: None,
-            telemetry: None,
-            journal: None,
+            telemetry: Registry::default(),
+            journal: SpanLog::default(),
             backend: None,
         }
     }
@@ -282,13 +284,15 @@ impl Experiment {
     /// (`board.*`), the supervisor's coverage/mask/transport ledger
     /// (`sup.*`, `transport.*`) on supervised runs, and the analysis
     /// pipeline's `stream.*` metrics on streaming runs.  Off by
-    /// default; when off, no metric atomics are touched anywhere on
-    /// the capture path.  Serve the registry over SNMP with
+    /// default: every producer then holds inert handles, so no metric
+    /// atomic is touched anywhere on the capture path, and
+    /// [`SupervisedCapture::metrics`] / [`SupervisedCapture::health`]
+    /// return `None`.  Serve the registry over SNMP with
     /// [`hwprof_snmpmib::MibExporter`], or join it with the coverage
     /// ledger via [`SupervisedCapture::health`].
     #[must_use = "builder methods return the updated experiment"]
     pub fn telemetry(mut self, reg: &Registry) -> Self {
-        self.telemetry = Some(reg.clone());
+        self.telemetry = reg.clone();
         self
     }
 
@@ -296,13 +300,14 @@ impl Experiment {
     /// bank swaps and overflows, the supervisor's armed-bank spans,
     /// dark windows, mask shifts and upload rounds, and the streaming
     /// pipeline's per-bank analyze spans, all with simulated
-    /// timestamps.  Off by default; the simulated machine is
+    /// timestamps.  Off by default: the producers then hold an inert
+    /// journal that records nothing.  The simulated machine is
     /// bit-identical with or without it.  Render the journal alongside
     /// the kernel timeline through [`SupervisedCapture::as_profile`] /
     /// [`StreamCapture::as_profile`].
     #[must_use = "builder methods return the updated experiment"]
     pub fn journal(mut self, log: &SpanLog) -> Self {
-        self.journal = Some(log.clone());
+        self.journal = log.clone();
         self
     }
 
@@ -336,12 +341,8 @@ impl Experiment {
         )?;
         // The board on the EPROM socket.
         let board = Profiler::new(self.board);
-        if let Some(reg) = &telemetry {
-            board.set_telemetry(reg);
-        }
-        if let Some(log) = &journal {
-            board.set_span_log(log);
-        }
+        board.set_telemetry(&telemetry);
+        board.set_span_log(&journal);
         if self.armed {
             board.set_switch(true);
         }
@@ -467,16 +468,10 @@ impl Experiment {
         let anomaly_limit_ppm = self.anomaly_limit_ppm;
         let p = self.prepare()?;
         let injector = faults.map(|(spec, seed)| FaultInjector::new(spec, seed));
-        let analyzer = match injector {
-            Some(_) => StreamAnalyzer::recovering(&p.tagfile, workers),
-            None => StreamAnalyzer::new(&p.tagfile, workers),
-        };
-        if let Some(reg) = &p.telemetry {
-            analyzer.set_telemetry(reg);
-        }
-        if let Some(log) = &p.journal {
-            analyzer.set_span_log(log);
-        }
+        // Injected faults are analyzed in recovery mode.
+        let recover = injector.is_some();
+        let analyzer =
+            StreamAnalyzer::spawn(&p.tagfile, workers, recover, &p.telemetry, &p.journal);
         let feed: Box<dyn hwprof_profiler::BankSink> = match &injector {
             // Banks corrupt (or are refused) in transit to the workers.
             Some(inj) => Box::new(inj.sink(Box::new(analyzer.feed()))),
@@ -586,21 +581,13 @@ impl Experiment {
                 );
             }
             let sup = CaptureSupervisor::new(board.clone(), mask, pol, transport);
-            if let Some(reg) = &telem {
-                sup.set_telemetry(reg);
-            }
-            if let Some(log) = &jour {
-                sup.set_span_log(log);
-            }
+            sup.set_telemetry(&telem);
+            sup.set_span_log(&jour);
             let kept = recorder(tagfile);
             let rec: Option<FlightRecorder> = kept.clone().into();
             if let Some(rec) = &rec {
-                if let Some(reg) = &telem {
-                    rec.set_telemetry(reg);
-                }
-                if let Some(log) = &jour {
-                    rec.set_span_log(log);
-                }
+                rec.set_telemetry(&telem);
+                rec.set_span_log(&jour);
             }
             let fold = SupervisedFold::new(tagfile, rec);
             sup.set_session_sink(Box::new(fold.clone()));
@@ -710,9 +697,7 @@ impl Experiment {
     ) -> Result<SentinelHandle, Error> {
         let handle = self.record_with(policy, transport, cfg)?;
         let mut sent = Sentinel::new(sentinel);
-        if let Some(reg) = &handle.telemetry {
-            sent.set_telemetry(reg);
-        }
+        sent.set_telemetry(&handle.telemetry);
         sent.scan(&handle.recorder);
         Ok(SentinelHandle {
             sentinel: sent,
@@ -734,23 +719,14 @@ fn default_transport(policy: &SupervisorPolicy) -> Box<dyn Transport> {
 /// The trust gate shared by both capture modes: anomalies per million
 /// tags against the caller's limit.
 fn check_anomaly_limit(anomalies: &Anomalies, tags: u64, limit_ppm: u32) -> Result<(), Error> {
-    let total = anomalies.total();
-    if total * 1_000_000 > tags.max(1) * u64::from(limit_ppm) {
+    if anomalies.exceeds(tags, limit_ppm) {
         return Err(Error::CorruptUpload {
-            anomalies: total,
+            anomalies: anomalies.total(),
             tags,
             limit_ppm,
         });
     }
     Ok(())
-}
-
-/// `p` carrying the run's span journal, if one was configured.
-fn with_journal<'a>(p: Profile<'a>, journal: &Option<SpanLog>) -> Profile<'a> {
-    match journal {
-        Some(log) => p.spans(log),
-        None => p,
-    }
 }
 
 /// Everything `prepare` sets up before a run.
@@ -759,8 +735,8 @@ struct PreparedRun {
     sim: Sim,
     tagfile: TagFile,
     link: LinkResult,
-    telemetry: Option<Registry>,
-    journal: Option<SpanLog>,
+    telemetry: Registry,
+    journal: SpanLog,
 }
 
 /// The upload: everything the run produced.
@@ -845,9 +821,9 @@ pub struct BackendCapture {
     pub link: LinkResult,
     /// Final kernel state (ground truth, statistics).
     pub kernel: Kernel,
-    /// The span journal the run recorded into, when
+    /// The span journal the run recorded into; inert unless
     /// [`Experiment::journal`] was configured.
-    journal: Option<SpanLog>,
+    journal: SpanLog,
 }
 
 impl BackendCapture {
@@ -856,10 +832,9 @@ impl BackendCapture {
     /// configured — the one render/export surface every capture path
     /// shares.
     pub fn as_profile(&self) -> Profile<'_> {
-        with_journal(
-            Profile::new(&self.profile).name(self.backend),
-            &self.journal,
-        )
+        Profile::new(&self.profile)
+            .name(self.backend)
+            .spans(&self.journal)
     }
 
     /// [`Kernel::busy_fraction`] of the run.
@@ -888,9 +863,9 @@ pub struct StreamCapture {
     /// Fault totals, when the run injected faults
     /// ([`Experiment::faults`]).
     pub injected: Option<InjectedFaults>,
-    /// The span journal the run recorded into, when
+    /// The span journal the run recorded into; inert unless
     /// [`Experiment::journal`] was configured.
-    journal: Option<SpanLog>,
+    journal: SpanLog,
 }
 
 impl StreamCapture {
@@ -900,7 +875,7 @@ impl StreamCapture {
     /// `.folded()` / `.html()` render it for Perfetto, speedscope,
     /// flamegraph and standalone-report tooling.
     pub fn as_profile(&self) -> Profile<'_> {
-        with_journal(Profile::new(&self.profile), &self.journal)
+        Profile::new(&self.profile).spans(&self.journal)
     }
 
     /// [`Kernel::busy_fraction`] of the run.
@@ -924,12 +899,12 @@ pub struct SupervisedCapture {
     pub link: LinkResult,
     /// Final kernel state (ground truth, statistics).
     pub kernel: Kernel,
-    /// The registry the run published into, when
+    /// The registry the run published into; inert unless
     /// [`Experiment::telemetry`] was configured.
-    telemetry: Option<Registry>,
-    /// The span journal the run recorded into, when
+    telemetry: Registry,
+    /// The span journal the run recorded into; inert unless
     /// [`Experiment::journal`] was configured.
-    journal: Option<SpanLog>,
+    journal: SpanLog,
 }
 
 impl SupervisedCapture {
@@ -945,13 +920,15 @@ impl SupervisedCapture {
     /// `.speedscope()` / `.folded()` / `.html()` render the whole
     /// capture — kernel activity and pipeline — as one trace.
     pub fn as_profile(&self) -> Profile<'_> {
-        with_journal(Profile::new(&self.profile).run(&self.run), &self.journal)
+        Profile::new(&self.profile)
+            .run(&self.run)
+            .spans(&self.journal)
     }
 
     /// A point-in-time snapshot of the run's telemetry registry, when
     /// [`Experiment::telemetry`] was configured.
     pub fn metrics(&self) -> Option<Snapshot> {
-        self.telemetry.as_ref().map(Registry::snapshot)
+        self.telemetry.is_on().then(|| self.telemetry.snapshot())
     }
 
     /// Joins the live metrics with the [`Coverage`] ledger: every
@@ -989,12 +966,12 @@ pub struct RecorderHandle {
     pub link: LinkResult,
     /// Final kernel state (ground truth, statistics).
     pub kernel: Kernel,
-    /// The registry the run published into, when
+    /// The registry the run published into; inert unless
     /// [`Experiment::telemetry`] was configured.
-    telemetry: Option<Registry>,
-    /// The span journal the run recorded into, when
+    telemetry: Registry,
+    /// The span journal the run recorded into; inert unless
     /// [`Experiment::journal`] was configured.
-    journal: Option<SpanLog>,
+    journal: SpanLog,
 }
 
 impl RecorderHandle {
@@ -1041,13 +1018,15 @@ impl RecorderHandle {
     /// on the supervised timeline; individual windows render through
     /// [`WindowRollup::as_profile`].
     pub fn as_profile(&self) -> Profile<'_> {
-        with_journal(Profile::new(&self.profile).run(&self.run), &self.journal)
+        Profile::new(&self.profile)
+            .run(&self.run)
+            .spans(&self.journal)
     }
 
     /// A point-in-time snapshot of the run's telemetry registry, when
     /// [`Experiment::telemetry`] was configured.
     pub fn metrics(&self) -> Option<Snapshot> {
-        self.telemetry.as_ref().map(Registry::snapshot)
+        self.telemetry.is_on().then(|| self.telemetry.snapshot())
     }
 
     /// [`Kernel::busy_fraction`] of the run.
@@ -1113,8 +1092,7 @@ impl SentinelHandle {
 /// The compile is deterministic, so every machine in a fleet built
 /// with the same `select` shares one tag file — which is what lets a
 /// fleet aggregator build its decoder and symbol table up front and
-/// merge per-machine [`Reconstruction`](hwprof_analysis::Reconstruction)s
-/// through the monoid.
+/// merge per-machine [`Reconstruction`]s through the monoid.
 pub fn build_tagfile(select: &ModuleSelect) -> Result<TagFile, Error> {
     let mut compiler = Compiler::new(500);
     let image = compiler.compile_forced(&FUNCS, &INLINES, select, &[KFn::Swtch.idx()])?;

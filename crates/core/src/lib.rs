@@ -56,7 +56,7 @@ pub use experiment::{
 };
 pub use hwprof_analysis::{
     validate_json, AlertEntry, AlertJournal, AlertTransition, Analyzer, AnalyzerError, Anomalies,
-    Baseline, Detector, Exporter, FleetAlert, FleetSentinel, FlightRecorder, JsonValue, Profile,
+    Baseline, Detector, FleetAlert, FleetSentinel, FlightRecorder, JsonValue, Profile,
     RecorderLedger, Sentinel, SentinelConfig, SentinelConfigError, WindowDiff, WindowRollup,
 };
 pub use hwprof_baseline::{CounterModel, SampleProfile};

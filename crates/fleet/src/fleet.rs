@@ -133,7 +133,8 @@ enum Fate {
 pub struct Fleet {
     policy: FleetPolicy,
     chaos: ChaosPlan,
-    telemetry: Option<Registry>,
+    /// Inert unless [`Fleet::telemetry`] set a live registry.
+    telemetry: Registry,
 }
 
 impl Fleet {
@@ -142,7 +143,7 @@ impl Fleet {
         Fleet {
             policy,
             chaos: ChaosPlan::none(),
-            telemetry: None,
+            telemetry: Registry::default(),
         }
     }
 
@@ -157,7 +158,7 @@ impl Fleet {
     /// own `m{id}.` prefix, so one snapshot serves the whole fleet.
     #[must_use]
     pub fn telemetry(mut self, registry: &Registry) -> Fleet {
-        self.telemetry = Some(registry.clone());
+        self.telemetry = registry.clone();
         self
     }
 
@@ -186,9 +187,7 @@ impl Fleet {
                 .iter()
                 .map(|spec| {
                     let ingest = aggregator.handle();
-                    let registry = telemetry
-                        .as_ref()
-                        .map(|r| r.prefixed(&format!("m{}.", spec.id)));
+                    let registry = telemetry.prefixed(&format!("m{}.", spec.id));
                     let event = chaos.event(spec.id);
                     let policy = &policy;
                     scope.spawn(move || run_machine(spec, policy, event, ingest, registry))

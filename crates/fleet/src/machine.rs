@@ -196,7 +196,7 @@ pub(crate) fn run_machine(
     policy: &FleetPolicy,
     chaos: Option<ChaosEvent>,
     ingest: BankFeed,
-    telemetry: Option<Registry>,
+    telemetry: Registry,
 ) -> MachineOutcome {
     let mut crash_after = None;
     let mut corrupt_shard = None;
@@ -228,13 +228,11 @@ pub(crate) fn run_machine(
         }
         None => Box::new(uplink),
     };
-    let mut experiment = Experiment::new()
+    let experiment = Experiment::new()
         .profile_all()
         .board(policy.board)
-        .scenario(spec.workload.scenario());
-    if let Some(registry) = &telemetry {
-        experiment = experiment.telemetry(registry);
-    }
+        .scenario(spec.workload.scenario())
+        .telemetry(&telemetry);
     let sup_policy = SupervisorPolicy {
         seed: spec.seed,
         // The fleet judges coverage per machine (Degraded, not a hard

@@ -121,8 +121,9 @@ pub struct Leds {
 }
 
 /// Telemetry handles for the board's hot path — a handful of relaxed
-/// atomics, registered once and touched per trigger only when
-/// telemetry is enabled.
+/// atomics, registered once; inert (no atomics touched) until
+/// [`Profiler::set_telemetry`].
+#[derive(Default)]
 struct BoardMetrics {
     triggers: Counter,
     missed: Counter,
@@ -155,11 +156,11 @@ struct BoardState {
     drain: Option<Box<dyn BankSink>>,
     /// Banks handed to the sink so far (including the final flush).
     banks_drained: u64,
-    /// Live self-metrics; `None` keeps the hot path untouched.
-    metrics: Option<BoardMetrics>,
+    /// Live self-metrics; inert unless telemetry is set.
+    metrics: BoardMetrics,
     /// Span journal; bank swaps and overflows drop instants here.
-    /// `None` keeps the hot path untouched, like `metrics`.
-    journal: Option<SpanLog>,
+    /// Inert unless a journal is set, like `metrics`.
+    journal: SpanLog,
 }
 
 impl BoardState {
@@ -211,8 +212,8 @@ impl Profiler {
                 missed: 0,
                 drain: None,
                 banks_drained: 0,
-                metrics: None,
-                journal: None,
+                metrics: BoardMetrics::default(),
+                journal: SpanLog::default(),
             })),
         }
     }
@@ -308,10 +309,8 @@ impl Profiler {
                     return true;
                 }
                 st.banks_drained += 1;
-                if let Some(m) = &st.metrics {
-                    m.banks_drained.inc();
-                    m.fill_pct.set(0);
-                }
+                st.metrics.banks_drained.inc();
+                st.metrics.fill_pct.set(0);
                 sink.bank(std::mem::take(&mut st.ram))
             }
             None => false,
@@ -330,20 +329,21 @@ impl Profiler {
         self.state.lock().config.capacity
     }
 
-    /// Enables live self-metrics: per-trigger counts, fill level,
-    /// overflow and drained-bank counters under the `board.` prefix in
-    /// `reg`.  Without this call the hot path touches no atomics.
+    /// Publishes live self-metrics into `reg`: per-trigger counts, fill
+    /// level, overflow and drained-bank counters under the `board.`
+    /// prefix.  An inert `reg` (the default) leaves the hot path
+    /// touching no atomics.
     pub fn set_telemetry(&self, reg: &Registry) {
-        self.state.lock().metrics = Some(BoardMetrics::new(reg));
+        self.state.lock().metrics = BoardMetrics::new(reg);
     }
 
     /// Attaches a span journal: bank swaps record a `drain` instant
     /// (`id` = bank ordinal, `arg` = events in the bank) and overflow
     /// an `overflow` instant, both on the board track at trigger time.
     /// Purely observational — the capture stream is bit-identical with
-    /// or without it.
+    /// or without it, and an inert `log` (the default) records nothing.
     pub fn set_span_log(&self, log: &SpanLog) {
-        self.state.lock().journal = Some(log.clone());
+        self.state.lock().journal = log.clone();
     }
 }
 
@@ -353,9 +353,7 @@ impl EpromTap for Profiler {
         let st = &mut *s;
         if !st.armed || st.overflowed {
             st.missed += 1;
-            if let Some(m) = &st.metrics {
-                m.missed.inc();
-            }
+            st.metrics.missed.inc();
             return;
         }
         if st.ram.len() >= st.bank_capacity() {
@@ -366,30 +364,23 @@ impl EpromTap for Profiler {
                     let cap = (st.config.capacity / 2).max(1);
                     let full = std::mem::replace(&mut st.ram, Vec::with_capacity(cap));
                     st.banks_drained += 1;
-                    if let Some(m) = &st.metrics {
-                        m.banks_drained.inc();
-                    }
-                    if let Some(j) = &st.journal {
-                        j.instant(
-                            SpanTrack::Board,
-                            SpanName::Drain,
-                            now_us,
-                            st.banks_drained - 1,
-                            full.len() as u64,
-                        );
-                    }
+                    st.metrics.banks_drained.inc();
+                    st.journal.instant(
+                        SpanTrack::Board,
+                        SpanName::Drain,
+                        now_us,
+                        st.banks_drained - 1,
+                        full.len() as u64,
+                    );
                     if !sink.bank(full) {
                         // No empty RAM ready: overflow, stop storing.
                         st.overflowed = true;
                         st.armed = false;
                         st.missed += 1;
-                        if let Some(m) = &st.metrics {
-                            m.overflows.inc();
-                            m.missed.inc();
-                        }
-                        if let Some(j) = &st.journal {
-                            j.instant(SpanTrack::Board, SpanName::Overflow, now_us, 0, 0);
-                        }
+                        st.metrics.overflows.inc();
+                        st.metrics.missed.inc();
+                        st.journal
+                            .instant(SpanTrack::Board, SpanName::Overflow, now_us, 0, 0);
                         return;
                     }
                 }
@@ -399,13 +390,10 @@ impl EpromTap for Profiler {
                     st.overflowed = true;
                     st.armed = false;
                     st.missed += 1;
-                    if let Some(m) = &st.metrics {
-                        m.overflows.inc();
-                        m.missed.inc();
-                    }
-                    if let Some(j) = &st.journal {
-                        j.instant(SpanTrack::Board, SpanName::Overflow, now_us, 0, 0);
-                    }
+                    st.metrics.overflows.inc();
+                    st.metrics.missed.inc();
+                    st.journal
+                        .instant(SpanTrack::Board, SpanName::Overflow, now_us, 0, 0);
                     return;
                 }
             }
@@ -415,11 +403,10 @@ impl EpromTap for Profiler {
             tag: offset,
             time: (now_us & mask) as u32,
         });
-        if let Some(m) = &st.metrics {
-            m.triggers.inc();
-            let cap = st.bank_capacity();
-            m.fill_pct.set((st.ram.len() * 100 / cap.max(1)) as u64);
-        }
+        st.metrics.triggers.inc();
+        st.metrics
+            .fill_pct
+            .set_with(|| (st.ram.len() * 100 / st.bank_capacity().max(1)) as u64);
     }
 
     fn stored(&self) -> usize {

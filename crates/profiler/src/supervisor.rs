@@ -599,6 +599,8 @@ impl SupervisedRun {
 /// corresponding [`Coverage`] ledger fields (gap pushes go through one
 /// helper), so after [`CaptureSupervisor::finish`] the snapshot and
 /// the ledger agree exactly — the invariant `HealthReport` checks.
+/// Inert until [`CaptureSupervisor::set_telemetry`].
+#[derive(Default)]
 struct SupMetrics {
     rearms: Counter,
     sessions: Counter,
@@ -695,12 +697,13 @@ struct SupervisorState {
     idle: Vec<IdleSpan>,
     cov: Coverage,
     finished: bool,
-    /// Live self-metrics; `None` keeps the trigger path atom-free.
-    metrics: Option<SupMetrics>,
+    /// Live self-metrics; inert handles keep the trigger path
+    /// atom-free.
+    metrics: SupMetrics,
     /// Span journal for the unified timeline export; purely
     /// observational, so the supervised machine is bit-identical with
     /// or without it.
-    journal: Option<SpanLog>,
+    journal: SpanLog,
     /// Live subscriber (the analysis fold); like the journal it is
     /// purely observational — it sees each session/gap at the single
     /// sites below and never influences the capture machine.
@@ -732,36 +735,32 @@ impl SupervisorState {
         if gap.cause == GapCause::Overflow {
             self.cov.overflow_gaps += 1;
         }
-        if let Some(m) = &self.metrics {
-            m.gaps.inc();
-            m.gap_width_us.observe(gap.span_us());
-            match gap.cause {
-                GapCause::Overflow => {
-                    m.overflow_gaps.inc();
-                    m.gap_us_overflow.add(gap.span_us());
-                }
-                GapCause::Drain => m.gap_us_drain.add(gap.span_us()),
-                GapCause::BankLost => m.gap_us_bank_lost.add(gap.span_us()),
+        self.metrics.gaps.inc();
+        self.metrics.gap_width_us.observe(gap.span_us());
+        match gap.cause {
+            GapCause::Overflow => {
+                self.metrics.overflow_gaps.inc();
+                self.metrics.gap_us_overflow.add(gap.span_us());
             }
+            GapCause::Drain => self.metrics.gap_us_drain.add(gap.span_us()),
+            GapCause::BankLost => self.metrics.gap_us_bank_lost.add(gap.span_us()),
         }
-        if let Some(j) = &self.journal {
-            // One dark slice per gap, id = gap ordinal, arg = cause.
-            let id = self.gaps.len() as u64;
-            j.begin(
-                SpanTrack::Supervisor,
-                SpanName::Dark,
-                gap.start_us,
-                id,
-                cause_arg(gap.cause),
-            );
-            j.end(
-                SpanTrack::Supervisor,
-                SpanName::Dark,
-                gap.end_us,
-                id,
-                cause_arg(gap.cause),
-            );
-        }
+        // One dark slice per gap, id = gap ordinal, arg = cause.
+        let id = self.gaps.len() as u64;
+        self.journal.begin(
+            SpanTrack::Supervisor,
+            SpanName::Dark,
+            gap.start_us,
+            id,
+            cause_arg(gap.cause),
+        );
+        self.journal.end(
+            SpanTrack::Supervisor,
+            SpanName::Dark,
+            gap.end_us,
+            id,
+            cause_arg(gap.cause),
+        );
         if let Some(sink) = self.sink.as_mut() {
             sink.gap(&gap);
         }
@@ -770,9 +769,7 @@ impl SupervisorState {
 
     /// The single delivered-session site, mirroring `push_gap`.
     fn deliver(&mut self, session: SupervisedSession) {
-        if let Some(m) = &self.metrics {
-            m.sessions.inc();
-        }
+        self.metrics.sessions.inc();
         if let Some(sink) = self.sink.as_mut() {
             sink.session(&session);
         }
@@ -786,32 +783,25 @@ impl SupervisorState {
     fn try_deliver(&mut self, now: u64, index: u64, records: &[RawRecord]) -> (bool, u64) {
         let mut dark = 0u64;
         let attempts = self.policy.retry.max_attempts.max(1);
-        if let Some(j) = &self.journal {
-            j.begin(SpanTrack::Transport, SpanName::Upload, now, index, 0);
-        }
+        self.journal
+            .begin(SpanTrack::Transport, SpanName::Upload, now, index, 0);
         let mut delivered = false;
         for attempt in 0..attempts {
             if attempt > 0 {
                 let backoff = self.policy.retry.backoff_us(attempt, &mut self.rng);
                 dark += backoff;
                 self.cov.retries += 1;
-                if let Some(m) = &self.metrics {
-                    m.retries.inc();
-                    m.backoff_us.observe(backoff);
-                }
-                if let Some(j) = &self.journal {
-                    j.instant(
-                        SpanTrack::Transport,
-                        SpanName::Retry,
-                        now + dark,
-                        index,
-                        u64::from(attempt),
-                    );
-                }
+                self.metrics.retries.inc();
+                self.metrics.backoff_us.observe(backoff);
+                self.journal.instant(
+                    SpanTrack::Transport,
+                    SpanName::Retry,
+                    now + dark,
+                    index,
+                    u64::from(attempt),
+                );
             }
-            if let Some(m) = &self.metrics {
-                m.attempts.inc();
-            }
+            self.metrics.attempts.inc();
             match self.transport.upload(index, records) {
                 Ok(()) => {
                     delivered = true;
@@ -819,21 +809,17 @@ impl SupervisorState {
                 }
                 Err(TransportError) => {
                     self.cov.transport_failures += 1;
-                    if let Some(m) = &self.metrics {
-                        m.failures.inc();
-                    }
+                    self.metrics.failures.inc();
                 }
             }
         }
-        if let Some(j) = &self.journal {
-            j.end(
-                SpanTrack::Transport,
-                SpanName::Upload,
-                now + dark,
-                index,
-                u64::from(delivered),
-            );
-        }
+        self.journal.end(
+            SpanTrack::Transport,
+            SpanName::Upload,
+            now + dark,
+            index,
+            u64::from(delivered),
+        );
         (delivered, dark)
     }
 
@@ -843,32 +829,24 @@ impl SupervisorState {
     fn flush_spill_opportunistic(&mut self, now: u64) {
         while let Some(front) = self.spill.front() {
             let (index, records) = (front.index, front.records.clone());
-            if let Some(m) = &self.metrics {
-                m.attempts.inc();
-            }
+            self.metrics.attempts.inc();
             match self.transport.upload(index, &records) {
                 Ok(()) => {
-                    if let Some(j) = &self.journal {
-                        j.instant(SpanTrack::Transport, SpanName::Flush, now, index, 1);
-                    }
+                    self.journal
+                        .instant(SpanTrack::Transport, SpanName::Flush, now, index, 1);
                     let s = self.spill.pop_front().expect("front exists");
                     self.deliver(s);
                 }
                 Err(TransportError) => {
                     self.cov.transport_failures += 1;
-                    if let Some(m) = &self.metrics {
-                        m.failures.inc();
-                    }
-                    if let Some(j) = &self.journal {
-                        j.instant(SpanTrack::Transport, SpanName::Flush, now, index, 0);
-                    }
+                    self.metrics.failures.inc();
+                    self.journal
+                        .instant(SpanTrack::Transport, SpanName::Flush, now, index, 0);
                     break;
                 }
             }
         }
-        if let Some(m) = &self.metrics {
-            m.spill_depth.set(self.spill.len() as u64);
-        }
+        self.metrics.spill_depth.set(self.spill.len() as u64);
     }
 
     /// Pulls the current bank, uploads (or shelves) it, opens a dark
@@ -879,9 +857,7 @@ impl SupervisorState {
         // if it was (someone flipped the switch underneath us), the
         // missed triggers are accounted like dark-window misses.
         self.cov.missed_in_gaps += h.missed_while_off;
-        if let Some(m) = &self.metrics {
-            m.missed_in_gaps.add(h.missed_while_off);
-        }
+        self.metrics.missed_in_gaps.add(h.missed_while_off);
         let records = self.board.records();
         self.board.set_switch(false);
         let captured_level = self.level;
@@ -893,16 +869,14 @@ impl SupervisorState {
             records,
         };
         self.next_bank += 1;
-        if let Some(j) = &self.journal {
-            // Close the armed-bank span opened at arm/re-arm time.
-            j.end(
-                SpanTrack::Supervisor,
-                SpanName::Bank,
-                now,
-                session.index,
-                session.records.len() as u64,
-            );
-        }
+        // Close the armed-bank span opened at arm/re-arm time.
+        self.journal.end(
+            SpanTrack::Supervisor,
+            SpanName::Bank,
+            now,
+            session.index,
+            session.records.len() as u64,
+        );
 
         // Ladder: how long would the *unmasked* trigger stream take to
         // fill one bank?  Level-invariant, so no oscillation from the
@@ -921,35 +895,27 @@ impl SupervisorState {
                 }
                 self.level = self.level.down();
                 self.cov.mask_downgrades += 1;
-                if let Some(m) = &self.metrics {
-                    m.mask_downgrades.inc();
-                    m.mask_level.set(self.level.idx() as u64);
-                }
-                if let Some(j) = &self.journal {
-                    j.instant(
-                        SpanTrack::Supervisor,
-                        SpanName::MaskDown,
-                        now,
-                        self.level.idx() as u64,
-                        fill_est,
-                    );
-                }
+                self.metrics.mask_downgrades.inc();
+                self.metrics.mask_level.set(self.level.idx() as u64);
+                self.journal.instant(
+                    SpanTrack::Supervisor,
+                    SpanName::MaskDown,
+                    now,
+                    self.level.idx() as u64,
+                    fill_est,
+                );
             } else if fill_est > self.policy.upgrade_fill_us && self.level != TagMaskLevel::All {
                 self.level = self.level.up();
                 self.cov.mask_upgrades += 1;
-                if let Some(m) = &self.metrics {
-                    m.mask_upgrades.inc();
-                    m.mask_level.set(self.level.idx() as u64);
-                }
-                if let Some(j) = &self.journal {
-                    j.instant(
-                        SpanTrack::Supervisor,
-                        SpanName::MaskUp,
-                        now,
-                        self.level.idx() as u64,
-                        fill_est,
-                    );
-                }
+                self.metrics.mask_upgrades.inc();
+                self.metrics.mask_level.set(self.level.idx() as u64);
+                self.journal.instant(
+                    SpanTrack::Supervisor,
+                    SpanName::MaskUp,
+                    now,
+                    self.level.idx() as u64,
+                    fill_est,
+                );
             }
         }
 
@@ -964,26 +930,20 @@ impl SupervisorState {
             dark += backoff;
             if ok {
                 self.breaker_open_until = None;
-                if let Some(m) = &self.metrics {
-                    m.breaker_open.set(0);
-                }
+                self.metrics.breaker_open.set(0);
                 true
             } else {
                 self.cov.breaker_trips += 1;
                 self.breaker_open_until = Some(now + dark + self.policy.breaker_cooldown_us);
-                if let Some(m) = &self.metrics {
-                    m.breaker_trips.inc();
-                    m.breaker_open.set(1);
-                }
-                if let Some(j) = &self.journal {
-                    j.instant(
-                        SpanTrack::Transport,
-                        SpanName::Breaker,
-                        now + dark,
-                        session.index,
-                        self.policy.breaker_cooldown_us,
-                    );
-                }
+                self.metrics.breaker_trips.inc();
+                self.metrics.breaker_open.set(1);
+                self.journal.instant(
+                    SpanTrack::Transport,
+                    SpanName::Breaker,
+                    now + dark,
+                    session.index,
+                    self.policy.breaker_cooldown_us,
+                );
                 false
             }
         };
@@ -991,35 +951,27 @@ impl SupervisorState {
             self.deliver(session);
             self.flush_spill_opportunistic(now);
         } else if self.spill.len() < self.policy.spill_banks {
-            if let Some(j) = &self.journal {
-                j.instant(
-                    SpanTrack::Supervisor,
-                    SpanName::Spill,
-                    now,
-                    session.index,
-                    self.spill.len() as u64 + 1,
-                );
-            }
+            self.journal.instant(
+                SpanTrack::Supervisor,
+                SpanName::Spill,
+                now,
+                session.index,
+                self.spill.len() as u64 + 1,
+            );
             self.spill.push_back(session);
-            if let Some(m) = &self.metrics {
-                m.spill_depth.set(self.spill.len() as u64);
-            }
+            self.metrics.spill_depth.set(self.spill.len() as u64);
         } else {
             // Shelf full and transport down: the newest bank is lost
             // and its span becomes dark after the fact.
             self.cov.banks_lost += 1;
-            if let Some(m) = &self.metrics {
-                m.banks_lost.inc();
-            }
-            if let Some(j) = &self.journal {
-                j.instant(
-                    SpanTrack::Supervisor,
-                    SpanName::BankLost,
-                    now,
-                    session.index,
-                    session.records.len() as u64,
-                );
-            }
+            self.metrics.banks_lost.inc();
+            self.journal.instant(
+                SpanTrack::Supervisor,
+                SpanName::BankLost,
+                now,
+                session.index,
+                session.records.len() as u64,
+            );
             self.push_gap(Gap {
                 start_us: session.start_us,
                 end_us: session.end_us,
@@ -1060,15 +1012,13 @@ impl SupervisorState {
                         let records = self.board.records();
                         self.board.set_switch(false);
                         if records.is_empty() {
-                            if let Some(j) = &self.journal {
-                                j.end(
-                                    SpanTrack::Supervisor,
-                                    SpanName::Bank,
-                                    end,
-                                    self.next_bank,
-                                    0,
-                                );
-                            }
+                            self.journal.end(
+                                SpanTrack::Supervisor,
+                                SpanName::Bank,
+                                end,
+                                self.next_bank,
+                                0,
+                            );
                             if end > self.session_start {
                                 self.idle.push(IdleSpan {
                                     start_us: self.session_start,
@@ -1085,15 +1035,13 @@ impl SupervisorState {
                                 records,
                             };
                             self.next_bank += 1;
-                            if let Some(j) = &self.journal {
-                                j.end(
-                                    SpanTrack::Supervisor,
-                                    SpanName::Bank,
-                                    end,
-                                    session.index,
-                                    session.records.len() as u64,
-                                );
-                            }
+                            self.journal.end(
+                                SpanTrack::Supervisor,
+                                SpanName::Bank,
+                                end,
+                                session.index,
+                                session.records.len() as u64,
+                            );
                             let (ok, _) = self.try_deliver(end, session.index, &session.records);
                             if ok {
                                 self.deliver(session);
@@ -1112,18 +1060,14 @@ impl SupervisorState {
                     self.deliver(front);
                 } else {
                     self.cov.banks_lost += 1;
-                    if let Some(m) = &self.metrics {
-                        m.banks_lost.inc();
-                    }
-                    if let Some(j) = &self.journal {
-                        j.instant(
-                            SpanTrack::Supervisor,
-                            SpanName::BankLost,
-                            end,
-                            front.index,
-                            front.records.len() as u64,
-                        );
-                    }
+                    self.metrics.banks_lost.inc();
+                    self.journal.instant(
+                        SpanTrack::Supervisor,
+                        SpanName::BankLost,
+                        end,
+                        front.index,
+                        front.records.len() as u64,
+                    );
                     self.push_gap(Gap {
                         start_us: front.start_us,
                         end_us: front.end_us,
@@ -1155,15 +1099,13 @@ impl SupervisorState {
             // Final gauges: the live handles settle on the ledger's
             // totals, so a post-run snapshot reads like the Coverage
             // block.
-            if let Some(m) = &self.metrics {
-                m.covered_us.set(self.cov.covered_us);
-                m.timeline_us.set(self.cov.timeline_us);
-                for (g, us) in m.level_us.iter().zip(self.cov.level_us.iter()) {
-                    g.set(*us);
-                }
-                m.mask_level.set(self.level.idx() as u64);
-                m.spill_depth.set(0);
+            self.metrics.covered_us.set(self.cov.covered_us);
+            self.metrics.timeline_us.set(self.cov.timeline_us);
+            for (g, us) in self.metrics.level_us.iter().zip(self.cov.level_us.iter()) {
+                g.set(*us);
             }
+            self.metrics.mask_level.set(self.level.idx() as u64);
+            self.metrics.spill_depth.set(0);
         }
         let mut hot_tags: Vec<u16> = self.mask.hot.iter().copied().collect();
         hot_tags.sort_unstable();
@@ -1223,23 +1165,23 @@ impl CaptureSupervisor {
                 idle: Vec::new(),
                 cov: Coverage::empty(),
                 finished: false,
-                metrics: None,
-                journal: None,
+                metrics: SupMetrics::default(),
+                journal: SpanLog::default(),
                 sink: None,
             })),
         }
     }
 
-    /// Enables live self-metrics in `reg`: supervisor counters under
-    /// `sup.`, retry-stack counters under `transport.`, and the
+    /// Publishes live self-metrics into `reg`: supervisor counters
+    /// under `sup.`, retry-stack counters under `transport.`, and the
     /// wrapped board's counters under `board.`.  Counter sites mirror
     /// the [`Coverage`] ledger exactly (see `HealthReport`), so a
-    /// post-`finish` snapshot and the ledger provably agree.  Without
-    /// this call the trigger path touches no atomics.
+    /// post-`finish` snapshot and the ledger provably agree.  An inert
+    /// `reg` (the default) leaves the trigger path touching no atomics.
     pub fn set_telemetry(&self, reg: &Registry) {
         let mut s = self.state.lock();
         s.board.set_telemetry(reg);
-        s.metrics = Some(SupMetrics::new(reg));
+        s.metrics = SupMetrics::new(reg);
     }
 
     /// Attaches a span journal: armed-bank begin/end pairs, dark-window
@@ -1247,11 +1189,11 @@ impl CaptureSupervisor {
     /// rounds with their retries all land in `log` with simulated
     /// timestamps (the wrapped board gets the journal too).  Purely
     /// observational: the supervised run is bit-identical with or
-    /// without it.
+    /// without it, and an inert `log` (the default) records nothing.
     pub fn set_span_log(&self, log: &SpanLog) {
         let mut s = self.state.lock();
         s.board.set_span_log(log);
-        s.journal = Some(log.clone());
+        s.journal = log.clone();
     }
 
     /// Subscribes a live consumer (the analysis fold) to the capture
@@ -1296,15 +1238,13 @@ impl EpromTap for CaptureSupervisor {
             st.session_start = now_us;
             st.board.clear();
             st.board.set_switch(true);
-            if let Some(j) = &st.journal {
-                j.begin(
-                    SpanTrack::Supervisor,
-                    SpanName::Bank,
-                    now_us,
-                    st.next_bank,
-                    0,
-                );
-            }
+            st.journal.begin(
+                SpanTrack::Supervisor,
+                SpanName::Bank,
+                now_us,
+                st.next_bank,
+                0,
+            );
         }
         if now_us > st.last_seen {
             st.last_seen = now_us;
@@ -1314,9 +1254,7 @@ impl EpromTap for CaptureSupervisor {
                 // Still swapping RAMs: the trigger fires into an empty
                 // socket.
                 st.cov.missed_in_gaps += 1;
-                if let Some(m) = &st.metrics {
-                    m.missed_in_gaps.inc();
-                }
+                st.metrics.missed_in_gaps.inc();
                 return;
             }
             // Swap done at `until`: close the gap, re-arm.
@@ -1330,25 +1268,21 @@ impl EpromTap for CaptureSupervisor {
             st.board.set_switch(true);
             st.session_start = until;
             st.session_triggers = 0;
-            if let Some(m) = &st.metrics {
-                m.rearms.inc();
-            }
-            if let Some(j) = &st.journal {
-                j.instant(
-                    SpanTrack::Supervisor,
-                    SpanName::Rearm,
-                    until,
-                    st.next_bank,
-                    0,
-                );
-                j.begin(
-                    SpanTrack::Supervisor,
-                    SpanName::Bank,
-                    until,
-                    st.next_bank,
-                    0,
-                );
-            }
+            st.metrics.rearms.inc();
+            st.journal.instant(
+                SpanTrack::Supervisor,
+                SpanName::Rearm,
+                until,
+                st.next_bank,
+                0,
+            );
+            st.journal.begin(
+                SpanTrack::Supervisor,
+                SpanName::Bank,
+                until,
+                st.next_bank,
+                0,
+            );
         }
         st.session_triggers += 1;
         // Session-length cap: force a swap so the ladder re-evaluates
@@ -1356,17 +1290,13 @@ impl EpromTap for CaptureSupervisor {
         if now_us.saturating_sub(st.session_start) >= st.policy.max_session_us {
             st.drain(now_us, false);
             st.cov.missed_in_gaps += 1;
-            if let Some(m) = &st.metrics {
-                m.missed_in_gaps.inc();
-            }
+            st.metrics.missed_in_gaps.inc();
             return;
         }
         if !st.mask.admits(st.level, offset) {
             // The EE-PAL never presents this tag to the board.
             st.cov.masked_events += 1;
-            if let Some(m) = &st.metrics {
-                m.masked_events.inc();
-            }
+            st.metrics.masked_events.inc();
             return;
         }
         st.board.on_read(offset, now_us);

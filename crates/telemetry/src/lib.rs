@@ -18,6 +18,15 @@
 //! never per-event.  Re-registering a name returns the *same* handle,
 //! so independent subsystems can share a metric by name.
 //!
+//! Observation is opt-in, and the off switch lives here rather than at
+//! every call site.  The `Default` of every handle — [`Counter`],
+//! [`Gauge`], [`Histo`], [`Registry`] and [`SpanLog`] — is *inert*: it
+//! holds no allocation, touches no atomic, and every operation on it
+//! does nothing.  An inert registry hands out inert metric handles and
+//! inert [`Registry::prefixed`] views, so a producer built from one
+//! simply calls its handles and never tests whether telemetry is on.
+//! [`Registry::new`] and [`SpanLog::new`] make live ones.
+//!
 //! All atomics use `Relaxed` ordering: metrics are statistical while
 //! the run is live, and exact once the run has quiesced (thread joins
 //! and supervisor `finish()` provide the happens-before edge that the
@@ -66,52 +75,65 @@ pub fn bucket_bound(i: usize) -> Option<u64> {
     }
 }
 
-/// Monotonic event counter.
+/// Monotonic event counter; inert by default.
 #[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Relaxed);
+        self.add(1);
     }
 
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Relaxed);
+        if let Some(c) = &self.0 {
+            c.fetch_add(n, Relaxed);
+        }
     }
 
     pub fn get(&self) -> u64 {
-        self.0.load(Relaxed)
+        self.0.as_ref().map_or(0, |c| c.load(Relaxed))
     }
 }
 
-/// Last-write-wins level.  `inc`/`dec` support depth-style gauges
-/// (spill shelf, worker queue); `dec` saturates at zero rather than
-/// wrapping, so a racy underflow cannot turn into 2^64.
+/// Last-write-wins level; inert by default.  `inc`/`dec` support
+/// depth-style gauges (spill shelf, worker queue); `dec` saturates at
+/// zero rather than wrapping, so a racy underflow cannot turn into 2^64.
 #[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicU64>);
+pub struct Gauge(Option<Arc<AtomicU64>>);
 
 impl Gauge {
     #[inline]
     pub fn set(&self, v: u64) {
-        self.0.store(v, Relaxed);
+        self.set_with(|| v);
+    }
+
+    /// Sets the level to `level()`, evaluated only on a live handle: a
+    /// level derived per event costs nothing while telemetry is off.
+    #[inline]
+    pub fn set_with(&self, level: impl FnOnce() -> u64) {
+        if let Some(g) = &self.0 {
+            g.store(level(), Relaxed);
+        }
     }
 
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Relaxed);
+        if let Some(g) = &self.0 {
+            g.fetch_add(1, Relaxed);
+        }
     }
 
     #[inline]
     pub fn dec(&self) {
-        let _ = self
-            .0
-            .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(1)));
+        if let Some(g) = &self.0 {
+            let _ = g.fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(1)));
+        }
     }
 
     pub fn get(&self) -> u64 {
-        self.0.load(Relaxed)
+        self.0.as_ref().map_or(0, |g| g.load(Relaxed))
     }
 }
 
@@ -122,34 +144,40 @@ struct HistoInner {
     buckets: [AtomicU64; HISTO_BUCKETS],
 }
 
-/// Log2-bucketed histogram with exact count and sum.
-#[derive(Clone, Debug)]
-pub struct Histo(Arc<HistoInner>);
+/// Log2-bucketed histogram with exact count and sum; inert by default.
+#[derive(Clone, Debug, Default)]
+pub struct Histo(Option<Arc<HistoInner>>);
 
-impl Default for Histo {
-    fn default() -> Self {
-        Histo(Arc::new(HistoInner {
+impl Histo {
+    fn live() -> Self {
+        Histo(Some(Arc::new(HistoInner {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             buckets: [(); HISTO_BUCKETS].map(|_| AtomicU64::new(0)),
-        }))
+        })))
     }
-}
 
-impl Histo {
     #[inline]
     pub fn observe(&self, v: u64) {
-        self.0.count.fetch_add(1, Relaxed);
-        self.0.sum.fetch_add(v, Relaxed);
-        self.0.buckets[bucket_of(v)].fetch_add(1, Relaxed);
+        if let Some(h) = &self.0 {
+            h.count.fetch_add(1, Relaxed);
+            h.sum.fetch_add(v, Relaxed);
+            h.buckets[bucket_of(v)].fetch_add(1, Relaxed);
+        }
     }
 
     pub fn count(&self) -> u64 {
-        self.0.count.load(Relaxed)
+        self.0.as_ref().map_or(0, |h| h.count.load(Relaxed))
     }
 
     pub fn sum(&self) -> u64 {
-        self.0.sum.load(Relaxed)
+        self.0.as_ref().map_or(0, |h| h.sum.load(Relaxed))
+    }
+
+    fn buckets(&self) -> Vec<u64> {
+        self.0.as_ref().map_or_else(Vec::new, |h| {
+            h.buckets.iter().map(|b| b.load(Relaxed)).collect()
+        })
     }
 }
 
@@ -170,7 +198,8 @@ impl Slot {
     }
 }
 
-/// Handle factory and snapshot point.  Cloning shares the underlying
+/// Handle factory and snapshot point; inert by default
+/// ([`Registry::new`] makes a live one).  Cloning shares the underlying
 /// store; the mutex guards only the name table, never the atomics.
 ///
 /// A registry may carry a *prefix* ([`Registry::prefixed`]): every
@@ -182,44 +211,79 @@ impl Slot {
 /// the fleet serves them all without collisions.
 #[derive(Clone, Default)]
 pub struct Registry {
-    slots: Arc<Mutex<BTreeMap<String, Slot>>>,
+    /// The shared name table; `None` is the inert registry.
+    slots: Option<Arc<Mutex<BTreeMap<String, Slot>>>>,
     prefix: String,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let metrics = self.slots.as_ref().map(|s| {
+            let slots = s.lock().unwrap_or_else(|e| e.into_inner());
+            slots.len()
+        });
         f.debug_struct("Registry")
-            .field("metrics", &slots.len())
+            .field("metrics", &metrics)
             .field("prefix", &self.prefix)
             .finish()
     }
 }
 
 impl Registry {
+    /// A live, empty registry.
     pub fn new() -> Self {
-        Self::default()
+        Registry {
+            slots: Some(Arc::default()),
+            prefix: String::new(),
+        }
+    }
+
+    /// Whether this registry records anything (`false` for the inert
+    /// default).
+    pub fn is_on(&self) -> bool {
+        self.slots.is_some()
     }
 
     /// A view of the same registry that stores every metric under
     /// `{prefix}{name}`.  The slot table stays shared — a snapshot
     /// taken from any view sees all views' metrics — and prefixes
     /// compose: `reg.prefixed("fleet.").prefixed("m0.")` writes under
-    /// `fleet.m0.`.
+    /// `fleet.m0.`.  A view of the inert registry is inert.
     pub fn prefixed(&self, prefix: &str) -> Registry {
-        Registry {
-            slots: Arc::clone(&self.slots),
-            prefix: format!("{}{}", self.prefix, prefix),
+        match &self.slots {
+            Some(slots) => Registry {
+                slots: Some(Arc::clone(slots)),
+                prefix: format!("{}{}", self.prefix, prefix),
+            },
+            None => Registry::default(),
         }
     }
 
-    /// This view's prefix (empty for a bare registry).
+    /// This view's prefix (empty for a bare or inert registry).
     pub fn prefix(&self) -> &str {
         &self.prefix
     }
 
-    fn key(&self, name: &str) -> String {
-        format!("{}{}", self.prefix, name)
+    /// The handle registered as `name`, creating it with `make` on first
+    /// use; an inert handle from the inert registry.
+    ///
+    /// # Panics
+    /// If `name` is already registered as a different metric kind.
+    fn handle<T: Default>(
+        &self,
+        name: &str,
+        kind: &str,
+        make: impl FnOnce() -> Slot,
+        get: impl FnOnce(&Slot) -> Option<T>,
+    ) -> T {
+        let Some(slots) = &self.slots else {
+            return T::default();
+        };
+        let mut slots = slots.lock().unwrap();
+        let slot = slots
+            .entry(format!("{}{}", self.prefix, name))
+            .or_insert_with(make);
+        get(slot).unwrap_or_else(|| panic!("metric {name:?} is a {}, not a {kind}", slot.kind()))
     }
 
     /// Counter handle for `name`, creating it on first use.
@@ -227,14 +291,11 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(self.key(name))
-            .or_insert_with(|| Slot::Counter(Counter::default()))
-        {
-            Slot::Counter(c) => c.clone(),
-            other => panic!("metric {name:?} is a {}, not a counter", other.kind()),
-        }
+        let live = || Slot::Counter(Counter(Some(Arc::default())));
+        self.handle(name, "counter", live, |slot| match slot {
+            Slot::Counter(c) => Some(c.clone()),
+            _ => None,
+        })
     }
 
     /// Gauge handle for `name`, creating it on first use.
@@ -242,14 +303,11 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(self.key(name))
-            .or_insert_with(|| Slot::Gauge(Gauge::default()))
-        {
-            Slot::Gauge(g) => g.clone(),
-            other => panic!("metric {name:?} is a {}, not a gauge", other.kind()),
-        }
+        let live = || Slot::Gauge(Gauge(Some(Arc::default())));
+        self.handle(name, "gauge", live, |slot| match slot {
+            Slot::Gauge(g) => Some(g.clone()),
+            _ => None,
+        })
     }
 
     /// Histogram handle for `name`, creating it on first use.
@@ -257,19 +315,20 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn histo(&self, name: &str) -> Histo {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(self.key(name))
-            .or_insert_with(|| Slot::Histo(Histo::default()))
-        {
-            Slot::Histo(h) => h.clone(),
-            other => panic!("metric {name:?} is a {}, not a histo", other.kind()),
-        }
+        let live = || Slot::Histo(Histo::live());
+        self.handle(name, "histo", live, |slot| match slot {
+            Slot::Histo(h) => Some(h.clone()),
+            _ => None,
+        })
     }
 
-    /// Point-in-time copy of every registered metric, sorted by name.
+    /// Point-in-time copy of every registered metric, sorted by name
+    /// (empty for the inert registry).
     pub fn snapshot(&self) -> Snapshot {
-        let slots = self.slots.lock().unwrap();
+        let Some(slots) = &self.slots else {
+            return Snapshot::default();
+        };
+        let slots = slots.lock().unwrap();
         let metrics = slots
             .iter()
             .map(|(name, slot)| {
@@ -279,7 +338,7 @@ impl Registry {
                     Slot::Histo(h) => MetricValue::Histo(HistoValue {
                         count: h.count(),
                         sum: h.sum(),
-                        buckets: h.0.buckets.iter().map(|b| b.load(Relaxed)).collect(),
+                        buckets: h.buckets(),
                     }),
                 };
                 (name.clone(), value)
@@ -567,6 +626,38 @@ mod tests {
             }
             other => panic!("wrong kind: {other:?}"),
         }
+    }
+
+    #[test]
+    fn inert_handles_do_nothing() {
+        let (c, g, h) = (Counter::default(), Gauge::default(), Histo::default());
+        c.inc();
+        c.add(5);
+        g.set(7);
+        g.inc();
+        g.dec();
+        g.set_with(|| unreachable!("an inert gauge never evaluates its level"));
+        h.observe(130);
+        assert_eq!((c.get(), g.get(), h.count(), h.sum()), (0, 0, 0, 0));
+    }
+
+    #[test]
+    fn inert_registry_stays_inert() {
+        let reg = Registry::default();
+        assert!(!reg.is_on());
+        reg.counter("x").inc();
+        reg.gauge("g").set(3);
+        reg.histo("h").observe(9);
+        // Re-registering as another kind cannot clash in an empty table.
+        reg.gauge("x").set(1);
+        assert!(reg.snapshot().is_empty());
+        let view = reg.prefixed("m0.").prefixed("sup.");
+        assert!(!view.is_on());
+        assert_eq!(view.prefix(), "");
+        view.counter("gaps").add(4);
+        assert!(view.snapshot().is_empty());
+        assert!(reg.snapshot().is_empty());
+        assert!(Registry::new().is_on());
     }
 
     #[test]

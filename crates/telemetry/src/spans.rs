@@ -17,11 +17,12 @@
 //! never blocks the capture hot path.  When the array fills, further
 //! events are counted in `dropped()` and discarded — the journal
 //! degrades by forgetting the tail, never by stalling the machine.
-//! Like the Registry, values are exact once the run has quiesced.
+//! Like the Registry, values are exact once the run has quiesced, and
+//! the default journal is inert: it records nothing and counts no drops.
 //!
 //! ```
 //! use hwprof_telemetry::{SpanLog, SpanName, SpanPhase, SpanTrack};
-//! let log = SpanLog::default();
+//! let log = SpanLog::new();
 //! log.begin(SpanTrack::Supervisor, SpanName::Bank, 100, 0, 0);
 //! log.end(SpanTrack::Supervisor, SpanName::Bank, 900, 0, 42);
 //! let events = log.snapshot();
@@ -36,7 +37,7 @@ use std::sync::atomic::{
 };
 use std::sync::Arc;
 
-/// Default slot count of [`SpanLog::default`]: enough for every
+/// Default slot count of [`SpanLog::new`]: enough for every
 /// supervised run in this repo with a wide margin, small enough that an
 /// always-on journal costs a few MiB at most.
 pub const SPAN_LOG_DEFAULT_CAPACITY: usize = 65_536;
@@ -242,23 +243,19 @@ struct Inner {
     dropped: AtomicU64,
 }
 
-/// Bounded lock-free journal of [`SpanEvent`]s.  Cloning shares the
-/// underlying buffer, like every other telemetry handle.
-#[derive(Clone)]
+/// Bounded lock-free journal of [`SpanEvent`]s; inert by default.
+/// Cloning shares the underlying buffer, like every other telemetry
+/// handle.
+#[derive(Clone, Default)]
 pub struct SpanLog {
-    inner: Arc<Inner>,
-}
-
-impl Default for SpanLog {
-    fn default() -> Self {
-        SpanLog::with_capacity(SPAN_LOG_DEFAULT_CAPACITY)
-    }
+    /// The slot array; `None` is the inert journal.
+    inner: Option<Arc<Inner>>,
 }
 
 impl std::fmt::Debug for SpanLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpanLog")
-            .field("capacity", &self.inner.slots.len())
+            .field("capacity", &self.capacity())
             .field("recorded", &self.len())
             .field("dropped", &self.dropped())
             .finish()
@@ -266,8 +263,9 @@ impl std::fmt::Debug for SpanLog {
 }
 
 impl SpanLog {
+    /// A live journal of [`SPAN_LOG_DEFAULT_CAPACITY`] slots.
     pub fn new() -> Self {
-        Self::default()
+        SpanLog::with_capacity(SPAN_LOG_DEFAULT_CAPACITY)
     }
 
     /// A journal holding at most `capacity` events (further events are
@@ -284,19 +282,22 @@ impl SpanLog {
             .collect::<Vec<_>>()
             .into_boxed_slice();
         SpanLog {
-            inner: Arc::new(Inner {
+            inner: Some(Arc::new(Inner {
                 slots,
                 next: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
-            }),
+            })),
         }
     }
 
     /// Records one event; wait-free, drops (and counts) when full.
     pub fn record(&self, ev: SpanEvent) {
-        let i = self.inner.next.fetch_add(1, Relaxed);
-        let Some(slot) = self.inner.slots.get(i as usize) else {
-            self.inner.dropped.fetch_add(1, Relaxed);
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        let i = inner.next.fetch_add(1, Relaxed);
+        let Some(slot) = inner.slots.get(i as usize) else {
+            inner.dropped.fetch_add(1, Relaxed);
             return;
         };
         slot.t.store(ev.t_us, Relaxed);
@@ -305,6 +306,15 @@ impl SpanLog {
         slot.id.store(ev.id, Relaxed);
         slot.arg.store(ev.arg, Relaxed);
         slot.committed.store(1, Release);
+    }
+
+    /// Records every event of `events` in order.  An inert journal
+    /// never iterates them, so events computed lazily cost nothing
+    /// while the journal is off.
+    pub fn extend(&self, events: impl IntoIterator<Item = SpanEvent>) {
+        if self.inner.is_some() {
+            events.into_iter().for_each(|ev| self.record(ev));
+        }
     }
 
     /// Records a [`SpanPhase::Begin`].
@@ -347,9 +357,12 @@ impl SpanLog {
     /// quiesced; a slot claimed but not yet committed by a live writer
     /// is skipped.
     pub fn snapshot(&self) -> Vec<SpanEvent> {
-        let n = (self.inner.next.load(Acquire) as usize).min(self.inner.slots.len());
+        let Some(inner) = &self.inner else {
+            return Vec::new();
+        };
+        let n = (inner.next.load(Acquire) as usize).min(inner.slots.len());
         let mut out = Vec::with_capacity(n);
-        for slot in &self.inner.slots[..n] {
+        for slot in &inner.slots[..n] {
             if slot.committed.load(Acquire) == 0 {
                 continue;
             }
@@ -371,7 +384,9 @@ impl SpanLog {
     /// Events recorded (claimed slots, committed or not), capped at
     /// capacity.
     pub fn len(&self) -> usize {
-        (self.inner.next.load(Relaxed) as usize).min(self.inner.slots.len())
+        self.inner.as_ref().map_or(0, |inner| {
+            (inner.next.load(Relaxed) as usize).min(inner.slots.len())
+        })
     }
 
     pub fn is_empty(&self) -> bool {
@@ -380,12 +395,14 @@ impl SpanLog {
 
     /// Events discarded because the journal was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Relaxed)
+        self.inner
+            .as_ref()
+            .map_or(0, |inner| inner.dropped.load(Relaxed))
     }
 
-    /// Slot capacity.
+    /// Slot capacity (0 for the inert journal).
     pub fn capacity(&self) -> usize {
-        self.inner.slots.len()
+        self.inner.as_ref().map_or(0, |inner| inner.slots.len())
     }
 }
 
@@ -443,6 +460,32 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.dropped(), 3);
         assert_eq!(log.snapshot().len(), 2);
+    }
+
+    #[test]
+    fn inert_journal_records_and_drops_nothing() {
+        let log = SpanLog::default();
+        log.begin(SpanTrack::Supervisor, SpanName::Bank, 100, 0, 0);
+        log.instant(SpanTrack::Board, SpanName::Overflow, 150, 0, 0);
+        log.extend((0..4).map(|_| unreachable!("an inert journal never pulls events")));
+        assert_eq!((log.len(), log.dropped(), log.capacity()), (0, 0, 0));
+        assert!(log.is_empty());
+        assert!(log.snapshot().is_empty());
+    }
+
+    #[test]
+    fn extend_records_in_order() {
+        let log = SpanLog::with_capacity(2);
+        log.extend((0..3).map(|i| SpanEvent {
+            t_us: i,
+            phase: SpanPhase::Instant,
+            track: SpanTrack::Recorder,
+            name: SpanName::Window,
+            id: i,
+            arg: 0,
+        }));
+        let ids: Vec<u64> = log.snapshot().iter().map(|e| e.id).collect();
+        assert_eq!((ids, log.dropped()), (vec![0, 1], 1));
     }
 
     #[test]

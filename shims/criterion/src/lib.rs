@@ -104,7 +104,7 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Times `routine`: the budget is split into [`SLICES`] slices of
+    /// Times `routine`: the budget is split into `SLICES` slices of
     /// as many runs as fit, and the minimum slice mean is reported.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
         // Warm-up and single-run estimate.

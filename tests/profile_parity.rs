@@ -1,10 +1,7 @@
-//! Profile-view parity: every capture path's unified [`Profile`]
-//! renderers are byte-identical to the per-type `export()` output they
-//! replaced.  The pre-PR-9 wrappers were exactly
-//! `as_profile().exporter()`, so the [`Exporter`] a capture's profile
-//! assembles *is* the old output — this suite pins that equivalence on
-//! the golden Figure-4 fixture (whose checked-in goldens predate the
-//! unified view) and proves each path renders stably across runs.
+//! Profile-view parity: the unified [`Profile`] renderers hit the
+//! checked-in Figure-4 export goldens byte for byte, and every capture
+//! path's profile renders identically across two identically seeded
+//! runs.
 
 use std::fs;
 use std::path::PathBuf;
@@ -12,7 +9,7 @@ use std::path::PathBuf;
 use hwprof::analysis::{decode_recovering, Analyzer, Reconstruction};
 use hwprof::profiler::{parse_raw_lossy, serialize_raw, BoardConfig, RawRecord};
 use hwprof::tagfile::{TagFile, TagKind};
-use hwprof::{scenarios, Experiment, Exporter, Profile, RecorderConfig, SupervisorPolicy};
+use hwprof::{scenarios, Experiment, Profile, RecorderConfig, SupervisorPolicy};
 
 const SEED: u64 = 0x1993_0617;
 
@@ -60,29 +57,17 @@ fn figure4() -> Reconstruction {
         .expect("ungated")
 }
 
-/// The goldens were generated by the per-type export path before the
-/// unified view existed; both the raw [`Exporter`] and the [`Profile`]
-/// that replaced it must still hit them byte for byte.
+/// The Figure-4 export goldens, byte for byte.
 #[test]
 fn figure4_profile_matches_per_type_export_goldens() {
     let r = figure4();
     let profile = Profile::new(&r).name("figure 4");
-    let exporter = Exporter::new(&r).name("figure 4");
-    for (name, via_profile, via_exporter) in [
-        (
-            "figure4_trace.json",
-            profile.chrome_trace(),
-            exporter.chrome_trace(),
-        ),
-        (
-            "figure4.speedscope.json",
-            profile.speedscope(),
-            exporter.speedscope(),
-        ),
-        ("figure4.folded", profile.folded(), exporter.folded()),
+    for (name, via_profile) in [
+        ("figure4_trace.json", profile.chrome_trace()),
+        ("figure4.speedscope.json", profile.speedscope()),
+        ("figure4.folded", profile.folded()),
     ] {
         let want = golden(name);
-        assert_eq!(via_exporter, want, "raw Exporter drifted from {name}");
         assert_eq!(via_profile, want, "Profile view drifted from {name}");
     }
 }
@@ -98,26 +83,9 @@ fn render_all(p: &Profile<'_>) -> [String; 5] {
     ]
 }
 
-/// One path's parity contract: the profile's renderers match the
-/// exporter it assembles (the old `export()` return value), and a
-/// second identically-seeded run reproduces every byte.
+/// One path's parity contract: a second identically-seeded run
+/// reproduces every byte.
 fn assert_parity(label: &str, a: &Profile<'_>, b: &Profile<'_>) {
-    let ex = a.exporter();
-    assert_eq!(
-        a.chrome_trace(),
-        ex.chrome_trace(),
-        "{label}: profile vs exporter chrome_trace"
-    );
-    assert_eq!(
-        a.speedscope(),
-        ex.speedscope(),
-        "{label}: profile vs exporter speedscope"
-    );
-    assert_eq!(
-        a.folded(),
-        ex.folded(),
-        "{label}: profile vs exporter folded"
-    );
     let (ra, rb) = (render_all(a), render_all(b));
     for (i, fmt) in ["chrome_trace", "speedscope", "folded", "summary", "html"]
         .iter()
