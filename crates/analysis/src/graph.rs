@@ -1,7 +1,10 @@
 //! Call-graph export (future work: "graphically representing the code
 //! path").
 
-use crate::recon::Reconstruction;
+use std::collections::BTreeMap;
+
+use crate::events::SymId;
+use crate::recon::{ItemKind, Reconstruction, TraceItem};
 
 /// Renders the reconstructed call graph as Graphviz dot, edges labelled
 /// with call counts, nodes with net µs.
@@ -20,9 +23,7 @@ pub fn to_dot(r: &Reconstruction) -> String {
             a.calls
         ));
     }
-    let mut edges: Vec<(&(u32, u32), &u64)> = r.edges.iter().collect();
-    edges.sort();
-    for (&(from, to), &count) in edges {
+    for ((from, to), count) in call_edges(&r.trace) {
         out.push_str(&format!(
             "  \"{}\" -> \"{}\" [label=\"{}\"];\n",
             r.syms.name(from),
@@ -32,6 +33,36 @@ pub fn to_dot(r: &Reconstruction) -> String {
     }
     out.push_str("}\n");
     out
+}
+
+/// Call-graph edges read off the trace: (caller, callee) -> completed
+/// calls.  Within one session and lane a call at depth `d` sits under
+/// the latest call at depth `d - 1`, so each closed call below the top
+/// level counts one edge from it; force-closed and still-open frames
+/// count none.
+fn call_edges(trace: &[TraceItem]) -> BTreeMap<(SymId, SymId), u64> {
+    let mut edges = BTreeMap::new();
+    // Per lane: the syms of the latest call at each depth.
+    let mut lanes: Vec<Vec<SymId>> = Vec::new();
+    for item in trace {
+        match item.kind {
+            ItemKind::SessionBreak => lanes.clear(),
+            ItemKind::Call { sym, closed, .. } => {
+                let lane = item.lane as usize;
+                if lanes.len() <= lane {
+                    lanes.resize_with(lane + 1, Vec::new);
+                }
+                let stack = &mut lanes[lane];
+                stack.truncate(item.depth);
+                if let (true, Some(&caller)) = (closed, stack.last()) {
+                    *edges.entry((caller, sym)).or_insert(0) += 1;
+                }
+                stack.push(sym);
+            }
+            _ => {}
+        }
+    }
+    edges
 }
 
 #[cfg(test)]

@@ -70,8 +70,8 @@ proptest! {
         prop_assume!(records.len() >= 2);
         let (syms, events) = decode(&records, &tf);
         let r = analyze(&syms, &events);
-        prop_assert_eq!(r.unmatched_exits, 0);
-        prop_assert_eq!(r.unknown_tags, 0);
+        prop_assert_eq!(r.anomalies.orphan_exits, 0);
+        prop_assert_eq!(r.anomalies.unknown_tags, 0);
         prop_assert_eq!(r.open_at_end, 0);
         prop_assert_eq!(r.idle, 0);
         // Outermost frames' elapsed covers the whole run; net times of

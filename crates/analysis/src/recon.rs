@@ -157,18 +157,12 @@ pub struct Reconstruction {
     pub context_switches: u64,
     /// Completed `swtch` frames (any resume).
     pub swtch_calls: u64,
-    /// Exits with no matching open frame (capture started mid-call).
-    pub unmatched_exits: u64,
-    /// Tags absent from the name file.
-    pub unknown_tags: u64,
     /// Frames still open when the capture ended.
     pub open_at_end: u64,
     /// Threads of control first seen at a `swtch` exit.
     pub births: u64,
     /// Trace elements (across all sessions, with breaks).
     pub trace: Vec<TraceItem>,
-    /// Call-graph edges: (caller, callee) -> completed calls.
-    pub edges: std::collections::HashMap<(SymId, SymId), u64>,
     /// Number of capture sessions analyzed.
     pub sessions: usize,
     /// Classified anomaly summary (always populated from the counters
@@ -194,12 +188,9 @@ impl Reconstruction {
             tags: 0,
             context_switches: 0,
             swtch_calls: 0,
-            unmatched_exits: 0,
-            unknown_tags: 0,
             open_at_end: 0,
             births: 0,
             trace: Vec::new(),
-            edges: std::collections::HashMap::new(),
             sessions: 0,
             anomalies: Anomalies::default(),
             coverage: Coverage::empty(),
@@ -222,14 +213,9 @@ impl Reconstruction {
         self.tags += other.tags;
         self.context_switches += other.context_switches;
         self.swtch_calls += other.swtch_calls;
-        self.unmatched_exits += other.unmatched_exits;
-        self.unknown_tags += other.unknown_tags;
         self.open_at_end += other.open_at_end;
         self.births += other.births;
         self.trace.extend(other.trace);
-        for (k, v) in other.edges {
-            *self.edges.entry(k).or_insert(0) += v;
-        }
         self.sessions += other.sessions;
         self.anomalies.merge(&other.anomalies);
         self.coverage.merge(&other.coverage);
@@ -284,10 +270,9 @@ impl Reconstruction {
 
 /// The reusable session reconstructor — the arena of the hot path.
 ///
-/// Per-session allocation (symbol tables, stats vectors, edge maps,
-/// trace vectors, a frame stack per process birth) would dominate at
-/// fleet scale, so a `SessionRecon` is created once and fed many
-/// sessions:
+/// Per-session allocation (symbol tables, stats vectors, trace
+/// vectors, a frame stack per process birth) would dominate at fleet
+/// scale, so a `SessionRecon` is created once and fed many sessions:
 ///
 /// * results accumulate **directly into a shared [`Reconstruction`]**
 ///   ([`session_into`](SessionRecon::session_into)) — bit-identical to
@@ -447,10 +432,6 @@ impl<'a> SessionRecon<'a> {
             *children = f.children;
             *spans_switch = f.spans_switch;
             *closed = true;
-        }
-        // Call-graph edge.
-        if let Some(parent) = self.active.frames.last() {
-            *out.edges.entry((parent.sym, f.sym)).or_insert(0) += 1;
         }
         // Explicit return lines for frames the renderer may want to
         // close visually: switch spanners (named, with times) and
@@ -645,11 +626,9 @@ impl<'a> SessionRecon<'a> {
                             }
                             self.pop(out, ev.t);
                         } else {
-                            out.unmatched_exits += 1;
                             out.anomalies.orphan_exits += 1;
                         }
                     } else {
-                        out.unmatched_exits += 1;
                         out.anomalies.orphan_exits += 1;
                     }
                 }
@@ -663,7 +642,6 @@ impl<'a> SessionRecon<'a> {
                     });
                 }
                 EvKind::Unknown(_) => {
-                    out.unknown_tags += 1;
                     out.anomalies.unknown_tags += 1;
                 }
             }
@@ -871,7 +849,7 @@ mod tests {
         assert_eq!(b.net, 30);
         assert_eq!(r.total_elapsed, 100);
         assert_eq!(r.idle, 0);
-        assert_eq!(r.unmatched_exits, 0);
+        assert_eq!(r.anomalies.orphan_exits, 0);
     }
 
     #[test]
@@ -908,7 +886,7 @@ mod tests {
         let c = r.agg("c").unwrap();
         assert_eq!(c.calls, 1);
         assert_eq!(c.net, 10);
-        assert_eq!(r.unmatched_exits, 1);
+        assert_eq!(r.anomalies.orphan_exits, 1);
         assert_eq!(r.births, 1);
         assert!(r.context_switches >= 2);
         // Idle: windows 30..40 and 90..95.
@@ -953,7 +931,7 @@ mod tests {
         let recs = [rec(103, 5), rec(101, 10), rec(100, 20), rec(101, 30)];
         let (syms, ev) = decode(&recs, &tf);
         let r = analyze(&syms, &ev);
-        assert_eq!(r.unmatched_exits, 2);
+        assert_eq!(r.anomalies.orphan_exits, 2);
         assert_eq!(r.agg("a").unwrap().calls, 1);
         assert_eq!(r.agg("a").unwrap().net, 10);
     }
@@ -1081,7 +1059,7 @@ mod tests {
         let recs = [rec(100, 0), rec(999, 5), rec(101, 10)];
         let (syms, ev) = decode(&recs, &tf);
         let r = analyze(&syms, &ev);
-        assert_eq!(r.unknown_tags, 1);
+        assert_eq!(r.anomalies.unknown_tags, 1);
         assert_eq!(r.agg("a").unwrap().calls, 1);
     }
 }

@@ -418,6 +418,81 @@ impl RecorderInner {
             late_sessions: self.late_sessions,
         }
     }
+
+    /// Window `w`'s rollup (see [`FlightRecorder::window`]).
+    fn window(&mut self, w: u64) -> Option<WindowRollup> {
+        let recon = self.fold(w)?;
+        let (start_us, end_us) = self.window_span(w);
+        Some(WindowRollup {
+            index: w,
+            start_us,
+            end_us,
+            recon,
+            name: format!("window {w}"),
+        })
+    }
+
+    /// The per-function delta between two windows (see
+    /// [`FlightRecorder::diff`]).
+    fn diff(&mut self, a: u64, b: u64) -> Option<WindowDiff> {
+        let ra = self.window(a)?;
+        let rb = self.window(b)?;
+        let threshold_ppm = self.cfg.diff_threshold_ppm;
+        let mut rows = Vec::new();
+        let syms = &ra.recon.syms;
+        for s in 0..ra.recon.stats.len() {
+            let fa = ra.recon.stats[s];
+            let fb = rb.recon.stats[s];
+            let active = |f: &FnAgg| f.calls > 0 || f.net > 0 || f.inline_hits > 0;
+            if !active(&fa) && !active(&fb) {
+                continue;
+            }
+            let name = syms.name(s as u32).to_string();
+            let vis = visibility(&self.tf, &self.hot_tags, &name)
+                .unwrap_or(MaskVisibility::UnlessSwitchOnly);
+            let rate = |f: &FnAgg, r: &Reconstruction| -> Option<f64> {
+                let vis_us = visible_us(&r.coverage, vis);
+                if vis_us == 0 {
+                    None
+                } else {
+                    Some(f.net as f64 / vis_us as f64)
+                }
+            };
+            let a_rate = rate(&fa, &ra.recon);
+            let b_rate = rate(&fb, &rb.recon);
+            let growth_pct = match (a_rate, b_rate) {
+                (Some(x), Some(y)) if x > 0.0 => Some((y / x - 1.0) * 100.0),
+                _ => None,
+            };
+            rows.push(DiffRow {
+                name,
+                a: fa,
+                b: fb,
+                d_calls: fb.calls as i64 - fa.calls as i64,
+                d_net: fb.net as i64 - fa.net as i64,
+                d_elapsed: fb.elapsed as i64 - fa.elapsed as i64,
+                d_inline: fb.inline_hits as i64 - fa.inline_hits as i64,
+                a_rate,
+                b_rate,
+                growth_pct,
+            });
+        }
+        rows.sort_by(|x, y| {
+            y.d_net
+                .abs()
+                .cmp(&x.d_net.abs())
+                .then_with(|| x.name.cmp(&y.name))
+        });
+        Some(WindowDiff {
+            a,
+            b,
+            a_span: (ra.start_us, ra.end_us),
+            b_span: (rb.start_us, rb.end_us),
+            rows,
+            d_anomalies: rb.recon.anomalies.total() as i64 - ra.recon.anomalies.total() as i64,
+            threshold_ppm,
+        })
+    }
 }
 
 /// The exact time-accounting ledger of the recorder ring.
@@ -661,19 +736,24 @@ impl WindowDiff {
     }
 }
 
-/// The always-on flight recorder.  Clones share state, like every
-/// other handle in this workspace: the run's
+/// The always-on flight recorder; inert by default.  Clones share
+/// state, like every other handle in this workspace: the run's
 /// [`SupervisedFold`](crate::SupervisedFold) feeds one clone, the
 /// harness queries another live.
-#[derive(Clone)]
+///
+/// [`FlightRecorder::default`] is the inert recorder a supervised run
+/// without one carries: it allocates nothing, ignores every ingest,
+/// seal and `set_*` call, and reads empty — no retained windows, an
+/// all-zero ledger, `None` from every window query.
+#[derive(Clone, Default)]
 pub struct FlightRecorder {
-    inner: Arc<Mutex<RecorderInner>>,
+    /// The window ring; `None` is the inert recorder.
+    inner: Option<Arc<Mutex<RecorderInner>>>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        let ledger = inner.ledger();
+        let ledger = self.ledger();
         f.debug_struct("FlightRecorder")
             .field("windows", &ledger.windows)
             .field("evicted", &ledger.evicted_windows)
@@ -686,86 +766,92 @@ impl FlightRecorder {
     /// A recorder folding captures of `tf`'s tag namespace into
     /// `cfg`-shaped windows.
     pub fn new(tf: &TagFile, cfg: RecorderConfig) -> Self {
+        let inner = RecorderInner {
+            cfg,
+            tf: tf.clone(),
+            syms: Symbols::from_tagfile(tf),
+            table: DenseTagTable::from_tagfile(tf),
+            base_w: 0,
+            windows: VecDeque::new(),
+            seen: false,
+            evicted_windows: 0,
+            late_sessions: 0,
+            sessions: 0,
+            first_seen: None,
+            last_seen: 0,
+            hot_tags: Vec::new(),
+            sealed: false,
+            metrics: RecMetrics::default(),
+            journal: SpanLog::default(),
+        };
         FlightRecorder {
-            inner: Arc::new(Mutex::new(RecorderInner {
-                cfg,
-                tf: tf.clone(),
-                syms: Symbols::from_tagfile(tf),
-                table: DenseTagTable::from_tagfile(tf),
-                base_w: 0,
-                windows: VecDeque::new(),
-                seen: false,
-                evicted_windows: 0,
-                late_sessions: 0,
-                sessions: 0,
-                first_seen: None,
-                last_seen: 0,
-                hot_tags: Vec::new(),
-                sealed: false,
-                metrics: RecMetrics::default(),
-                journal: SpanLog::default(),
-            })),
+            inner: Some(Arc::new(Mutex::new(inner))),
+        }
+    }
+
+    /// Runs `f` on the live ring; the inert recorder answers
+    /// `T::default()` without running it.
+    fn with<T: Default>(&self, f: impl FnOnce(&mut RecorderInner) -> T) -> T {
+        match &self.inner {
+            Some(inner) => f(&mut inner.lock().expect("recorder lock")),
+            None => T::default(),
         }
     }
 
     /// Publishes live self-metrics under `rec.` into `reg`; an inert
     /// `reg` (the default) records nothing.
     pub fn set_telemetry(&self, reg: &Registry) {
-        self.inner.lock().expect("recorder lock").metrics = RecMetrics::new(reg);
+        self.with(|inner| inner.metrics = RecMetrics::new(reg));
     }
 
     /// Attaches a span journal: window spans land on the `recorder`
     /// lane at seal, evictions as instants when they happen.  An inert
     /// `log` (the default) records nothing and computes no span.
     pub fn set_span_log(&self, log: &SpanLog) {
-        self.inner.lock().expect("recorder lock").journal = log.clone();
-    }
-
-    /// The recorder's config.
-    pub fn config(&self) -> RecorderConfig {
-        self.inner.lock().expect("recorder lock").cfg
+        self.with(|inner| inner.journal = log.clone());
     }
 
     /// Feeds one delivered session, decoding it strictly: the replay
     /// entry for harnesses without a supervisor (supervised runs feed
     /// the recorder decoded events through `SupervisedFold`).
     pub fn ingest_session(&self, s: &SupervisedSession) {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        let mut events = Vec::new();
-        ColumnarDecoder::new(&inner.table).extend(&s.records, &mut events);
-        inner.ingest_session(s, &events);
+        self.with(|inner| {
+            let mut events = Vec::new();
+            ColumnarDecoder::new(&inner.table).extend(&s.records, &mut events);
+            inner.ingest_session(s, &events);
+        });
     }
 
     /// Feeds one delivered session already decoded into `events`.
     pub(crate) fn ingest_events(&self, s: &SupervisedSession, events: &[Event]) {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        inner.ingest_session(s, events);
+        self.with(|inner| inner.ingest_session(s, events));
     }
 
     /// Feeds one gap (see [`FlightRecorder::ingest_session`]).
     pub fn ingest_gap(&self, g: &Gap) {
-        self.inner.lock().expect("recorder lock").ingest_gap(g);
+        self.with(|inner| inner.ingest_gap(g));
     }
 
     /// Seals the finished run: reconciles the timeline with the run's
     /// exact coverage bounds and stores its hot tags for scaled diffs.
     /// Further ingest is ignored.
     pub fn seal(&self, run: &SupervisedRun) {
-        self.inner.lock().expect("recorder lock").seal(run);
+        self.with(|inner| inner.seal(run));
     }
 
     /// Absolute indices of the retained windows, oldest to newest.
     pub fn retained(&self) -> std::ops::Range<u64> {
-        let inner = self.inner.lock().expect("recorder lock");
-        if !inner.seen {
-            return 0..0;
-        }
-        inner.base_w..inner.base_w + inner.windows.len() as u64
+        self.with(|inner| {
+            if !inner.seen {
+                return 0..0;
+            }
+            inner.base_w..inner.base_w + inner.windows.len() as u64
+        })
     }
 
     /// The exact eviction ledger at this instant.
     pub fn ledger(&self) -> RecorderLedger {
-        self.inner.lock().expect("recorder lock").ledger()
+        self.with(|inner| inner.ledger())
     }
 
     /// Per-symbol [`MaskVisibility`], indexed by `SymId` — the same
@@ -773,28 +859,20 @@ impl FlightRecorder {
     /// once the run is sealed; before that every function classifies
     /// as visible unless switch-only).
     pub fn visibilities(&self) -> Vec<MaskVisibility> {
-        let inner = self.inner.lock().expect("recorder lock");
-        (0..inner.syms.len() as SymId)
-            .map(|s| {
-                visibility(&inner.tf, &inner.hot_tags, inner.syms.name(s))
-                    .unwrap_or(MaskVisibility::UnlessSwitchOnly)
-            })
-            .collect()
+        self.with(|inner| {
+            (0..inner.syms.len() as SymId)
+                .map(|s| {
+                    visibility(&inner.tf, &inner.hot_tags, inner.syms.name(s))
+                        .unwrap_or(MaskVisibility::UnlessSwitchOnly)
+                })
+                .collect()
+        })
     }
 
     /// Window `w`'s rollup; `None` when `w` was evicted or never
     /// materialized.
     pub fn window(&self, w: u64) -> Option<WindowRollup> {
-        let mut inner = self.inner.lock().expect("recorder lock");
-        let recon = inner.fold(w)?;
-        let (start_us, end_us) = inner.window_span(w);
-        Some(WindowRollup {
-            index: w,
-            start_us,
-            end_us,
-            recon,
-            name: format!("window {w}"),
-        })
+        self.with(|inner| inner.window(w))
     }
 
     /// The monoid merge of windows `range` (half-open, absolute
@@ -804,95 +882,102 @@ impl FlightRecorder {
         if range.is_empty() {
             return None;
         }
-        let mut inner = self.inner.lock().expect("recorder lock");
-        let mut out = inner.fold(range.start)?;
-        for w in range.start + 1..range.end {
-            out.merge(inner.fold(w)?);
-        }
-        let (start_us, _) = inner.window_span(range.start);
-        let (_, end_us) = inner.window_span(range.end - 1);
-        Some(WindowRollup {
-            index: range.start,
-            start_us,
-            end_us,
-            recon: out,
-            name: format!("windows {}..{}", range.start, range.end),
+        self.with(|inner| {
+            let mut out = inner.fold(range.start)?;
+            for w in range.start + 1..range.end {
+                out.merge(inner.fold(w)?);
+            }
+            let (start_us, _) = inner.window_span(range.start);
+            let (_, end_us) = inner.window_span(range.end - 1);
+            Some(WindowRollup {
+                index: range.start,
+                start_us,
+                end_us,
+                recon: out,
+                name: format!("windows {}..{}", range.start, range.end),
+            })
         })
     }
 
     /// The exact per-function delta between windows `a` and `b`,
     /// ranked by `|d_net|`; `None` when either window is unavailable.
     pub fn diff(&self, a: u64, b: u64) -> Option<WindowDiff> {
-        let ra = self.window(a)?;
-        let rb = self.window(b)?;
-        let inner = self.inner.lock().expect("recorder lock");
-        let threshold_ppm = inner.cfg.diff_threshold_ppm;
-        let mut rows = Vec::new();
-        let syms = &ra.recon.syms;
-        for s in 0..ra.recon.stats.len() {
-            let fa = ra.recon.stats[s];
-            let fb = rb.recon.stats[s];
-            let active = |f: &FnAgg| f.calls > 0 || f.net > 0 || f.inline_hits > 0;
-            if !active(&fa) && !active(&fb) {
-                continue;
-            }
-            let name = syms.name(s as u32).to_string();
-            let vis = visibility(&inner.tf, &inner.hot_tags, &name)
-                .unwrap_or(MaskVisibility::UnlessSwitchOnly);
-            let rate = |f: &FnAgg, r: &Reconstruction| -> Option<f64> {
-                let vis_us = visible_us(&r.coverage, vis);
-                if vis_us == 0 {
-                    None
-                } else {
-                    Some(f.net as f64 / vis_us as f64)
-                }
-            };
-            let a_rate = rate(&fa, &ra.recon);
-            let b_rate = rate(&fb, &rb.recon);
-            let growth_pct = match (a_rate, b_rate) {
-                (Some(x), Some(y)) if x > 0.0 => Some((y / x - 1.0) * 100.0),
-                _ => None,
-            };
-            rows.push(DiffRow {
-                name,
-                a: fa,
-                b: fb,
-                d_calls: fb.calls as i64 - fa.calls as i64,
-                d_net: fb.net as i64 - fa.net as i64,
-                d_elapsed: fb.elapsed as i64 - fa.elapsed as i64,
-                d_inline: fb.inline_hits as i64 - fa.inline_hits as i64,
-                a_rate,
-                b_rate,
-                growth_pct,
-            });
-        }
-        rows.sort_by(|x, y| {
-            y.d_net
-                .abs()
-                .cmp(&x.d_net.abs())
-                .then_with(|| x.name.cmp(&y.name))
-        });
-        Some(WindowDiff {
-            a,
-            b,
-            a_span: (ra.start_us, ra.end_us),
-            b_span: (rb.start_us, rb.end_us),
-            rows,
-            d_anomalies: rb.recon.anomalies.total() as i64 - ra.recon.anomalies.total() as i64,
-            threshold_ppm,
-        })
-    }
-
-    /// The top-`n` movers between `a` and `b` (owned, for callers that
-    /// do not need the full diff).
-    pub fn movers(&self, a: u64, b: u64, n: usize) -> Vec<DiffRow> {
-        self.diff(a, b)
-            .map(|d| d.movers(n).into_iter().cloned().collect())
-            .unwrap_or_default()
+        self.with(|inner| inner.diff(a, b))
     }
 
     /// Sessions ingested.
     pub fn sessions(&self) -> u64 {
-        self.inner.lock().expect("recorder lock").sessions
+        self.with(|inner| inner.sessions)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hwprof_profiler::{RawRecord, TagMaskLevel};
+
+    #[test]
+    fn the_default_recorder_is_inert() {
+        let tf = hwprof_tagfile::parse("a/100\n").expect("static tag file");
+        let session = SupervisedSession {
+            index: 0,
+            start_us: 0,
+            end_us: 2_500,
+            level: TagMaskLevel::All,
+            records: vec![
+                RawRecord { tag: 100, time: 0 },
+                RawRecord {
+                    tag: 101,
+                    time: 2_000,
+                },
+            ],
+        };
+        let gap = Gap {
+            start_us: 2_500,
+            end_us: 3_000,
+            cause: GapCause::Drain,
+        };
+        let run = SupervisedRun {
+            sessions: vec![session.clone()],
+            gaps: vec![gap],
+            coverage: Coverage {
+                timeline_us: 3_000,
+                covered_us: 2_500,
+                gap_us: 500,
+                gaps: 1,
+                level_us: [2_500, 0, 0],
+                ..Coverage::empty()
+            },
+            final_level: TagMaskLevel::All,
+            hot_tags: Vec::new(),
+        };
+        let inert = FlightRecorder::default();
+        assert!(
+            inert.inner.is_none(),
+            "the inert recorder allocates nothing"
+        );
+        let (reg, log) = (Registry::new(), SpanLog::new());
+        inert.set_telemetry(&reg);
+        inert.set_span_log(&log);
+        let live = FlightRecorder::new(&tf, RecorderConfig::default());
+        for rec in [&inert, &live] {
+            rec.ingest_session(&session);
+            rec.ingest_gap(&gap);
+            rec.seal(&run);
+        }
+        assert_eq!(reg.snapshot().value("rec.sessions"), None);
+        assert!(log.is_empty(), "the inert recorder journals nothing");
+        // The same feed fills a live recorder's ring.
+        assert_eq!(live.sessions(), 1);
+        assert_eq!(live.retained(), 0..3);
+        assert!(live.window(0).is_some());
+        // Every read of the inert recorder is empty.
+        assert_eq!(inert.sessions(), 0);
+        assert_eq!(inert.retained(), 0..0);
+        assert_eq!(inert.ledger(), RecorderLedger::default());
+        assert!(inert.window(0).is_none());
+        assert!(inert.range(0..3).is_none());
+        assert!(inert.diff(0, 2).is_none());
+        assert!(inert.visibilities().is_empty());
     }
 }

@@ -100,8 +100,9 @@ pub fn scaled_calls(
 
 /// The live stitch of a supervised run, installed as a
 /// `CaptureSupervisor`'s session sink: each delivered bank is decoded
-/// once into a [`BankFold`], its events and every gap go on to an
-/// optional [`FlightRecorder`].  Clones share state.
+/// once into a [`BankFold`], its events and every gap go on to a
+/// [`FlightRecorder`] (inert unless the run records).  Clones share
+/// state.
 #[derive(Clone)]
 pub struct SupervisedFold(Arc<Mutex<FoldState>>);
 
@@ -109,12 +110,12 @@ struct FoldState {
     table: DenseTagTable,
     syms: Symbols,
     fold: BankFold,
-    recorder: Option<FlightRecorder>,
+    recorder: FlightRecorder,
 }
 
 impl SupervisedFold {
-    /// A strict fold over `tf`'s build, feeding `recorder` if given.
-    pub fn new(tf: &TagFile, recorder: Option<FlightRecorder>) -> Self {
+    /// A strict fold over `tf`'s build, feeding `recorder`.
+    pub fn new(tf: &TagFile, recorder: FlightRecorder) -> Self {
         let syms = Symbols::from_tagfile(tf);
         SupervisedFold(Arc::new(Mutex::new(FoldState {
             table: DenseTagTable::from_tagfile(tf),
@@ -135,9 +136,7 @@ impl SupervisedFold {
         let fresh = BankFold::new(&st.syms);
         let mut profile = std::mem::replace(&mut st.fold, fresh).finish();
         profile.note_coverage(&run.coverage);
-        if let Some(rec) = &st.recorder {
-            rec.seal(run);
-        }
+        st.recorder.seal(run);
         profile
     }
 }
@@ -148,15 +147,13 @@ impl SessionSink for SupervisedFold {
         let st = &mut *guard;
         let mut bank = BankRecon::new(&st.table, &st.syms, false);
         let events = st.fold.push(&mut bank, session.index, &session.records);
-        if let (Some(events), Some(rec)) = (events, &st.recorder) {
-            rec.ingest_events(session, events);
+        if let Some(events) = events {
+            st.recorder.ingest_events(session, events);
         }
     }
 
     fn gap(&mut self, gap: &Gap) {
-        if let Some(rec) = &self.state().recorder {
-            rec.ingest_gap(gap);
-        }
+        self.state().recorder.ingest_gap(gap);
     }
 }
 
@@ -193,7 +190,7 @@ mod tests {
             ..SupervisorPolicy::default()
         };
         let mut sup = CaptureSupervisor::new(board, mask, policy, Box::new(MemoryTransport::new()));
-        let live = SupervisedFold::new(&tf, None);
+        let live = SupervisedFold::new(&tf, FlightRecorder::default());
         sup.set_session_sink(Box::new(live.clone()));
         // Nested a{b{}} call pairs with occasional switches, enough to
         // roll through several banks.

@@ -102,7 +102,7 @@ fn reconstruction_matches_oracle_for_network_receive() {
         );
     }
     // Structural counters.
-    assert_eq!(r.unknown_tags, 0);
+    assert_eq!(r.anomalies.unknown_tags, 0);
     assert!(r.births >= 1, "the receiver's birth was seen");
     assert!(r.total_elapsed > 50_000);
 }
@@ -152,7 +152,7 @@ fn reconstruction_handles_forkexec_switch_storms() {
     assert!(pte.calls > 1500, "pmap_pte calls {}", pte.calls);
     // Context switches were resolved (vfork parent <-> child).
     assert!(r.context_switches >= 2);
-    assert_eq!(r.unknown_tags, 0);
+    assert_eq!(r.anomalies.unknown_tags, 0);
 }
 
 #[test]

@@ -67,7 +67,7 @@ fn drive_recorded(
     }
     let mut sup = CaptureSupervisor::new(board, mask, policy, Box::new(transport));
     let rec = FlightRecorder::new(&tf, cfg);
-    let live = SupervisedFold::new(&tf, Some(rec.clone()));
+    let live = SupervisedFold::new(&tf, rec.clone());
     sup.set_session_sink(Box::new(live.clone()));
     let mut stack: Vec<u16> = Vec::new();
     let mut t = 1_000u64;

@@ -160,14 +160,12 @@ fn main() {
         if steady { "all zero" } else { "drifted" },
         steady,
     );
+    let mover = diff.movers(1).first().map_or("", |r| r.name.as_str());
     check(
         "movers(1) agrees with ranking",
         "bcopy",
-        &rec.movers(0, SHIFT_AT, 1)
-            .first()
-            .map(|r| r.name.clone())
-            .unwrap_or_default(),
-        rec.movers(0, SHIFT_AT, 1).first().map(|r| r.name.as_str()) == Some("bcopy"),
+        mover,
+        mover == "bcopy",
     );
 
     // Antisymmetry of the ranked report.

@@ -317,7 +317,7 @@ fn main() {
     let watched = experiment()
         .watch(policy, rcfg, inert_config())
         .expect("watched run");
-    let silent = watched.journal().is_empty();
+    let silent = watched.sentinel().journal().is_empty();
     let identical = silent
         && watched.as_profile().chrome_trace() == plain.as_profile().chrome_trace()
         && watched.as_profile().html() == plain.as_profile().html();

@@ -24,8 +24,8 @@
 //!   transport loss, each delivered bank decoded once as it arrives.
 
 use hwprof_analysis::{
-    Analyzer, Anomalies, Detector, FlightRecorder, Profile, Reconstruction, RecorderLedger,
-    Sentinel, SentinelConfig, StreamAnalyzer, SupervisedFold, Symbols, WindowDiff, WindowRollup,
+    Analyzer, Anomalies, FlightRecorder, Profile, Reconstruction, RecorderLedger, Sentinel,
+    SentinelConfig, StreamAnalyzer, SupervisedFold, Symbols,
 };
 use hwprof_instrument::{two_stage_link, Compiler, KernelImage, LinkResult, ModuleSelect};
 use hwprof_kernel386::funcs::{KFn, FUNCS, INLINES};
@@ -545,26 +545,25 @@ impl Experiment {
         policy: SupervisorPolicy,
         transport: Box<dyn Transport>,
     ) -> Result<SupervisedCapture, Error> {
-        self.supervise(policy, transport, |_| None)
-            .map(|(capture, _)| capture)
+        self.supervise(policy, transport, |_| FlightRecorder::default())
     }
 
-    /// The one supervised body behind [`Experiment::supervised_with`]
-    /// and [`Experiment::record_with`]: mask setup, the run with its
-    /// live [`SupervisedFold`] feeding the [`FlightRecorder`] that
-    /// `recorder` builds (if any), the delivery and coverage checks.
-    fn supervise<R: Clone + Into<Option<FlightRecorder>>>(
+    /// The one supervised body behind every supervised entry point:
+    /// mask setup, the run with its live [`SupervisedFold`] feeding the
+    /// [`FlightRecorder`] that `recorder` builds (inert for a plain
+    /// supervised run), the delivery and coverage checks.
+    fn supervise(
         mut self,
         policy: SupervisorPolicy,
         transport: Box<dyn Transport>,
-        recorder: impl FnOnce(&TagFile) -> R,
-    ) -> Result<(SupervisedCapture, R), Error> {
+        recorder: impl FnOnce(&TagFile) -> FlightRecorder,
+    ) -> Result<SupervisedCapture, Error> {
         // The supervisor owns the arm switch; the board starts off.
         self.armed = false;
         let pol = policy.clone();
         let telem = self.telemetry.clone();
         let jour = self.journal.clone();
-        let (p, (sup, fold, kept)) = self.prepare_with_tap(move |board, tagfile| {
+        let (p, (sup, fold, rec)) = self.prepare_with_tap(move |board, tagfile| {
             // The EE-PAL decode for this build: context-switch tags
             // always pass; pinned hot functions resolve by name.
             let cswitch = tagfile
@@ -583,15 +582,12 @@ impl Experiment {
             let sup = CaptureSupervisor::new(board.clone(), mask, pol, transport);
             sup.set_telemetry(&telem);
             sup.set_span_log(&jour);
-            let kept = recorder(tagfile);
-            let rec: Option<FlightRecorder> = kept.clone().into();
-            if let Some(rec) = &rec {
-                rec.set_telemetry(&telem);
-                rec.set_span_log(&jour);
-            }
-            let fold = SupervisedFold::new(tagfile, rec);
+            let rec = recorder(tagfile);
+            rec.set_telemetry(&telem);
+            rec.set_span_log(&jour);
+            let fold = SupervisedFold::new(tagfile, rec.clone());
             sup.set_session_sink(Box::new(fold.clone()));
-            (Box::new(sup.clone()), (sup, fold, kept))
+            (Box::new(sup.clone()), (sup, fold, rec))
         })?;
         let kernel = p.sim.run();
         let run = sup.finish();
@@ -612,24 +608,26 @@ impl Experiment {
                 });
             }
         }
-        let capture = SupervisedCapture {
+        Ok(SupervisedCapture {
             run,
             profile,
             tagfile: p.tagfile,
             link: p.link,
             kernel,
+            recorder: rec,
             telemetry: p.telemetry,
             journal: p.journal,
-        };
-        Ok((capture, kept))
+        })
     }
 
     /// Continuous profiling: a supervised run with an always-on
     /// [`FlightRecorder`] subscribed to the capture stream, folding
     /// every delivered bank into fixed-width window rollups as the
-    /// workload runs.  Returns a [`RecorderHandle`] carrying the live
-    /// query surface (`window` / `range` / `diff` / movers) alongside
-    /// the usual full-run reconstruction.
+    /// workload runs.  The returned capture's
+    /// [`recorder`](SupervisedCapture::recorder) carries the live query
+    /// surface (`window` / `range` / `diff` / `ledger`) alongside the
+    /// usual full-run reconstruction, which is bit-identical to what
+    /// [`Experiment::supervised`] with the same policy produces.
     ///
     /// # Errors
     ///
@@ -638,29 +636,9 @@ impl Experiment {
         self,
         policy: SupervisorPolicy,
         cfg: RecorderConfig,
-    ) -> Result<RecorderHandle, Error> {
+    ) -> Result<SupervisedCapture, Error> {
         let transport = default_transport(&policy);
-        self.record_with(policy, transport, cfg)
-    }
-
-    /// [`Experiment::record`] with a caller-supplied [`Transport`].
-    pub fn record_with(
-        self,
-        policy: SupervisorPolicy,
-        transport: Box<dyn Transport>,
-        cfg: RecorderConfig,
-    ) -> Result<RecorderHandle, Error> {
-        let (c, recorder) = self.supervise(policy, transport, |tf| FlightRecorder::new(tf, cfg))?;
-        Ok(RecorderHandle {
-            recorder,
-            run: c.run,
-            profile: c.profile,
-            tagfile: c.tagfile,
-            link: c.link,
-            kernel: c.kernel,
-            telemetry: c.telemetry,
-            journal: c.journal,
-        })
+        self.supervise(policy, transport, |tf| FlightRecorder::new(tf, cfg))
     }
 
     /// Continuous profiling with regression watching: an
@@ -668,11 +646,12 @@ impl Experiment {
     /// evaluated by a deterministic [`Sentinel`] — baseline warm-up,
     /// the fixed detector set, hysteresis, and an append-only
     /// [`AlertJournal`](hwprof_analysis::AlertJournal).  Returns a
-    /// [`SentinelHandle`] wrapping the usual [`RecorderHandle`].
+    /// [`SentinelHandle`] pairing the sentinel with the recorded
+    /// [`SupervisedCapture`].
     ///
-    /// The sentinel is a pure read over the recorder: the capture and
-    /// the underlying handle are bit-identical to what `record` with
-    /// the same policy and config produces.
+    /// The sentinel is a pure read over the recorder: the capture is
+    /// bit-identical to what `record` with the same policy and config
+    /// produces.
     ///
     /// # Errors
     ///
@@ -695,13 +674,13 @@ impl Experiment {
         cfg: RecorderConfig,
         sentinel: SentinelConfig,
     ) -> Result<SentinelHandle, Error> {
-        let handle = self.record_with(policy, transport, cfg)?;
+        let capture = self.supervise(policy, transport, |tf| FlightRecorder::new(tf, cfg))?;
         let mut sent = Sentinel::new(sentinel);
-        sent.set_telemetry(&handle.telemetry);
-        sent.scan(&handle.recorder);
+        sent.set_telemetry(&capture.telemetry);
+        sent.scan(&capture.recorder);
         Ok(SentinelHandle {
             sentinel: sent,
-            handle,
+            capture,
         })
     }
 }
@@ -795,11 +774,6 @@ impl Capture {
         check_anomaly_limit(&r.anomalies, r.tags as u64, limit)?;
         Ok(r)
     }
-
-    /// [`Kernel::busy_fraction`] of the run.
-    pub fn busy_fraction(&self) -> f64 {
-        self.kernel.busy_fraction()
-    }
 }
 
 /// What a backend-agnostic [`Experiment::try_capture`] run produced:
@@ -835,11 +809,6 @@ impl BackendCapture {
         Profile::new(&self.profile)
             .name(self.backend)
             .spans(&self.journal)
-    }
-
-    /// [`Kernel::busy_fraction`] of the run.
-    pub fn busy_fraction(&self) -> f64 {
-        self.kernel.busy_fraction()
     }
 }
 
@@ -877,15 +846,13 @@ impl StreamCapture {
     pub fn as_profile(&self) -> Profile<'_> {
         Profile::new(&self.profile).spans(&self.journal)
     }
-
-    /// [`Kernel::busy_fraction`] of the run.
-    pub fn busy_fraction(&self) -> f64 {
-        self.kernel.busy_fraction()
-    }
 }
 
-/// What a supervised run produced: the delivered per-bank sessions with
-/// their gap/downgrade bookkeeping, plus the stitched reconstruction.
+/// What a supervised run ([`Experiment::supervised`],
+/// [`Experiment::record`]) produced: the delivered per-bank sessions
+/// with their gap/downgrade bookkeeping, the stitched reconstruction,
+/// and the flight recorder that watched the run (inert unless it
+/// recorded).
 pub struct SupervisedCapture {
     /// The supervised run itself: delivered sessions, explicit gaps,
     /// final ladder level and the full [`Coverage`] ledger.
@@ -899,6 +866,9 @@ pub struct SupervisedCapture {
     pub link: LinkResult,
     /// Final kernel state (ground truth, statistics).
     pub kernel: Kernel,
+    /// The sealed flight recorder; inert unless the run came from
+    /// [`Experiment::record`] or [`Experiment::watch`].
+    recorder: FlightRecorder,
     /// The registry the run published into; inert unless
     /// [`Experiment::telemetry`] was configured.
     telemetry: Registry,
@@ -908,6 +878,19 @@ pub struct SupervisedCapture {
 }
 
 impl SupervisedCapture {
+    /// The sealed flight recorder (cloneable; queries are live): the
+    /// window ring of an [`Experiment::record`] or
+    /// [`Experiment::watch`] run, the inert recorder otherwise.
+    pub fn recorder(&self) -> &FlightRecorder {
+        &self.recorder
+    }
+
+    /// The recorder's exact `covered + dark + evicted == elapsed`
+    /// ledger (all zero when the run recorded nothing).
+    pub fn ledger(&self) -> RecorderLedger {
+        self.recorder.ledger()
+    }
+
     /// The run's coverage ledger.
     pub fn coverage(&self) -> &Coverage {
         &self.run.coverage
@@ -940,136 +923,34 @@ impl SupervisedCapture {
         self.metrics()
             .map(|snap| HealthReport::new(snap, self.run.coverage))
     }
-
-    /// [`Kernel::busy_fraction`] of the run.
-    pub fn busy_fraction(&self) -> f64 {
-        self.kernel.busy_fraction()
-    }
-}
-
-/// What [`Experiment::record`] produced: the live flight-recorder
-/// query surface over the retained window ring, plus everything a
-/// supervised capture carries (the run, the full-run stitched
-/// reconstruction, kernel ground truth).
-pub struct RecorderHandle {
-    /// The sealed flight recorder (cloneable; queries are live).
-    recorder: FlightRecorder,
-    /// The supervised run itself: delivered sessions, explicit gaps,
-    /// final ladder level and the full [`Coverage`] ledger.
-    pub run: SupervisedRun,
-    /// The full-run gap-aware stitched reconstruction — the one-shot
-    /// analysis the window rollups tile.
-    pub profile: Reconstruction,
-    /// The name/tag file of this build.
-    pub tagfile: TagFile,
-    /// The resolved two-stage link.
-    pub link: LinkResult,
-    /// Final kernel state (ground truth, statistics).
-    pub kernel: Kernel,
-    /// The registry the run published into; inert unless
-    /// [`Experiment::telemetry`] was configured.
-    telemetry: Registry,
-    /// The span journal the run recorded into; inert unless
-    /// [`Experiment::journal`] was configured.
-    journal: SpanLog,
-}
-
-impl RecorderHandle {
-    /// The recorder itself, for callers that want to keep (or clone)
-    /// the query surface directly.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
-    /// Window `w`'s rollup (see [`FlightRecorder::window`]).
-    pub fn window(&self, w: u64) -> Option<WindowRollup> {
-        self.recorder.window(w)
-    }
-
-    /// The monoid merge of a window range (see
-    /// [`FlightRecorder::range`]).
-    pub fn range(&self, range: std::ops::Range<u64>) -> Option<WindowRollup> {
-        self.recorder.range(range)
-    }
-
-    /// The exact per-function delta between two windows (see
-    /// [`FlightRecorder::diff`]).
-    pub fn diff(&self, a: u64, b: u64) -> Option<WindowDiff> {
-        self.recorder.diff(a, b)
-    }
-
-    /// Absolute indices of the retained windows, oldest to newest.
-    pub fn retained(&self) -> std::ops::Range<u64> {
-        self.recorder.retained()
-    }
-
-    /// The recorder's exact `covered + dark + evicted == elapsed`
-    /// ledger.
-    pub fn ledger(&self) -> RecorderLedger {
-        self.recorder.ledger()
-    }
-
-    /// The run's coverage ledger.
-    pub fn coverage(&self) -> &Coverage {
-        &self.run.coverage
-    }
-
-    /// The unified [`Profile`] view over the *full-run* reconstruction
-    /// on the supervised timeline; individual windows render through
-    /// [`WindowRollup::as_profile`].
-    pub fn as_profile(&self) -> Profile<'_> {
-        Profile::new(&self.profile)
-            .run(&self.run)
-            .spans(&self.journal)
-    }
-
-    /// A point-in-time snapshot of the run's telemetry registry, when
-    /// [`Experiment::telemetry`] was configured.
-    pub fn metrics(&self) -> Option<Snapshot> {
-        self.telemetry.is_on().then(|| self.telemetry.snapshot())
-    }
-
-    /// [`Kernel::busy_fraction`] of the run.
-    pub fn busy_fraction(&self) -> f64 {
-        self.kernel.busy_fraction()
-    }
 }
 
 /// What [`Experiment::watch`] produced: the sealed [`Sentinel`] —
-/// baseline, alert journal, firing set — wrapped around the full
-/// [`RecorderHandle`] it evaluated.
+/// baseline, alert journal, firing set — paired with the recorded
+/// [`SupervisedCapture`] it evaluated.
 pub struct SentinelHandle {
     sentinel: Sentinel,
-    handle: RecorderHandle,
+    capture: SupervisedCapture,
 }
 
 impl SentinelHandle {
-    /// The sentinel itself: baseline, config, evaluation counters.
+    /// The sentinel itself: baseline, config, alert journal, firing
+    /// set, evaluation counters.
     pub fn sentinel(&self) -> &Sentinel {
         &self.sentinel
     }
 
-    /// The underlying recorder handle (bit-identical to what
+    /// The recorded capture (bit-identical to what
     /// [`Experiment::record`] with the same inputs produces).
-    pub fn handle(&self) -> &RecorderHandle {
-        &self.handle
-    }
-
-    /// The append-only alert journal, in evaluation order.
-    pub fn journal(&self) -> &hwprof_analysis::AlertJournal {
-        self.sentinel.journal()
-    }
-
-    /// The (detector, subject) pairs still firing at seal, sorted.
-    pub fn firing(&self) -> Vec<(Detector, String)> {
-        self.sentinel.firing()
+    pub fn handle(&self) -> &SupervisedCapture {
+        &self.capture
     }
 
     /// The unified [`Profile`] view over the full-run reconstruction
     /// with the alert journal attached: HTML grows an Alerts section,
     /// the Chrome trace grows alert instant markers.
     pub fn as_profile(&self) -> Profile<'_> {
-        self.handle
+        self.capture
             .as_profile()
             .alerts(self.sentinel.journal().entries())
     }
@@ -1079,9 +960,9 @@ impl SentinelHandle {
         self.sentinel.describe()
     }
 
-    /// Splits into the sentinel and the recorder handle.
-    pub fn into_parts(self) -> (Sentinel, RecorderHandle) {
-        (self.sentinel, self.handle)
+    /// Splits into the sentinel and the recorded capture.
+    pub fn into_parts(self) -> (Sentinel, SupervisedCapture) {
+        (self.sentinel, self.capture)
     }
 }
 

@@ -51,8 +51,8 @@ pub use backend::{
 pub use comparison::{BackendComparison, BackendRow};
 pub use error::Error;
 pub use experiment::{
-    build_tagfile, BackendCapture, Capture, Experiment, RecorderHandle, Scenario, ScenarioBuilder,
-    SentinelHandle, StreamCapture, SupervisedCapture,
+    build_tagfile, BackendCapture, Capture, Experiment, Scenario, ScenarioBuilder, SentinelHandle,
+    StreamCapture, SupervisedCapture,
 };
 pub use hwprof_analysis::{
     validate_json, AlertEntry, AlertJournal, AlertTransition, Analyzer, AnalyzerError, Anomalies,

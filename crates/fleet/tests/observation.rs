@@ -1,13 +1,14 @@
-//! Observation on and off: the telemetry registry and the span journal
-//! are passive observers, so a run with both live produces the same
-//! profile, reports, recorder ledger, sentinel journal and fleet report
-//! as the same run with both left inert — and the inert run's
-//! `as_profile()` renders exactly like a bare profile.
+//! Observation on and off: the telemetry registry, the span journal
+//! and the flight recorder are passive observers, so a run with them
+//! live produces the same profile, reports, recorder ledger, sentinel
+//! journal and fleet report as the same run with them left inert — and
+//! the inert run's `as_profile()` renders exactly like a bare profile.
 
 use hwprof::analysis::Profile;
 use hwprof::profiler::BoardConfig;
 use hwprof::{
-    scenarios, Experiment, RecorderConfig, Registry, SentinelConfig, SpanLog, SupervisorPolicy,
+    scenarios, Experiment, RecorderConfig, RecorderLedger, Registry, SentinelConfig, SpanLog,
+    SupervisorPolicy,
 };
 use hwprof_fleet::{Fleet, FleetPolicy, FleetSentinelPolicy};
 
@@ -27,6 +28,14 @@ fn experiment(bytes: u64) -> Experiment {
             time_bits: 24,
         })
         .scenario(scenarios::network_receive(bytes, true))
+}
+
+fn recorder_config() -> RecorderConfig {
+    RecorderConfig::builder()
+        .window_us(5_000)
+        .retain(512)
+        .build()
+        .expect("valid config")
 }
 
 fn policy() -> SupervisorPolicy {
@@ -60,14 +69,32 @@ fn streaming_is_the_same_observed_or_not() {
 }
 
 #[test]
+fn supervised_is_the_same_recorded_or_not() {
+    let on = experiment(256 * 1024)
+        .record(policy(), recorder_config())
+        .expect("recorded run");
+    let off = experiment(256 * 1024)
+        .supervised(policy())
+        .expect("supervised run");
+    assert!(on.run.sessions.len() > 1, "the run delivers several banks");
+    assert!(
+        on.recorder().ledger().windows > 1,
+        "the recorder kept windows"
+    );
+    assert!(
+        off.recorder().retained().is_empty(),
+        "no recorder, no windows"
+    );
+    assert_eq!(off.ledger(), RecorderLedger::default());
+    assert_eq!(on.run, off.run);
+    assert_eq!(on.profile, off.profile);
+    assert_eq!(renders(&on.as_profile()), renders(&off.as_profile()));
+}
+
+#[test]
 fn watch_is_the_same_observed_or_not() {
-    let cfg = RecorderConfig::builder()
-        .window_us(5_000)
-        .retain(512)
-        .build()
-        .expect("valid config");
     let watch = |e: Experiment| {
-        e.watch(policy(), cfg, SentinelConfig::default())
+        e.watch(policy(), recorder_config(), SentinelConfig::default())
             .expect("watched run")
     };
     let (reg, log) = (Registry::new(), SpanLog::new());
@@ -80,7 +107,7 @@ fn watch_is_the_same_observed_or_not() {
     assert_eq!(off.handle().metrics(), None, "no registry, no metrics");
     assert_eq!(on.describe(), off.describe());
     assert_eq!(on.handle().ledger(), off.handle().ledger());
-    let (h, alerts) = (on.handle(), on.journal().entries());
+    let (h, alerts) = (on.handle(), on.sentinel().journal().entries());
     let bare = Profile::new(&h.profile).run(&h.run).alerts(alerts);
     assert_eq!(renders(&bare), renders(&off.as_profile()));
 }

@@ -569,7 +569,7 @@ impl std::fmt::Display for Coverage {
 }
 
 /// The completed output of one supervised capture.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisedRun {
     /// Delivered sessions in drain order.
     pub sessions: Vec<SupervisedSession>,
@@ -776,6 +776,48 @@ impl SupervisorState {
         self.sessions.push(session);
     }
 
+    /// The single lost-bank site: the bank's span goes dark after the
+    /// fact, charged to the ledger, the counter and the journal at
+    /// `now`.
+    fn lose_bank(&mut self, now: u64, bank: &SupervisedSession) {
+        self.cov.banks_lost += 1;
+        self.metrics.banks_lost.inc();
+        self.journal.instant(
+            SpanTrack::Supervisor,
+            SpanName::BankLost,
+            now,
+            bank.index,
+            bank.records.len() as u64,
+        );
+        self.push_gap(Gap {
+            start_us: bank.start_us,
+            end_us: bank.end_us,
+            cause: GapCause::BankLost,
+        });
+    }
+
+    /// The single bank-close site: the armed session ending at `end_us`
+    /// becomes the next indexed bank, and its `Bank` span (opened at
+    /// arm/re-arm time) ends.
+    fn close_bank(&mut self, end_us: u64, records: Vec<RawRecord>) -> SupervisedSession {
+        let session = SupervisedSession {
+            index: self.next_bank,
+            start_us: self.session_start,
+            end_us,
+            level: self.level,
+            records,
+        };
+        self.next_bank += 1;
+        self.journal.end(
+            SpanTrack::Supervisor,
+            SpanName::Bank,
+            end_us,
+            session.index,
+            session.records.len() as u64,
+        );
+        session
+    }
+
     /// One upload round for a bank: first try plus bounded backoff
     /// retries.  `now` is only a journal timestamp (the round's spans
     /// land at `now` + accumulated backoff).  Returns
@@ -860,23 +902,7 @@ impl SupervisorState {
         self.metrics.missed_in_gaps.add(h.missed_while_off);
         let records = self.board.records();
         self.board.set_switch(false);
-        let captured_level = self.level;
-        let session = SupervisedSession {
-            index: self.next_bank,
-            start_us: self.session_start,
-            end_us: now,
-            level: captured_level,
-            records,
-        };
-        self.next_bank += 1;
-        // Close the armed-bank span opened at arm/re-arm time.
-        self.journal.end(
-            SpanTrack::Supervisor,
-            SpanName::Bank,
-            now,
-            session.index,
-            session.records.len() as u64,
-        );
+        let session = self.close_bank(now, records);
 
         // Ladder: how long would the *unmasked* trigger stream take to
         // fill one bank?  Level-invariant, so no oscillation from the
@@ -961,22 +987,8 @@ impl SupervisorState {
             self.spill.push_back(session);
             self.metrics.spill_depth.set(self.spill.len() as u64);
         } else {
-            // Shelf full and transport down: the newest bank is lost
-            // and its span becomes dark after the fact.
-            self.cov.banks_lost += 1;
-            self.metrics.banks_lost.inc();
-            self.journal.instant(
-                SpanTrack::Supervisor,
-                SpanName::BankLost,
-                now,
-                session.index,
-                session.records.len() as u64,
-            );
-            self.push_gap(Gap {
-                start_us: session.start_us,
-                end_us: session.end_us,
-                cause: GapCause::BankLost,
-            });
+            // Shelf full and transport down: the newest bank is lost.
+            self.lose_bank(now, &session);
         }
 
         self.gap_start = now;
@@ -1027,21 +1039,7 @@ impl SupervisorState {
                                 });
                             }
                         } else {
-                            let session = SupervisedSession {
-                                index: self.next_bank,
-                                start_us: self.session_start,
-                                end_us: end,
-                                level: self.level,
-                                records,
-                            };
-                            self.next_bank += 1;
-                            self.journal.end(
-                                SpanTrack::Supervisor,
-                                SpanName::Bank,
-                                end,
-                                session.index,
-                                session.records.len() as u64,
-                            );
+                            let session = self.close_bank(end, records);
                             let (ok, _) = self.try_deliver(end, session.index, &session.records);
                             if ok {
                                 self.deliver(session);
@@ -1059,20 +1057,7 @@ impl SupervisorState {
                 if ok {
                     self.deliver(front);
                 } else {
-                    self.cov.banks_lost += 1;
-                    self.metrics.banks_lost.inc();
-                    self.journal.instant(
-                        SpanTrack::Supervisor,
-                        SpanName::BankLost,
-                        end,
-                        front.index,
-                        front.records.len() as u64,
-                    );
-                    self.push_gap(Gap {
-                        start_us: front.start_us,
-                        end_us: front.end_us,
-                        cause: GapCause::BankLost,
-                    });
+                    self.lose_bank(end, &front);
                 }
             }
             self.sessions.sort_by_key(|s| s.index);

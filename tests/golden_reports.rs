@@ -13,7 +13,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use hwprof::analysis::{
-    decode_recovering, summary_report,
+    decode_recovering,
+    graph::to_dot,
+    summary_report,
     trace::{trace_report, TraceStyle},
     Analyzer, Anomalies, Reconstruction,
 };
@@ -124,4 +126,24 @@ fn clean_trace_matches_golden() {
     let (tf, records) = fixture();
     let r = analyze(&tf, &serialize_raw(&records));
     check("clean_trace.txt", &trace_report(&r, &TraceStyle::default()));
+}
+
+#[test]
+fn clean_dot_matches_golden() {
+    let (tf, records) = fixture();
+    let r = analyze(&tf, &serialize_raw(&records));
+    check("clean.dot", &to_dot(&r));
+}
+
+#[test]
+fn faulted_dot_matches_golden() {
+    let (tf, records) = fixture();
+    let inj = FaultInjector::new(FaultSpec::uniform(120_000), 42);
+    let bytes = inj.corrupt_upload(serialize_raw(&inj.corrupt_records(&records)));
+    let r = analyze(&tf, &bytes);
+    assert!(
+        r.anomalies.unmatched_entries > r.open_at_end,
+        "the faulted fixture must force-close a frame"
+    );
+    check("faulted.dot", &to_dot(&r));
 }

@@ -37,8 +37,9 @@ fn record_builds_an_exact_window_ring() {
         .build()
         .expect("valid config");
     let handle = experiment().record(policy(), cfg).expect("recorded run");
+    let rec = handle.recorder();
 
-    let retained = handle.retained();
+    let retained = rec.retained();
     assert!(!retained.is_empty(), "a real run must retain windows");
     let ledger = handle.ledger();
     assert!(ledger.is_exact(), "{}", ledger.describe());
@@ -52,22 +53,22 @@ fn record_builds_an_exact_window_ring() {
 
     // Every retained window folds; both neighbours outside refuse.
     for w in retained.clone() {
-        let rollup = handle.window(w).expect("retained window folds");
+        let rollup = rec.window(w).expect("retained window folds");
         assert_eq!(rollup.index, w);
         assert!(rollup.start_us <= rollup.end_us);
     }
     if retained.start > 0 {
-        assert!(handle.window(retained.start - 1).is_none());
+        assert!(rec.window(retained.start - 1).is_none());
     }
-    assert!(handle.window(retained.end).is_none());
+    assert!(rec.window(retained.end).is_none());
 
     // A range is the monoid fold of its windows.
-    let merged = handle
+    let merged = rec
         .range(retained.clone())
         .expect("full retained range folds");
-    let mut fold = handle.window(retained.start).expect("retained").recon;
+    let mut fold = rec.window(retained.start).expect("retained").recon;
     for w in retained.start + 1..retained.end {
-        fold.merge(handle.window(w).expect("retained").recon);
+        fold.merge(rec.window(w).expect("retained").recon);
     }
     assert!(merged.recon == fold, "range diverged from the window fold");
 
@@ -99,9 +100,10 @@ fn eviction_keeps_the_ledger_exact() {
     assert!(ledger.is_exact(), "{}", ledger.describe());
     assert_eq!(ledger.windows, 2);
     // Evicted windows refuse queries instead of answering partially.
-    let retained = handle.retained();
-    assert!(handle.window(retained.start - 1).is_none());
-    assert!(handle.diff(retained.start - 1, retained.start).is_none());
+    let rec = handle.recorder();
+    let retained = rec.retained();
+    assert!(rec.window(retained.start - 1).is_none());
+    assert!(rec.diff(retained.start - 1, retained.start).is_none());
 }
 
 #[test]
@@ -116,17 +118,18 @@ fn diffs_and_reports_are_deterministic() {
     };
     let a = run();
     let b = run();
-    assert_eq!(a.retained(), b.retained());
+    let (ra, rb) = (a.recorder(), b.recorder());
+    assert_eq!(ra.retained(), rb.retained());
     assert_eq!(a.ledger(), b.ledger());
-    let r = a.retained();
+    let r = ra.retained();
     let (lo, hi) = (r.start, r.end - 1);
-    let da = a.diff(lo, hi).expect("both retained");
-    let db = b.diff(lo, hi).expect("both retained");
+    let da = ra.diff(lo, hi).expect("both retained");
+    let db = rb.diff(lo, hi).expect("both retained");
     assert_eq!(da.describe(), db.describe());
     assert_eq!(da.html(), db.html(), "diff HTML must be byte-identical");
     assert_eq!(
-        a.window(hi).expect("retained").html(),
-        b.window(hi).expect("retained").html(),
+        ra.window(hi).expect("retained").html(),
+        rb.window(hi).expect("retained").html(),
         "window HTML must be byte-identical"
     );
     assert!(da.html().starts_with("<!DOCTYPE html>"));

@@ -26,7 +26,7 @@ fn full_workflow_selective_profiling() {
     // But swtch is always tagged (the analyzer needs it).
     assert!(capture.tagfile.tag_of("swtch").is_some());
     // And the capture decodes with zero unknown tags.
-    assert_eq!(r.unknown_tags, 0);
+    assert_eq!(r.anomalies.unknown_tags, 0);
 }
 
 #[test]
