@@ -193,6 +193,27 @@ fn supervised_export_is_one_unified_timeline() {
     assert!(pipeline_slices >= 1, "journal lanes must be present");
 }
 
+/// The supervised run with its journal pins the rich Chrome shapes the
+/// Figure-4 golden lacks: coverage gaps, the mask ladder, pipeline
+/// lanes and many sessions.
+#[test]
+fn supervised_chrome_trace_matches_golden() {
+    let log = SpanLog::new();
+    let cap = supervised(Some(&log));
+    let chrome = cap.as_profile().name("supervised").chrome_trace();
+    validate_json(&chrome).expect("chrome export is valid JSON");
+    check("export_supervised.chrome.json", &chrome);
+}
+
+#[test]
+fn supervised_speedscope_matches_golden() {
+    let log = SpanLog::new();
+    let cap = supervised(Some(&log));
+    let ss = cap.as_profile().name("supervised").speedscope();
+    validate_json(&ss).expect("speedscope export is valid JSON");
+    check("export_supervised.speedscope.json", &ss);
+}
+
 #[test]
 fn journal_is_observationally_pure() {
     let log = SpanLog::new();
