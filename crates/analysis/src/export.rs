@@ -32,7 +32,8 @@
 //! at its own µs-from-session-start times; attaching a run re-bases
 //! every session at its recorded place on the supervised timeline.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 use hwprof_profiler::{GapCause, TagMaskLevel};
 use hwprof_telemetry::{SpanEvent, SpanName, SpanPhase, SpanTrack};
@@ -45,23 +46,36 @@ use crate::recon::{ItemKind, TraceItem};
 const OVERLAY_PID: u64 = 0;
 /// Synthetic pid of the span-journal pipeline process.
 const PIPELINE_PID: u64 = 1_000_000;
+/// Chrome output bytes reserved per trace item: a net-receive capture
+/// renders about 110, and half as many of speedscope JSON.
+const BYTES_PER_ITEM: usize = 128;
+
+/// Trace items grouped per (session, lane), in (session, lane) order,
+/// from one pass over the trace.
+fn lanes(trace: &[TraceItem]) -> Vec<(usize, usize, Vec<&TraceItem>)> {
+    let mut lanes: Vec<(usize, usize, Vec<&TraceItem>)> = Vec::new();
+    // The session's number and the index of its lane 0 in `lanes`.
+    let (mut session, mut first) = (0, 0);
+    for item in trace {
+        if matches!(item.kind, ItemKind::SessionBreak) {
+            (session, first) = (session + 1, lanes.len());
+            continue;
+        }
+        let lane = first + item.lane as usize;
+        while lanes.len() <= lane {
+            lanes.push((session, lanes.len() - first, Vec::new()));
+        }
+        lanes[lane].2.push(item);
+    }
+    lanes.retain(|(_, _, items)| !items.is_empty());
+    lanes
+}
 
 /// The three export formats, rendered from the [`Profile`] view.
+///
+/// Each renderer appends to one pre-sized `String`.  List elements end
+/// in `,` as they are written and `end_list` drops the last one.
 impl<'a> Profile<'a> {
-    /// Trace items grouped per (session, lane), in deterministic order.
-    fn lanes(&self) -> BTreeMap<(usize, u32), Vec<&'a TraceItem>> {
-        let mut lanes: BTreeMap<(usize, u32), Vec<&TraceItem>> = BTreeMap::new();
-        let mut session = 0usize;
-        for item in &self.r.trace {
-            if matches!(item.kind, ItemKind::SessionBreak) {
-                session += 1;
-                continue;
-            }
-            lanes.entry((session, item.lane)).or_default().push(item);
-        }
-        lanes
-    }
-
     /// First microsecond of the supervised timeline (the exporter's
     /// time origin when a run is attached).
     fn base(&self) -> u64 {
@@ -98,23 +112,40 @@ impl<'a> Profile<'a> {
             .unwrap_or(0)
     }
 
+    /// Every symbol name JSON-escaped once, indexed by [`SymId`].
+    fn escaped_names(&self) -> Vec<String> {
+        (0..self.r.syms.len())
+            .map(|i| esc(self.r.syms.name(i as SymId)))
+            .collect()
+    }
+
     // ---- Chrome Trace Event JSON ---------------------------------------
 
     /// Chrome Trace Event JSON (object form), loadable in Perfetto or
     /// `chrome://tracing`.
     pub fn chrome_trace(&self) -> String {
         let base = self.base();
-        let lanes = self.lanes();
-        let mut ev: Vec<String> = Vec::new();
+        let lanes = lanes(&self.r.trace);
+        let names = self.escaped_names();
+        let mut json = String::with_capacity(self.r.trace.len() * BYTES_PER_ITEM + 4096);
+        let out = &mut json;
+        let _ = write!(
+            out,
+            "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"exporter\":\"{}\",\
+             \"sessions\":{},\"context_switches\":{}}},\"traceEvents\":[",
+            esc(&self.name),
+            self.r.sessions,
+            self.r.context_switches,
+        );
 
         // Metadata: name every process and thread lane up front.
-        ev.push(meta_process(OVERLAY_PID, "capture timeline"));
-        ev.push(meta_thread(OVERLAY_PID, 0, "coverage"));
+        meta(out, OVERLAY_PID, None, "capture timeline");
+        meta(out, OVERLAY_PID, Some(0), "coverage");
         if !self.alerts.is_empty() {
-            ev.push(meta_thread(OVERLAY_PID, 1, "alerts"));
+            meta(out, OVERLAY_PID, Some(1), "alerts");
         }
         let mut named_session = usize::MAX;
-        for &(session, lane) in lanes.keys() {
+        for &(session, lane, _) in &lanes {
             if session != named_session {
                 named_session = session;
                 let label = match self.run.and_then(|r| r.sessions.get(session)) {
@@ -125,16 +156,13 @@ impl<'a> Profile<'a> {
                     ),
                     None => format!("kernel session {session}"),
                 };
-                ev.push(meta_process(session as u64 + 1, &label));
+                meta(out, session as u64 + 1, None, &label);
             }
-            ev.push(meta_thread(
-                session as u64 + 1,
-                u64::from(lane) + 1,
-                &format!("control {lane}"),
-            ));
+            let (pid, tid) = (session as u64 + 1, Some(lane as u64 + 1));
+            meta(out, pid, tid, &format!("control {lane}"));
         }
         if !self.spans.is_empty() {
-            ev.push(meta_process(PIPELINE_PID, "capture pipeline"));
+            meta(out, PIPELINE_PID, None, "capture pipeline");
             for track in [
                 SpanTrack::Supervisor,
                 SpanTrack::Transport,
@@ -142,166 +170,126 @@ impl<'a> Profile<'a> {
                 SpanTrack::Board,
                 SpanTrack::Recorder,
             ] {
-                ev.push(meta_thread(
-                    PIPELINE_PID,
-                    u64::from(track.idx()) + 1,
-                    track.label(),
-                ));
+                let tid = Some(u64::from(track.idx()) + 1);
+                meta(out, PIPELINE_PID, tid, track.label());
             }
         }
 
-        // Kernel lanes.
-        for (&(session, lane), items) in &lanes {
-            let pid = session as u64 + 1;
-            let tid = u64::from(lane) + 1;
-            let off = self.session_offset(session, base);
-            for cev in lane_call_events(items) {
-                match cev {
-                    CallEv::Open {
-                        sym,
-                        t,
-                        net,
-                        elapsed,
-                    } => ev.push(format!(
-                        "{{\"ph\":\"B\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":\"{}\",\
-                         \"args\":{{\"net_us\":{net},\"elapsed_us\":{elapsed}}}}}",
-                        t + off,
-                        esc(self.r.syms.name(sym)),
-                    )),
-                    CallEv::Close { sym, t } => ev.push(format!(
-                        "{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":\"{}\"}}",
-                        t + off,
-                        esc(self.r.syms.name(sym)),
-                    )),
-                    CallEv::Mark { sym, t } => ev.push(instant(
-                        pid,
-                        tid,
-                        t + off,
-                        &format!("== {}", self.r.syms.name(sym)),
-                    )),
-                    CallEv::OpenEnd { sym, t } => ev.push(instant(
-                        pid,
-                        tid,
-                        t + off,
-                        &format!("{} (open at capture end)", self.r.syms.name(sym)),
-                    )),
-                    CallEv::Switch { t, birth } => ev.push(instant(
-                        pid,
-                        tid,
-                        t + off,
-                        if birth {
-                            "switch in (new process)"
-                        } else {
-                            "switch in"
-                        },
-                    )),
+        // Kernel lanes: the bulk of the output, written piece by piece.
+        let name = |sym: SymId| names[sym as usize].as_str();
+        for (session, lane, items) in &lanes {
+            let head = head(*session as u64 + 1, *lane as u64 + 1);
+            let off = self.session_offset(*session, base);
+            lane_call_events(items, |cev| {
+                let (ph, t, pieces) = match cev {
+                    CallEv::Open { sym, t, .. } => ("B", t, [name(sym), ""]),
+                    CallEv::Close { sym, t } => ("E", t, [name(sym), ""]),
+                    CallEv::Mark { sym, t } => ("i", t, ["== ", name(sym)]),
+                    CallEv::OpenEnd { sym, t } => ("i", t, [name(sym), " (open at capture end)"]),
+                    CallEv::Switch { t, birth: true } => ("i", t, ["switch in (new process)", ""]),
+                    CallEv::Switch { t, birth: false } => ("i", t, ["switch in", ""]),
+                };
+                event(out, ph, &head, t + off);
+                out.push_str(",\"name\":\"");
+                out.push_str(pieces[0]);
+                out.push_str(pieces[1]);
+                if let CallEv::Open { net, elapsed, .. } = cev {
+                    out.push_str("\",\"args\":{\"net_us\":");
+                    push_u64(out, net);
+                    out.push_str(",\"elapsed_us\":");
+                    push_u64(out, elapsed);
+                    out.push_str("}},");
+                } else {
+                    out.push_str("\"},");
                 }
-            }
+            });
         }
 
         // Coverage overlay: one slice plus one instant per dark window,
         // and an instant at every mask-level change.
+        let coverage = head(OVERLAY_PID, 0);
         if let Some(run) = self.run {
             for (i, gap) in run.gaps.iter().enumerate() {
                 let ts = gap.start_us.saturating_sub(base);
-                ev.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":{OVERLAY_PID},\"tid\":0,\"ts\":{ts},\"dur\":{},\
-                     \"name\":\"dark ({})\",\"args\":{{\"gap\":{i},\"span_us\":{}}}}}",
-                    gap.span_us(),
-                    cause_label(gap.cause),
-                    gap.span_us(),
-                ));
-                ev.push(instant(
-                    OVERLAY_PID,
-                    0,
-                    ts,
-                    &format!("gap ({})", cause_label(gap.cause)),
-                ));
+                let (cause, span) = (cause_label(gap.cause), gap.span_us());
+                event(out, "X", &coverage, ts);
+                let _ = write!(
+                    out,
+                    ",\"dur\":{span},\"name\":\"dark ({cause})\",\
+                     \"args\":{{\"gap\":{i},\"span_us\":{span}}}}},"
+                );
+                event(out, "i", &coverage, ts);
+                let _ = write!(out, ",\"name\":\"gap ({cause})\"}},");
             }
             let mut level: Option<TagMaskLevel> = None;
             for s in &run.sessions {
                 if level != Some(s.level) {
                     level = Some(s.level);
-                    ev.push(instant(
-                        OVERLAY_PID,
-                        0,
-                        s.start_us.saturating_sub(base),
-                        &format!("mask level = {}", level_label(s.level)),
-                    ));
+                    event(out, "i", &coverage, s.start_us.saturating_sub(base));
+                    let _ = write!(
+                        out,
+                        ",\"name\":\"mask level = {}\"}},",
+                        level_label(s.level)
+                    );
                 }
             }
         }
 
         // Anomaly totals as a counter track (flat line start -> end).
         let a = &self.r.anomalies;
-        let counters = format!(
-            "{{\"orphan_exits\":{},\"unmatched_entries\":{},\"unknown_tags\":{},\
-             \"time_jumps\":{},\"duplicates\":{},\"truncations\":{}}}",
-            a.orphan_exits,
-            a.unmatched_entries,
-            a.unknown_tags,
-            a.time_jumps,
-            a.duplicates,
-            a.truncations,
-        );
         for ts in [0, self.end_ts()] {
-            ev.push(format!(
-                "{{\"ph\":\"C\",\"pid\":{OVERLAY_PID},\"tid\":0,\"ts\":{ts},\
-                 \"name\":\"anomalies\",\"args\":{counters}}}",
-            ));
+            event(out, "C", &coverage, ts);
+            let _ = write!(
+                out,
+                ",\"name\":\"anomalies\",\"args\":{{\"orphan_exits\":{},\"unmatched_entries\":{},\
+                 \"unknown_tags\":{},\"time_jumps\":{},\"duplicates\":{},\"truncations\":{}}}}},",
+                a.orphan_exits,
+                a.unmatched_entries,
+                a.unknown_tags,
+                a.time_jumps,
+                a.duplicates,
+                a.truncations,
+            );
         }
 
         // Sentinel alert transitions as instant markers on their own
         // overlay lane, in journal order.
         for a in &self.alerts {
-            ev.push(instant(
-                OVERLAY_PID,
-                1,
-                a.at_us.saturating_sub(base),
-                &format!(
-                    "{} {}({}) delta {:+} {}",
-                    a.transition.label(),
-                    a.detector.label(),
-                    esc(&a.subject),
-                    a.delta,
-                    a.detector.unit(),
-                ),
-            ));
+            let label = format!(
+                "{} {}({}) delta {:+} {}",
+                a.transition.label(),
+                a.detector.label(),
+                esc(&a.subject),
+                a.delta,
+                a.detector.unit(),
+            );
+            let ts = a.at_us.saturating_sub(base);
+            event(out, "i", &head(OVERLAY_PID, 1), ts);
+            let _ = write!(out, ",\"name\":\"{}\"}},", esc(&label));
         }
 
         // Pipeline lanes from the span journal: begin/end pairs render
         // as complete (`X`) slices, instants as instants.
         for span in self.paired_spans(base) {
-            let pid = PIPELINE_PID;
-            let tid = u64::from(span.track.idx()) + 1;
+            let head = head(PIPELINE_PID, u64::from(span.track.idx()) + 1);
             match span.dur {
-                Some(dur) => ev.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{dur},\
-                     \"name\":\"{}\",\"args\":{{\"id\":{},\"arg\":{}}}}}",
-                    span.ts,
-                    esc(&span.name),
-                    span.id,
-                    span.arg,
-                )),
-                None => ev.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\
-                     \"name\":\"{}\",\"args\":{{\"id\":{},\"arg\":{}}}}}",
-                    span.ts,
-                    esc(&span.name),
-                    span.id,
-                    span.arg,
-                )),
+                Some(dur) => {
+                    event(out, "X", &head, span.ts);
+                    let _ = write!(out, ",\"dur\":{dur}");
+                }
+                None => event(out, "i", &head, span.ts),
             }
+            let _ = write!(
+                out,
+                ",\"name\":\"{}\",\"args\":{{\"id\":{},\"arg\":{}}}}},",
+                esc(&span.name),
+                span.id,
+                span.arg,
+            );
         }
 
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"exporter\":\"{}\",\
-             \"sessions\":{},\"context_switches\":{}}},\"traceEvents\":[{}]}}",
-            esc(&self.name),
-            self.r.sessions,
-            self.r.context_switches,
-            ev.join(","),
-        )
+        end_list(out, "]}");
+        json
     }
 
     /// Span-journal events with begin/end pairs joined and times
@@ -378,43 +366,50 @@ impl<'a> Profile<'a> {
     /// speedscope JSON: one evented profile per thread of control.
     pub fn speedscope(&self) -> String {
         let base = self.base();
-        let frames: Vec<String> = (0..self.r.syms.len())
-            .map(|i| format!("{{\"name\":\"{}\"}}", esc(self.r.syms.name(i as SymId))))
-            .collect();
-        let mut profiles: Vec<String> = Vec::new();
-        for (&(session, lane), items) in &self.lanes() {
+        let mut out = String::with_capacity(self.r.trace.len() * BYTES_PER_ITEM / 2 + 4096);
+        let _ = write!(
+            out,
+            "{{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",\
+             \"name\":\"{}\",\"activeProfileIndex\":0,\"exporter\":\"hwprof\",\
+             \"shared\":{{\"frames\":[",
+            esc(&self.name),
+        );
+        for name in self.escaped_names() {
+            let _ = write!(out, "{{\"name\":\"{name}\"}},");
+        }
+        end_list(&mut out, "]},\"profiles\":[");
+        for (session, lane, items) in lanes(&self.r.trace) {
+            // A lane's events run from its first open to its latest close.
+            let (mut first, mut last) = (None, 0);
+            lane_call_events(&items, |cev| {
+                if let CallEv::Open { t, elapsed, .. } = cev {
+                    first.get_or_insert(t);
+                    last = last.max(t + elapsed);
+                }
+            });
+            let Some(first) = first else { continue };
             let off = self.session_offset(session, base);
-            let mut events: Vec<String> = Vec::new();
-            let mut first = None;
-            let mut last = 0u64;
-            for cev in lane_call_events(items) {
+            let _ = write!(
+                out,
+                "{{\"type\":\"evented\",\"name\":\"session {session} control {lane}\",\
+                 \"unit\":\"microseconds\",\"startValue\":{},\"endValue\":{},\"events\":[",
+                first + off,
+                last + off,
+            );
+            lane_call_events(&items, |cev| {
                 let (ty, sym, at) = match cev {
                     CallEv::Open { sym, t, .. } => ("O", sym, t + off),
                     CallEv::Close { sym, t } => ("C", sym, t + off),
                     // Inline marks, unclosed frames and switch points
                     // have no evented-profile representation.
-                    _ => continue,
+                    _ => return,
                 };
-                first.get_or_insert(at);
-                last = last.max(at);
-                events.push(format!("{{\"type\":\"{ty}\",\"frame\":{sym},\"at\":{at}}}"));
-            }
-            let Some(first) = first else { continue };
-            profiles.push(format!(
-                "{{\"type\":\"evented\",\"name\":\"session {session} control {lane}\",\
-                 \"unit\":\"microseconds\",\"startValue\":{first},\"endValue\":{last},\
-                 \"events\":[{}]}}",
-                events.join(","),
-            ));
+                let _ = write!(out, "{{\"type\":\"{ty}\",\"frame\":{sym},\"at\":{at}}},");
+            });
+            end_list(&mut out, "]},");
         }
-        format!(
-            "{{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",\
-             \"name\":\"{}\",\"activeProfileIndex\":0,\"exporter\":\"hwprof\",\
-             \"shared\":{{\"frames\":[{}]}},\"profiles\":[{}]}}",
-            esc(&self.name),
-            frames.join(","),
-            profiles.join(","),
-        )
+        end_list(&mut out, "]}");
+        out
     }
 
     // ---- folded stacks -------------------------------------------------
@@ -423,38 +418,64 @@ impl<'a> Profile<'a> {
     /// aggregated over every session and thread of control.  Weights
     /// are per-call net µs, so the column total equals the
     /// reconstruction's total net time exactly.
+    ///
+    /// Calls sum on a tree of symbol paths whose frames nest by depth
+    /// per lane, as in the Chrome lanes; each path's names join once.
     pub fn folded(&self) -> String {
-        let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-        for items in self.lanes().values() {
-            let mut path: Vec<SymId> = Vec::new();
-            for cev in lane_call_events(items) {
-                match cev {
-                    CallEv::Open { sym, net, .. } => {
-                        path.push(sym);
-                        // Context-switch frames shape the path but have
-                        // no net time of their own in the accounting.
-                        if !self.r.syms.is_cswitch(sym) {
-                            let key = path
-                                .iter()
-                                .map(|&s| self.r.syms.name(s))
-                                .collect::<Vec<_>>()
-                                .join(";");
-                            *agg.entry(key).or_insert(0) += net;
-                        }
+        /// Parent of a top-level frame.
+        const ROOT: usize = usize::MAX;
+        let syms = &self.r.syms;
+        // (parent, sym, summed net) per distinct path; a parent always
+        // precedes its children.
+        let mut nodes: Vec<(usize, SymId, u64)> = Vec::new();
+        let mut children: HashMap<(usize, SymId), usize> = HashMap::new();
+        // Per lane of the current session: (node, depth) of each call
+        // still open.
+        let mut stacks: Vec<Vec<(usize, usize)>> = Vec::new();
+        for item in &self.r.trace {
+            match item.kind {
+                ItemKind::SessionBreak => stacks.clear(),
+                ItemKind::Call {
+                    sym, net, closed, ..
+                } => {
+                    let lane = item.lane as usize;
+                    if stacks.len() <= lane {
+                        stacks.resize_with(lane + 1, Vec::new);
                     }
-                    CallEv::Close { .. } => {
-                        path.pop();
+                    let stack = &mut stacks[lane];
+                    while stack.last().is_some_and(|&(_, d)| d >= item.depth) {
+                        stack.pop();
                     }
-                    _ => {}
+                    if closed {
+                        let parent = stack.last().map_or(ROOT, |&(node, _)| node);
+                        let node = *children.entry((parent, sym)).or_insert_with(|| {
+                            nodes.push((parent, sym, 0));
+                            nodes.len() - 1
+                        });
+                        nodes[node].2 += net;
+                        stack.push((node, item.depth));
+                    }
                 }
+                _ => {}
             }
+        }
+        // Context-switch frames shape the path but have no net time of
+        // their own in the accounting; paths whose names join equal sum.
+        let mut paths: Vec<String> = Vec::with_capacity(nodes.len());
+        let mut agg: BTreeMap<String, u64> = BTreeMap::new();
+        for &(parent, sym, net) in &nodes {
+            let path = match parent {
+                ROOT => syms.name(sym).to_string(),
+                _ => format!("{};{}", paths[parent], syms.name(sym)),
+            };
+            if !syms.is_cswitch(sym) {
+                *agg.entry(path.clone()).or_insert(0) += net;
+            }
+            paths.push(path);
         }
         let mut out = String::new();
         for (path, net) in agg {
-            out.push_str(&path);
-            out.push(' ');
-            out.push_str(&net.to_string());
-            out.push('\n');
+            let _ = writeln!(out, "{path} {net}");
         }
         out
     }
@@ -471,6 +492,7 @@ struct PairedSpan {
 }
 
 /// Balanced per-lane call stream derived from trace items.
+#[derive(Clone, Copy)]
 enum CallEv {
     /// A completed call opens (its net/elapsed are known).
     Open {
@@ -489,14 +511,14 @@ enum CallEv {
     Switch { t: u64, birth: bool },
 }
 
-/// Replays one lane's trace items into a balanced open/close stream.
+/// Replays one lane's trace items into a balanced open/close stream,
+/// handing each event to `f`.
 ///
 /// Only *closed* calls open spans (their end time is `t + elapsed`);
 /// a span is closed as soon as a later call at the same-or-shallower
 /// depth proves the frame ended, or at lane end.  Closes pop deepest
 /// first, so spans nest properly and times never run backwards.
-fn lane_call_events(items: &[&TraceItem]) -> Vec<CallEv> {
-    let mut out = Vec::new();
+fn lane_call_events(items: &[&TraceItem], mut f: impl FnMut(CallEv)) {
     // (sym, end time, depth) of every call still open.
     let mut stack: Vec<(SymId, u64, usize)> = Vec::new();
     for item in items {
@@ -510,10 +532,10 @@ fn lane_call_events(items: &[&TraceItem]) -> Vec<CallEv> {
             } => {
                 while stack.last().is_some_and(|&(_, _, d)| d >= item.depth) {
                     let (s, end, _) = stack.pop().expect("guarded");
-                    out.push(CallEv::Close { sym: s, t: end });
+                    f(CallEv::Close { sym: s, t: end });
                 }
                 if closed {
-                    out.push(CallEv::Open {
+                    f(CallEv::Open {
                         sym,
                         t: item.t,
                         net,
@@ -521,42 +543,72 @@ fn lane_call_events(items: &[&TraceItem]) -> Vec<CallEv> {
                     });
                     stack.push((sym, item.t + elapsed, item.depth));
                 } else {
-                    out.push(CallEv::OpenEnd { sym, t: item.t });
+                    f(CallEv::OpenEnd { sym, t: item.t });
                 }
             }
-            ItemKind::Inline { sym } => out.push(CallEv::Mark { sym, t: item.t }),
-            ItemKind::SwitchIn { birth } => out.push(CallEv::Switch { t: item.t, birth }),
+            ItemKind::Inline { sym } => f(CallEv::Mark { sym, t: item.t }),
+            ItemKind::SwitchIn { birth } => f(CallEv::Switch { t: item.t, birth }),
             ItemKind::Return { .. } | ItemKind::SessionBreak => {}
         }
     }
     while let Some((s, end, _)) = stack.pop() {
-        out.push(CallEv::Close { sym: s, t: end });
+        f(CallEv::Close { sym: s, t: end });
     }
-    out
 }
 
-fn meta_process(pid: u64, name: &str) -> String {
-    format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-         \"args\":{{\"name\":\"{}\"}}}}",
+/// Names a process, or with a `tid` one of its thread lanes.
+fn meta(out: &mut String, pid: u64, tid: Option<u64>, name: &str) {
+    let (kind, tid) = match tid {
+        Some(tid) => ("thread", format!(",\"tid\":{tid}")),
+        None => ("process", String::new()),
+    };
+    let _ = write!(
+        out,
+        "{{\"ph\":\"M\",\"pid\":{pid}{tid},\"name\":\"{kind}_name\",\
+         \"args\":{{\"name\":\"{}\"}}}},",
         esc(name)
-    )
+    );
 }
 
-fn meta_thread(pid: u64, tid: u64, name: &str) -> String {
-    format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        esc(name)
-    )
+/// The middle of every event on one (pid, tid) lane, from the close of
+/// its `ph` value to the `ts` key: `","pid":<pid>,"tid":<tid>,"ts":`.
+fn head(pid: u64, tid: u64) -> String {
+    format!("\",\"pid\":{pid},\"tid\":{tid},\"ts\":")
 }
 
-fn instant(pid: u64, tid: u64, ts: u64, name: &str) -> String {
-    format!(
-        "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\
-         \"name\":\"{}\"}}",
-        esc(name)
-    )
+/// Opens one event on a lane's [`head`], up to its timestamp; instants
+/// are thread-scoped.
+fn event(out: &mut String, ph: &str, head: &str, ts: u64) {
+    out.push_str("{\"ph\":\"");
+    out.push_str(ph);
+    out.push_str(head);
+    push_u64(out, ts);
+    if ph == "i" {
+        out.push_str(",\"s\":\"t\"");
+    }
+}
+
+/// Appends `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("decimal digits are ASCII"));
+}
+
+/// Drops the `,` after a list's last element, then appends `close`.
+fn end_list(out: &mut String, close: &str) {
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push_str(close);
 }
 
 fn level_label(level: TagMaskLevel) -> &'static str {
@@ -834,7 +886,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::decode;
+    use crate::events::{decode, EvKind, Event, Symbols};
     use crate::recon::Reconstruction;
     use hwprof_profiler::RawRecord;
     use hwprof_telemetry::SpanLog;
@@ -989,6 +1041,74 @@ mod tests {
         assert_eq!(text.len(), 1 << 20);
         let doc = validate_json(&format!("\"{text}\"")).expect("valid");
         assert_eq!(doc.as_str(), Some(text.as_str()));
+    }
+
+    /// Names holding JSON metacharacters, control characters and
+    /// non-ASCII text go through the escaped-name table: both JSON
+    /// exports parse, and every name reads back as the original, with
+    /// the inline-mark and open-frame decorations around it.
+    #[test]
+    fn awkward_names_read_back_from_both_json_exports() {
+        let names = [
+            "quo\"te",
+            "back\\slash",
+            "new\nline",
+            "tab\tbed",
+            "ctl\u{1}x",
+            "µs path",
+        ];
+        let syms = Symbols::from_names(names);
+        let ev = |t, kind| Event { t, kind };
+        let events = [
+            ev(0, EvKind::Entry(0)),
+            ev(5, EvKind::Entry(1)),
+            ev(9, EvKind::Exit(1)),
+            ev(12, EvKind::Inline(2)),
+            ev(15, EvKind::Entry(3)),
+            ev(20, EvKind::Exit(3)),
+            ev(22, EvKind::Entry(5)),
+            ev(30, EvKind::Exit(5)),
+            ev(40, EvKind::Exit(0)),
+            ev(45, EvKind::Entry(4)),
+        ];
+        let r = crate::Analyzer::new(&syms)
+            .session(&events)
+            .expect("ungated");
+        let title = "a \"quoted\" µs run";
+        let p = Profile::new(&r).name(title);
+        let str_at = |v: &JsonValue, path: &[&str]| -> String {
+            let leaf = path.iter().fold(v, |v, k| v.get(k).expect("field present"));
+            leaf.as_str().expect("string field").to_string()
+        };
+
+        let chrome = validate_json(&p.chrome_trace()).expect("chrome export is valid JSON");
+        assert_eq!(str_at(&chrome, &["otherData", "exporter"]), title);
+        let kernel: std::collections::BTreeSet<String> = chrome
+            .get("traceEvents")
+            .and_then(JsonValue::as_array)
+            .expect("traceEvents array")
+            .iter()
+            .filter(|e| e.get("pid").and_then(JsonValue::as_u64) == Some(1))
+            .filter(|e| str_at(e, &["ph"]) != "M")
+            .map(|e| str_at(e, &["name"]))
+            .collect();
+        let mut expected: std::collections::BTreeSet<String> =
+            [0, 1, 3, 5].iter().map(|&i| names[i].to_string()).collect();
+        expected.insert(format!("== {}", names[2]));
+        expected.insert(format!("{} (open at capture end)", names[4]));
+        assert_eq!(kernel, expected);
+
+        let ss = validate_json(&p.speedscope()).expect("speedscope export is valid JSON");
+        assert_eq!(str_at(&ss, &["name"]), title);
+        let frames: Vec<String> = ss
+            .get("shared")
+            .and_then(|s| s.get("frames"))
+            .and_then(JsonValue::as_array)
+            .expect("frames array")
+            .iter()
+            .map(|f| str_at(f, &["name"]))
+            .collect();
+        assert_eq!(frames, names);
     }
 
     #[test]

@@ -15,24 +15,27 @@ pub fn to_dot(r: &Reconstruction) -> String {
         if a.calls == 0 {
             continue;
         }
+        let name = quoted(r.syms.name(s as u32));
         out.push_str(&format!(
-            "  \"{}\" [label=\"{}\\n{} us net / {} calls\"];\n",
-            r.syms.name(s as u32),
-            r.syms.name(s as u32),
-            a.net,
-            a.calls
+            "  \"{name}\" [label=\"{name}\\n{} us net / {} calls\"];\n",
+            a.net, a.calls
         ));
     }
     for ((from, to), count) in call_edges(&r.trace) {
         out.push_str(&format!(
             "  \"{}\" -> \"{}\" [label=\"{}\"];\n",
-            r.syms.name(from),
-            r.syms.name(to),
+            quoted(r.syms.name(from)),
+            quoted(r.syms.name(to)),
             count
         ));
     }
     out.push_str("}\n");
     out
+}
+
+/// Escapes `"` and `\` so `name` can sit inside a quoted dot id or label.
+fn quoted(name: &str) -> String {
+    name.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Call-graph edges read off the trace: (caller, callee) -> completed
@@ -88,5 +91,32 @@ mod tests {
         assert!(dot.contains("\"outer\" -> \"inner\" [label=\"1\"]"));
         assert!(dot.starts_with("digraph kernel {"));
         assert!(dot.ends_with("}\n"));
+    }
+
+    /// A name holding `"` or `\` is escaped in node ids, labels and
+    /// edge ends, so the dot stays well-formed.
+    #[test]
+    fn dot_escapes_quotes_and_backslashes() {
+        let tf = hwprof_tagfile::parse("outer/100\ninner/102\n").unwrap();
+        let recs = [
+            RawRecord { tag: 100, time: 0 },
+            RawRecord { tag: 102, time: 5 },
+            RawRecord { tag: 103, time: 9 },
+            RawRecord { tag: 101, time: 20 },
+        ];
+        let (_, ev) = decode(&recs, &tf);
+        let syms = crate::Symbols::from_names(["say \"hi\"", "C:\\tmp"]);
+        let dot = super::to_dot(&analyze(&syms, &ev));
+        assert!(dot.contains("  \"say \\\"hi\\\"\" [label=\"say \\\"hi\\\"\\n"));
+        assert!(dot.contains("  \"say \\\"hi\\\"\" -> \"C:\\\\tmp\" [label=\"1\"];"));
+        // Outside the escapes every quote delimits an id or a label.
+        let unescaped = dot.replace("\\\\", "").replace("\\\"", "");
+        for line in unescaped.lines() {
+            assert_eq!(
+                line.matches('"').count() % 2,
+                0,
+                "unbalanced quotes: {line}"
+            );
+        }
     }
 }

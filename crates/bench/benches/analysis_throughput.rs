@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use hwprof_analysis::{
     decode, decode_recovering, decode_recovering_scalar, decode_scalar, summary_report,
-    trace_report, Analyzer, Event, Reconstruction, SessionDecoder, SessionRecon, StreamAnalyzer,
-    Symbols, TagMap, TraceStyle,
+    trace_report, Analyzer, Event, Profile, Reconstruction, SessionDecoder, SessionRecon,
+    StreamAnalyzer, Symbols, TagMap, TraceStyle,
 };
 use hwprof_profiler::{BankSink, RawRecord};
 use hwprof_tagfile::{TagFile, TagKind};
@@ -100,6 +100,14 @@ fn bench_analysis(c: &mut Criterion) {
     });
     g.bench_function("trace_report_16k", |b| {
         b.iter(|| trace_report(&r, &TraceStyle::default()));
+    });
+    // The Chrome and folded renderers over the same reconstruction.
+    let profile = Profile::new(&r);
+    g.bench_function("render_chrome_16k", |b| {
+        b.iter(|| profile.chrome_trace());
+    });
+    g.bench_function("render_folded_16k", |b| {
+        b.iter(|| profile.folded());
     });
     g.finish();
 }
