@@ -717,26 +717,36 @@ impl<'a> BankRecon<'a> {
 }
 
 /// The index-ordered bank fold: banks arrive in any order, each
-/// decoded once, through a [`BankRecon`] the caller lends
-/// ([`push`](BankFold::push)).  The next expected index (from 0) folds
-/// straight in; any other bank waits as its own part until the indices
-/// before it arrive, and [`finish`](BankFold::finish) merges parts
-/// stuck behind a hole in index order — bit-identical, by the monoid,
-/// to folding the banks sorted by index as
-/// [`Analyzer::run`](crate::Analyzer::run) does.
+/// decoded once, and the next expected index (from 0) folds straight in
+/// while any other bank waits until the indices before it arrive;
+/// [`finish`](BankFold::finish) merges parts stuck behind a hole in
+/// index order — bit-identical, by the monoid, to folding the banks
+/// sorted by index as [`Analyzer::run`](crate::Analyzer::run) does.
+///
+/// Where a bank's trace grows decides where its memory lives.  A bank
+/// decoded on the fold's own thread ([`push`](BankFold::push)) extends
+/// the accumulator's trace in place.  A bank lent out to another
+/// thread decodes into its own part; folding it merges only the
+/// summaries and keeps its trace as the next segment, and `finish`
+/// concatenates the segments once on the calling thread, so no worker
+/// ever grows the full-run trace (glibc would keep the freed doubling
+/// buffers in that worker's arena).
 #[derive(Debug)]
 pub struct BankFold {
+    /// The summaries folded so far, and the trace of the banks pushed
+    /// in place before any segment.
     out: Reconstruction,
     next: u64,
     parts: BTreeMap<u64, Reconstruction>,
+    /// The traces of the banks folded from parts, in index order, all
+    /// after `out.trace`.
+    segments: Vec<Vec<TraceItem>>,
 }
 
-/// What one bank decodes into, lent out of a [`BankFold`]: the fold's
-/// accumulator when the bank is the next expected one, else a fresh
-/// part for bank `part`.
+/// What bank `index` decodes into, lent out of a [`BankFold`].
 #[derive(Debug)]
 pub(crate) struct Lent {
-    part: Option<u64>,
+    index: u64,
     pub(crate) out: Reconstruction,
 }
 
@@ -747,6 +757,7 @@ impl BankFold {
             out: Reconstruction::empty(syms.clone()),
             next: 0,
             parts: BTreeMap::new(),
+            segments: Vec::new(),
         }
     }
 
@@ -755,8 +766,9 @@ impl BankFold {
         index < self.next || self.parts.contains_key(&index)
     }
 
-    /// Decodes and folds bank `index`, returning its events; `None`
-    /// (nothing decoded) when the fold already holds that index.
+    /// Decodes and folds bank `index` on the calling thread, returning
+    /// its events; `None` (nothing decoded) when the fold already holds
+    /// that index.
     pub fn push<'b>(
         &mut self,
         bank: &'b mut BankRecon<'_>,
@@ -766,45 +778,66 @@ impl BankFold {
         if self.holds(index) {
             return None;
         }
-        let mut lent = self.lend(index);
-        bank.bank_into(records, &mut lent.out);
-        self.restore(lent);
+        if index == self.next && self.segments.is_empty() {
+            bank.bank_into(records, &mut self.out);
+            self.next += 1;
+            self.release();
+        } else {
+            let mut lent = self.lend(index);
+            bank.bank_into(records, &mut lent.out);
+            self.restore(lent);
+        }
         Some(&bank.events)
     }
 
-    /// Lends out what bank `index` decodes into, so the caller can
-    /// decode it without holding the fold.  The caller checks
+    /// Lends out a fresh part for bank `index`, so the caller can decode
+    /// it without holding the fold.  The caller checks
     /// [`holds`](BankFold::holds) first and has at most one loan per
     /// index out; other banks may be lent and restored meanwhile.
     pub(crate) fn lend(&mut self, index: u64) -> Lent {
-        let mut out = Reconstruction::empty(self.out.syms.clone());
-        let part = (index != self.next).then_some(index);
-        if part.is_none() {
-            std::mem::swap(&mut out, &mut self.out);
+        Lent {
+            index,
+            out: Reconstruction::empty(self.out.syms.clone()),
         }
-        Lent { part, out }
     }
 
     /// Folds a lent bank back in, with every part it releases.
     pub(crate) fn restore(&mut self, lent: Lent) {
-        match lent.part {
-            None => {
-                self.out = lent.out;
-                self.next += 1;
-            }
-            Some(index) => _ = self.parts.insert(index, lent.out),
+        if lent.index == self.next {
+            self.fold_in(lent.out);
+        } else {
+            self.parts.insert(lent.index, lent.out);
         }
+        self.release();
+    }
+
+    /// Folds in every waiting part the next index releases.
+    fn release(&mut self) {
         while let Some(part) = self.parts.remove(&self.next) {
-            self.out.merge(part);
-            self.next += 1;
+            self.fold_in(part);
         }
     }
 
-    /// The fold over every bank pushed.
+    /// Merges the next part's summaries and keeps its trace as the next
+    /// segment.
+    fn fold_in(&mut self, mut part: Reconstruction) {
+        self.segments.push(std::mem::take(&mut part.trace));
+        self.out.merge(part);
+        self.next += 1;
+    }
+
+    /// The fold over every bank, its trace ending in one exactly sized
+    /// `Vec` built on the calling thread.
     pub fn finish(mut self) -> Reconstruction {
         for part in std::mem::take(&mut self.parts).into_values() {
-            self.out.merge(part);
+            self.fold_in(part);
         }
+        let trace = &mut self.out.trace;
+        trace.reserve_exact(self.segments.iter().map(Vec::len).sum());
+        for segment in self.segments {
+            trace.extend(segment);
+        }
+        trace.shrink_to_fit();
         self.out
     }
 }
@@ -991,7 +1024,13 @@ mod tests {
         fold.push(&mut bank, 0, &banks[0]).expect("fresh index");
         assert!(fold.parts.is_empty(), "bank 0 released both parts");
         assert_eq!(fold.next, 3);
-        assert_eq!(fold.finish(), sequential);
+        // Bank 0 grew the trace in place; the parts it released follow
+        // as segments.
+        assert!(!fold.out.trace.is_empty());
+        assert_eq!(fold.segments.len(), 2);
+        let finished = fold.finish();
+        assert_eq!(finished.trace.capacity(), finished.trace.len());
+        assert_eq!(finished, sequential);
     }
 
     #[test]
@@ -1013,27 +1052,31 @@ mod tests {
     }
 
     #[test]
-    fn bank_fold_lends_the_next_bank_in_place_and_parks_the_rest() {
+    fn bank_fold_lends_every_bank_its_own_part_and_parks_the_rest() {
         let (tf, banks, sequential) = fold_fixture();
         let table = DenseTagTable::from_tagfile(&tf);
         let syms = Symbols::from_tagfile(&tf);
         let mut bank = BankRecon::new(&table, &syms, false);
         let mut fold = BankFold::new(&syms);
         let mut zero = fold.lend(0);
-        // While bank 0 is out, banks 1 and 2 are lent as parts; bank 2
+        // While bank 0 is out, banks 1 and 2 are lent too; bank 2
         // waits, and bank 1, back last, releases it.
         let mut one = fold.lend(1);
         let mut two = fold.lend(2);
-        assert_eq!((zero.part, one.part, two.part), (None, Some(1), Some(2)));
+        assert_eq!((zero.index, one.index, two.index), (0, 1, 2));
         for (lent, i) in [(&mut zero, 0), (&mut one, 1), (&mut two, 2)] {
             bank.bank_into(&banks[i], &mut lent.out);
         }
         fold.restore(two);
         fold.restore(zero);
         assert_eq!((fold.next, fold.parts.len()), (1, 1));
+        assert!(fold.out.trace.is_empty(), "traces wait as segments");
         fold.restore(one);
         assert_eq!((fold.next, fold.parts.len()), (3, 0), "bank 1 released 2");
-        assert_eq!(fold.finish(), sequential);
+        assert_eq!(fold.segments.len(), 3);
+        let finished = fold.finish();
+        assert_eq!(finished.trace.capacity(), finished.trace.len());
+        assert_eq!(finished, sequential);
     }
 
     #[test]

@@ -212,8 +212,7 @@ impl Pool {
                     out.records += records;
                 }
                 Ok(Err(why)) => out.rejections.push((index, why)),
-                // The bank's loan, perhaps the stream's profile itself,
-                // died with the panic.
+                // The bank's part died with the panic.
                 Err(_) => out.panicked = out.panicked.or(Some(index)),
             });
             if panicked {
@@ -223,8 +222,7 @@ impl Pool {
     }
 
     /// Decodes and reconstructs one bank outside the stream's lock,
-    /// into what the stream's fold lends it: the profile itself when
-    /// the bank is the next one, else a fresh part.
+    /// into the fresh part the stream's fold lends it.
     fn analyze(&self, step: &mut BankRecon, job: Job) -> Result<(Lent, u64), String> {
         let (stream, index) = (job.stream(), job.index());
         let records = job.records()?;

@@ -1,10 +1,29 @@
-//! Library performance: the board's capture path and upload formats.
+//! Library performance: the board's capture path, the supervised
+//! trigger, the simulator behind them, and the upload formats.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use hwprof::{scenarios, Experiment};
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
-    parse_raw, ram_chip_view, reassemble, serialize_raw, Profiler, RamChip, RawRecord,
+    parse_raw, ram_chip_view, reassemble, serialize_raw, CaptureSupervisor, MemoryTransport,
+    Profiler, RamChip, RawRecord, SupervisorPolicy, TagMask,
 };
+
+/// A supervisor over a stock board that stays at mask level `All` and
+/// re-arms as soon as a full bank is uploaded.
+fn supervisor() -> CaptureSupervisor {
+    let policy = SupervisorPolicy {
+        ladder: false,
+        drain_budget_us: 0,
+        ..SupervisorPolicy::default()
+    };
+    CaptureSupervisor::new(
+        Profiler::stock(),
+        TagMask::new([]),
+        policy,
+        Box::new(MemoryTransport::new()),
+    )
+}
 
 fn bench_capture(c: &mut Criterion) {
     let mut g = c.benchmark_group("capture");
@@ -20,6 +39,34 @@ fn bench_capture(c: &mut Criterion) {
                 board.clear();
                 board.set_switch(true);
             }
+        });
+    });
+    g.bench_function("supervised_on_read", |b| {
+        let mut sup = supervisor();
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 7;
+            sup.on_read(502, t);
+            // Bound the delivered banks the run keeps: start over every
+            // 64 banks.
+            if t >= 7 << 20 {
+                sup = supervisor();
+                t = 0;
+            }
+        });
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("kernel386");
+    g.sample_size(10);
+    g.throughput(Throughput::Bytes(256 * 1024));
+    g.bench_function("sim_net_256k", |b| {
+        b.iter(|| {
+            Experiment::new()
+                .unarmed()
+                .scenario(scenarios::network_receive(256 * 1024, true))
+                .try_run()
+                .expect("experiment runs")
         });
     });
     g.finish();

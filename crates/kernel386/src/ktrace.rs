@@ -9,9 +9,8 @@
 //!
 //! Stacks are kept per process, mirroring the control flow the analysis
 //! software must reconstruct: a context switch suspends one process's
-//! stack mid-call and resumes another's.
-
-use std::collections::HashMap;
+//! stack mid-call and resumes another's.  Pids are dense from 1
+//! (`ProcTable::alloc`), so the stacks live in a `Vec` indexed by pid.
 
 use hwprof_machine::Cycles;
 
@@ -43,7 +42,8 @@ pub struct FnTruth {
 /// The oracle.
 #[derive(Debug)]
 pub struct Ktrace {
-    stacks: HashMap<Pid, Vec<Frame>>,
+    /// Open frames per pid, indexed by pid; grown on first use.
+    stacks: Vec<Vec<Frame>>,
     totals: Vec<FnTruth>,
     /// Exits observed with no matching entry (process births resuming
     /// from a manufactured `swtch` context).
@@ -60,7 +60,7 @@ impl Ktrace {
     /// An empty oracle.
     pub fn new() -> Self {
         Ktrace {
-            stacks: HashMap::new(),
+            stacks: Vec::new(),
             totals: vec![FnTruth::default(); NFUNCS],
             orphan_exits: 0,
         }
@@ -68,7 +68,7 @@ impl Ktrace {
 
     /// Records entry into `f` on `pid`'s stack at time `now`.
     pub fn enter(&mut self, pid: Pid, f: KFn, now: Cycles) {
-        self.stacks.entry(pid).or_default().push(Frame {
+        self.stack_mut(pid).push(Frame {
             f,
             entered: now,
             child: 0,
@@ -83,7 +83,7 @@ impl Ktrace {
     /// entry), so anything beyond that indicates a structure bug; debug
     /// builds assert.
     pub fn exit(&mut self, pid: Pid, f: KFn, now: Cycles) {
-        let stack = self.stacks.entry(pid).or_default();
+        let stack = self.stack_mut(pid);
         match stack.last() {
             Some(top) if top.f == f => {
                 let fr = stack.pop().expect("just observed");
@@ -110,6 +110,19 @@ impl Ktrace {
         }
     }
 
+    /// `pid`'s stack, growing the table up to it on first use.
+    fn stack_mut(&mut self, pid: Pid) -> &mut Vec<Frame> {
+        let i = pid as usize;
+        if i >= self.stacks.len() {
+            self.stacks.resize_with(i + 1, Vec::new);
+        }
+        &mut self.stacks[i]
+    }
+
+    fn stack(&self, pid: Pid) -> &[Frame] {
+        self.stacks.get(pid as usize).map_or(&[], Vec::as_slice)
+    }
+
     /// Truth record for `f`.
     pub fn truth(&self, f: KFn) -> FnTruth {
         self.totals[f.idx()]
@@ -123,12 +136,12 @@ impl Ktrace {
     /// The function currently executing on `pid`'s stack (innermost open
     /// frame); what a sampling profiler's program-counter snapshot sees.
     pub fn current_fn(&self, pid: Pid) -> Option<KFn> {
-        self.stacks.get(&pid).and_then(|s| s.last()).map(|f| f.f)
+        self.stack(pid).last().map(|f| f.f)
     }
 
     /// Depth of `pid`'s open stack.
     pub fn depth(&self, pid: Pid) -> usize {
-        self.stacks.get(&pid).map_or(0, |s| s.len())
+        self.stack(pid).len()
     }
 }
 

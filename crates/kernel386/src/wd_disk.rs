@@ -28,18 +28,13 @@ fn pio_sector(ctx: &mut Ctx) {
 /// sector buffer (direction per `write`).
 fn move_sector(ctx: &mut Ctx, io: &Io, write: bool) {
     let off = io.next_sect as usize * SECTOR;
+    let k = &mut *ctx.k;
+    let ide = k.machine.ide.as_mut().expect("no disk");
+    let cached = &mut k.fs.bufs[io.buf].data[off..off + SECTOR];
     if write {
-        let src = ctx.k.fs.bufs[io.buf].data[off..off + SECTOR].to_vec();
-        ctx.k
-            .machine
-            .ide
-            .as_mut()
-            .expect("no disk")
-            .buffer
-            .copy_from_slice(&src);
+        ide.buffer.copy_from_slice(cached);
     } else {
-        let data = ctx.k.machine.ide.as_ref().expect("no disk").buffer.clone();
-        ctx.k.fs.bufs[io.buf].data[off..off + SECTOR].copy_from_slice(&data);
+        cached.copy_from_slice(&ide.buffer);
     }
 }
 

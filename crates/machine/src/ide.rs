@@ -17,6 +17,65 @@ use crate::time::{Cycles, CYCLES_PER_US};
 /// Bytes per sector.
 pub const SECTOR: usize = 512;
 
+/// Sectors per backing-store slab (64 KiB).
+const SLAB_SECTORS: usize = 128;
+
+/// LBAs per page of the store's index (4 KiB of slots).
+const INDEX_PAGE: usize = 1024;
+
+/// The drive's backing store: written sectors packed into fixed 64 KiB
+/// slabs that are allocated once and never move, found through a
+/// two-level LBA → slot index whose pages exist only where sectors were
+/// written.  Unwritten sectors read as zeros.
+#[derive(Default)]
+struct SectorStore {
+    /// Slot + 1 for every written LBA, 0 for never written, in pages of
+    /// `INDEX_PAGE` LBAs.
+    index: Vec<Option<Box<[u32; INDEX_PAGE]>>>,
+    /// Slot `s` is sector `s % SLAB_SECTORS` of slab `s / SLAB_SECTORS`.
+    slabs: Vec<Box<[[u8; SECTOR]]>>,
+    /// Slots handed out so far.
+    used: usize,
+}
+
+impl SectorStore {
+    fn get(&self, lba: u64) -> Option<&[u8]> {
+        let lba = lba as usize;
+        let page = self.index.get(lba / INDEX_PAGE)?.as_ref()?;
+        let slot = (page[lba % INDEX_PAGE] as usize).checked_sub(1)?;
+        Some(&self.slabs[slot / SLAB_SECTORS][slot % SLAB_SECTORS])
+    }
+
+    /// Stores `data` as sector `lba`, replacing what was there.
+    fn put(&mut self, lba: u64, data: &[u8]) {
+        let lba = lba as usize;
+        if lba / INDEX_PAGE >= self.index.len() {
+            self.index.resize_with(lba / INDEX_PAGE + 1, || None);
+        }
+        let page = self.index[lba / INDEX_PAGE].get_or_insert_with(|| Box::new([0; INDEX_PAGE]));
+        let entry = &mut page[lba % INDEX_PAGE];
+        if *entry == 0 {
+            if self.used.is_multiple_of(SLAB_SECTORS) {
+                self.slabs
+                    .push(vec![[0; SECTOR]; SLAB_SECTORS].into_boxed_slice());
+            }
+            self.used += 1;
+            *entry = self.used as u32;
+        }
+        let slot = *entry as usize - 1;
+        self.slabs[slot / SLAB_SECTORS][slot % SLAB_SECTORS].copy_from_slice(data);
+    }
+}
+
+impl std::fmt::Debug for SectorStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SectorStore")
+            .field("sectors", &self.used)
+            .field("slabs", &self.slabs.len())
+            .finish()
+    }
+}
+
 /// Drive geometry and mechanics.
 #[derive(Debug, Clone, Copy)]
 pub struct DiskGeometry {
@@ -135,7 +194,7 @@ pub struct IdeController {
     /// buffer (the drive is busy until then).
     pub mech_busy_until: Cycles,
     /// Backing store: the actual sector contents, indexed by LBA.
-    store: std::collections::HashMap<u64, Vec<u8>>,
+    store: SectorStore,
     /// Track (lba / spt) whose sectors sit in the drive's read buffer;
     /// sequential reads within it skip the mechanics (1:1 interleave
     /// with a track buffer, as the ST3144 generation shipped).
@@ -159,7 +218,7 @@ impl IdeController {
             write_buf: std::collections::VecDeque::new(),
             write_buf_cap: 8,
             mech_busy_until: 0,
-            store: std::collections::HashMap::new(),
+            store: SectorStore::default(),
             track_cache: None,
             reads: 0,
             writes: 0,
@@ -246,18 +305,16 @@ impl IdeController {
             .expect("IDE completion with no command")
         {
             IdeCommand::ReadSector(lba) => {
-                let data = self
-                    .store
-                    .get(&lba)
-                    .cloned()
-                    .unwrap_or_else(|| vec![0; SECTOR]);
-                self.buffer.copy_from_slice(&data);
+                match self.store.get(lba) {
+                    Some(data) => self.buffer.copy_from_slice(data),
+                    None => self.buffer.fill(0),
+                }
                 self.track_cache = Some(lba / u64::from(self.geom.spt));
                 self.status = IdeStatus::ReadReady(lba);
                 self.reads += 1;
             }
             IdeCommand::WriteSector(lba) => {
-                self.store.insert(lba, self.buffer.clone());
+                self.store.put(lba, &self.buffer);
                 // The drive schedules the platter write immediately and
                 // drains autonomously: consecutive sectors chain at
                 // rotation speed instead of missing revolutions.
@@ -281,7 +338,7 @@ impl IdeController {
     /// Reads a sector's stored contents directly (test/oracle use; no
     /// timing).
     pub fn peek(&self, lba: u64) -> Option<&[u8]> {
-        self.store.get(&lba).map(|v| v.as_slice())
+        self.store.get(lba)
     }
 }
 
@@ -357,6 +414,70 @@ mod tests {
         c.complete(done2);
         assert_eq!(c.status, IdeStatus::ReadReady(42));
         assert_eq!(c.buffer[5], 5);
+    }
+
+    /// Writes `fill` to `lba` through the controller; returns the
+    /// completion time.
+    fn write_sector(c: &mut IdeController, lba: u64, fill: u8, now: Cycles) -> Cycles {
+        c.buffer.fill(fill);
+        let done = c.issue(IdeCommand::WriteSector(lba), now);
+        c.complete(done);
+        done
+    }
+
+    fn read_sector(c: &mut IdeController, lba: u64, now: Cycles) -> Cycles {
+        let done = c.issue(IdeCommand::ReadSector(lba), now);
+        c.complete(done);
+        assert_eq!(c.status, IdeStatus::ReadReady(lba));
+        done
+    }
+
+    #[test]
+    fn overwriting_an_lba_replaces_its_contents() {
+        let mut c = ctl();
+        let t = write_sector(&mut c, 77, 0x11, 0);
+        let t = write_sector(&mut c, 78, 0x22, t);
+        let t = write_sector(&mut c, 77, 0x33, t);
+        assert_eq!(c.peek(77), Some(&[0x33u8; SECTOR][..]));
+        assert_eq!(c.peek(78), Some(&[0x22u8; SECTOR][..]));
+        read_sector(&mut c, 77, t + 1);
+        assert!(c.buffer.iter().all(|&b| b == 0x33));
+        assert_eq!(c.writes, 3);
+    }
+
+    #[test]
+    fn unwritten_lba_reads_as_zeros() {
+        let mut c = ctl();
+        let t = write_sector(&mut c, 5, 0xEE, 0);
+        assert_eq!(c.peek(6), None);
+        // The controller buffer still holds the written pattern; a read
+        // of a never-written sector must clear it.
+        read_sector(&mut c, 6, t + 1);
+        assert!(c.buffer.iter().all(|&b| b == 0));
+        let last = c.geom.sectors() - 1;
+        read_sector(&mut c, last, t + 2);
+        assert!(c.buffer.iter().all(|&b| b == 0));
+        assert_eq!(c.peek(last), None);
+    }
+
+    #[test]
+    fn peek_agrees_with_reads() {
+        let mut c = ctl();
+        // More sectors than one slab, scattered and out of order, so
+        // slots and LBAs disagree.
+        let lbas: Vec<u64> = (0..300u64).map(|i| (i * 7919) % 200_000).collect();
+        let mut now = 0;
+        for (i, &lba) in lbas.iter().enumerate() {
+            c.buffer = (0..SECTOR).map(|j| (i + j) as u8).collect();
+            let done = c.issue(IdeCommand::WriteSector(lba), now);
+            c.complete(done);
+            now = done + 1;
+        }
+        for &lba in lbas.iter().rev() {
+            let stored = c.peek(lba).expect("written").to_vec();
+            now = read_sector(&mut c, lba, now) + 1;
+            assert_eq!(c.buffer, stored, "lba {lba}");
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@ pub const SHMEM: usize = 8192;
 pub const TX_PAGES: u8 = 6;
 /// Total number of pages.
 pub const NPAGES: u8 = (SHMEM / PAGE) as u8;
+/// First byte of the receive ring, right after the transmit buffer.
+const RING_START: usize = TX_PAGES as usize * PAGE;
 
 /// Interrupt status bits (8390-style).
 pub mod isr {
@@ -147,16 +149,16 @@ impl WdCard {
         let len = total as u16;
         self.shmem[base + 2] = (len & 0xff) as u8;
         self.shmem[base + 3] = (len >> 8) as u8;
-        // Write the frame data, wrapping within the ring region.
-        let mut page = self.curr;
-        let mut off = 4usize;
-        for &b in frame {
-            if off == PAGE {
-                page = Self::ring_next(page);
-                off = 0;
-            }
-            self.shmem[page as usize * PAGE + off] = b;
-            off += 1;
+        // The frame data follows the header contiguously; the ring
+        // region wraps at most once, from the top of shared memory back
+        // to the first receive page.
+        let mut pos = base + 4;
+        let mut rest = frame;
+        while !rest.is_empty() {
+            let n = rest.len().min(SHMEM - pos);
+            self.shmem[pos..pos + n].copy_from_slice(&rest[..n]);
+            rest = &rest[n..];
+            pos = RING_START;
         }
         self.curr = next;
         self.accepted += 1;
@@ -178,20 +180,20 @@ impl WdCard {
     /// into `out`; `len` is the header length field (includes the header).
     ///
     /// This is the *data path the driver pays for*: the caller must charge
-    /// `len - 4` bytes of 8-bit ISA reads.
+    /// `len - 4` bytes of 8-bit ISA reads.  A corrupt length shorter than
+    /// the header itself yields an empty frame.
     pub fn copy_frame(&self, page: u8, len: u16, out: &mut Vec<u8>) {
-        let datalen = len as usize - 4;
+        let mut remaining = usize::from(len).saturating_sub(4);
         out.clear();
-        out.reserve(datalen);
-        let mut p = page;
-        let mut off = 4usize;
-        for _ in 0..datalen {
-            if off == PAGE {
-                p = Self::ring_next(p);
-                off = 0;
-            }
-            out.push(self.shmem[p as usize * PAGE + off]);
-            off += 1;
+        out.reserve(remaining);
+        // One slice per pass over the ring region: at most two for any
+        // frame the ring can hold.
+        let mut pos = page as usize * PAGE + 4;
+        while remaining > 0 {
+            let n = remaining.min(SHMEM - pos);
+            out.extend_from_slice(&self.shmem[pos..pos + n]);
+            remaining -= n;
+            pos = RING_START;
         }
     }
 
@@ -290,5 +292,159 @@ mod tests {
         card.receive(&[0u8; 64]);
         assert_eq!(card.ack_isr() & isr::PRX, isr::PRX);
         assert_eq!(card.ack_isr(), 0);
+    }
+
+    #[test]
+    fn corrupt_short_length_copies_an_empty_frame() {
+        let mut card = WdCard::new();
+        assert!(card.receive(&[9u8; 64]));
+        let mut out = vec![1, 2, 3];
+        for len in 0..4u16 {
+            card.copy_frame(card.boundary, len, &mut out);
+            assert!(out.is_empty(), "header length {len}");
+        }
+        card.copy_frame(card.boundary, 5, &mut out);
+        assert_eq!(out, [9]);
+    }
+
+    /// The per-byte ring the card used to be: page by page, one byte at
+    /// a time, wrapping through `ring_next`.  The oracle for the
+    /// slice-copy ring.
+    struct ByteRing {
+        shmem: Vec<u8>,
+        curr: u8,
+        boundary: u8,
+        accepted: u64,
+        missed: u64,
+    }
+
+    impl ByteRing {
+        fn new() -> Self {
+            ByteRing {
+                shmem: vec![0; SHMEM],
+                curr: TX_PAGES,
+                boundary: TX_PAGES,
+                accepted: 0,
+                missed: 0,
+            }
+        }
+
+        fn free_pages(&self) -> u8 {
+            let ring = NPAGES - TX_PAGES;
+            let used = if self.curr >= self.boundary {
+                self.curr - self.boundary
+            } else {
+                ring - (self.boundary - self.curr)
+            };
+            ring - used - 1
+        }
+
+        fn receive(&mut self, frame: &[u8]) -> bool {
+            let total = frame.len() + 4;
+            let pages_needed = total.div_ceil(PAGE) as u8;
+            if pages_needed > self.free_pages() {
+                self.missed += 1;
+                return false;
+            }
+            let mut next = self.curr;
+            for _ in 0..pages_needed {
+                next = WdCard::ring_next(next);
+            }
+            let base = self.curr as usize * PAGE;
+            self.shmem[base] = 0x01;
+            self.shmem[base + 1] = next;
+            self.shmem[base + 2] = (total & 0xff) as u8;
+            self.shmem[base + 3] = (total >> 8) as u8;
+            let (mut page, mut off) = (self.curr, 4usize);
+            for &b in frame {
+                if off == PAGE {
+                    page = WdCard::ring_next(page);
+                    off = 0;
+                }
+                self.shmem[page as usize * PAGE + off] = b;
+                off += 1;
+            }
+            self.curr = next;
+            self.accepted += 1;
+            true
+        }
+
+        fn copy_frame(&self, page: u8, len: u16) -> Vec<u8> {
+            let mut out = Vec::new();
+            let (mut p, mut off) = (page, 4usize);
+            for _ in 0..len as usize - 4 {
+                if off == PAGE {
+                    p = WdCard::ring_next(p);
+                    off = 0;
+                }
+                out.push(self.shmem[p as usize * PAGE + off]);
+                off += 1;
+            }
+            out
+        }
+
+        fn drain_one(&mut self) -> Vec<u8> {
+            let page = self.boundary;
+            let len = u16::from_le_bytes([
+                self.shmem[page as usize * PAGE + 2],
+                self.shmem[page as usize * PAGE + 3],
+            ]);
+            let frame = self.copy_frame(page, len);
+            self.boundary = self.shmem[page as usize * PAGE + 1];
+            frame
+        }
+    }
+
+    #[test]
+    fn slice_ring_matches_the_per_byte_ring() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // A frame of 252 bytes plus its header fills one page exactly;
+        // so does 508 for two pages.
+        let page_exact = [PAGE - 4, 2 * PAGE - 4, 6 * PAGE - 4];
+        let (mut page_ends, mut top_wraps) = (0u32, 0u32);
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut card = WdCard::new();
+            let mut oracle = ByteRing::new();
+            let mut out = Vec::new();
+            for step in 0..400u32 {
+                if card.has_frame() && rng.gen_range(0u32..3) == 0 {
+                    // Drain one to three frames, as werint does.
+                    for _ in 0..rng.gen_range(1u32..4) {
+                        if !card.has_frame() {
+                            break;
+                        }
+                        let hdr = card.recv_header(card.boundary);
+                        card.copy_frame(card.boundary, hdr.len, &mut out);
+                        assert_eq!(out, oracle.drain_one(), "seed {seed} step {step}");
+                        card.set_boundary(hdr.next_page);
+                    }
+                } else {
+                    let len = if rng.gen_range(0u32..4) == 0 {
+                        page_exact[rng.gen_range(0usize..page_exact.len())]
+                    } else {
+                        rng.gen_range(60usize..1515)
+                    };
+                    let frame: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..255)).collect();
+                    let start = card.curr as usize * PAGE + 4;
+                    let stored = card.receive(&frame);
+                    assert_eq!(stored, oracle.receive(&frame), "seed {seed} step {step}");
+                    if stored {
+                        page_ends += u32::from((start + len).is_multiple_of(PAGE));
+                        top_wraps += u32::from(start + len > SHMEM);
+                    }
+                }
+                assert_eq!(card.shmem(), &oracle.shmem[..], "seed {seed} step {step}");
+                assert_eq!(
+                    (card.curr, card.boundary, card.accepted, card.missed),
+                    (oracle.curr, oracle.boundary, oracle.accepted, oracle.missed),
+                    "seed {seed} step {step}"
+                );
+            }
+        }
+        assert!(page_ends > 0, "no frame ended on a page boundary");
+        assert!(top_wraps > 0, "no frame wrapped at SHMEM");
     }
 }

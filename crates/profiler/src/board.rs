@@ -173,6 +173,78 @@ impl BoardState {
             self.config.capacity
         }
     }
+
+    /// One trigger read at the socket: store the record, swap banks, or
+    /// count the miss.  The body behind both [`EpromTap`] for
+    /// [`Profiler`] and the supervisor's [`Profiler::trigger`].
+    fn on_read(&mut self, offset: u16, now_us: u64) {
+        if !self.armed || self.overflowed {
+            self.missed += 1;
+            self.metrics.missed.inc();
+            return;
+        }
+        if self.ram.len() >= self.bank_capacity() {
+            match self.drain.as_mut() {
+                Some(sink) => {
+                    // Bank swap: the full bank goes to the sink, the
+                    // other bank keeps recording the same time stream.
+                    let cap = (self.config.capacity / 2).max(1);
+                    let full = std::mem::replace(&mut self.ram, Vec::with_capacity(cap));
+                    self.banks_drained += 1;
+                    self.metrics.banks_drained.inc();
+                    self.journal.instant(
+                        SpanTrack::Board,
+                        SpanName::Drain,
+                        now_us,
+                        self.banks_drained - 1,
+                        full.len() as u64,
+                    );
+                    if !sink.bank(full) {
+                        // No empty RAM ready: overflow, stop storing.
+                        self.overflow(now_us);
+                        return;
+                    }
+                }
+                None => {
+                    // Address counter overflow: stop storing, light the
+                    // LED.
+                    self.overflow(now_us);
+                    return;
+                }
+            }
+        }
+        let mask = self.config.time_mask();
+        self.ram.push(RawRecord {
+            tag: offset,
+            time: (now_us & mask) as u32,
+        });
+        self.metrics.triggers.inc();
+        self.metrics
+            .fill_pct
+            .set_with(|| (self.ram.len() * 100 / self.bank_capacity().max(1)) as u64);
+    }
+
+    /// The overflow LED lights: storing stops and this trigger is missed.
+    fn overflow(&mut self, now_us: u64) {
+        self.overflowed = true;
+        self.armed = false;
+        self.missed += 1;
+        self.metrics.overflows.inc();
+        self.metrics.missed.inc();
+        self.journal
+            .instant(SpanTrack::Board, SpanName::Overflow, now_us, 0, 0);
+    }
+
+    fn health(&self) -> BoardHealth {
+        BoardHealth {
+            stored: self.ram.len(),
+            capacity: self.config.capacity,
+            missed_while_off: self.missed,
+            armed: self.armed,
+            overflowed: self.overflowed,
+            banks_drained: self.banks_drained,
+        }
+    }
 }
 
 /// A handle to the Profiler board.
@@ -270,17 +342,17 @@ impl Profiler {
     }
 
     /// Snapshots fill level, missed count and control state in one lock
-    /// acquisition — the supervisor's per-trigger observation.
+    /// acquisition.
     pub fn health(&self) -> BoardHealth {
-        let s = self.state.lock();
-        BoardHealth {
-            stored: s.ram.len(),
-            capacity: s.config.capacity,
-            missed_while_off: s.missed,
-            armed: s.armed,
-            overflowed: s.overflowed,
-            banks_drained: s.banks_drained,
-        }
+        self.state.lock().health()
+    }
+
+    /// One trigger read followed by the health snapshot, under a single
+    /// lock acquisition — the supervisor's per-trigger step.
+    pub(crate) fn trigger(&self, offset: u16, now_us: u64) -> BoardHealth {
+        let mut s = self.state.lock();
+        s.on_read(offset, now_us);
+        s.health()
     }
 
     /// Switches on drain-while-armed mode: the capture RAM becomes a
@@ -349,64 +421,7 @@ impl Profiler {
 
 impl EpromTap for Profiler {
     fn on_read(&mut self, offset: u16, now_us: u64) {
-        let mut s = self.state.lock();
-        let st = &mut *s;
-        if !st.armed || st.overflowed {
-            st.missed += 1;
-            st.metrics.missed.inc();
-            return;
-        }
-        if st.ram.len() >= st.bank_capacity() {
-            match st.drain.as_mut() {
-                Some(sink) => {
-                    // Bank swap: the full bank goes to the sink, the
-                    // other bank keeps recording the same time stream.
-                    let cap = (st.config.capacity / 2).max(1);
-                    let full = std::mem::replace(&mut st.ram, Vec::with_capacity(cap));
-                    st.banks_drained += 1;
-                    st.metrics.banks_drained.inc();
-                    st.journal.instant(
-                        SpanTrack::Board,
-                        SpanName::Drain,
-                        now_us,
-                        st.banks_drained - 1,
-                        full.len() as u64,
-                    );
-                    if !sink.bank(full) {
-                        // No empty RAM ready: overflow, stop storing.
-                        st.overflowed = true;
-                        st.armed = false;
-                        st.missed += 1;
-                        st.metrics.overflows.inc();
-                        st.metrics.missed.inc();
-                        st.journal
-                            .instant(SpanTrack::Board, SpanName::Overflow, now_us, 0, 0);
-                        return;
-                    }
-                }
-                None => {
-                    // Address counter overflow: stop storing, light the
-                    // LED.
-                    st.overflowed = true;
-                    st.armed = false;
-                    st.missed += 1;
-                    st.metrics.overflows.inc();
-                    st.metrics.missed.inc();
-                    st.journal
-                        .instant(SpanTrack::Board, SpanName::Overflow, now_us, 0, 0);
-                    return;
-                }
-            }
-        }
-        let mask = st.config.time_mask();
-        st.ram.push(RawRecord {
-            tag: offset,
-            time: (now_us & mask) as u32,
-        });
-        st.metrics.triggers.inc();
-        st.metrics
-            .fill_pct
-            .set_with(|| (st.ram.len() * 100 / st.bank_capacity().max(1)) as u64);
+        self.state.lock().on_read(offset, now_us);
     }
 
     fn stored(&self) -> usize {

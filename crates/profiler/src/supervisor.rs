@@ -720,8 +720,8 @@ fn cause_arg(c: GapCause) -> u64 {
 }
 
 impl SupervisorState {
-    fn bank_full_at(&self) -> usize {
-        let cap = self.board.capacity();
+    /// Events at which a bank on a `cap`-event board counts as full.
+    fn bank_full_at(&self, cap: usize) -> usize {
         match self.policy.drain_fill {
             Some(n) => n.clamp(1, cap),
             None => cap,
@@ -909,8 +909,7 @@ impl SupervisorState {
         // masking itself.
         if self.policy.ladder && self.session_triggers > 0 {
             let span = now.saturating_sub(self.session_start);
-            let fill_est =
-                span.saturating_mul(self.board.capacity() as u64) / self.session_triggers;
+            let fill_est = span.saturating_mul(h.capacity as u64) / self.session_triggers;
             if fill_est < self.policy.downgrade_fill_us && self.level != TagMaskLevel::SwitchOnly {
                 if self.level == TagMaskLevel::All
                     && self.mask.hot.is_empty()
@@ -1284,10 +1283,9 @@ impl EpromTap for CaptureSupervisor {
             st.metrics.masked_events.inc();
             return;
         }
-        st.board.on_read(offset, now_us);
-        let h = st.board.health();
-        if h.overflowed || h.stored >= st.bank_full_at() {
-            let overflow = h.overflowed || h.stored >= st.board.capacity();
+        let h = st.board.trigger(offset, now_us);
+        if h.overflowed || h.stored >= st.bank_full_at(h.capacity) {
+            let overflow = h.overflowed || h.stored >= h.capacity;
             st.drain(now_us, overflow);
         }
     }
