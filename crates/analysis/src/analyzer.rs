@@ -177,9 +177,9 @@ impl Analyzer {
 
     /// A fold fanned out across the configured workers: contiguous
     /// blocks of `items`, each folded on its own thread, block results
-    /// merged in order.  Decode, reconstruction and the trace
-    /// concatenation all parallelize with the blocks, leaving only
-    /// `workers - 1` merges on the calling thread.
+    /// merged in order.  Decode and reconstruction parallelize with the
+    /// blocks; the merges on the calling thread only join summaries and
+    /// trace segment pointers.
     fn fan_out<T: Sync>(
         &self,
         items: &[T],
@@ -205,15 +205,16 @@ impl Analyzer {
                 .collect()
         });
         let mut out = Reconstruction::empty(self.syms.clone());
-        out.trace.reserve(parts.iter().map(|r| r.trace.len()).sum());
         for r in parts {
             out.merge(r);
         }
         out
     }
 
-    /// The trust gate, applied by every public entry point.
-    fn gate(&self, r: Reconstruction) -> Result<Reconstruction, AnalyzerError> {
+    /// The trust gate, applied by every public entry point, which also
+    /// seals the trace so clones of the result share it.
+    fn gate(&self, mut r: Reconstruction) -> Result<Reconstruction, AnalyzerError> {
+        r.trace.seal();
         if let Some(limit_ppm) = self.limit_ppm {
             let tags = r.tags as u64;
             if r.anomalies.exceeds(tags, limit_ppm) {

@@ -32,7 +32,7 @@
 //! at its own µs-from-session-start times; attaching a run re-bases
 //! every session at its recorded place on the supervised timeline.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use hwprof_profiler::{GapCause, TagMaskLevel};
@@ -40,7 +40,7 @@ use hwprof_telemetry::{SpanEvent, SpanName, SpanPhase, SpanTrack};
 
 use crate::events::SymId;
 use crate::profile::Profile;
-use crate::recon::{ItemKind, TraceItem};
+use crate::recon::{ItemKind, Trace, TraceItem};
 
 /// Synthetic pid of the coverage/anomaly overlay process.
 const OVERLAY_PID: u64 = 0;
@@ -52,20 +52,22 @@ const BYTES_PER_ITEM: usize = 128;
 
 /// Trace items grouped per (session, lane), in (session, lane) order,
 /// from one pass over the trace.
-fn lanes(trace: &[TraceItem]) -> Vec<(usize, usize, Vec<&TraceItem>)> {
+fn lanes(trace: &Trace) -> Vec<(usize, usize, Vec<&TraceItem>)> {
     let mut lanes: Vec<(usize, usize, Vec<&TraceItem>)> = Vec::new();
     // The session's number and the index of its lane 0 in `lanes`.
     let (mut session, mut first) = (0, 0);
-    for item in trace {
-        if matches!(item.kind, ItemKind::SessionBreak) {
-            (session, first) = (session + 1, lanes.len());
-            continue;
+    for segment in trace.segments() {
+        for item in segment {
+            if matches!(item.kind, ItemKind::SessionBreak) {
+                (session, first) = (session + 1, lanes.len());
+                continue;
+            }
+            let lane = first + item.lane as usize;
+            while lanes.len() <= lane {
+                lanes.push((session, lanes.len() - first, Vec::new()));
+            }
+            lanes[lane].2.push(item);
         }
-        let lane = first + item.lane as usize;
-        while lanes.len() <= lane {
-            lanes.push((session, lanes.len() - first, Vec::new()));
-        }
-        lanes[lane].2.push(item);
     }
     lanes.retain(|(_, _, items)| !items.is_empty());
     lanes
@@ -103,7 +105,8 @@ impl<'a> Profile<'a> {
         }
         self.r
             .trace
-            .iter()
+            .segments()
+            .flatten()
             .map(|it| match it.kind {
                 ItemKind::Call { elapsed, .. } => it.t + elapsed,
                 _ => it.t,
@@ -422,48 +425,58 @@ impl<'a> Profile<'a> {
     /// Calls sum on a tree of symbol paths whose frames nest by depth
     /// per lane, as in the Chrome lanes; each path's names join once.
     pub fn folded(&self) -> String {
-        /// Parent of a top-level frame.
-        const ROOT: usize = usize::MAX;
+        /// The root node, parent of every top-level frame.
+        const ROOT: usize = 0;
         let syms = &self.r.syms;
-        // (parent, sym, summed net) per distinct path; a parent always
-        // precedes its children.
-        let mut nodes: Vec<(usize, SymId, u64)> = Vec::new();
-        let mut children: HashMap<(usize, SymId), usize> = HashMap::new();
+        // (parent, sym, summed net) per distinct path after the root; a
+        // parent always precedes its children.
+        let mut nodes: Vec<(usize, SymId, u64)> = vec![(ROOT, 0, 0)];
+        // Per node: (sym, node) of each child, sorted by sym.
+        let mut children: Vec<Vec<(SymId, usize)>> = vec![Vec::new()];
         // Per lane of the current session: (node, depth) of each call
         // still open.
-        let mut stacks: Vec<Vec<(usize, usize)>> = Vec::new();
-        for item in &self.r.trace {
-            match item.kind {
-                ItemKind::SessionBreak => stacks.clear(),
-                ItemKind::Call {
-                    sym, net, closed, ..
-                } => {
-                    let lane = item.lane as usize;
-                    if stacks.len() <= lane {
-                        stacks.resize_with(lane + 1, Vec::new);
+        let mut stacks: Vec<Vec<(usize, u32)>> = Vec::new();
+        for segment in self.r.trace.segments() {
+            for item in segment {
+                match item.kind {
+                    ItemKind::SessionBreak => stacks.clear(),
+                    ItemKind::Call {
+                        sym, net, closed, ..
+                    } => {
+                        let lane = item.lane as usize;
+                        if stacks.len() <= lane {
+                            stacks.resize_with(lane + 1, Vec::new);
+                        }
+                        let stack = &mut stacks[lane];
+                        while stack.last().is_some_and(|&(_, d)| d >= item.depth) {
+                            stack.pop();
+                        }
+                        if closed {
+                            let parent = stack.last().map_or(ROOT, |&(node, _)| node);
+                            let kids = &mut children[parent];
+                            let node = match kids.binary_search_by_key(&sym, |&(s, _)| s) {
+                                Ok(i) => kids[i].1,
+                                Err(i) => {
+                                    kids.insert(i, (sym, nodes.len()));
+                                    nodes.push((parent, sym, 0));
+                                    children.push(Vec::new());
+                                    nodes.len() - 1
+                                }
+                            };
+                            nodes[node].2 += net;
+                            stack.push((node, item.depth));
+                        }
                     }
-                    let stack = &mut stacks[lane];
-                    while stack.last().is_some_and(|&(_, d)| d >= item.depth) {
-                        stack.pop();
-                    }
-                    if closed {
-                        let parent = stack.last().map_or(ROOT, |&(node, _)| node);
-                        let node = *children.entry((parent, sym)).or_insert_with(|| {
-                            nodes.push((parent, sym, 0));
-                            nodes.len() - 1
-                        });
-                        nodes[node].2 += net;
-                        stack.push((node, item.depth));
-                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
         // Context-switch frames shape the path but have no net time of
         // their own in the accounting; paths whose names join equal sum.
         let mut paths: Vec<String> = Vec::with_capacity(nodes.len());
+        paths.push(String::new());
         let mut agg: BTreeMap<String, u64> = BTreeMap::new();
-        for &(parent, sym, net) in &nodes {
+        for &(parent, sym, net) in &nodes[1..] {
             let path = match parent {
                 ROOT => syms.name(sym).to_string(),
                 _ => format!("{};{}", paths[parent], syms.name(sym)),
@@ -520,7 +533,7 @@ enum CallEv {
 /// first, so spans nest properly and times never run backwards.
 fn lane_call_events(items: &[&TraceItem], mut f: impl FnMut(CallEv)) {
     // (sym, end time, depth) of every call still open.
-    let mut stack: Vec<(SymId, u64, usize)> = Vec::new();
+    let mut stack: Vec<(SymId, u64, u32)> = Vec::new();
     for item in items {
         match item.kind {
             ItemKind::Call {

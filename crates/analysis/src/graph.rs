@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use crate::events::SymId;
-use crate::recon::{ItemKind, Reconstruction, TraceItem};
+use crate::recon::{ItemKind, Reconstruction, Trace};
 
 /// Renders the reconstructed call graph as Graphviz dot, edges labelled
 /// with call counts, nodes with net µs.
@@ -43,26 +43,28 @@ fn quoted(name: &str) -> String {
 /// the latest call at depth `d - 1`, so each closed call below the top
 /// level counts one edge from it; force-closed and still-open frames
 /// count none.
-fn call_edges(trace: &[TraceItem]) -> BTreeMap<(SymId, SymId), u64> {
+fn call_edges(trace: &Trace) -> BTreeMap<(SymId, SymId), u64> {
     let mut edges = BTreeMap::new();
     // Per lane: the syms of the latest call at each depth.
     let mut lanes: Vec<Vec<SymId>> = Vec::new();
-    for item in trace {
-        match item.kind {
-            ItemKind::SessionBreak => lanes.clear(),
-            ItemKind::Call { sym, closed, .. } => {
-                let lane = item.lane as usize;
-                if lanes.len() <= lane {
-                    lanes.resize_with(lane + 1, Vec::new);
+    for segment in trace.segments() {
+        for item in segment {
+            match item.kind {
+                ItemKind::SessionBreak => lanes.clear(),
+                ItemKind::Call { sym, closed, .. } => {
+                    let lane = item.lane as usize;
+                    if lanes.len() <= lane {
+                        lanes.resize_with(lane + 1, Vec::new);
+                    }
+                    let stack = &mut lanes[lane];
+                    stack.truncate(item.depth as usize);
+                    if let (true, Some(&caller)) = (closed, stack.last()) {
+                        *edges.entry((caller, sym)).or_insert(0) += 1;
+                    }
+                    stack.push(sym);
                 }
-                let stack = &mut lanes[lane];
-                stack.truncate(item.depth);
-                if let (true, Some(&caller)) = (closed, stack.last()) {
-                    *edges.entry((caller, sym)).or_insert(0) += 1;
-                }
-                stack.push(sym);
+                _ => {}
             }
-            _ => {}
         }
     }
     edges

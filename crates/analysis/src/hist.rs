@@ -23,28 +23,30 @@ pub struct Histogram {
 pub fn histogram(r: &Reconstruction, name: &str, max_bound: u64) -> Option<Histogram> {
     let sym = r.syms.lookup(name)?;
     let mut bounds = Vec::new();
-    let mut b = 1u64;
-    while b <= max_bound {
-        bounds.push(b);
-        b *= 2;
+    let mut b = Some(1u64);
+    while let Some(ub) = b.filter(|&ub| ub <= max_bound) {
+        bounds.push(ub);
+        b = ub.checked_mul(2);
     }
     let mut counts = vec![0u64; bounds.len() + 1];
     let mut n = 0u64;
-    for item in &r.trace {
-        if let ItemKind::Call {
-            sym: s,
-            net,
-            closed: true,
-            ..
-        } = item.kind
-        {
-            if s == sym {
-                let idx = bounds
-                    .iter()
-                    .position(|&ub| net <= ub)
-                    .unwrap_or(bounds.len());
-                counts[idx] += 1;
-                n += 1;
+    for segment in r.trace.segments() {
+        for item in segment {
+            if let ItemKind::Call {
+                sym: s,
+                net,
+                closed: true,
+                ..
+            } = item.kind
+            {
+                if s == sym {
+                    let idx = bounds
+                        .iter()
+                        .position(|&ub| net <= ub)
+                        .unwrap_or(bounds.len());
+                    counts[idx] += 1;
+                    n += 1;
+                }
             }
         }
     }
@@ -106,5 +108,22 @@ mod tests {
         let text = super::render(&h, 40);
         assert!(text.contains("f — 3 calls"));
         assert!(super::histogram(&r, "missing", 64).is_none());
+    }
+
+    /// A bound past 2^63 stops at the last power of two instead of
+    /// overflowing the doubling.
+    #[test]
+    fn histogram_bounds_stop_at_the_largest_power_of_two() {
+        let tf = hwprof_tagfile::parse("f/100\n").unwrap();
+        let recs = [
+            RawRecord { tag: 100, time: 0 },
+            RawRecord { tag: 101, time: 3 },
+        ];
+        let (syms, ev) = decode(&recs, &tf);
+        let r = analyze(&syms, &ev);
+        let h = super::histogram(&r, "f", u64::MAX).unwrap();
+        assert_eq!(h.bounds.len(), 64);
+        assert_eq!(h.bounds.last(), Some(&(1u64 << 63)));
+        assert_eq!((h.n, h.counts[2]), (1, 1), "3 us lands in <= 4");
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use crate::events::{decode, EvKind, Event, SessionDecoder, Symbols, TagMap};
-use crate::recon::Reconstruction;
+use crate::recon::{Reconstruction, SessionRecon};
 use crate::stream::StreamAnalyzer;
 use crate::Analyzer;
 use hwprof_profiler::{parse_raw, serialize_raw, BankSink, RawRecord, RecordStream};
@@ -309,5 +309,86 @@ proptest! {
         let sessions = cut_sessions(&records, &map, &cuts);
         let batch = analyze_sessions(&syms, &sessions);
         prop_assert_eq!(streamed, batch);
+    }
+}
+
+/// Merges `parts` as a balanced tree: each half folded on its own,
+/// then the halves joined.
+fn merge_tree(mut parts: Vec<Reconstruction>) -> Reconstruction {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    let right = parts.split_off(parts.len() / 2);
+    let mut left = merge_tree(parts);
+    left.merge(merge_tree(right));
+    left
+}
+
+/// Every byte-level rendering of `r`'s trace: Chrome, speedscope,
+/// folded, Figure 4 and dot.
+fn renders(r: &Reconstruction) -> [String; 5] {
+    let p = crate::Profile::new(r);
+    [
+        p.chrome_trace(),
+        p.speedscope(),
+        p.folded(),
+        crate::trace_report(r, &crate::TraceStyle::default()),
+        crate::graph::to_dot(r),
+    ]
+}
+
+proptest! {
+    /// The trace rope: sessions grouped into parts, each part left with
+    /// an open tail, then merged left-, right- or tree-associated, equal
+    /// the one-pass reconstruction item for item and render the same
+    /// bytes — through context switches, orphan exits, frames open at
+    /// the end and 24-bit wraps.
+    #[test]
+    fn rope_merges_in_any_association_match_one_pass(
+        ops in prop::collection::vec((0u8..=255, 0u32..150_000), 1..250),
+        cuts in prop::collection::vec(0usize..1000, 0..8),
+        groups in prop::collection::vec(0usize..1000, 0..4),
+    ) {
+        let (tf, records) = arbitrary_stream(&ops);
+        let map = TagMap::from_tagfile(&tf);
+        let syms = Symbols::from_tagfile(&tf);
+        let sessions = cut_sessions(&records, &map, &cuts);
+        let one_pass = analyze_sessions(&syms, &sessions);
+        let mut bounds: Vec<usize> =
+            groups.iter().map(|g| g % (sessions.len() + 1)).collect();
+        bounds.extend([0, sessions.len()]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let parts: Vec<Reconstruction> = bounds
+            .windows(2)
+            .map(|w| {
+                let mut part = Reconstruction::empty(syms.clone());
+                let mut recon = SessionRecon::new(&syms, false);
+                for s in &sessions[w[0]..w[1]] {
+                    recon.session_into(s, &mut part);
+                }
+                part
+            })
+            .collect();
+        let left = parts.iter().cloned().fold(Reconstruction::empty(syms.clone()), |mut acc, p| {
+            acc.merge(p);
+            acc
+        });
+        let right = parts
+            .iter()
+            .cloned()
+            .rev()
+            .reduce(|right, mut p| {
+                p.merge(right);
+                p
+            })
+            .expect("at least one part");
+        let tree = merge_tree(parts);
+        let want = renders(&one_pass);
+        for merged in [left, right, tree] {
+            prop_assert!(merged.trace.iter().eq(&one_pass.trace));
+            prop_assert_eq!(&merged, &one_pass);
+            prop_assert_eq!(renders(&merged), want.clone());
+        }
     }
 }

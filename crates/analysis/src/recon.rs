@@ -11,6 +11,7 @@
 //! that called `swtch`).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::anomaly::Anomalies;
 use crate::columnar::{ColumnarDecoder, DenseTagTable};
@@ -60,8 +61,8 @@ impl FnAgg {
 pub struct TraceItem {
     /// Event time (µs from session start).
     pub t: u64,
-    /// Nesting depth at the event.
-    pub depth: usize,
+    /// Nesting depth at the event (saturating at `u32::MAX`).
+    pub depth: u32,
     /// Thread of control the item belongs to, numbered per session in
     /// order of first appearance (0 is the thread running at capture
     /// start; each birth allocates the next lane).  The exporters use
@@ -114,6 +115,120 @@ pub enum ItemKind {
     SessionBreak,
 }
 
+/// Nesting depth of a stack `len` frames deep, saturating.
+fn depth(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(u32::MAX)
+}
+
+/// The Figure-4 trace: a rope of sealed segments shared behind `Arc`s,
+/// in order, then one open tail the reconstructor appends to.
+///
+/// A trace item is written once and never copied: a merge seals both
+/// tails and appends the right side's segment pointers, and cloning a
+/// sealed trace only bumps reference counts.  Segment boundaries never
+/// show — equality, `Debug` and iteration all see one item sequence.
+#[derive(Clone, Default)]
+pub struct Trace {
+    /// Sealed segments, none of them empty.
+    sealed: Vec<Arc<Vec<TraceItem>>>,
+    /// The open tail; a closing frame patches its item here by index,
+    /// so the tail is never sealed in the middle of a session.
+    tail: Vec<TraceItem>,
+}
+
+impl Trace {
+    /// Items in the trace.
+    pub fn len(&self) -> usize {
+        self.sealed.iter().map(|s| s.len()).sum::<usize>() + self.tail.len()
+    }
+
+    /// Whether the trace holds no item.
+    pub fn is_empty(&self) -> bool {
+        self.sealed.is_empty() && self.tail.is_empty()
+    }
+
+    /// The items in order, one slice per segment.
+    pub fn segments(&self) -> impl Iterator<Item = &[TraceItem]> {
+        let tail = Some(self.tail.as_slice()).filter(|t| !t.is_empty());
+        self.sealed.iter().map(|s| s.as_slice()).chain(tail)
+    }
+
+    /// The items in order.
+    pub fn iter(&self) -> TraceIter<'_> {
+        TraceIter {
+            sealed: self.sealed.iter(),
+            tail: &self.tail,
+            items: [].iter(),
+        }
+    }
+
+    /// Moves the open tail, without copying it, into a shared segment.
+    pub(crate) fn seal(&mut self) {
+        if !self.tail.is_empty() {
+            self.sealed.push(Arc::new(std::mem::take(&mut self.tail)));
+        }
+    }
+
+    /// Reserves room for `n` more items on the open tail.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.tail.reserve(n);
+    }
+
+    /// Appends `other`'s items after this trace's by moving its segment
+    /// pointers.
+    fn append(&mut self, mut other: Trace) {
+        self.seal();
+        other.seal();
+        self.sealed.append(&mut other.sealed);
+    }
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Trace) -> bool {
+        self.len() == other.len() && self.iter().eq(other)
+    }
+}
+
+impl std::fmt::Debug for Trace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Trace {
+    type Item = &'a TraceItem;
+    type IntoIter = TraceIter<'a>;
+
+    fn into_iter(self) -> TraceIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`Trace`]'s items, in order.
+#[derive(Debug, Clone)]
+pub struct TraceIter<'a> {
+    sealed: std::slice::Iter<'a, Arc<Vec<TraceItem>>>,
+    tail: &'a [TraceItem],
+    items: std::slice::Iter<'a, TraceItem>,
+}
+
+impl<'a> Iterator for TraceIter<'a> {
+    type Item = &'a TraceItem;
+
+    fn next(&mut self) -> Option<&'a TraceItem> {
+        loop {
+            if let Some(item) = self.items.next() {
+                return Some(item);
+            }
+            self.items = match self.sealed.next() {
+                Some(segment) => segment.iter(),
+                None if !self.tail.is_empty() => std::mem::take(&mut self.tail).iter(),
+                None => return None,
+            };
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     sym: SymId,
@@ -140,7 +255,8 @@ struct PStack {
 /// concatenated sessions would produce.  That property is what lets
 /// the streaming analyzer fan sessions out across worker threads — and
 /// what lets a fleet aggregator fold per-machine reconstructions into
-/// one fleet-wide profile.
+/// one fleet-wide profile.  The [`Trace`] joins by segment pointers, so
+/// merging and cloning cost O(segments), not O(items).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reconstruction {
     /// Symbol table used.
@@ -162,7 +278,7 @@ pub struct Reconstruction {
     /// Threads of control first seen at a `swtch` exit.
     pub births: u64,
     /// Trace elements (across all sessions, with breaks).
-    pub trace: Vec<TraceItem>,
+    pub trace: Trace,
     /// Number of capture sessions analyzed.
     pub sessions: usize,
     /// Classified anomaly summary (always populated from the counters
@@ -190,7 +306,7 @@ impl Reconstruction {
             swtch_calls: 0,
             open_at_end: 0,
             births: 0,
-            trace: Vec::new(),
+            trace: Trace::default(),
             sessions: 0,
             anomalies: Anomalies::default(),
             coverage: Coverage::empty(),
@@ -202,8 +318,23 @@ impl Reconstruction {
     /// Every aggregate is a per-session sum/max/min and the trace is a
     /// concatenation, so `empty ∘ merge` over per-session results is
     /// bit-identical to one sequential pass: reconstruction state
-    /// (stacks, idle windows) never crosses a session boundary.
+    /// (stacks, idle windows) never crosses a session boundary.  The
+    /// trace concatenates segment pointers: both tails are sealed and
+    /// no item is copied.
     pub fn merge(&mut self, other: Reconstruction) {
+        self.merge_summaries(&other);
+        self.trace.append(other.trace);
+    }
+
+    /// [`merge`](Reconstruction::merge) by reference: `other`'s sealed
+    /// segments are shared, and only an open tail would be copied.
+    pub(crate) fn merge_shared(&mut self, other: &Reconstruction) {
+        self.merge_summaries(other);
+        self.trace.append(other.trace.clone());
+    }
+
+    /// Every field of a merge but the trace.
+    fn merge_summaries(&mut self, other: &Reconstruction) {
         debug_assert_eq!(self.syms.len(), other.syms.len(), "same tag file");
         for (a, b) in self.stats.iter_mut().zip(&other.stats) {
             a.merge(b);
@@ -215,7 +346,6 @@ impl Reconstruction {
         self.swtch_calls += other.swtch_calls;
         self.open_at_end += other.open_at_end;
         self.births += other.births;
-        self.trace.extend(other.trace);
         self.sessions += other.sessions;
         self.anomalies.merge(&other.anomalies);
         self.coverage.merge(&other.coverage);
@@ -363,9 +493,9 @@ impl<'a> SessionRecon<'a> {
     }
 
     fn push(&mut self, out: &mut Reconstruction, sym: SymId, t: u64, is_cswitch: bool) {
-        let depth = self.active.frames.len();
-        let item = out.trace.len();
-        out.trace.push(TraceItem {
+        let depth = depth(self.active.frames.len());
+        let item = out.trace.tail.len();
+        out.trace.tail.push(TraceItem {
             t,
             depth,
             lane: self.active.lane,
@@ -425,7 +555,7 @@ impl<'a> SessionRecon<'a> {
             spans_switch,
             closed,
             ..
-        } = &mut out.trace[f.item].kind
+        } = &mut out.trace.tail[f.item].kind
         {
             *n = net;
             *e = elapsed;
@@ -437,9 +567,9 @@ impl<'a> SessionRecon<'a> {
         // close visually: switch spanners (named, with times) and
         // non-leaf frames (bare).
         if !f.is_cswitch && (f.spans_switch || f.children > 0) {
-            out.trace.push(TraceItem {
+            out.trace.tail.push(TraceItem {
                 t,
-                depth: self.active.frames.len(),
+                depth: depth(self.active.frames.len()),
                 lane: self.active.lane,
                 kind: ItemKind::Return {
                     sym: if f.spans_switch { Some(f.sym) } else { None },
@@ -496,10 +626,10 @@ impl<'a> SessionRecon<'a> {
                 }
             }
         };
-        let depth_for_item = |frames: &PStack| frames.frames.len().saturating_sub(1);
+        let depth_for_item = |frames: &PStack| depth(frames.frames.len().saturating_sub(1));
         match choice {
             Choice::Active => {
-                out.trace.push(TraceItem {
+                out.trace.tail.push(TraceItem {
                     t,
                     depth: depth_for_item(&self.active),
                     lane: self.active.lane,
@@ -521,13 +651,13 @@ impl<'a> SessionRecon<'a> {
                 for f in &mut self.active.frames {
                     f.spans_switch = true;
                 }
-                out.trace.push(TraceItem {
+                out.trace.tail.push(TraceItem {
                     t,
                     depth: 0,
                     lane: self.active.lane,
                     kind: ItemKind::SwitchIn { birth: false },
                 });
-                out.trace.push(TraceItem {
+                out.trace.tail.push(TraceItem {
                     t,
                     depth: depth_for_item(&self.active),
                     lane: self.active.lane,
@@ -557,7 +687,7 @@ impl<'a> SessionRecon<'a> {
                 self.next_lane += 1;
                 out.context_switches += 1;
                 out.births += 1;
-                out.trace.push(TraceItem {
+                out.trace.tail.push(TraceItem {
                     t,
                     depth: 0,
                     lane: self.active.lane,
@@ -634,9 +764,9 @@ impl<'a> SessionRecon<'a> {
                 }
                 EvKind::Inline(sym) => {
                     out.stats[sym as usize].inline_hits += 1;
-                    out.trace.push(TraceItem {
+                    out.trace.tail.push(TraceItem {
                         t: ev.t,
-                        depth: self.active.frames.len(),
+                        depth: depth(self.active.frames.len()),
                         lane: self.active.lane,
                         kind: ItemKind::Inline { sym },
                     });
@@ -661,7 +791,7 @@ impl<'a> SessionRecon<'a> {
         }
         self.next_lane = 1;
         self.in_switch = false;
-        out.trace.push(TraceItem {
+        out.trace.tail.push(TraceItem {
             t: events.last().map_or(0, |e| e.t),
             depth: 0,
             lane: 0,
@@ -723,24 +853,16 @@ impl<'a> BankRecon<'a> {
 /// index order — bit-identical, by the monoid, to folding the banks
 /// sorted by index as [`Analyzer::run`](crate::Analyzer::run) does.
 ///
-/// Where a bank's trace grows decides where its memory lives.  A bank
-/// decoded on the fold's own thread ([`push`](BankFold::push)) extends
-/// the accumulator's trace in place.  A bank lent out to another
-/// thread decodes into its own part; folding it merges only the
-/// summaries and keeps its trace as the next segment, and `finish`
-/// concatenates the segments once on the calling thread, so no worker
-/// ever grows the full-run trace (glibc would keep the freed doubling
-/// buffers in that worker's arena).
+/// A bank decoded on the fold's own thread ([`push`](BankFold::push))
+/// extends the accumulator's trace tail in place; a bank lent out to
+/// another thread decodes into its own part, whose trace joins the
+/// accumulator's as a shared segment when the part folds in.  No item
+/// is copied on the way to [`finish`](BankFold::finish).
 #[derive(Debug)]
 pub struct BankFold {
-    /// The summaries folded so far, and the trace of the banks pushed
-    /// in place before any segment.
     out: Reconstruction,
     next: u64,
     parts: BTreeMap<u64, Reconstruction>,
-    /// The traces of the banks folded from parts, in index order, all
-    /// after `out.trace`.
-    segments: Vec<Vec<TraceItem>>,
 }
 
 /// What bank `index` decodes into, lent out of a [`BankFold`].
@@ -757,7 +879,6 @@ impl BankFold {
             out: Reconstruction::empty(syms.clone()),
             next: 0,
             parts: BTreeMap::new(),
-            segments: Vec::new(),
         }
     }
 
@@ -778,7 +899,7 @@ impl BankFold {
         if self.holds(index) {
             return None;
         }
-        if index == self.next && self.segments.is_empty() {
+        if index == self.next {
             bank.bank_into(records, &mut self.out);
             self.next += 1;
             self.release();
@@ -818,26 +939,18 @@ impl BankFold {
         }
     }
 
-    /// Merges the next part's summaries and keeps its trace as the next
-    /// segment.
-    fn fold_in(&mut self, mut part: Reconstruction) {
-        self.segments.push(std::mem::take(&mut part.trace));
+    /// Merges the next part.
+    fn fold_in(&mut self, part: Reconstruction) {
         self.out.merge(part);
         self.next += 1;
     }
 
-    /// The fold over every bank, its trace ending in one exactly sized
-    /// `Vec` built on the calling thread.
+    /// The fold over every bank, its trace sealed.
     pub fn finish(mut self) -> Reconstruction {
         for part in std::mem::take(&mut self.parts).into_values() {
             self.fold_in(part);
         }
-        let trace = &mut self.out.trace;
-        trace.reserve_exact(self.segments.iter().map(Vec::len).sum());
-        for segment in self.segments {
-            trace.extend(segment);
-        }
-        trace.shrink_to_fit();
+        self.out.trace.seal();
         self.out
     }
 }
@@ -1024,13 +1137,7 @@ mod tests {
         fold.push(&mut bank, 0, &banks[0]).expect("fresh index");
         assert!(fold.parts.is_empty(), "bank 0 released both parts");
         assert_eq!(fold.next, 3);
-        // Bank 0 grew the trace in place; the parts it released follow
-        // as segments.
-        assert!(!fold.out.trace.is_empty());
-        assert_eq!(fold.segments.len(), 2);
-        let finished = fold.finish();
-        assert_eq!(finished.trace.capacity(), finished.trace.len());
-        assert_eq!(finished, sequential);
+        assert_eq!(fold.finish(), sequential);
     }
 
     #[test]
@@ -1070,13 +1177,79 @@ mod tests {
         fold.restore(two);
         fold.restore(zero);
         assert_eq!((fold.next, fold.parts.len()), (1, 1));
-        assert!(fold.out.trace.is_empty(), "traces wait as segments");
         fold.restore(one);
         assert_eq!((fold.next, fold.parts.len()), (3, 0), "bank 1 released 2");
-        assert_eq!(fold.segments.len(), 3);
+        assert_eq!(fold.finish(), sequential);
+    }
+
+    /// Where each segment of `r`'s trace starts in memory.
+    fn segment_ptrs(r: &Reconstruction) -> Vec<*const TraceItem> {
+        r.trace.segments().map(<[TraceItem]>::as_ptr).collect()
+    }
+
+    #[test]
+    fn bank_fold_and_merge_copy_no_trace_item() {
+        let (tf, banks, sequential) = fold_fixture();
+        let table = DenseTagTable::from_tagfile(&tf);
+        let syms = Symbols::from_tagfile(&tf);
+        let mut bank = BankRecon::new(&table, &syms, false);
+        let mut fold = BankFold::new(&syms);
+        let mut lent: Vec<Lent> = (0..3).map(|i| fold.lend(i)).collect();
+        let mut written = Vec::new();
+        for (part, records) in lent.iter_mut().zip(&banks) {
+            bank.bank_into(records, &mut part.out);
+            written.extend(segment_ptrs(&part.out));
+        }
+        assert_eq!(written.len(), 3, "one open tail per part");
+        for part in lent.into_iter().rev() {
+            fold.restore(part);
+        }
         let finished = fold.finish();
-        assert_eq!(finished.trace.capacity(), finished.trace.len());
+        assert_eq!(segment_ptrs(&finished), written);
         assert_eq!(finished, sequential);
+        // Merging two finished folds moves their segment pointers.
+        let mut left = finished.clone();
+        let right = crate::Analyzer::for_tagfile(&tf)
+            .record_sessions(&banks)
+            .expect("ungated");
+        let want: Vec<_> = [segment_ptrs(&left), segment_ptrs(&right)].concat();
+        left.merge(right);
+        assert_eq!(segment_ptrs(&left), want);
+    }
+
+    #[test]
+    fn a_clone_shares_sealed_segments_and_diverges_on_write() {
+        let (tf, banks, sequential) = fold_fixture();
+        let table = DenseTagTable::from_tagfile(&tf);
+        let syms = Symbols::from_tagfile(&tf);
+        let mut bank = BankRecon::new(&table, &syms, false);
+        // `open` keeps an open tail after a sealed segment.
+        let mut open = sequential.clone();
+        assert_eq!(segment_ptrs(&open), segment_ptrs(&sequential));
+        bank.bank_into(&banks[0], &mut open);
+        for original in [sequential, open] {
+            let items: Vec<TraceItem> = original.trace.iter().copied().collect();
+            let mut pushed = original.clone();
+            bank.bank_into(&banks[1], &mut pushed);
+            let mut merged = original.clone();
+            merged.merge(pushed.clone());
+            assert_eq!(merged.trace.len(), items.len() + pushed.trace.len());
+            assert!(
+                original.trace.iter().eq(&items),
+                "the original is unchanged"
+            );
+            assert_eq!(original.trace.len(), items.len());
+            // Segment boundaries never show in `Debug`.
+            assert_eq!(format!("{:?}", merged.trace), {
+                let flat: Vec<TraceItem> = merged.trace.iter().copied().collect();
+                format!("{flat:?}")
+            });
+        }
+    }
+
+    #[test]
+    fn a_trace_item_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<TraceItem>(), 48);
     }
 
     #[test]

@@ -344,8 +344,9 @@ impl RecorderInner {
         self.journal.extend(spans);
     }
 
-    /// Folds (or returns the cached fold of) window `w`.
-    fn fold(&mut self, w: u64) -> Option<Reconstruction> {
+    /// Window `w`'s fold, built into its slot on first read and lent
+    /// from there until the slot or the recorder bounds change.
+    fn fold(&mut self, w: u64) -> Option<&Reconstruction> {
         if !self.seen || w < self.base_w || w >= self.base_w + self.windows.len() as u64 {
             return None;
         }
@@ -355,11 +356,15 @@ impl RecorderInner {
         // Disjoint field borrows: the slot mutably, the symbols shared.
         let RecorderInner { windows, syms, .. } = self;
         let slot = &mut windows[idx];
-        if let Some((cs, ce, r)) = &slot.cache {
-            if (*cs, *ce) == bounds {
-                return Some(r.clone());
-            }
+        if !matches!(&slot.cache, Some((cs, ce, _)) if (*cs, *ce) == bounds) {
+            slot.cache = Some((bounds.0, bounds.1, Self::fold_slot(slot, syms, ws, we)));
         }
+        slot.cache.as_ref().map(|(_, _, r)| r)
+    }
+
+    /// Folds a slot's fragments, coverage and gaps over `[ws, we)`, its
+    /// trace sealed so clones of the fold share it.
+    fn fold_slot(slot: &mut WindowSlot, syms: &Symbols, ws: u64, we: u64) -> Reconstruction {
         slot.frags.sort_by_key(|f| f.session);
         let mut out = Reconstruction::empty(syms.clone());
         let mut recon = SessionRecon::new(syms, false);
@@ -380,8 +385,8 @@ impl RecorderInner {
         cov.gaps = slot.gaps.len() as u64;
         cov.overflow_gaps = slot.gaps.iter().filter(|g| g.overflow).count() as u64;
         out.note_coverage(&cov);
-        slot.cache = Some((bounds.0, bounds.1, out.clone()));
-        Some(out)
+        out.trace.seal();
+        out
     }
 
     /// The exact eviction ledger at this instant.
@@ -421,7 +426,7 @@ impl RecorderInner {
 
     /// Window `w`'s rollup (see [`FlightRecorder::window`]).
     fn window(&mut self, w: u64) -> Option<WindowRollup> {
-        let recon = self.fold(w)?;
+        let recon = self.fold(w)?.clone();
         let (start_us, end_us) = self.window_span(w);
         Some(WindowRollup {
             index: w,
@@ -883,9 +888,9 @@ impl FlightRecorder {
             return None;
         }
         self.with(|inner| {
-            let mut out = inner.fold(range.start)?;
-            for w in range.start + 1..range.end {
-                out.merge(inner.fold(w)?);
+            let mut out = Reconstruction::empty(inner.syms.clone());
+            for w in range.clone() {
+                out.merge_shared(inner.fold(w)?);
             }
             let (start_us, _) = inner.window_span(range.start);
             let (_, end_us) = inner.window_span(range.end - 1);
@@ -897,6 +902,23 @@ impl FlightRecorder {
                 name: format!("windows {}..{}", range.start, range.end),
             })
         })
+    }
+
+    /// Runs `f` on each available window of `range` in order, with the
+    /// window's index, clipped end and fold lent under one lock.
+    pub(crate) fn each_fold(
+        &self,
+        range: std::ops::Range<u64>,
+        mut f: impl FnMut(u64, u64, &Reconstruction),
+    ) {
+        self.with(|inner| {
+            for w in range {
+                let (_, end_us) = inner.window_span(w);
+                if let Some(r) = inner.fold(w) {
+                    f(w, end_us, r);
+                }
+            }
+        });
     }
 
     /// The exact per-function delta between windows `a` and `b`,

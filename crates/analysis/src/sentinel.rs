@@ -669,12 +669,10 @@ impl Sentinel {
         let vis = rec.visibilities();
         let ledger = rec.ledger();
         let start = self.next_window.max(retained.start);
-        for w in start..retained.end {
-            if let Some(roll) = rec.window(w) {
-                self.observe(roll.index, roll.end_us, &roll.recon, &vis, Some(&ledger));
-            }
-            self.next_window = w + 1;
-        }
+        rec.each_fold(start..retained.end, |w, end_us, recon| {
+            self.observe(w, end_us, recon, &vis, Some(&ledger));
+        });
+        self.next_window = self.next_window.max(retained.end);
     }
 
     /// Evaluates one window given its reconstruction, the per-symbol

@@ -46,20 +46,22 @@ pub fn trace_report(r: &Reconstruction, style: &TraceStyle) -> String {
     }
     let mut lines = 0usize;
     let mut suppressed = 0usize;
-    for item in &r.trace {
-        if item.t < style.from_us {
-            continue;
+    for segment in r.trace.segments() {
+        for item in segment {
+            if item.t < style.from_us {
+                continue;
+            }
+            let Some(line) = render_item(r, style, item) else {
+                continue;
+            };
+            if style.max_lines.is_some_and(|max| lines >= max) {
+                suppressed += 1;
+                continue;
+            }
+            out.push_str(&line);
+            out.push('\n');
+            lines += 1;
         }
-        let Some(line) = render_item(r, style, item) else {
-            continue;
-        };
-        if style.max_lines.is_some_and(|max| lines >= max) {
-            suppressed += 1;
-            continue;
-        }
-        out.push_str(&line);
-        out.push('\n');
-        lines += 1;
     }
     if suppressed > 0 {
         out.push_str(&format!(
@@ -82,7 +84,7 @@ fn render_item(
     style: &TraceStyle,
     item: &crate::recon::TraceItem,
 ) -> Option<String> {
-    let pad = " ".repeat(style.indent * item.depth);
+    let pad = " ".repeat(style.indent * item.depth as usize);
     let line = match item.kind {
         ItemKind::Call {
             sym,

@@ -149,6 +149,41 @@ fn bench_parallel_reconstruction(c: &mut Criterion) {
     g.finish();
 }
 
+/// The trace rope: merging 64 per-bank reconstructions (a ~1M-event
+/// capture) in bank order, and cloning the merged result.  Both touch
+/// segment pointers, not trace items.
+fn bench_trace_rope(c: &mut Criterion) {
+    let (tf, bank) = synthetic_capture();
+    let (syms, events) = decode(&bank, &tf);
+    let analyzer = Analyzer::new(&syms);
+    let parts: Vec<Reconstruction> = (0..64)
+        .map(|_| analyzer.session(&events).expect("ungated"))
+        .collect();
+    let mut g = c.benchmark_group("analysis");
+    g.throughput(Throughput::Elements(64 * events.len() as u64));
+    g.bench_function("merge_64_banks", |b| {
+        b.iter_batched(
+            || parts.clone(),
+            |parts| {
+                let mut out = Reconstruction::empty(syms.clone());
+                for part in parts {
+                    out.merge(part);
+                }
+                out
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    let mut merged = Reconstruction::empty(syms.clone());
+    for part in parts {
+        merged.merge(part);
+    }
+    g.bench_function("clone_1m", |b| {
+        b.iter(|| merged.clone());
+    });
+    g.finish();
+}
+
 /// Arena reconstruction rate: one reused [`SessionRecon`] accumulating
 /// 64 sessions straight into a shared [`Reconstruction`] — the
 /// analyzer's fold path, with the frame pool warm — measured in
@@ -204,6 +239,7 @@ criterion_group!(
     benches,
     bench_analysis,
     bench_parallel_reconstruction,
+    bench_trace_rope,
     bench_arena_sessions,
     bench_streaming
 );
