@@ -1,7 +1,7 @@
 //! One front door to every analysis flavour.
 //!
 //! Every analysis — one session or many, batch or fanned out, plain or
-//! gap-aware over a supervised run — composes the same three
+//! gap-aware over a supervised run — composes the same two
 //! independent choices, which [`Analyzer`] makes explicit:
 //!
 //! * **decode/reconstruction mode** — strict, or
@@ -10,10 +10,7 @@
 //!   [`crate::Anomalies`]);
 //! * **schedule** — sequential, or fanned out across
 //!   [workers](Analyzer::workers) (bit-identical by the monoid-merge
-//!   argument; only the schedule differs);
-//! * **trust gate** — an optional [anomaly
-//!   budget](Analyzer::limit_ppm) in parts per million of captured
-//!   tags, refused with [`AnalyzerError::AnomalyLimit`] when crossed.
+//!   argument; only the schedule differs).
 //!
 //! Every combination, recovering + parallel included, is one builder
 //! chain:
@@ -37,16 +34,6 @@ use crate::recon::{BankRecon, Reconstruction, SessionRecon};
 /// Why an [`Analyzer`] refused to produce a reconstruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnalyzerError {
-    /// The capture's classified anomaly rate crossed the configured
-    /// [`Analyzer::limit_ppm`] budget: the numbers cannot be trusted.
-    AnomalyLimit {
-        /// Classified anomalies the pipeline counted.
-        anomalies: u64,
-        /// Hardware events in the capture.
-        tags: u64,
-        /// The configured budget, in anomalies per million tags.
-        limit_ppm: u32,
-    },
     /// A raw-record or supervised-run entry point needs the build's tag
     /// file, but the analyzer was built from bare [`Symbols`]
     /// ([`Analyzer::new`]); use [`Analyzer::for_tagfile`].
@@ -56,15 +43,6 @@ pub enum AnalyzerError {
 impl std::fmt::Display for AnalyzerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AnalyzerError::AnomalyLimit {
-                anomalies,
-                tags,
-                limit_ppm,
-            } => write!(
-                f,
-                "capture too corrupt to trust: {anomalies} anomalies in {tags} tags \
-                 (budget {limit_ppm} per million)"
-            ),
             AnalyzerError::MissingTagFile => write!(
                 f,
                 "this entry point decodes raw records and needs the build's tag file; \
@@ -76,8 +54,8 @@ impl std::fmt::Display for AnalyzerError {
 
 impl std::error::Error for AnalyzerError {}
 
-/// The consolidated analysis front door: mode, schedule and trust gate
-/// chosen once, then applied to whatever form the capture arrives in
+/// The consolidated analysis front door: mode and schedule chosen
+/// once, then applied to whatever form the capture arrives in
 /// (decoded events, raw records, or a whole supervised run).
 #[derive(Debug, Clone)]
 #[must_use = "an Analyzer does nothing until an analyze method consumes a capture"]
@@ -86,12 +64,11 @@ pub struct Analyzer {
     tagfile: Option<TagFile>,
     recovering: bool,
     workers: usize,
-    limit_ppm: Option<u32>,
 }
 
 impl Analyzer {
-    /// An analyzer over pre-decoded events: strict, sequential, no
-    /// anomaly budget.  Entry points that decode raw records
+    /// An analyzer over pre-decoded events: strict and sequential.
+    /// Entry points that decode raw records
     /// ([`records`](Analyzer::records), [`run`](Analyzer::run)) need
     /// the tag file too — use [`Analyzer::for_tagfile`] for those.
     pub fn new(syms: &Symbols) -> Self {
@@ -100,7 +77,6 @@ impl Analyzer {
             tagfile: None,
             recovering: false,
             workers: 1,
-            limit_ppm: None,
         }
     }
 
@@ -127,13 +103,6 @@ impl Analyzer {
     /// `0` and `1` both mean sequential.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Refuses the reconstruction with [`AnalyzerError::AnomalyLimit`]
-    /// if classified anomalies exceed `ppm` per million captured tags.
-    pub fn limit_ppm(mut self, ppm: u32) -> Self {
-        self.limit_ppm = Some(ppm);
         self
     }
 
@@ -211,20 +180,10 @@ impl Analyzer {
         out
     }
 
-    /// The trust gate, applied by every public entry point, which also
-    /// seals the trace so clones of the result share it.
-    fn gate(&self, mut r: Reconstruction) -> Result<Reconstruction, AnalyzerError> {
+    /// Seals the trace so clones of the result share it; every public
+    /// entry point returns through here.
+    fn seal(mut r: Reconstruction) -> Result<Reconstruction, AnalyzerError> {
         r.trace.seal();
-        if let Some(limit_ppm) = self.limit_ppm {
-            let tags = r.tags as u64;
-            if r.anomalies.exceeds(tags, limit_ppm) {
-                return Err(AnalyzerError::AnomalyLimit {
-                    anomalies: r.anomalies.total(),
-                    tags,
-                    limit_ppm,
-                });
-            }
-        }
         Ok(r)
     }
 
@@ -236,13 +195,13 @@ impl Analyzer {
 
     /// Analyzes one decoded capture session.
     pub fn session(&self, events: &[Event]) -> Result<Reconstruction, AnalyzerError> {
-        self.gate(self.fold([events]))
+        Self::seal(self.fold([events]))
     }
 
     /// Analyzes several capture sessions (merged in slice order), fanned
     /// out across the configured workers.
     pub fn sessions(&self, sessions: &[Vec<Event>]) -> Result<Reconstruction, AnalyzerError> {
-        self.gate(self.fan_out(sessions, |block| self.fold(block)))
+        Self::seal(self.fan_out(sessions, |block| self.fold(block)))
     }
 
     /// Analyzes an iterator of capture sessions, folded sequentially in
@@ -252,7 +211,7 @@ impl Analyzer {
         I: IntoIterator,
         I::Item: AsRef<[Event]>,
     {
-        self.gate(self.fold(sessions))
+        Self::seal(self.fold(sessions))
     }
 
     /// Decodes and analyzes one uploaded RAM image as a single session.
@@ -269,7 +228,7 @@ impl Analyzer {
         I: IntoIterator,
         I::Item: AsRef<[RawRecord]>,
     {
-        self.gate(self.fold_banks(&self.dense_table()?, banks))
+        Self::seal(self.fold_banks(&self.dense_table()?, banks))
     }
 
     /// Stitches a supervised run: each delivered bank decoded and
@@ -285,7 +244,7 @@ impl Analyzer {
             self.fold_banks(&table, block.iter().map(|s| &s.records))
         });
         out.note_coverage(&run.coverage);
-        self.gate(out)
+        Self::seal(out)
     }
 }
 
@@ -391,28 +350,6 @@ mod tests {
         for workers in [1, 3] {
             let got = a.clone().workers(workers).run(&run).unwrap();
             assert_eq!(got, expect, "workers({workers})");
-        }
-    }
-
-    #[test]
-    fn limit_ppm_gates_corrupt_captures() {
-        let tf = hwprof_tagfile::parse(TF).unwrap();
-        let records = [rec(100, 0), rec(0x9999, 5), rec(101, 10)];
-        let lax = Analyzer::for_tagfile(&tf)
-            .recovering(true)
-            .limit_ppm(1_000_000);
-        assert!(lax.records(&records).is_ok());
-        let strict = Analyzer::for_tagfile(&tf).recovering(true).limit_ppm(1);
-        match strict.records(&records) {
-            Err(AnalyzerError::AnomalyLimit {
-                anomalies,
-                limit_ppm,
-                ..
-            }) => {
-                assert_eq!(anomalies, 1);
-                assert_eq!(limit_ppm, 1);
-            }
-            other => panic!("wanted AnomalyLimit, got {other:?}"),
         }
     }
 

@@ -36,8 +36,8 @@ use crate::sentinel::AlertEntry;
 pub struct Profile<'a> {
     pub(crate) r: &'a Reconstruction,
     pub(crate) run: Option<&'a SupervisedRun>,
-    /// Span-journal events in the total order [`Profile::span_events`]
-    /// sorts them into.
+    /// Span-journal events in the total order [`Profile::spans`] sorts
+    /// them into.
     pub(crate) spans: Vec<SpanEvent>,
     pub(crate) alerts: Vec<AlertEntry>,
     pub(crate) name: String,
@@ -70,12 +70,8 @@ impl<'a> Profile<'a> {
 
     /// Attaches a span journal; its events render as pipeline lanes in
     /// the Chrome trace.  An inert journal attaches nothing.
-    pub fn spans(self, log: &SpanLog) -> Self {
-        self.span_events(log.snapshot())
-    }
-
-    /// Like [`Profile::spans`], from an already-snapshotted event list.
-    pub fn span_events(mut self, mut events: Vec<SpanEvent>) -> Self {
+    pub fn spans(mut self, log: &SpanLog) -> Self {
+        let mut events = log.snapshot();
         // Concurrent writers (analysis workers) make the journal's slot
         // order nondeterministic; a total order on the event value
         // itself makes every export deterministic.

@@ -844,32 +844,33 @@ impl<'a> BankRecon<'a> {
         out.note(&self.decoder.anomalies());
         &self.events
     }
+
+    /// [`bank_into`](BankRecon::bank_into) a fresh part of the bank's
+    /// own, for a [`BankFold`]; the part's trace is reserved to the
+    /// bank's record count.
+    pub(crate) fn bank_part(&mut self, records: &[RawRecord]) -> (Reconstruction, &[Event]) {
+        let mut part = Reconstruction::empty(self.recon.syms.clone());
+        part.trace.reserve(records.len());
+        let events = self.bank_into(records, &mut part);
+        (part, events)
+    }
 }
 
 /// The index-ordered bank fold: banks arrive in any order, each
-/// decoded once, and the next expected index (from 0) folds straight in
-/// while any other bank waits until the indices before it arrive;
-/// [`finish`](BankFold::finish) merges parts stuck behind a hole in
-/// index order — bit-identical, by the monoid, to folding the banks
-/// sorted by index as [`Analyzer::run`](crate::Analyzer::run) does.
+/// decoded once into its own part, and the part of the next expected
+/// index (from 0) folds straight in while any other part waits until
+/// the indices before it arrive; [`finish`](BankFold::finish) merges
+/// parts stuck behind a hole in index order — bit-identical, by the
+/// monoid, to folding the banks sorted by index as
+/// [`Analyzer::run`](crate::Analyzer::run) does.
 ///
-/// A bank decoded on the fold's own thread ([`push`](BankFold::push))
-/// extends the accumulator's trace tail in place; a bank lent out to
-/// another thread decodes into its own part, whose trace joins the
-/// accumulator's as a shared segment when the part folds in.  No item
-/// is copied on the way to [`finish`](BankFold::finish).
+/// A part's trace joins the accumulator's as a shared segment, so no
+/// item is copied on the way to [`finish`](BankFold::finish).
 #[derive(Debug)]
 pub struct BankFold {
     out: Reconstruction,
     next: u64,
     parts: BTreeMap<u64, Reconstruction>,
-}
-
-/// What bank `index` decodes into, lent out of a [`BankFold`].
-#[derive(Debug)]
-pub(crate) struct Lent {
-    index: u64,
-    pub(crate) out: Reconstruction,
 }
 
 impl BankFold {
@@ -887,53 +888,15 @@ impl BankFold {
         index < self.next || self.parts.contains_key(&index)
     }
 
-    /// Decodes and folds bank `index` on the calling thread, returning
-    /// its events; `None` (nothing decoded) when the fold already holds
-    /// that index.
-    pub fn push<'b>(
-        &mut self,
-        bank: &'b mut BankRecon<'_>,
-        index: u64,
-        records: &[RawRecord],
-    ) -> Option<&'b [Event]> {
-        if self.holds(index) {
-            return None;
+    /// Folds in `part`, bank `index` reconstructed on its own, with
+    /// every waiting part it releases.  The caller checks
+    /// [`holds`](BankFold::holds) first, so each index arrives once.
+    pub fn insert(&mut self, index: u64, part: Reconstruction) {
+        if index != self.next {
+            self.parts.insert(index, part);
+            return;
         }
-        if index == self.next {
-            bank.bank_into(records, &mut self.out);
-            self.next += 1;
-            self.release();
-        } else {
-            let mut lent = self.lend(index);
-            bank.bank_into(records, &mut lent.out);
-            self.restore(lent);
-        }
-        Some(&bank.events)
-    }
-
-    /// Lends out a fresh part for bank `index`, so the caller can decode
-    /// it without holding the fold.  The caller checks
-    /// [`holds`](BankFold::holds) first and has at most one loan per
-    /// index out; other banks may be lent and restored meanwhile.
-    pub(crate) fn lend(&mut self, index: u64) -> Lent {
-        Lent {
-            index,
-            out: Reconstruction::empty(self.out.syms.clone()),
-        }
-    }
-
-    /// Folds a lent bank back in, with every part it releases.
-    pub(crate) fn restore(&mut self, lent: Lent) {
-        if lent.index == self.next {
-            self.fold_in(lent.out);
-        } else {
-            self.parts.insert(lent.index, lent.out);
-        }
-        self.release();
-    }
-
-    /// Folds in every waiting part the next index releases.
-    fn release(&mut self) {
+        self.fold_in(part);
         while let Some(part) = self.parts.remove(&self.next) {
             self.fold_in(part);
         }
@@ -1120,6 +1083,11 @@ mod tests {
         (tf, banks, sequential)
     }
 
+    /// `records` reconstructed on their own, as one bank's part.
+    fn part(bank: &mut BankRecon, records: &[RawRecord]) -> Reconstruction {
+        bank.bank_part(records).0
+    }
+
     #[test]
     fn bank_fold_keeps_early_banks_aside_until_the_hole_fills() {
         let (tf, banks, sequential) = fold_fixture();
@@ -1128,13 +1096,14 @@ mod tests {
         let mut bank = BankRecon::new(&table, &syms, false);
         let mut fold = BankFold::new(&syms);
         for i in [2u64, 1] {
-            let events = fold.push(&mut bank, i, &banks[i as usize]);
-            assert_eq!(events.map(<[Event]>::len), Some(3), "bank {i} decoded");
+            let part = part(&mut bank, &banks[i as usize]);
+            assert_eq!(part.tags, 3, "bank {i} decoded");
+            fold.insert(i, part);
             assert!(fold.holds(i));
         }
         assert_eq!(fold.parts.len(), 2, "banks 1 and 2 wait behind bank 0");
         assert!(!fold.holds(0));
-        fold.push(&mut bank, 0, &banks[0]).expect("fresh index");
+        fold.insert(0, part(&mut bank, &banks[0]));
         assert!(fold.parts.is_empty(), "bank 0 released both parts");
         assert_eq!(fold.next, 3);
         assert_eq!(fold.finish(), sequential);
@@ -1149,8 +1118,8 @@ mod tests {
         let mut fold = BankFold::new(&syms);
         // Bank 0 never arrives: both later banks wait until finish,
         // which merges them in index order, not arrival order.
-        fold.push(&mut bank, 2, &banks[2]).expect("fresh index");
-        fold.push(&mut bank, 1, &banks[1]).expect("fresh index");
+        fold.insert(2, part(&mut bank, &banks[2]));
+        fold.insert(1, part(&mut bank, &banks[1]));
         assert_eq!(fold.parts.len(), 2, "banks 1 and 2 still wait");
         let want = crate::Analyzer::for_tagfile(&tf)
             .record_sessions(&banks[1..])
@@ -1165,19 +1134,13 @@ mod tests {
         let syms = Symbols::from_tagfile(&tf);
         let mut bank = BankRecon::new(&table, &syms, false);
         let mut fold = BankFold::new(&syms);
-        let mut zero = fold.lend(0);
-        // While bank 0 is out, banks 1 and 2 are lent too; bank 2
-        // waits, and bank 1, back last, releases it.
-        let mut one = fold.lend(1);
-        let mut two = fold.lend(2);
-        assert_eq!((zero.index, one.index, two.index), (0, 1, 2));
-        for (lent, i) in [(&mut zero, 0), (&mut one, 1), (&mut two, 2)] {
-            bank.bank_into(&banks[i], &mut lent.out);
-        }
-        fold.restore(two);
-        fold.restore(zero);
+        // Every bank decodes into its own part before any folds in;
+        // bank 2 waits, and bank 1, in last, releases it.
+        let [zero, one, two] = [0, 1, 2].map(|i| part(&mut bank, &banks[i]));
+        fold.insert(2, two);
+        fold.insert(0, zero);
         assert_eq!((fold.next, fold.parts.len()), (1, 1));
-        fold.restore(one);
+        fold.insert(1, one);
         assert_eq!((fold.next, fold.parts.len()), (3, 0), "bank 1 released 2");
         assert_eq!(fold.finish(), sequential);
     }
@@ -1194,15 +1157,11 @@ mod tests {
         let syms = Symbols::from_tagfile(&tf);
         let mut bank = BankRecon::new(&table, &syms, false);
         let mut fold = BankFold::new(&syms);
-        let mut lent: Vec<Lent> = (0..3).map(|i| fold.lend(i)).collect();
-        let mut written = Vec::new();
-        for (part, records) in lent.iter_mut().zip(&banks) {
-            bank.bank_into(records, &mut part.out);
-            written.extend(segment_ptrs(&part.out));
-        }
+        let parts: Vec<Reconstruction> = banks.iter().map(|b| part(&mut bank, b)).collect();
+        let written: Vec<_> = parts.iter().flat_map(segment_ptrs).collect();
         assert_eq!(written.len(), 3, "one open tail per part");
-        for part in lent.into_iter().rev() {
-            fold.restore(part);
+        for (i, part) in parts.into_iter().enumerate().rev() {
+            fold.insert(i as u64, part);
         }
         let finished = fold.finish();
         assert_eq!(segment_ptrs(&finished), written);
@@ -1259,13 +1218,19 @@ mod tests {
         let syms = Symbols::from_tagfile(&tf);
         let mut bank = BankRecon::new(&table, &syms, false);
         let mut fold = BankFold::new(&syms);
-        fold.push(&mut bank, 1, &banks[1]).expect("fresh index");
-        // A waiting index and a folded one are both duplicates, even
-        // with different records behind them.
-        assert!(fold.push(&mut bank, 1, &banks[2]).is_none());
-        fold.push(&mut bank, 0, &banks[0]).expect("fresh index");
-        assert!(fold.push(&mut bank, 0, &banks[2]).is_none());
-        fold.push(&mut bank, 2, &banks[2]).expect("fresh index");
+        // The check callers make before decoding: a waiting index and a
+        // folded one are both held.
+        assert!(!fold.holds(1));
+        fold.insert(1, part(&mut bank, &banks[1]));
+        assert!(fold.holds(1), "a waiting index is a duplicate");
+        assert!(!fold.holds(0));
+        fold.insert(0, part(&mut bank, &banks[0]));
+        assert!(
+            fold.holds(0) && fold.holds(1),
+            "folded indices are duplicates"
+        );
+        assert!(!fold.holds(2));
+        fold.insert(2, part(&mut bank, &banks[2]));
         assert_eq!(fold.finish(), sequential);
     }
 

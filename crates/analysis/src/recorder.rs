@@ -42,6 +42,10 @@ use crate::recon::{FnAgg, Reconstruction, SessionRecon};
 use crate::report::fmt_us;
 use crate::stitch::{visibility, visible_us, MaskVisibility};
 
+/// Movers threshold for differential reports, in parts-per-million of
+/// relative growth of a function's coverage-scaled net rate (5%).
+const DIFF_THRESHOLD_PPM: u32 = 50_000;
+
 /// One session's events landing in one window, rebased to the window.
 struct Frag {
     session: u64,
@@ -442,7 +446,6 @@ impl RecorderInner {
     fn diff(&mut self, a: u64, b: u64) -> Option<WindowDiff> {
         let ra = self.window(a)?;
         let rb = self.window(b)?;
-        let threshold_ppm = self.cfg.diff_threshold_ppm;
         let mut rows = Vec::new();
         let syms = &ra.recon.syms;
         for s in 0..ra.recon.stats.len() {
@@ -495,7 +498,7 @@ impl RecorderInner {
             b_span: (rb.start_us, rb.end_us),
             rows,
             d_anomalies: rb.recon.anomalies.total() as i64 - ra.recon.anomalies.total() as i64,
-            threshold_ppm,
+            threshold_ppm: DIFF_THRESHOLD_PPM,
         })
     }
 }
@@ -638,7 +641,7 @@ impl DiffRow {
 }
 
 impl WindowDiff {
-    /// The ranked movers: rows clearing the configured threshold, in
+    /// The ranked movers: rows clearing the movers threshold, in
     /// rank order, at most `n`.
     pub fn movers(&self, n: usize) -> Vec<&DiffRow> {
         self.rows

@@ -498,25 +498,6 @@ impl Baseline {
         Some(((self.net_us(s) as u128 * 1_000) / v as u128) as u64)
     }
 
-    /// Baseline call rate of symbol `s` in calls per visible ms
-    /// (fixed point, truncating); `None` while no visible time
-    /// accumulated.
-    pub fn call_rate_milli(&self, s: usize, vis: MaskVisibility) -> Option<u64> {
-        let v = self.visible_us(vis);
-        if v == 0 {
-            return None;
-        }
-        Some(((self.calls(s) as u128 * 1_000) / v as u128) as u64)
-    }
-
-    /// Baseline anomaly rate in ppm of hardware events.
-    pub fn anomaly_ppm(&self) -> u64 {
-        if self.tags == 0 {
-            return 0;
-        }
-        ((self.anomalies as u128 * PPM) / self.tags as u128) as u64
-    }
-
     fn absorb(&mut self, recon: &Reconstruction, warmup: u64) {
         let cov = &recon.coverage;
         for vis in [

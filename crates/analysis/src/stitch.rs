@@ -145,11 +145,13 @@ impl SessionSink for SupervisedFold {
     fn session(&mut self, session: &SupervisedSession) {
         let mut guard = self.state();
         let st = &mut *guard;
-        let mut bank = BankRecon::new(&st.table, &st.syms, false);
-        let events = st.fold.push(&mut bank, session.index, &session.records);
-        if let Some(events) = events {
-            st.recorder.ingest_events(session, events);
+        if st.fold.holds(session.index) {
+            return;
         }
+        let mut bank = BankRecon::new(&st.table, &st.syms, false);
+        let (part, events) = bank.bank_part(&session.records);
+        st.recorder.ingest_events(session, events);
+        st.fold.insert(session.index, part);
     }
 
     fn gap(&mut self, gap: &Gap) {

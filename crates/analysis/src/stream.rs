@@ -33,7 +33,7 @@ use hwprof_telemetry::{Counter, Gauge, Registry, SpanLog, SpanName, SpanTrack};
 use crate::anomaly::Anomalies;
 use crate::columnar::DenseTagTable;
 use crate::events::Symbols;
-use crate::recon::{BankFold, BankRecon, Lent, Reconstruction};
+use crate::recon::{BankFold, BankRecon, Reconstruction};
 
 /// Pipeline telemetry, taken at [`StreamAnalyzer::spawn`] and touched
 /// once per *bank*, never per event; inert unless a live registry was
@@ -62,14 +62,12 @@ impl StreamMetrics {
         }
     }
 
-    /// Counts one bank whose anomalies took the running total from
-    /// `before` to `after`.
-    fn note_bank(&self, events: u64, before: &Anomalies, after: &Anomalies) {
+    /// Counts one bank of `events` with these anomalies.
+    fn note_bank(&self, events: u64, anomalies: &Anomalies) {
         self.banks.inc();
         self.events.add(events);
-        let deltas = after.classes().into_iter().zip(before.classes());
-        for (counter, ((a, _), (b, _))) in self.anomalies.iter().zip(deltas) {
-            counter.add(a - b);
+        for (counter, (n, _)) in self.anomalies.iter().zip(anomalies.classes()) {
+            counter.add(n);
         }
     }
 }
@@ -206,8 +204,8 @@ impl Pool {
             let analyzed = catch_unwind(AssertUnwindSafe(|| self.analyze(&mut step, job)));
             let panicked = analyzed.is_err();
             self.stream(stream, |fold, out| match analyzed {
-                Ok(Ok((lent, records))) => {
-                    fold.restore(lent);
+                Ok(Ok((part, records))) => {
+                    fold.insert(index, part);
                     out.banks += 1;
                     out.records += records;
                 }
@@ -221,19 +219,16 @@ impl Pool {
         }
     }
 
-    /// Decodes and reconstructs one bank outside the stream's lock,
-    /// into the fresh part the stream's fold lends it.
-    fn analyze(&self, step: &mut BankRecon, job: Job) -> Result<(Lent, u64), String> {
-        let (stream, index) = (job.stream(), job.index());
+    /// Decodes and reconstructs one bank, outside the stream's lock,
+    /// into a fresh part for the stream's fold.
+    fn analyze(&self, step: &mut BankRecon, job: Job) -> Result<(Reconstruction, u64), String> {
+        let index = job.index();
         let records = job.records()?;
-        let mut lent = self.stream(stream, |fold, _| fold.lend(index));
         #[cfg(test)]
         assert!(!records.contains(&tests::TRIPWIRE), "bank {index} trips");
-        lent.out.trace.reserve(records.len());
-        let before = lent.out.anomalies;
-        let events = step.bank_into(&records, &mut lent.out);
+        let (part, events) = step.bank_part(&records);
         let n = events.len() as u64;
-        self.metrics.note_bank(n, &before, &lent.out.anomalies);
+        self.metrics.note_bank(n, &part.anomalies);
         // One analyze span per bank, spanning the bank's
         // (session-relative) event times; the exporter rebases it onto
         // the supervised timeline by session index.
@@ -242,7 +237,7 @@ impl Pool {
         let log = &self.journal;
         log.begin(SpanTrack::Analyzer, SpanName::Analyze, first, index, n);
         log.end(SpanTrack::Analyzer, SpanName::Analyze, last, index, n);
-        Ok((lent, records.len() as u64))
+        Ok((part, records.len() as u64))
     }
 }
 
@@ -410,8 +405,8 @@ mod tests {
         RawRecord { tag, time }
     }
 
-    /// A record that makes the worker panic after the bank's loan is
-    /// taken, as a bug in decode or reconstruction would.
+    /// A record that makes the worker panic after the bank's records
+    /// are claimed, as a bug in decode or reconstruction would.
     pub(super) const TRIPWIRE: RawRecord = RawRecord {
         tag: u16::MAX,
         time: u32::MAX,
@@ -500,7 +495,7 @@ mod tests {
 
     /// A bank that panics among clean banks of two streams on one
     /// worker, either claiming its records or decoding them into the
-    /// stream's lent profile: `finish` returns normally and names the
+    /// bank's part: `finish` returns normally and names the
     /// panicked bank, its stream stops folding and is discarded, and
     /// the worker goes on to fold the other stream bit-identically.
     #[test]

@@ -3,32 +3,15 @@
 use crate::recon::{ItemKind, Reconstruction};
 
 /// Rendering options for the trace report.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TraceStyle {
-    /// Print a bare `<-` when a frame that had children closes.
-    pub close_nested: bool,
-    /// Indent width per nesting level.
-    pub indent: usize,
     /// Maximum lines to emit (None = all).  When the trace is longer, a
     /// `... truncated (N more lines)` marker closes the report.
     pub max_lines: Option<usize>,
-    /// Skip events before this µs offset.
-    pub from_us: u64,
-    /// Lead with a column-legend header line.
-    pub header: bool,
 }
 
-impl Default for TraceStyle {
-    fn default() -> Self {
-        TraceStyle {
-            close_nested: true,
-            indent: 4,
-            max_lines: None,
-            from_us: 0,
-            header: false,
-        }
-    }
-}
+/// Indent width per nesting level.
+const INDENT: usize = 4;
 
 /// Formats `t` microseconds as the paper's `s:mmm uuu` column.
 pub fn fmt_time(t: u64) -> String {
@@ -41,17 +24,11 @@ pub fn fmt_time(t: u64) -> String {
 /// switch (named) or contained subcalls (bare), per Figure 4.
 pub fn trace_report(r: &Reconstruction, style: &TraceStyle) -> String {
     let mut out = String::new();
-    if style.header {
-        out.push_str("    sec:ms  us  code path (-> call, <- return, == inline, ! switch)\n");
-    }
     let mut lines = 0usize;
     let mut suppressed = 0usize;
     for segment in r.trace.segments() {
         for item in segment {
-            if item.t < style.from_us {
-                continue;
-            }
-            let Some(line) = render_item(r, style, item) else {
+            let Some(line) = render_item(r, item) else {
                 continue;
             };
             if style.max_lines.is_some_and(|max| lines >= max) {
@@ -78,13 +55,10 @@ pub fn trace_report(r: &Reconstruction, style: &TraceStyle) -> String {
     out
 }
 
-/// Renders one trace item, or `None` for items the style suppresses.
-fn render_item(
-    r: &Reconstruction,
-    style: &TraceStyle,
-    item: &crate::recon::TraceItem,
-) -> Option<String> {
-    let pad = " ".repeat(style.indent * item.depth as usize);
+/// Renders one trace item, or `None` for a session boundary in a
+/// single-session capture.
+fn render_item(r: &Reconstruction, item: &crate::recon::TraceItem) -> Option<String> {
+    let pad = " ".repeat(INDENT * item.depth as usize);
     let line = match item.kind {
         ItemKind::Call {
             sym,
@@ -127,12 +101,7 @@ fn render_item(
                 net,
                 elapsed
             ),
-            None => {
-                if !style.close_nested {
-                    return None;
-                }
-                format!("{} {}<-", fmt_time(item.t), pad)
-            }
+            None => format!("{} {}<-", fmt_time(item.t), pad),
         },
         ItemKind::Inline { sym } => {
             format!("{} {}== {}", fmt_time(item.t), pad, r.syms.name(sym))
@@ -224,10 +193,7 @@ mod tests {
         let r = analyze(&syms, &ev);
         let full = trace_report(&r, &TraceStyle::default());
         let full_lines = full.lines().count();
-        let style = TraceStyle {
-            max_lines: Some(3),
-            ..TraceStyle::default()
-        };
+        let style = TraceStyle { max_lines: Some(3) };
         let t = trace_report(&r, &style);
         let expect = format!("... truncated ({} more lines)", full_lines - 3);
         assert!(t.contains(&expect), "trace:\n{t}");
@@ -235,27 +201,8 @@ mod tests {
         // A limit the trace fits under adds no marker.
         let roomy = TraceStyle {
             max_lines: Some(1000),
-            ..TraceStyle::default()
         };
         assert!(!trace_report(&r, &roomy).contains("truncated"));
-    }
-
-    #[test]
-    fn header_line_is_opt_in() {
-        let tf = hwprof_tagfile::parse("outer/100\n").unwrap();
-        let recs = [
-            RawRecord { tag: 100, time: 0 },
-            RawRecord { tag: 101, time: 9 },
-        ];
-        let (syms, ev) = decode(&recs, &tf);
-        let r = analyze(&syms, &ev);
-        assert!(!trace_report(&r, &TraceStyle::default()).contains("code path"));
-        let style = TraceStyle {
-            header: true,
-            ..TraceStyle::default()
-        };
-        let t = trace_report(&r, &style);
-        assert!(t.starts_with("    sec:ms  us  code path"), "trace:\n{t}");
     }
 
     #[test]

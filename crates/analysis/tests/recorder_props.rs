@@ -101,7 +101,6 @@ fn drive_recorded(
 fn policy(drain_budget_us: u64, spill_banks: usize, ladder: bool, seed: u64) -> SupervisorPolicy {
     SupervisorPolicy {
         drain_budget_us,
-        drain_fill: None,
         max_session_us: u64::MAX,
         retry: RetryPolicy {
             max_attempts: 2,

@@ -97,7 +97,6 @@ fn policy(
 ) -> SupervisorPolicy {
     SupervisorPolicy {
         drain_budget_us,
-        drain_fill: None,
         max_session_us: u64::MAX,
         retry: RetryPolicy {
             max_attempts,

@@ -33,7 +33,7 @@ use hwprof_kernel386::kernel::{Kernel, KernelConfig};
 use hwprof_kernel386::sim::{Sim, SimBuilder};
 use hwprof_machine::machine::DEFAULT_EPROM_PHYS;
 use hwprof_machine::wire::RemoteHost;
-use hwprof_machine::{CostModel, EpromTap};
+use hwprof_machine::EpromTap;
 use hwprof_profiler::{
     parse_raw_lossy, serialize_raw, BoardConfig, CaptureSupervisor, Coverage, FaultInjector,
     FaultSpec, FlakyTransport, HealthReport, InjectedFaults, MemoryTransport, Profiler, RawRecord,
@@ -146,7 +146,6 @@ impl ScenarioBuilder {
 pub struct Experiment {
     select: ModuleSelect,
     config: KernelConfig,
-    cost: CostModel,
     board: BoardConfig,
     scenario: Option<Scenario>,
     armed: bool,
@@ -171,7 +170,6 @@ impl Experiment {
         Experiment {
             select: ModuleSelect::All,
             config: KernelConfig::default(),
-            cost: CostModel::pc386(),
             board: BoardConfig::default(),
             scenario: None,
             armed: true,
@@ -209,13 +207,6 @@ impl Experiment {
     #[must_use = "builder methods return the updated experiment"]
     pub fn config(mut self, config: KernelConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Machine cost model (e.g. the 68020 board).
-    #[must_use = "builder methods return the updated experiment"]
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -348,7 +339,6 @@ impl Experiment {
         }
         let (tap, made) = make_tap(&board, &tagfile);
         let mut builder = SimBuilder::new()
-            .cost(self.cost)
             .config(self.config)
             .image(image)
             .profiler(tap);
@@ -565,20 +555,13 @@ impl Experiment {
         let jour = self.journal.clone();
         let (p, (sup, fold, rec)) = self.prepare_with_tap(move |board, tagfile| {
             // The EE-PAL decode for this build: context-switch tags
-            // always pass; pinned hot functions resolve by name.
+            // always pass.
             let cswitch = tagfile
                 .entries()
                 .iter()
                 .filter(|e| e.kind == TagKind::ContextSwitch)
                 .map(|e| e.tag);
-            let mut mask = TagMask::new(cswitch);
-            if !pol.hot_functions.is_empty() {
-                mask.set_hot(
-                    pol.hot_functions
-                        .iter()
-                        .filter_map(|name| tagfile.tag_of(name)),
-                );
-            }
+            let mask = TagMask::new(cswitch);
             let sup = CaptureSupervisor::new(board.clone(), mask, pol, transport);
             sup.set_telemetry(&telem);
             sup.set_span_log(&jour);

@@ -23,6 +23,14 @@ use crate::health::{HealthSignals, MachineHealth};
 use crate::machine::{run_machine, MachineOutcome, MachineSpec, MachineSummary, WorkloadMix};
 use crate::report::{find_outliers, FleetCoverage, FleetOutlier, FleetReport, MachineReport};
 
+/// A machine whose drain lags more than this (simulated µs past its
+/// capture end) is a straggler: one hedged re-drain, then give up and
+/// write the machine off as Lost.
+const DRAIN_DEADLINE_US: u64 = 25_000;
+
+/// Coverage floor (ppm); machines below it classify as Degraded.
+const DEGRADED_COVERAGE_PPM: u32 = 900_000;
+
 /// Every knob of a fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetPolicy {
@@ -37,12 +45,6 @@ pub struct FleetPolicy {
     pub supervisor: SupervisorPolicy,
     /// Per-machine board.
     pub board: BoardConfig,
-    /// A machine whose drain lags more than this (simulated µs past
-    /// its capture end) is a straggler: one hedged re-drain, then
-    /// give up and write the machine off as Lost.
-    pub drain_deadline_us: u64,
-    /// Coverage floor (ppm); machines below it classify as Degraded.
-    pub degraded_coverage_ppm: u32,
     /// The observation window a Lost machine is assessed at in the
     /// fleet ledger (it reported nothing, so the fleet charges the
     /// window it was *supposed* to cover).
@@ -89,8 +91,6 @@ impl Default for FleetPolicy {
                 capacity: 4096,
                 time_bits: 24,
             },
-            drain_deadline_us: 25_000,
-            degraded_coverage_ppm: 900_000,
             window_us: 2_000_000,
             seed: 0x1993_0617,
             sentinel: None,
@@ -210,7 +210,7 @@ impl Fleet {
                     hedged: false,
                 },
                 MachineOutcome::Straggling { frames, summary } => {
-                    if summary.drain_lag_us <= policy.drain_deadline_us {
+                    if summary.drain_lag_us <= DRAIN_DEADLINE_US {
                         // Slow but inside the deadline: a late drain,
                         // not a straggler.
                         for frame in frames {
@@ -244,7 +244,7 @@ impl Fleet {
                                 reason: format!(
                                     "straggler (drain lag {} us > deadline {} us); \
                                      hedged re-drain failed",
-                                    summary.drain_lag_us, policy.drain_deadline_us
+                                    summary.drain_lag_us, DRAIN_DEADLINE_US
                                 ),
                                 hedged: true,
                                 shards_sent: summary.shards_sent,
@@ -297,7 +297,7 @@ impl Fleet {
                         shards_missing: summary.shards_sent.saturating_sub(arrived),
                         straggled,
                     };
-                    let (health, reasons) = signals.classify(policy.degraded_coverage_ppm);
+                    let (health, reasons) = signals.classify(DEGRADED_COVERAGE_PPM);
                     let cov = summary.coverage;
                     coverage.timeline_us += cov.timeline_us;
                     let profile = if health.is_included() {

@@ -126,11 +126,6 @@ impl Compiler {
         }
     }
 
-    /// A compiler resuming from an existing name/tag file.
-    pub fn with_tagfile(tagfile: TagFile) -> Self {
-        Compiler { tagfile }
-    }
-
     /// The current name/tag file contents.
     pub fn tagfile(&self) -> &TagFile {
         &self.tagfile

@@ -57,11 +57,6 @@ impl ExecImage {
             argv_bytes: 200,
         }
     }
-
-    /// Total pages mapped.
-    pub fn total_pages(&self) -> u32 {
-        self.text_pages + self.data_pages + self.stack_pages
-    }
 }
 
 /// `execve`: replace the current image with `image`.

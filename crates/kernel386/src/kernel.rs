@@ -40,9 +40,6 @@ pub struct KernelConfig {
     /// skewed-clock improvement: clock-synchronised activity is no
     /// longer invisible to the sampler).
     pub statclock_skewed: bool,
-    /// Panic if the system idles this long with no runnable process
-    /// (virtual cycles); catches lost wakeups.
-    pub watchdog_idle: Cycles,
     /// Workload RNG seed.
     pub seed: u64,
 }
@@ -57,7 +54,6 @@ impl Default for KernelConfig {
             udp_cksum: false,
             statclock_hz: None,
             statclock_skewed: false,
-            watchdog_idle: 120 * hwprof_machine::CPU_HZ,
             seed: 0x1993,
         }
     }
@@ -277,12 +273,5 @@ impl Kernel {
     /// Current time in microseconds.
     pub fn now_us(&self) -> u64 {
         self.machine.now_us()
-    }
-
-    /// Fraction of wall time the CPU was busy (from the scheduler's
-    /// idle accounting, not from any capture).
-    pub fn busy_fraction(&self) -> f64 {
-        let total = self.machine.now.max(1);
-        1.0 - self.sched.idle_cycles as f64 / total as f64
     }
 }

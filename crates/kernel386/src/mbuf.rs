@@ -48,11 +48,6 @@ pub fn chain_bytes(ch: &Chain) -> Vec<u8> {
     out
 }
 
-/// True if any part of the chain lives in ISA memory.
-pub fn chain_in_isa(ch: &Chain) -> bool {
-    ch.iter().any(|m| m.loc == DataLoc::IsaShared)
-}
-
 /// `MGET`: allocate a small mbuf from the pool (inline trigger).  The
 /// free-list pop is protected by `splimp`, one more of the per-packet
 /// spl acquisitions behind the paper's "it all adds up to a significant

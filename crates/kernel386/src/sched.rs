@@ -15,6 +15,10 @@ use crate::ctx::{kfn, Ctx};
 use crate::funcs::KFn;
 use crate::proc::{Pid, ProcState};
 
+/// Panic if the system idles this long with no runnable process
+/// (virtual cycles); catches lost wakeups.
+const WATCHDOG_IDLE: Cycles = 120 * hwprof_machine::CPU_HZ;
+
 /// Scheduler state.
 #[derive(Debug, Default)]
 pub struct Sched {
@@ -92,7 +96,7 @@ fn idle_once(ctx: &mut Ctx) {
     let delta = ctx.k.machine.now - before;
     ctx.k.sched.idle_cycles += delta;
     ctx.k.sched.idle_streak += delta;
-    if ctx.k.sched.idle_streak > ctx.k.config.watchdog_idle {
+    if ctx.k.sched.idle_streak > WATCHDOG_IDLE {
         let sleepers = ctx.k.procs.sleepers();
         panic!(
             "idle watchdog: no runnable process for {} cycles; sleepers: {sleepers:?}",

@@ -23,7 +23,6 @@ pub struct SimBuilder {
     ether_host: Option<Box<dyn RemoteHost>>,
     disk: bool,
     profiler: Option<Box<dyn EpromTap>>,
-    clock: bool,
 }
 
 impl Default for SimBuilder {
@@ -43,7 +42,6 @@ impl SimBuilder {
             ether_host: None,
             disk: false,
             profiler: None,
-            clock: true,
         }
     }
 
@@ -83,18 +81,10 @@ impl SimBuilder {
         self
     }
 
-    /// Disable the hardclock (pure-compute micro tests).
-    pub fn no_clock(mut self) -> Self {
-        self.clock = false;
-        self
-    }
-
     /// Builds the simulation.
     pub fn build(self) -> Sim {
         let mut machine = Machine::new(self.cost);
-        if self.clock {
-            machine.start_clock(self.config.clock_hz);
-        }
+        machine.start_clock(self.config.clock_hz);
         if let Some(hz) = self.config.statclock_hz {
             machine.start_statclock(hz, self.config.statclock_skewed);
         }

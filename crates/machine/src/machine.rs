@@ -200,11 +200,6 @@ impl Machine {
         self.pic.take(mask)
     }
 
-    /// True if an interrupt could be delivered under `mask`.
-    pub fn irq_ready(&self, mask: u16) -> bool {
-        self.pic.has_unmasked(mask)
-    }
-
     /// Idles the CPU forward to the next device event and processes it.
     ///
     /// Returns `false` if nothing is scheduled (the system would sleep

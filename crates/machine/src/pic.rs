@@ -54,11 +54,6 @@ impl Pic {
         self.pending & (1 << irq) != 0
     }
 
-    /// Returns the raw pending bit mask.
-    pub fn pending_mask(&self) -> u16 {
-        self.pending
-    }
-
     /// Takes the highest-priority pending line not blocked by `mask`
     /// (bit i set in `mask` blocks IRQ i), clearing its pending bit.
     ///

@@ -91,11 +91,6 @@ impl WdCard {
         &self.shmem
     }
 
-    /// Mutable shared memory (driver writes to the transmit buffer).
-    pub fn shmem_mut(&mut self) -> &mut [u8] {
-        &mut self.shmem
-    }
-
     fn ring_next(page: u8) -> u8 {
         if page + 1 >= NPAGES {
             TX_PAGES

@@ -35,8 +35,7 @@ pub trait SessionSink: Send {
 }
 
 /// Configuration for the analysis-side `FlightRecorder`: the fixed
-/// window width, the retention budget of the window ring, and the
-/// regression threshold its differential reports use.
+/// window width and the retention budget of the window ring.
 ///
 /// Built with [`RecorderConfig::builder`]; the builder validates on
 /// [`build`](RecorderConfigBuilder::build) and returns a
@@ -50,20 +49,14 @@ pub struct RecorderConfig {
     /// window would exceed it, the oldest retained window is evicted
     /// and its clipped span charged to the eviction ledger.
     pub retain: usize,
-    /// Movers threshold for differential reports, in parts-per-million
-    /// of relative growth of a function's coverage-scaled net rate
-    /// (50_000 = 5%).
-    pub diff_threshold_ppm: u32,
 }
 
 impl RecorderConfig {
-    /// Starts a builder with the defaults: 1 ms windows, 64 retained,
-    /// 5% movers threshold.
+    /// Starts a builder with the defaults: 1 ms windows, 64 retained.
     pub fn builder() -> RecorderConfigBuilder {
         RecorderConfigBuilder {
             window_us: 1_000,
             retain: 64,
-            diff_threshold_ppm: 50_000,
         }
     }
 }
@@ -80,7 +73,6 @@ impl Default for RecorderConfig {
 pub struct RecorderConfigBuilder {
     window_us: u64,
     retain: usize,
-    diff_threshold_ppm: u32,
 }
 
 impl RecorderConfigBuilder {
@@ -96,12 +88,6 @@ impl RecorderConfigBuilder {
         self
     }
 
-    /// Sets the movers threshold in ppm of relative rate growth.
-    pub fn diff_threshold_ppm(mut self, ppm: u32) -> Self {
-        self.diff_threshold_ppm = ppm;
-        self
-    }
-
     /// Validates and builds the config.
     pub fn build(self) -> Result<RecorderConfig, RecorderConfigError> {
         if self.window_us == 0 {
@@ -113,7 +99,6 @@ impl RecorderConfigBuilder {
         Ok(RecorderConfig {
             window_us: self.window_us,
             retain: self.retain,
-            diff_threshold_ppm: self.diff_threshold_ppm,
         })
     }
 }
@@ -150,7 +135,6 @@ mod tests {
         let cfg = RecorderConfig::default();
         assert_eq!(cfg.window_us, 1_000);
         assert_eq!(cfg.retain, 64);
-        assert_eq!(cfg.diff_threshold_ppm, 50_000);
     }
 
     #[test]
@@ -166,7 +150,6 @@ mod tests {
         let cfg = RecorderConfig::builder()
             .window_us(250)
             .retain(8)
-            .diff_threshold_ppm(10_000)
             .build()
             .expect("valid");
         assert_eq!(cfg.window_us, 250);

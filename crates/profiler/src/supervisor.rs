@@ -123,11 +123,6 @@ impl TagMask {
         }
     }
 
-    /// True if the hot set has been populated (pinned or derived).
-    pub fn has_hot(&self) -> bool {
-        !self.hot.is_empty()
-    }
-
     /// Does the PAL pass this tag through to the board at `level`?
     pub fn admits(&self, level: TagMaskLevel, tag: u16) -> bool {
         match level {
@@ -311,9 +306,6 @@ pub struct SupervisorPolicy {
     /// Simulated time one bank swap keeps the board dark (pulling the
     /// RAM, seating an empty one, re-arming).
     pub drain_budget_us: u64,
-    /// Drain proactively at this fill level; `None` drains only when
-    /// the RAM is completely full (where the stock board overflows).
-    pub drain_fill: Option<usize>,
     /// Force a drain once a session spans this long, so the ladder is
     /// re-evaluated even when the masked trigger rate is tiny.
     pub max_session_us: u64,
@@ -334,9 +326,6 @@ pub struct SupervisorPolicy {
     pub upgrade_fill_us: u64,
     /// Hot pairs the automatic detector masks at `HotMasked`.
     pub auto_hot_top: usize,
-    /// Function names to pin as the hot set (resolved by the harness);
-    /// empty means derive automatically from the overflowing bank.
-    pub hot_functions: Vec<String>,
     /// Failure probability the default seeded transport injects.
     pub transport_fail_ppm: u32,
     /// Minimum acceptable coverage (ppm of the timeline); 0 disables
@@ -350,7 +339,6 @@ impl Default for SupervisorPolicy {
     fn default() -> Self {
         SupervisorPolicy {
             drain_budget_us: 20_000,
-            drain_fill: None,
             max_session_us: 2_000_000,
             retry: RetryPolicy::default(),
             breaker_cooldown_us: 250_000,
@@ -359,7 +347,6 @@ impl Default for SupervisorPolicy {
             downgrade_fill_us: 200_000,
             upgrade_fill_us: 800_000,
             auto_hot_top: 4,
-            hot_functions: Vec::new(),
             transport_fail_ppm: 0,
             min_coverage_ppm: 900_000,
             seed: 0x1993_0617,
@@ -372,7 +359,7 @@ impl Default for SupervisorPolicy {
 pub enum GapCause {
     /// The RAM filled completely — where the stock board overflows.
     Overflow,
-    /// A proactive swap (fill threshold or session-length cap).
+    /// A proactive swap (the session-length cap).
     Drain,
     /// A captured bank was lost: the spill shelf was full and the
     /// transport down, so its span is retroactively dark.
@@ -490,19 +477,6 @@ impl Coverage {
         } else {
             self.covered_us as f64 / self.timeline_us as f64
         }
-    }
-
-    /// True when the run never went dark and nothing was masked, lost
-    /// or retried.
-    pub fn is_full(&self) -> bool {
-        self.gap_us == 0
-            && self.gaps == 0
-            && self.masked_events == 0
-            && self.mask_downgrades == 0
-            && self.retries == 0
-            && self.transport_failures == 0
-            && self.banks_lost == 0
-            && self.missed_in_gaps == 0
     }
 
     /// Report lines for the "Coverage" block.
@@ -720,14 +694,6 @@ fn cause_arg(c: GapCause) -> u64 {
 }
 
 impl SupervisorState {
-    /// Events at which a bank on a `cap`-event board counts as full.
-    fn bank_full_at(&self, cap: usize) -> usize {
-        match self.policy.drain_fill {
-            Some(n) => n.clamp(1, cap),
-            None => cap,
-        }
-    }
-
     /// The single gap-recording site: every dark window — swap close,
     /// lost bank, end-of-run clip — lands here, so the ledger's cause
     /// counts and the telemetry counters can never drift apart.
@@ -911,10 +877,7 @@ impl SupervisorState {
             let span = now.saturating_sub(self.session_start);
             let fill_est = span.saturating_mul(h.capacity as u64) / self.session_triggers;
             if fill_est < self.policy.downgrade_fill_us && self.level != TagMaskLevel::SwitchOnly {
-                if self.level == TagMaskLevel::All
-                    && self.mask.hot.is_empty()
-                    && self.policy.hot_functions.is_empty()
-                {
+                if self.level == TagMaskLevel::All && self.mask.hot.is_empty() {
                     self.mask
                         .derive_hot(&session.records, self.policy.auto_hot_top);
                 }
@@ -1284,9 +1247,8 @@ impl EpromTap for CaptureSupervisor {
             return;
         }
         let h = st.board.trigger(offset, now_us);
-        if h.overflowed || h.stored >= st.bank_full_at(h.capacity) {
-            let overflow = h.overflowed || h.stored >= h.capacity;
-            st.drain(now_us, overflow);
+        if h.overflowed || h.stored >= h.capacity {
+            st.drain(now_us, true);
         }
     }
 

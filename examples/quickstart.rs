@@ -36,7 +36,6 @@ fn main() {
     // (paper Figure 4).
     let style = TraceStyle {
         max_lines: Some(60),
-        ..TraceStyle::default()
     };
     println!("{}", trace_report(&profile, &style));
 }

@@ -438,3 +438,45 @@ fn anomaly_limit_gate_is_exact_on_arena_counts() {
         "a configured zero limit must refuse without an explicit override"
     );
 }
+
+/// The streaming half of the same trust gate: `try_run_streaming`
+/// checks `anomaly_limit_ppm` against the merged profile, refusing a
+/// faulted run at a zero limit and just under its own anomaly ppm, and
+/// passing it, unchanged, at exactly that ppm.
+#[test]
+fn streaming_anomaly_limit_gate_is_exact() {
+    let run = |limit: Option<u32>| {
+        let mut experiment = Experiment::new()
+            .profile_modules(&["kern", "locore"])
+            .board(BoardConfig {
+                capacity: 64,
+                time_bits: 24,
+            })
+            .scenario(scenarios::clock_idle(20))
+            .faults(FaultSpec::uniform(20_000), 7);
+        if let Some(ppm) = limit {
+            experiment = experiment.anomaly_limit_ppm(ppm);
+        }
+        experiment.try_run_streaming(2)
+    };
+    let open = run(None).expect("no limit never refuses");
+    let total = open.profile.anomalies.total();
+    let tags = open.profile.tags as u64;
+    assert!(open.banks > 1, "the capture streams several banks");
+    assert!(total > 0, "2% corruption must surface anomalies");
+
+    let exact = ((total * 1_000_000).div_ceil(tags)) as u32;
+    let at = run(Some(exact)).expect("the exact anomaly ppm passes");
+    assert_eq!(at.profile, open.profile);
+    for limit in [exact - 1, 0] {
+        match run(Some(limit)) {
+            Err(Error::CorruptUpload {
+                anomalies,
+                tags: refused_tags,
+                limit_ppm,
+            }) => assert_eq!((anomalies, refused_tags, limit_ppm), (total, tags, limit)),
+            Ok(c) => panic!("limit {limit} passed {} banks", c.banks),
+            Err(e) => panic!("limit {limit}: expected CorruptUpload, got {e}"),
+        }
+    }
+}
