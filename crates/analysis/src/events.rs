@@ -105,9 +105,9 @@ pub struct Event {
 /// "the analysis software only uses the timer value as an interval time,
 /// not as an absolute time" — each consecutive delta is taken modulo
 /// 2^24, so any gap under ~16.8 s is exact and information is lost (the
-/// paper's stated limit) only beyond that.  Batch [`unwrap_times`] is
-/// one unwrapper run over a whole slice, so chunked and batch decoding
-/// agree for every split of the same stream.
+/// paper's stated limit) only beyond that.  One unwrapper carries the
+/// running time across chunks, so chunked and batch decoding agree for
+/// every split of the same stream.
 #[derive(Debug, Clone, Default)]
 pub struct TimeUnwrapper {
     abs: u64,
@@ -195,12 +195,6 @@ impl TimeUnwrapper {
         self.prev = Some(last_raw & TIME_MASK);
         self.held = false;
     }
-}
-
-/// Unwraps the 24-bit hardware timestamps into absolute microseconds.
-pub fn unwrap_times(records: &[RawRecord]) -> Vec<u64> {
-    let mut unwrapper = TimeUnwrapper::new();
-    records.iter().map(|r| unwrapper.push(r.time)).collect()
 }
 
 /// The tag → meaning table, precomputed from the name file once and
@@ -399,16 +393,15 @@ mod tests {
                 time: 0x00_0007,
             },
         ];
-        assert_eq!(unwrap_times(&recs), vec![0, 15, 21, 23]);
+        let mut u = TimeUnwrapper::new();
+        let times: Vec<u64> = recs.iter().map(|r| u.push(r.time)).collect();
+        assert_eq!(times, vec![0, 15, 21, 23]);
     }
 
     #[test]
     fn unwrap_first_event_is_zero() {
-        let recs = [RawRecord {
-            tag: 1,
-            time: 123_456,
-        }];
-        assert_eq!(unwrap_times(&recs), vec![0]);
+        let mut u = TimeUnwrapper::new();
+        assert_eq!(u.push(123_456), 0);
     }
 
     #[test]

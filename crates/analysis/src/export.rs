@@ -1019,7 +1019,7 @@ mod tests {
     #[test]
     fn span_journal_renders_as_pipeline_lanes() {
         let r = fixture();
-        let log = SpanLog::with_capacity(16);
+        let log = SpanLog::new();
         log.begin(SpanTrack::Supervisor, SpanName::Bank, 10, 0, 0);
         log.end(SpanTrack::Supervisor, SpanName::Bank, 90, 0, 11);
         log.instant(SpanTrack::Transport, SpanName::Retry, 95, 0, 1);

@@ -42,8 +42,8 @@ pub use analyzer::{Analyzer, AnalyzerError};
 pub use anomaly::Anomalies;
 pub use columnar::{ColumnarDecoder, DenseTagTable};
 pub use events::{
-    decode, decode_recovering, decode_recovering_scalar, decode_scalar, unwrap_times, EvKind,
-    Event, SessionDecoder, SymId, Symbols, TagMap, TimeUnwrapper, TIME_JUMP_THRESHOLD,
+    decode, decode_recovering, decode_recovering_scalar, decode_scalar, EvKind, Event,
+    SessionDecoder, SymId, Symbols, TagMap, TimeUnwrapper, TIME_JUMP_THRESHOLD,
 };
 pub use export::{validate_json, JsonValue};
 pub use profile::Profile;

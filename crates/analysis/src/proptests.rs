@@ -6,7 +6,7 @@ use crate::events::{decode, EvKind, Event, SessionDecoder, Symbols, TagMap};
 use crate::recon::{Reconstruction, SessionRecon};
 use crate::stream::StreamAnalyzer;
 use crate::Analyzer;
-use hwprof_profiler::{parse_raw, serialize_raw, BankSink, RawRecord, RecordStream};
+use hwprof_profiler::{BankSink, RawRecord};
 use hwprof_tagfile::{TagFile, TagKind};
 
 fn analyze(syms: &Symbols, events: &[Event]) -> Reconstruction {
@@ -209,31 +209,6 @@ fn cut_sessions(records: &[RawRecord], map: &TagMap, cuts: &[usize]) -> Vec<Vec<
 }
 
 proptest! {
-    /// Feeding the upload byte stream through [`RecordStream`] in any
-    /// chunking — including splits inside a 5-byte record — yields
-    /// exactly the batch [`parse_raw`] result.
-    #[test]
-    fn chunked_byte_decode_matches_batch(
-        ops in prop::collection::vec((0u8..=255, 0u32..150_000), 1..200),
-        cuts in prop::collection::vec(0usize..1000, 0..8),
-    ) {
-        let (_, records) = arbitrary_stream(&ops);
-        let bytes = serialize_raw(&records);
-        let mut positions: Vec<usize> =
-            cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
-        positions.sort_unstable();
-        let mut stream = RecordStream::new();
-        let mut out = Vec::new();
-        let mut prev = 0;
-        for p in positions {
-            stream.push(&bytes[prev..p], &mut out);
-            prev = p;
-        }
-        stream.push(&bytes[prev..], &mut out);
-        prop_assert!(stream.finish().is_ok());
-        prop_assert_eq!(out, parse_raw(&bytes).expect("round multiple of 5"));
-    }
-
     /// Decoding a session record-chunk by record-chunk (incremental
     /// 24-bit unwrap carried across chunks) equals batch [`decode`].
     #[test]

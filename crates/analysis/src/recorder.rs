@@ -12,9 +12,9 @@
 //! cases).
 //!
 //! Windows tile absolute machine time from 0: window `w` covers
-//! `[w·W, (w+1)·W)` for width `W = RecorderConfig::window_us`, clipped
+//! `[w·W, (w+1)·W)` for width `W = RecorderConfig::window_us()`, clipped
 //! to the recorder's observed timeline.  The ring retains at most
-//! `RecorderConfig::retain` windows; when a new window would exceed the
+//! `RecorderConfig::retain()` windows; when a new window would exceed the
 //! budget the oldest is evicted and its clipped span charged to the
 //! [`RecorderLedger`], which stays exact at every instant:
 //! `covered + dark + evicted == elapsed`.
@@ -132,7 +132,7 @@ impl RecorderInner {
 
     /// Absolute boundary below which everything is evicted territory.
     fn evicted_boundary(&self) -> u64 {
-        self.base_w * self.cfg.window_us
+        self.base_w * self.cfg.window_us()
     }
 
     /// Materializes window `w` (and any intermediate windows needed to
@@ -168,7 +168,7 @@ impl RecorderInner {
     /// Evicts oldest-first down to the retention budget, charging each
     /// evicted window's clipped span to the ledger.
     fn trim(&mut self) {
-        while self.windows.len() > self.cfg.retain {
+        while self.windows.len() > self.cfg.retain() {
             self.windows.pop_front();
             let w = self.base_w;
             self.base_w += 1;
@@ -183,7 +183,7 @@ impl RecorderInner {
 
     /// Window `w`'s span clipped to the observed timeline.
     fn window_span(&self, w: u64) -> (u64, u64) {
-        let wd = self.cfg.window_us;
+        let wd = self.cfg.window_us();
         let (start, end) = self.bounds().unwrap_or((0, 0));
         let ws = (w * wd).max(start).min(end);
         let we = ((w + 1) * wd).min(end).max(ws);
@@ -198,7 +198,7 @@ impl RecorderInner {
         }
         self.sessions += 1;
         self.metrics.sessions.inc();
-        let wd = self.cfg.window_us;
+        let wd = self.cfg.window_us();
 
         self.note_seen(s.start_us, s.end_us);
         let last_event_end = events
@@ -271,7 +271,7 @@ impl RecorderInner {
         if g.end_us <= g.start_us {
             return;
         }
-        let wd = self.cfg.window_us;
+        let wd = self.cfg.window_us();
         for w in (g.start_us / wd)..=((g.end_us - 1) / wd) {
             if !self.ensure_window(w) {
                 continue;
@@ -317,8 +317,8 @@ impl RecorderInner {
                 // Materialize the full sealed timeline so the ring
                 // tiles it exactly (the trailing idle/dark tail has no
                 // delivered item of its own).
-                self.ensure_window(base / self.cfg.window_us);
-                let last_w = (end - 1) / self.cfg.window_us;
+                self.ensure_window(base / self.cfg.window_us());
+                let last_w = (end - 1) / self.cfg.window_us();
                 if !self.seen || last_w >= self.base_w {
                     self.ensure_window(last_w);
                 }

@@ -46,8 +46,9 @@ const GLOBAL: u32 = u32::MAX;
 // Configuration
 // ---------------------------------------------------------------------
 
-/// Configuration for a [`Sentinel`]: the baseline warm-up span, the
-/// hysteresis thresholds, and one threshold per detector.
+/// Configuration for a [`Sentinel`]: the baseline warm-up span and the
+/// hysteresis thresholds.  The detector thresholds are constants beside
+/// [`Sentinel::observe`].
 ///
 /// Built with [`SentinelConfig::builder`]; the builder validates on
 /// [`build`](SentinelConfigBuilder::build) and returns a
@@ -61,43 +62,16 @@ pub struct SentinelConfig {
     pub fire_after: u32,
     /// Consecutive clear windows before a Firing alert resolves.
     pub resolve_after: u32,
-    /// Rate-shift threshold, in ppm of relative change of a function's
-    /// coverage-scaled net rate vs its baseline (500_000 = ±50%).
-    pub rate_shift_ppm: u32,
-    /// Noise floor for the rate-shift detector: a function is only
-    /// evaluated when its observed net time or its per-window baseline
-    /// average reaches this many µs.
-    pub min_net_us: u64,
-    /// Coverage-drop threshold: breach when a window's covered ppm of
-    /// its timeline falls below this.
-    pub coverage_floor_ppm: u32,
-    /// Mask-ladder residency threshold: breach when more than this ppm
-    /// of a window's covered time ran below full visibility.
-    pub ladder_residency_ppm: u32,
-    /// Anomaly budget: breach when a window's anomalies exceed this
-    /// ppm of its hardware events.
-    pub anomaly_budget_ppm: u32,
-    /// Eviction pressure: breach when the recorder ledger has written
-    /// off more than this ppm of the elapsed timeline.
-    pub eviction_ppm: u32,
 }
 
 impl SentinelConfig {
     /// Starts a builder with the defaults: 3-window warm-up, fire
-    /// after 2 breaches, resolve after 2 clears, ±50% rate shift,
-    /// 20 µs noise floor, 50% coverage floor, 50% ladder residency,
-    /// 1% anomaly budget, 25% eviction pressure.
+    /// after 2 breaches, resolve after 2 clears.
     pub fn builder() -> SentinelConfigBuilder {
         SentinelConfigBuilder {
             warmup_windows: 3,
             fire_after: 2,
             resolve_after: 2,
-            rate_shift_ppm: 500_000,
-            min_net_us: 20,
-            coverage_floor_ppm: 500_000,
-            ladder_residency_ppm: 500_000,
-            anomaly_budget_ppm: 10_000,
-            eviction_ppm: 250_000,
         }
     }
 }
@@ -115,12 +89,6 @@ pub struct SentinelConfigBuilder {
     warmup_windows: u64,
     fire_after: u32,
     resolve_after: u32,
-    rate_shift_ppm: u32,
-    min_net_us: u64,
-    coverage_floor_ppm: u32,
-    ladder_residency_ppm: u32,
-    anomaly_budget_ppm: u32,
-    eviction_ppm: u32,
 }
 
 impl SentinelConfigBuilder {
@@ -142,42 +110,6 @@ impl SentinelConfigBuilder {
         self
     }
 
-    /// Sets the rate-shift threshold in ppm of relative rate change.
-    pub fn rate_shift_ppm(mut self, ppm: u32) -> Self {
-        self.rate_shift_ppm = ppm;
-        self
-    }
-
-    /// Sets the rate-shift noise floor in net µs.
-    pub fn min_net_us(mut self, us: u64) -> Self {
-        self.min_net_us = us;
-        self
-    }
-
-    /// Sets the coverage floor in ppm of the window timeline.
-    pub fn coverage_floor_ppm(mut self, ppm: u32) -> Self {
-        self.coverage_floor_ppm = ppm;
-        self
-    }
-
-    /// Sets the mask-ladder residency threshold in ppm of covered time.
-    pub fn ladder_residency_ppm(mut self, ppm: u32) -> Self {
-        self.ladder_residency_ppm = ppm;
-        self
-    }
-
-    /// Sets the anomaly budget in ppm of hardware events.
-    pub fn anomaly_budget_ppm(mut self, ppm: u32) -> Self {
-        self.anomaly_budget_ppm = ppm;
-        self
-    }
-
-    /// Sets the eviction-pressure threshold in ppm of elapsed time.
-    pub fn eviction_ppm(mut self, ppm: u32) -> Self {
-        self.eviction_ppm = ppm;
-        self
-    }
-
     /// Validates and builds the config.
     pub fn build(self) -> Result<SentinelConfig, SentinelConfigError> {
         if self.warmup_windows == 0 {
@@ -193,12 +125,6 @@ impl SentinelConfigBuilder {
             warmup_windows: self.warmup_windows,
             fire_after: self.fire_after,
             resolve_after: self.resolve_after,
-            rate_shift_ppm: self.rate_shift_ppm,
-            min_net_us: self.min_net_us,
-            coverage_floor_ppm: self.coverage_floor_ppm,
-            ladder_residency_ppm: self.ladder_residency_ppm,
-            anomaly_budget_ppm: self.anomaly_budget_ppm,
-            eviction_ppm: self.eviction_ppm,
         })
     }
 }
@@ -560,6 +486,26 @@ impl SentMetrics {
     }
 }
 
+/// Rate-shift threshold, in ppm of relative change of a function's
+/// coverage-scaled net rate vs its baseline (±50%).
+const RATE_SHIFT_PPM: u128 = 500_000;
+/// Noise floor for the rate-shift detector: a function is only
+/// evaluated when its observed net time or its per-window baseline
+/// average reaches this many µs.
+const MIN_NET_US: u64 = 20;
+/// Coverage drop: breach when a window's covered ppm of its timeline
+/// falls below this (50%).
+const COVERAGE_FLOOR_PPM: u64 = 500_000;
+/// Mask-ladder residency: breach when more than this ppm of a window's
+/// covered time ran below full visibility (50%).
+const LADDER_RESIDENCY_PPM: u64 = 500_000;
+/// Anomaly budget: breach when a window's anomalies exceed this ppm of
+/// its hardware events (1%).
+const ANOMALY_BUDGET_PPM: u64 = 10_000;
+/// Eviction pressure: breach when the recorder ledger has written off
+/// more than this ppm of the elapsed timeline (25%).
+const EVICTION_PPM: u64 = 250_000;
+
 /// The regression sentinel: one [`Baseline`], the fixed [`Detector`]
 /// set, per-subject hysteresis, and the [`AlertJournal`] everything
 /// lands in.
@@ -690,9 +636,9 @@ impl Sentinel {
             let b_vis = self.baseline.visible_us(v);
             let o_net = recon.stats[s].net;
             let o_vis = visible_us(cov, v);
-            // Noise floor: neither side shows min_net_us of activity.
+            // Noise floor: neither side shows MIN_NET_US of activity.
             let b_avg = b_net / self.baseline.windows.max(1);
-            if o_net.max(b_avg) < self.cfg.min_net_us {
+            if o_net.max(b_avg) < MIN_NET_US {
                 continue;
             }
             // An unknowable rate (no visible time on either side) is a
@@ -701,11 +647,9 @@ impl Sentinel {
                 false
             } else {
                 let up = (o_net as u128) * (b_vis as u128) * PPM
-                    > (b_net as u128) * (o_vis as u128) * (PPM + self.cfg.rate_shift_ppm as u128);
+                    > (b_net as u128) * (o_vis as u128) * (PPM + RATE_SHIFT_PPM);
                 let down = (o_net as u128) * (b_vis as u128) * PPM
-                    < (b_net as u128)
-                        * (o_vis as u128)
-                        * PPM.saturating_sub(self.cfg.rate_shift_ppm as u128);
+                    < (b_net as u128) * (o_vis as u128) * PPM.saturating_sub(RATE_SHIFT_PPM);
                 up || down
             };
             let baseline_stat = self.baseline.net_rate_milli(s, v).unwrap_or(0);
@@ -733,8 +677,8 @@ impl Sentinel {
                 Detector::CoverageDrop,
                 GLOBAL,
                 "coverage",
-                observed < self.cfg.coverage_floor_ppm as u64,
-                self.cfg.coverage_floor_ppm as u64,
+                observed < COVERAGE_FLOOR_PPM,
+                COVERAGE_FLOOR_PPM,
                 observed,
                 window,
                 end_us,
@@ -749,8 +693,8 @@ impl Sentinel {
                 Detector::MaskResidency,
                 GLOBAL,
                 "mask",
-                observed > self.cfg.ladder_residency_ppm as u64,
-                self.cfg.ladder_residency_ppm as u64,
+                observed > LADDER_RESIDENCY_PPM,
+                LADDER_RESIDENCY_PPM,
                 observed,
                 window,
                 end_us,
@@ -764,8 +708,8 @@ impl Sentinel {
                 Detector::AnomalyBudget,
                 GLOBAL,
                 "anomalies",
-                observed > self.cfg.anomaly_budget_ppm as u64,
-                self.cfg.anomaly_budget_ppm as u64,
+                observed > ANOMALY_BUDGET_PPM,
+                ANOMALY_BUDGET_PPM,
                 observed,
                 window,
                 end_us,
@@ -780,8 +724,8 @@ impl Sentinel {
                     Detector::EvictionPressure,
                     GLOBAL,
                     "recorder",
-                    observed > self.cfg.eviction_ppm as u64,
-                    self.cfg.eviction_ppm as u64,
+                    observed > EVICTION_PPM,
+                    EVICTION_PPM,
                     observed,
                     window,
                     end_us,

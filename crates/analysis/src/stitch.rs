@@ -181,7 +181,7 @@ mod tests {
         let mask = TagMask::new([200u16]);
         let policy = SupervisorPolicy {
             drain_budget_us: 10,
-            ladder: false,
+            downgrade_fill_us: 0,
             max_session_us: u64::MAX,
             retry: RetryPolicy {
                 max_attempts: 1,

@@ -98,8 +98,7 @@ fn policy(drain_budget_us: u64, spill_banks: usize, ladder: bool, seed: u64) -> 
         },
         breaker_cooldown_us: 100,
         spill_banks,
-        ladder,
-        downgrade_fill_us: 300,
+        downgrade_fill_us: if ladder { 300 } else { 0 },
         upgrade_fill_us: 2_000,
         auto_hot_top: 2,
         min_coverage_ppm: 0,

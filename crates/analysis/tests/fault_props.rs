@@ -1,6 +1,6 @@
 //! Fault-injection property suite: the decode → reconstruct → report
 //! pipeline must never panic on corrupted input, must agree with
-//! itself across chunked/batch/streaming paths, and must keep its
+//! itself across batch/streaming paths, and must keep its
 //! numbers inside the uncorrupted session's bounds.
 //!
 //! Runs at 256 cases per property (`PROPTEST_CASES` overrides); the CI
@@ -15,7 +15,7 @@ use hwprof_analysis::{
     Analyzer, Reconstruction, StreamAnalyzer, Symbols,
 };
 use hwprof_profiler::{
-    parse_raw_lossy, serialize_raw, FaultInjector, FaultSpec, RawRecord, RecordStream, TIME_MASK,
+    parse_raw_lossy, serialize_raw, FaultInjector, FaultSpec, RawRecord, TIME_MASK,
 };
 use hwprof_tagfile::{TagFile, TagKind};
 
@@ -74,29 +74,13 @@ proptest! {
     #![cases(256)]
 
     /// Arbitrary byte soup — not even record-aligned — decodes without
-    /// panicking, chunked decode agrees with the batch lossy parse, and
-    /// the full reconstruct/report/trace pipeline survives the result.
+    /// panicking, and the full reconstruct/report/trace pipeline
+    /// survives the result.
     #[test]
     fn byte_soup_never_panics_anywhere(
         bytes in prop::collection::vec(0u8..=255, 0..400),
-        cuts in prop::collection::vec(0usize..1000, 0..6),
     ) {
         let (batch, trailing) = parse_raw_lossy(&bytes);
-        // Chunked decode at arbitrary split points.
-        let mut positions: Vec<usize> =
-            cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
-        positions.sort_unstable();
-        let mut stream = RecordStream::new();
-        let mut chunked = Vec::new();
-        let mut prev = 0;
-        for p in positions {
-            stream.push(&bytes[prev..p], &mut chunked);
-            prev = p;
-        }
-        stream.push(&bytes[prev..], &mut chunked);
-        prop_assert_eq!(&chunked, &batch);
-        prop_assert_eq!(stream.finish_lossy(), trailing);
-        // The soup reconstructs and renders without panicking.
         let tf = hwprof_tagfile::parse("a/100\nb/102\nswtch/200!\nMARK/300=\n")
             .expect("static tag file");
         let (syms, events, anoms) = decode_recovering(&batch, &tf);
@@ -109,23 +93,6 @@ proptest! {
         prop_assert!(report.contains("Elapsed time"));
         let trace = trace_report(&r, &TraceStyle::default());
         prop_assert!(trace.len() < usize::MAX); // rendered without panic
-    }
-
-    /// For every split point of a corrupted byte stream, one-split
-    /// chunked decode is identical to the batch lossy parse.
-    #[test]
-    fn chunked_lossy_decode_agrees_at_every_split(
-        bytes in prop::collection::vec(0u8..=255, 0..64),
-    ) {
-        let batch = parse_raw_lossy(&bytes);
-        for split in 0..=bytes.len() {
-            let mut stream = RecordStream::new();
-            let mut out = Vec::new();
-            stream.push(&bytes[..split], &mut out);
-            stream.push(&bytes[split..], &mut out);
-            prop_assert!(out == batch.0, "records diverge at split {split}");
-            prop_assert!(stream.finish_lossy() == batch.1, "trailing diverges at split {split}");
-        }
     }
 
     /// Any seeded fault schedule over a clean session: recovery-mode

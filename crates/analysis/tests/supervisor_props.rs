@@ -106,8 +106,7 @@ fn policy(
         },
         breaker_cooldown_us,
         spill_banks,
-        ladder,
-        downgrade_fill_us: 300,
+        downgrade_fill_us: if ladder { 300 } else { 0 },
         upgrade_fill_us: 2_000,
         auto_hot_top: 2,
         min_coverage_ppm: 0,

@@ -13,7 +13,7 @@ use hwprof_profiler::{
 /// re-arms as soon as a full bank is uploaded.
 fn supervisor() -> CaptureSupervisor {
     let policy = SupervisorPolicy {
-        ladder: false,
+        downgrade_fill_us: 0,
         drain_budget_us: 0,
         ..SupervisorPolicy::default()
     };

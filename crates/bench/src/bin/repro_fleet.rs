@@ -12,7 +12,9 @@ use std::process::exit;
 use hwprof::snmpmib::MibExporter;
 use hwprof::Registry;
 use hwprof_bench::{banner, ms, pct, row};
-use hwprof_fleet::{ChaosEvent, ChaosPlan, Fleet, FleetPolicy, FleetReport, MachineHealth};
+use hwprof_fleet::{
+    ChaosEvent, ChaosPlan, Fleet, FleetPolicy, FleetReport, MachineHealth, LOST_WINDOW_US,
+};
 
 const CHAOS_SEED: u64 = 7;
 const MACHINES: u32 = 8;
@@ -122,7 +124,7 @@ fn main() {
     );
 
     // --- exact lost-machine accounting ------------------------------
-    let expected_lost: u64 = crashed.len() as u64 * policy(4).window_us
+    let expected_lost: u64 = crashed.len() as u64 * LOST_WINDOW_US
         + quarantined
             .iter()
             .filter_map(|m| m.coverage.map(|c| c.timeline_us))

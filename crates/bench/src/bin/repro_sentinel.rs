@@ -6,8 +6,8 @@
 //! subtree.  Pins the invariants CI gates on: transition windows and
 //! deltas, byte-identical journal text and alerts HTML across two
 //! independent runs, fleet roll-up promoting a quorum of machines to
-//! fleet level, and the sentinel-disabled path bit-identical to a
-//! plain `record()` run.
+//! fleet level, and a watched run whose sentinel fires leaving the
+//! capture bit-identical to a plain `record()` run.
 
 use std::process::exit;
 
@@ -94,19 +94,6 @@ fn watch_stream(tf: &TagFile, tags: &[u16], with_shift: bool) -> (FlightRecorder
     let mut sent = Sentinel::new(SentinelConfig::default());
     sent.scan(&rec);
     (rec, sent)
-}
-
-/// A sentinel config that can never breach: every detector threshold
-/// at its ceiling and the rate noise floor above any possible net.
-fn inert_config() -> SentinelConfig {
-    SentinelConfig::builder()
-        .min_net_us(u64::MAX)
-        .coverage_floor_ppm(0)
-        .ladder_residency_ppm(1_000_000)
-        .anomaly_budget_ppm(1_000_000)
-        .eviction_ppm(1_000_000)
-        .build()
-        .expect("valid config")
 }
 
 fn main() {
@@ -289,8 +276,9 @@ fn main() {
         steady.journal().is_empty(),
     );
 
-    // A watch whose sentinel never breaches is observationally free:
-    // the capture and every rendered byte match a plain record() run.
+    // The sentinel is a pure read over the recorder: a watch whose
+    // default sentinel fires still leaves the capture, and every byte
+    // rendered from it, equal to a plain record() run.
     let policy = SupervisorPolicy {
         seed: SEED,
         min_coverage_ppm: 0,
@@ -315,23 +303,28 @@ fn main() {
         .record(policy.clone(), rcfg)
         .expect("recorded run");
     let watched = experiment()
-        .watch(policy, rcfg, inert_config())
+        .watch(policy, rcfg, SentinelConfig::default())
         .expect("watched run");
-    let silent = watched.sentinel().journal().is_empty();
-    let identical = silent
-        && watched.as_profile().chrome_trace() == plain.as_profile().chrome_trace()
-        && watched.as_profile().html() == plain.as_profile().html();
+    let fired = watched
+        .sentinel()
+        .journal()
+        .entries()
+        .iter()
+        .any(|e| e.transition == AlertTransition::Firing);
+    let capture = watched.handle().as_profile();
+    let identical = capture.chrome_trace() == plain.as_profile().chrome_trace()
+        && capture.html() == plain.as_profile().html();
     check(
-        "disabled sentinel is bit-free",
+        "firing sentinel leaves the capture untouched",
         "record() bytes",
-        if identical {
+        if !fired {
+            "never fired"
+        } else if identical {
             "record() bytes"
-        } else if silent {
-            "bytes drifted"
         } else {
-            "journal not empty"
+            "bytes drifted"
         },
-        identical,
+        fired && identical,
     );
 
     if !all_ok {

@@ -12,7 +12,7 @@
 //! use hwprof::{Experiment, SamplingBackend, scenarios};
 //!
 //! let cap = Experiment::new()
-//!     .backend(SamplingBackend::statclock(5000))
+//!     .backend(SamplingBackend)
 //!     .scenario(scenarios::network_receive(16 * 1024, false))
 //!     .try_capture()
 //!     .expect("experiment builds and links");
@@ -31,7 +31,7 @@
 use hwprof_analysis::{Analyzer, Reconstruction};
 use hwprof_baseline::{CounterModel, SampleProfile};
 use hwprof_instrument::ModuleSelect;
-use hwprof_kernel386::kernel::{KernStats, Kernel, KernelConfig};
+use hwprof_kernel386::kernel::{KernStats, Kernel, KernelConfig, SAMPLE_COST, SWTRACE_EVENT_COST};
 use hwprof_profiler::{Profiler, RawRecord, TIME_MASK};
 use hwprof_tagfile::TagFile;
 
@@ -219,48 +219,15 @@ impl CaptureBackend for BoardBackend {
     }
 }
 
+/// The statclock rate the sampling backend plans: 5 kHz, unskewed.
+const STATCLOCK_HZ: u64 = 5_000;
+
 /// The status-quo profiler the paper argues against: clock-driven PC
 /// sampling.  Plans a *production* build (no triggers — samplers don't
-/// need instrumentation) and optionally a dedicated statclock; each
-/// sample then costs the kernel the sampler's interrupt path.
+/// need instrumentation) and a dedicated 5 kHz statclock; each sample
+/// then costs the kernel the sampler's interrupt path.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SamplingBackend {
-    /// Dedicated statclock rate; `None` samples from `hardclock`.
-    pub statclock_hz: Option<u64>,
-    /// Pseudo-random statclock phase (defeats synchronized workloads).
-    pub skewed: bool,
-}
-
-impl SamplingBackend {
-    /// Sample from the existing `hardclock` tick (the classic
-    /// `gatherstats` arrangement — zero extra interrupts).
-    #[must_use]
-    pub fn hardclock() -> Self {
-        SamplingBackend::default()
-    }
-
-    /// Sample from a dedicated statclock at `hz`.
-    #[must_use]
-    pub fn statclock(hz: u64) -> Self {
-        SamplingBackend {
-            statclock_hz: Some(hz),
-            skewed: false,
-        }
-    }
-
-    /// Sample from a phase-skewed statclock at `hz`.
-    #[must_use]
-    pub fn skewed(hz: u64) -> Self {
-        SamplingBackend {
-            statclock_hz: Some(hz),
-            skewed: true,
-        }
-    }
-
-    fn rate_hz(&self, config: &KernelConfig) -> u64 {
-        self.statclock_hz.unwrap_or(config.clock_hz)
-    }
-}
+pub struct SamplingBackend;
 
 impl CaptureBackend for SamplingBackend {
     fn name(&self) -> &'static str {
@@ -270,7 +237,7 @@ impl CaptureBackend for SamplingBackend {
     fn cost_model(&self) -> BackendCost {
         BackendCost {
             // The sampler's interrupt path (take_sample), per sample.
-            per_event_cycles: 120,
+            per_event_cycles: SAMPLE_COST,
             // A histogram of interrupted PCs: shares drift with rate,
             // and the clock path itself is invisible to it.
             bias_l1_bound: 1.0,
@@ -284,10 +251,8 @@ impl CaptureBackend for SamplingBackend {
     fn plan(&self, select: &mut ModuleSelect, config: &mut KernelConfig) {
         // Samplers run against production builds: no triggers.
         *select = ModuleSelect::None;
-        if let Some(hz) = self.statclock_hz {
-            config.statclock_hz = Some(hz);
-            config.statclock_skewed = self.skewed;
-        }
+        config.statclock_hz = Some(STATCLOCK_HZ);
+        config.statclock_skewed = false;
     }
 
     fn arm(&mut self, _board: &Profiler, kernel: &mut Kernel) -> Result<(), Error> {
@@ -301,10 +266,7 @@ impl CaptureBackend for SamplingBackend {
         if profile.total == 0 {
             return Err(fail(
                 self.name(),
-                format!(
-                    "no samples taken at {} Hz (run shorter than one period?)",
-                    self.rate_hz(&kernel.config)
-                ),
+                format!("no samples taken at {STATCLOCK_HZ} Hz (run shorter than one period?)"),
             ));
         }
         Ok(NativeCapture::Samples(profile))
@@ -327,11 +289,8 @@ impl CaptureBackend for SamplingBackend {
 /// and pushed through the anchored [`CounterModel`].  Zero runtime
 /// cost, production build — and the widest declared bias of any
 /// backend, because a counter can only *guess* where time went.
-#[derive(Debug, Clone, Default)]
-pub struct CountersBackend {
-    /// The anchor table; [`CounterModel::default`] unless overridden.
-    pub model: CounterModel,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CountersBackend;
 
 impl CaptureBackend for CountersBackend {
     fn name(&self) -> &'static str {
@@ -374,7 +333,7 @@ impl CaptureBackend for CountersBackend {
         let NativeCapture::Counters(stats) = native else {
             return Err(fail(self.name(), "native capture is not counters"));
         };
-        Ok(self.model.normalize(stats))
+        Ok(CounterModel::default().normalize(stats))
     }
 }
 
@@ -405,7 +364,7 @@ impl CaptureBackend for KtraceBackend {
     fn cost_model(&self) -> BackendCost {
         BackendCost {
             // One traced store per event: buffer write, index update.
-            per_event_cycles: 40,
+            per_event_cycles: SWTRACE_EVENT_COST,
             // Sees every trigger, but its own per-event cost dilates
             // the times it reports.
             bias_l1_bound: 0.30,

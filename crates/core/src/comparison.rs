@@ -136,8 +136,8 @@ impl BackendComparison {
 
         let backends: Vec<Box<dyn CaptureBackend>> = vec![
             Box::new(BoardBackend),
-            Box::new(SamplingBackend::statclock(5000)),
-            Box::new(CountersBackend::default()),
+            Box::new(SamplingBackend),
+            Box::new(CountersBackend),
             Box::new(KtraceBackend::default()),
         ];
         let mut rows = Vec::new();

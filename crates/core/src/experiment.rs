@@ -739,10 +739,10 @@ impl Capture {
     /// truncation (bytes that never completed a record) joins the
     /// decode/reconstruction classes in the anomaly ledger, and the
     /// call errors with [`Error::CorruptUpload`] if classified
-    /// anomalies exceed `limit_ppm` per million tags (defaulting to the
-    /// experiment's [`Experiment::anomaly_limit_ppm`], else 1000000 —
-    /// never refuse).
-    pub fn try_analyze(&self, limit_ppm: Option<u32>) -> Result<Reconstruction, Error> {
+    /// anomalies exceed the experiment's
+    /// [`Experiment::anomaly_limit_ppm`] per million tags (unset never
+    /// refuses).
+    pub fn try_analyze(&self) -> Result<Reconstruction, Error> {
         let mut r = Analyzer::for_tagfile(&self.tagfile)
             .recovering(true)
             .records(&self.records)
@@ -753,7 +753,7 @@ impl Capture {
                 ..Anomalies::default()
             });
         }
-        let limit = limit_ppm.or(self.anomaly_limit_ppm).unwrap_or(1_000_000);
+        let limit = self.anomaly_limit_ppm.unwrap_or(1_000_000);
         check_anomaly_limit(&r.anomalies, r.tags as u64, limit)?;
         Ok(r)
     }

@@ -196,6 +196,6 @@ mod tests {
             shards_missing: 0,
             straggled: false,
         };
-        assert_eq!(signals.classify(0).0, MachineHealth::Quarantined);
+        assert_eq!(signals.classify().0, MachineHealth::Quarantined);
     }
 }

@@ -28,8 +28,10 @@ use crate::report::{find_outliers, FleetCoverage, FleetOutlier, FleetReport, Mac
 /// write the machine off as Lost.
 const DRAIN_DEADLINE_US: u64 = 25_000;
 
-/// Coverage floor (ppm); machines below it classify as Degraded.
-const DEGRADED_COVERAGE_PPM: u32 = 900_000;
+/// The observation window a Lost machine is assessed at in the fleet
+/// ledger: it reported nothing, so the fleet charges the window it was
+/// *supposed* to cover.
+pub const LOST_WINDOW_US: u64 = 2_000_000;
 
 /// Every knob of a fleet run.
 #[derive(Debug, Clone)]
@@ -45,10 +47,6 @@ pub struct FleetPolicy {
     pub supervisor: SupervisorPolicy,
     /// Per-machine board.
     pub board: BoardConfig,
-    /// The observation window a Lost machine is assessed at in the
-    /// fleet ledger (it reported nothing, so the fleet charges the
-    /// window it was *supposed* to cover).
-    pub window_us: u64,
     /// Fleet seed; machine seeds derive from it.
     pub seed: u64,
     /// Per-machine regression watching: `Some` runs every machine
@@ -91,7 +89,6 @@ impl Default for FleetPolicy {
                 capacity: 4096,
                 time_bits: 24,
             },
-            window_us: 2_000_000,
             seed: 0x1993_0617,
             sentinel: None,
         }
@@ -297,7 +294,7 @@ impl Fleet {
                         shards_missing: summary.shards_sent.saturating_sub(arrived),
                         straggled,
                     };
-                    let (health, reasons) = signals.classify(DEGRADED_COVERAGE_PPM);
+                    let (health, reasons) = signals.classify();
                     let cov = summary.coverage;
                     coverage.timeline_us += cov.timeline_us;
                     let profile = if health.is_included() {
@@ -338,8 +335,8 @@ impl Fleet {
                     shards_sent,
                     mut errors,
                 } => {
-                    coverage.timeline_us += policy.window_us;
-                    coverage.lost_us += policy.window_us;
+                    coverage.timeline_us += LOST_WINDOW_US;
+                    coverage.lost_us += LOST_WINDOW_US;
                     errors.extend(ingest.errors);
                     MachineReport {
                         id: spec.id,

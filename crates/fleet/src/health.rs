@@ -63,6 +63,9 @@ impl fmt::Display for MachineHealth {
     }
 }
 
+/// Coverage floor (ppm); machines below it classify as Degraded.
+const DEGRADED_COVERAGE_PPM: u32 = 900_000;
+
 /// The post-run signals one machine is classified from.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HealthSignals {
@@ -84,7 +87,7 @@ impl HealthSignals {
     /// Runs the state machine over the signals: each firing signal
     /// worsens the state, and the returned reasons list one line per
     /// firing signal in a fixed order (so reports are deterministic).
-    pub fn classify(&self, degraded_coverage_ppm: u32) -> (MachineHealth, Vec<String>) {
+    pub fn classify(&self) -> (MachineHealth, Vec<String>) {
         if !self.alive {
             return (
                 MachineHealth::Lost,
@@ -101,12 +104,12 @@ impl HealthSignals {
             health = health.worsen(MachineHealth::Quarantined);
             reasons.push(format!("{} shard(s) never arrived", self.shards_missing));
         }
-        if self.coverage_ppm < degraded_coverage_ppm {
+        if self.coverage_ppm < DEGRADED_COVERAGE_PPM {
             health = health.worsen(MachineHealth::Degraded);
             reasons.push(format!(
                 "coverage {:.2}% below floor {:.2}%",
                 self.coverage_ppm as f64 / 10_000.0,
-                degraded_coverage_ppm as f64 / 10_000.0
+                DEGRADED_COVERAGE_PPM as f64 / 10_000.0
             ));
         }
         if self.breaker_trips > 0 {
@@ -146,34 +149,34 @@ mod tests {
 
     #[test]
     fn classification_table() {
-        let (h, r) = clean().classify(900_000);
+        let (h, r) = clean().classify();
         assert_eq!(h, MachineHealth::Healthy);
         assert!(r.is_empty());
 
         let dead = HealthSignals::default();
-        assert_eq!(dead.classify(900_000).0, MachineHealth::Lost);
+        assert_eq!(dead.classify().0, MachineHealth::Lost);
 
         let mut s = clean();
         s.coverage_ppm = 800_000;
-        assert_eq!(s.classify(900_000).0, MachineHealth::Degraded);
+        assert_eq!(s.classify().0, MachineHealth::Degraded);
 
         let mut s = clean();
         s.breaker_trips = 2;
-        assert_eq!(s.classify(900_000).0, MachineHealth::Degraded);
+        assert_eq!(s.classify().0, MachineHealth::Degraded);
 
         let mut s = clean();
         s.straggled = true;
-        assert_eq!(s.classify(900_000).0, MachineHealth::Degraded);
+        assert_eq!(s.classify().0, MachineHealth::Degraded);
 
         let mut s = clean();
         s.corrupt_shards = 1;
-        assert_eq!(s.classify(900_000).0, MachineHealth::Quarantined);
+        assert_eq!(s.classify().0, MachineHealth::Quarantined);
 
         // Quarantine dominates degradation even when both fire.
         let mut s = clean();
         s.corrupt_shards = 1;
         s.coverage_ppm = 0;
-        let (h, reasons) = s.classify(900_000);
+        let (h, reasons) = s.classify();
         assert_eq!(h, MachineHealth::Quarantined);
         assert_eq!(reasons.len(), 2);
     }

@@ -40,7 +40,7 @@ mod report;
 
 pub use aggregator::{FleetAggregator, MachineIngest};
 pub use chaos::{ChaosEvent, ChaosPlan};
-pub use fleet::{Fleet, FleetPolicy, FleetSentinelPolicy};
+pub use fleet::{Fleet, FleetPolicy, FleetSentinelPolicy, LOST_WINDOW_US};
 pub use frame::{checksum, MachineId, ShardFrame};
 pub use health::{HealthSignals, MachineHealth};
 pub use machine::{MachineOutcome, MachineSpec, MachineSummary, WorkloadMix};

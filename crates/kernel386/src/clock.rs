@@ -10,6 +10,7 @@
 
 use crate::ctx::{kfn, Ctx};
 use crate::funcs::KFn;
+use crate::kernel::SAMPLE_COST;
 use crate::proc::Pid;
 use crate::sched::setrunqueue;
 use crate::synch;
@@ -97,8 +98,7 @@ pub fn gatherstats(ctx: &mut Ctx) {
 
 /// Records one profiling sample: the function the interrupt caught.
 fn take_sample(ctx: &mut Ctx) {
-    let c = ctx.k.sampling.cost_per_sample;
-    ctx.k.machine.advance(c);
+    ctx.k.machine.advance(SAMPLE_COST);
     ctx.k.sampling.total += 1;
     match ctx.k.intr_interrupted {
         Some(KFn::Swtch) => ctx.k.sampling.idle_samples += 1,

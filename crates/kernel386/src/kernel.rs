@@ -59,6 +59,14 @@ impl Default for KernelConfig {
     }
 }
 
+/// CPU cycles one clock sample burns (buffer update + cache effects):
+/// 3 µs on the 40 MHz 386.
+pub const SAMPLE_COST: Cycles = 120;
+
+/// CPU cycles one software-trace event burns (store + index + cache
+/// effects): 1 µs, ~20x the board's trigger read.
+pub const SWTRACE_EVENT_COST: Cycles = 40;
+
 /// Statistical clock-sampling profiler state (the traditional technique
 /// the paper rejects: "the finer the granularity, the more time is spent
 /// running the profiling clock and not actually running the kernel").
@@ -71,8 +79,6 @@ impl Default for KernelConfig {
 pub struct Sampling {
     /// Master switch.
     pub enabled: bool,
-    /// CPU cycles burned per sample (buffer update + cache effects).
-    pub cost_per_sample: Cycles,
     /// Samples per kernel function (indexed by `KFn as usize`).
     pub counts: Vec<u64>,
     /// Samples that landed in the idle loop.
@@ -87,7 +93,6 @@ impl Default for Sampling {
     fn default() -> Self {
         Sampling {
             enabled: false,
-            cost_per_sample: 120, // 3 us
             counts: vec![0; crate::funcs::NFUNCS],
             idle_samples: 0,
             user_samples: 0,
@@ -108,10 +113,6 @@ pub struct SwTrace {
     /// Master switch.  When off, the hooks are a single branch and the
     /// simulated machine is bit-identical to an untraced kernel.
     pub enabled: bool,
-    /// CPU cycles burned per logged event (store + index + cache
-    /// effects) — roughly an order of magnitude above the board's
-    /// one-cycle EPROM read.
-    pub cost_per_event: Cycles,
     /// Ring capacity; events beyond it are dropped (and counted), like
     /// a real ktrace buffer under load.
     pub capacity: usize,
@@ -128,7 +129,6 @@ impl Default for SwTrace {
     fn default() -> Self {
         SwTrace {
             enabled: false,
-            cost_per_event: 40, // 1 us: ~20x the board's trigger read
             capacity: 1 << 20,
             events: Vec::new(),
             dropped: 0,
@@ -240,7 +240,7 @@ impl Kernel {
         if !self.swtrace.enabled {
             return;
         }
-        self.machine.now += self.swtrace.cost_per_event;
+        self.machine.now += SWTRACE_EVENT_COST;
         if self.swtrace.events.len() < self.swtrace.capacity {
             let t = self.machine.now_us();
             self.swtrace.events.push((tag, t));

@@ -6,7 +6,7 @@ use hwprof_machine::EpromTap;
 use hwprof_telemetry::{Counter, Gauge, Registry, SpanLog, SpanName, SpanTrack};
 use parking_lot::Mutex;
 
-use crate::record::{serialize_raw, RawRecord};
+use crate::record::RawRecord;
 
 /// Hardware build options.
 ///
@@ -331,11 +331,6 @@ impl Profiler {
         self.state.lock().ram.clone()
     }
 
-    /// The raw 5-byte-per-event RAM image for upload to the UNIX host.
-    pub fn dump_raw(&self) -> Vec<u8> {
-        serialize_raw(&self.state.lock().ram)
-    }
-
     /// Trigger reads that arrived while the board was not storing.
     pub fn missed(&self) -> u64 {
         self.state.lock().missed
@@ -578,19 +573,6 @@ mod tests {
         b.on_read(1, 5);
         assert!(!b.flush_drain());
         assert_eq!(b.stored(), 1, "stock board keeps its RAM");
-    }
-
-    #[test]
-    fn dump_is_five_bytes_per_event() {
-        let mut b = Profiler::stock();
-        b.set_switch(true);
-        b.on_read(502, 100);
-        b.on_read(503, 150);
-        let raw = b.dump_raw();
-        assert_eq!(raw.len(), 10);
-        let (parsed, trailing) = crate::record::parse_raw_lossy(&raw);
-        assert_eq!(trailing, 0, "a board dump is always record-aligned");
-        assert_eq!(parsed, b.records());
     }
 
     #[test]

@@ -380,7 +380,6 @@ mod tests {
             TagMask::new([200u16]),
             SupervisorPolicy {
                 drain_budget_us: 10,
-                ladder: true,
                 downgrade_fill_us: 500,
                 upgrade_fill_us: 2_000,
                 max_session_us: u64::MAX,

@@ -31,9 +31,7 @@ mod zif;
 pub use board::{BankSink, BoardConfig, BoardHealth, Leds, Profiler};
 pub use faults::{FaultInjector, FaultSpec, FaultySink, InjectedFaults, SPURIOUS_TAG_BASE};
 pub use health::{FleetHealthReport, HealthReport};
-pub use record::{
-    parse_raw, parse_raw_lossy, serialize_raw, RawRecord, RecordError, RecordStream, TIME_MASK,
-};
+pub use record::{parse_raw, parse_raw_lossy, serialize_raw, RawRecord, RecordError, TIME_MASK};
 pub use recorder::{RecorderConfig, RecorderConfigBuilder, RecorderConfigError, SessionSink};
 pub use supervisor::{
     CaptureSupervisor, Coverage, FlakyTransport, Gap, GapCause, MemoryTransport, RetryPolicy,

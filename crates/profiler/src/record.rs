@@ -88,51 +88,6 @@ pub fn parse_raw_lossy(bytes: &[u8]) -> (Vec<RawRecord>, usize) {
     (bytes.chunks_exact(5).map(record).collect(), bytes.len() % 5)
 }
 
-/// Incremental 5-byte record decode: accepts the upload byte stream in
-/// arbitrary chunks, carrying partial records across chunk boundaries.
-///
-/// Feeding any chunking of a byte stream yields exactly [`parse_raw`]
-/// of the whole stream.
-#[derive(Debug, Default)]
-pub struct RecordStream {
-    pending: Vec<u8>,
-}
-
-impl RecordStream {
-    /// An empty decoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds the next chunk of upload bytes, appending every completed
-    /// 5-byte record to `out`.
-    pub fn push(&mut self, bytes: &[u8], out: &mut Vec<RawRecord>) {
-        self.pending.extend_from_slice(bytes);
-        let complete = self.pending.len() - self.pending.len() % 5;
-        out.extend(self.pending[..complete].chunks_exact(5).map(record));
-        self.pending.drain(..complete);
-    }
-
-    /// Ends the stream: trailing bytes that never completed a record
-    /// are a truncated upload.
-    pub fn finish(self) -> Result<(), RecordError> {
-        if self.pending.is_empty() {
-            Ok(())
-        } else {
-            Err(RecordError::TruncatedStream {
-                len: self.pending.len(),
-            })
-        }
-    }
-
-    /// Ends the stream tolerantly, returning how many trailing bytes
-    /// never completed a record (0 for a clean upload, 1-4 for one cut
-    /// mid-record — a truncation anomaly, not an error).
-    pub fn finish_lossy(self) -> usize {
-        self.pending.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,16 +130,5 @@ mod tests {
             Err(RecordError::TruncatedStream { len: 3 })
         ));
         assert!(parse_raw(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn record_stream_finish_lossy_reports_trailing() {
-        let mut rs = RecordStream::new();
-        let mut out = Vec::new();
-        rs.push(&[1, 2, 3, 4, 5, 6, 7], &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(rs.finish_lossy(), 2);
-        let rs2 = RecordStream::new();
-        assert_eq!(rs2.finish_lossy(), 0);
     }
 }

@@ -39,19 +39,33 @@ pub trait SessionSink: Send {
 ///
 /// Built with [`RecorderConfig::builder`]; the builder validates on
 /// [`build`](RecorderConfigBuilder::build) and returns a
-/// [`RecorderConfigError`] instead of clamping silently.
+/// [`RecorderConfigError`] instead of clamping silently.  The fields
+/// are private, so no config skips that check:
+///
+/// ```compile_fail,E0451
+/// use hwprof_profiler::RecorderConfig;
+/// let cfg = RecorderConfig { window_us: 0, retain: 64 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
-    /// Fixed rollup window width in µs.  Windows tile absolute machine
-    /// time from 0: window `w` covers `[w·window_us, (w+1)·window_us)`.
-    pub window_us: u64,
-    /// Memory budget of the ring, in retained windows.  When a new
-    /// window would exceed it, the oldest retained window is evicted
-    /// and its clipped span charged to the eviction ledger.
-    pub retain: usize,
+    window_us: u64,
+    retain: usize,
 }
 
 impl RecorderConfig {
+    /// Fixed rollup window width in µs.  Windows tile absolute machine
+    /// time from 0: window `w` covers `[w·window_us, (w+1)·window_us)`.
+    pub fn window_us(&self) -> u64 {
+        self.window_us
+    }
+
+    /// Memory budget of the ring, in retained windows.  When a new
+    /// window would exceed it, the oldest retained window is evicted
+    /// and its clipped span charged to the eviction ledger.
+    pub fn retain(&self) -> usize {
+        self.retain
+    }
+
     /// Starts a builder with the defaults: 1 ms windows, 64 retained.
     pub fn builder() -> RecorderConfigBuilder {
         RecorderConfigBuilder {
@@ -133,8 +147,8 @@ mod tests {
     #[test]
     fn builder_defaults_build() {
         let cfg = RecorderConfig::default();
-        assert_eq!(cfg.window_us, 1_000);
-        assert_eq!(cfg.retain, 64);
+        assert_eq!(cfg.window_us(), 1_000);
+        assert_eq!(cfg.retain(), 64);
     }
 
     #[test]
@@ -152,7 +166,7 @@ mod tests {
             .retain(8)
             .build()
             .expect("valid");
-        assert_eq!(cfg.window_us, 250);
-        assert_eq!(cfg.retain, 8);
+        assert_eq!(cfg.window_us(), 250);
+        assert_eq!(cfg.retain(), 8);
     }
 }

@@ -317,10 +317,8 @@ pub struct SupervisorPolicy {
     /// How many undelivered banks the spill shelf holds before the
     /// newest bank is lost outright.
     pub spill_banks: usize,
-    /// Enables the tag-mask degradation ladder.
-    pub ladder: bool,
     /// Step the mask down when the unmasked trigger stream would fill a
-    /// bank in less than this.
+    /// bank in less than this; 0 never steps down, so the ladder is off.
     pub downgrade_fill_us: u64,
     /// Step the mask back up when it would take longer than this.
     pub upgrade_fill_us: u64,
@@ -343,7 +341,6 @@ impl Default for SupervisorPolicy {
             retry: RetryPolicy::default(),
             breaker_cooldown_us: 250_000,
             spill_banks: 4,
-            ladder: true,
             downgrade_fill_us: 200_000,
             upgrade_fill_us: 800_000,
             auto_hot_top: 4,
@@ -836,9 +833,9 @@ impl SupervisorState {
     /// is only a journal timestamp.
     fn flush_spill_opportunistic(&mut self, now: u64) {
         while let Some(front) = self.spill.front() {
-            let (index, records) = (front.index, front.records.clone());
+            let index = front.index;
             self.metrics.attempts.inc();
-            match self.transport.upload(index, &records) {
+            match self.transport.upload(index, &front.records) {
                 Ok(()) => {
                     self.journal
                         .instant(SpanTrack::Transport, SpanName::Flush, now, index, 1);
@@ -873,9 +870,11 @@ impl SupervisorState {
         // Ladder: how long would the *unmasked* trigger stream take to
         // fill one bank?  Level-invariant, so no oscillation from the
         // masking itself.
-        if self.policy.ladder && self.session_triggers > 0 {
-            let span = now.saturating_sub(self.session_start);
-            let fill_est = span.saturating_mul(h.capacity as u64) / self.session_triggers;
+        let span = now.saturating_sub(self.session_start);
+        if let Some(fill_est) = span
+            .saturating_mul(h.capacity as u64)
+            .checked_div(self.session_triggers)
+        {
             if fill_est < self.policy.downgrade_fill_us && self.level != TagMaskLevel::SwitchOnly {
                 if self.level == TagMaskLevel::All && self.mask.hot.is_empty() {
                     self.mask
@@ -1289,7 +1288,7 @@ mod tests {
     fn policy() -> SupervisorPolicy {
         SupervisorPolicy {
             drain_budget_us: 10,
-            ladder: false,
+            downgrade_fill_us: 0,
             max_session_us: u64::MAX,
             retry: RetryPolicy {
                 max_attempts: 2,
@@ -1437,7 +1436,6 @@ mod tests {
             tiny_board(8),
             TagMask::new([200u16]),
             SupervisorPolicy {
-                ladder: true,
                 downgrade_fill_us: 1_000,
                 upgrade_fill_us: 2_000,
                 auto_hot_top: 1,
@@ -1533,7 +1531,6 @@ mod tests {
                 tiny_board(8),
                 TagMask::new([200u16]),
                 SupervisorPolicy {
-                    ladder: true,
                     downgrade_fill_us: 500,
                     upgrade_fill_us: 2_000,
                     ..policy()

@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex};
 
 mod spans;
 
-pub use spans::{SpanEvent, SpanLog, SpanName, SpanPhase, SpanTrack, SPAN_LOG_DEFAULT_CAPACITY};
+pub use spans::{SpanEvent, SpanLog, SpanName, SpanPhase, SpanTrack, SPAN_LOG_CAPACITY};
 
 /// Number of log2 buckets in a [`Histo`]: bucket `i` counts samples
 /// whose bit length is `i`, i.e. `0` goes to bucket 0 and a value `v`

@@ -37,10 +37,10 @@ use std::sync::atomic::{
 };
 use std::sync::Arc;
 
-/// Default slot count of [`SpanLog::new`]: enough for every
+/// Slot count of every live [`SpanLog`]: enough for every
 /// supervised run in this repo with a wide margin, small enough that an
 /// always-on journal costs a few MiB at most.
-pub const SPAN_LOG_DEFAULT_CAPACITY: usize = 65_536;
+pub const SPAN_LOG_CAPACITY: usize = 65_536;
 
 /// What a span event marks: the start of an interval, its end, or a
 /// point occurrence.
@@ -263,15 +263,10 @@ impl std::fmt::Debug for SpanLog {
 }
 
 impl SpanLog {
-    /// A live journal of [`SPAN_LOG_DEFAULT_CAPACITY`] slots.
+    /// A live journal of [`SPAN_LOG_CAPACITY`] slots (further events
+    /// are dropped and counted).
     pub fn new() -> Self {
-        SpanLog::with_capacity(SPAN_LOG_DEFAULT_CAPACITY)
-    }
-
-    /// A journal holding at most `capacity` events (further events are
-    /// dropped and counted).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let slots = (0..capacity.max(1))
+        let slots = (0..SPAN_LOG_CAPACITY)
             .map(|_| Slot {
                 committed: AtomicU64::new(0),
                 t: AtomicU64::new(0),
@@ -413,7 +408,7 @@ mod tests {
 
     #[test]
     fn records_in_order_with_full_fidelity() {
-        let log = SpanLog::with_capacity(8);
+        let log = SpanLog::new();
         log.begin(SpanTrack::Supervisor, SpanName::Bank, 100, 0, 7);
         log.instant(SpanTrack::Transport, SpanName::Retry, 150, 0, 1);
         log.end(SpanTrack::Supervisor, SpanName::Bank, 200, 0, 42);
@@ -453,13 +448,13 @@ mod tests {
 
     #[test]
     fn overflow_drops_and_counts_instead_of_blocking() {
-        let log = SpanLog::with_capacity(2);
-        for i in 0..5 {
+        let log = SpanLog::new();
+        for i in 0..SPAN_LOG_CAPACITY as u64 + 3 {
             log.instant(SpanTrack::Board, SpanName::Drain, i, i, 0);
         }
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.len(), SPAN_LOG_CAPACITY);
         assert_eq!(log.dropped(), 3);
-        assert_eq!(log.snapshot().len(), 2);
+        assert_eq!(log.snapshot().len(), SPAN_LOG_CAPACITY);
     }
 
     #[test]
@@ -475,8 +470,8 @@ mod tests {
 
     #[test]
     fn extend_records_in_order() {
-        let log = SpanLog::with_capacity(2);
-        log.extend((0..3).map(|i| SpanEvent {
+        let log = SpanLog::new();
+        log.extend((0..SPAN_LOG_CAPACITY as u64 + 1).map(|i| SpanEvent {
             t_us: i,
             phase: SpanPhase::Instant,
             track: SpanTrack::Recorder,
@@ -485,7 +480,10 @@ mod tests {
             arg: 0,
         }));
         let ids: Vec<u64> = log.snapshot().iter().map(|e| e.id).collect();
-        assert_eq!((ids, log.dropped()), (vec![0, 1], 1));
+        assert_eq!(
+            (ids, log.dropped()),
+            ((0..SPAN_LOG_CAPACITY as u64).collect(), 1)
+        );
     }
 
     #[test]
@@ -505,7 +503,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_lose_nothing_within_capacity() {
-        let log = SpanLog::with_capacity(8 * 1_000);
+        let log = SpanLog::new();
         let handles: Vec<_> = (0..8)
             .map(|w| {
                 let log = log.clone();

@@ -58,7 +58,7 @@ fn fixture() -> &'static Fixture {
                 .try_capture(),
         );
         let sampled = Experiment::new()
-            .backend(SamplingBackend::statclock(5000))
+            .backend(SamplingBackend)
             .scenario(scenario())
             .try_capture()
             .expect("sampling fixture");
@@ -66,7 +66,7 @@ fn fixture() -> &'static Fixture {
             panic!("expected samples");
         };
         let counted = Experiment::new()
-            .backend(CountersBackend::default())
+            .backend(CountersBackend)
             .scenario(scenario())
             .try_capture()
             .expect("counters fixture");

@@ -20,8 +20,8 @@ fn workload() -> Scenario {
 fn one_scenario_runs_under_all_four_backends() {
     let backends: Vec<Box<dyn CaptureBackend>> = vec![
         Box::new(BoardBackend),
-        Box::new(SamplingBackend::statclock(5000)),
-        Box::new(CountersBackend::default()),
+        Box::new(SamplingBackend),
+        Box::new(CountersBackend),
         Box::new(KtraceBackend::default()),
     ];
     let mut seen = Vec::new();
@@ -77,7 +77,7 @@ fn board_backend_is_bit_identical_to_try_run() {
 #[test]
 fn sampling_backend_conserves_sampled_time() {
     let cap = Experiment::new()
-        .backend(SamplingBackend::statclock(5000))
+        .backend(SamplingBackend)
         .scenario(workload())
         .try_capture()
         .expect("sampling capture");

@@ -187,31 +187,31 @@ fn experiment_fault_path_rate_zero_matches_direct_run() {
     assert_eq!(faulted.injected.expect("injector ran").total(), 0);
     assert_eq!(direct.injected, None);
     assert_eq!(
-        direct.try_analyze(None).expect("ungated"),
-        faulted.try_analyze(None).expect("ungated"),
+        direct.try_analyze().expect("ungated"),
+        faulted.try_analyze().expect("ungated"),
         "recovery analysis must agree bit for bit"
     );
 }
 
 #[test]
 fn experiment_fault_path_classifies_and_gates_corruption() {
-    let run = || {
-        Experiment::new()
+    let run = |limit_ppm: Option<u32>| {
+        let mut e = Experiment::new()
             .profile_modules(&["kern", "locore"])
             .scenario(scenarios::clock_idle(20))
-            .faults(FaultSpec::uniform(20_000), 7)
-            .try_run()
-            .expect("run survives injection")
+            .faults(FaultSpec::uniform(20_000), 7);
+        if let Some(ppm) = limit_ppm {
+            e = e.anomaly_limit_ppm(ppm);
+        }
+        e.try_run().expect("run survives injection")
     };
-    let capture = run();
+    let capture = run(None);
     let injected = capture.injected.expect("faults were configured");
     assert!(
         injected.total() > 0,
         "2% uniform rate must inject something"
     );
-    let r = capture
-        .try_analyze(None)
-        .expect("default limit never refuses");
+    let r = capture.try_analyze().expect("default limit never refuses");
     assert!(
         !r.anomalies.is_clean(),
         "injected faults must surface in the anomaly summary: {injected:?}"
@@ -220,8 +220,8 @@ fn experiment_fault_path_classifies_and_gates_corruption() {
     let report = summary_report(&r, Some(10));
     assert!(report.contains("Capture integrity:"), "report:\n{report}");
     // The trust gate: a generous limit passes, a zero limit refuses.
-    assert!(capture.try_analyze(Some(1_000_000)).is_ok());
-    match capture.try_analyze(Some(0)) {
+    assert!(run(Some(1_000_000)).try_analyze().is_ok());
+    match run(Some(0)).try_analyze() {
         Err(Error::CorruptUpload {
             anomalies,
             tags,
@@ -408,34 +408,33 @@ fn arena_recon_keeps_per_class_fault_goldens() {
 /// below refuses, and a configured limit of zero refuses by default.
 #[test]
 fn anomaly_limit_gate_is_exact_on_arena_counts() {
-    let capture = Experiment::new()
-        .profile_modules(&["kern", "locore"])
-        .scenario(scenarios::clock_idle(20))
-        .faults(FaultSpec::uniform(20_000), 7)
-        .try_run()
-        .expect("run survives injection");
-    let r = capture.try_analyze(None).expect("default never refuses");
+    let run = |limit_ppm: Option<u32>| {
+        let mut e = Experiment::new()
+            .profile_modules(&["kern", "locore"])
+            .scenario(scenarios::clock_idle(20))
+            .faults(FaultSpec::uniform(20_000), 7);
+        if let Some(ppm) = limit_ppm {
+            e = e.anomaly_limit_ppm(ppm);
+        }
+        e.try_run().expect("run survives injection")
+    };
+    let r = run(None).try_analyze().expect("default never refuses");
     let total = r.anomalies.total();
     let tags = r.tags as u64;
     assert!(total > 0, "2% corruption must surface anomalies");
 
     let exact = ((total * 1_000_000).div_ceil(tags.max(1))) as u32;
-    assert!(capture.try_analyze(Some(exact)).is_ok());
-    match capture.try_analyze(Some(exact - 1)) {
+    assert_eq!(
+        run(Some(exact)).try_analyze().expect("exact limit passes"),
+        r
+    );
+    match run(Some(exact - 1)).try_analyze() {
         Err(Error::CorruptUpload { anomalies, .. }) => assert_eq!(anomalies, total),
         other => panic!("expected CorruptUpload just under the boundary, got {other:?}"),
     }
-
-    let strict = Experiment::new()
-        .profile_modules(&["kern", "locore"])
-        .scenario(scenarios::clock_idle(20))
-        .faults(FaultSpec::uniform(20_000), 7)
-        .anomaly_limit_ppm(0)
-        .try_run()
-        .expect("run survives injection");
     assert!(
-        matches!(strict.try_analyze(None), Err(Error::CorruptUpload { .. })),
-        "a configured zero limit must refuse without an explicit override"
+        matches!(run(Some(0)).try_analyze(), Err(Error::CorruptUpload { .. })),
+        "a configured zero limit must refuse"
     );
 }
 
