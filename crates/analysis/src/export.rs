@@ -32,8 +32,11 @@
 //! at its own µs-from-session-start times; attaching a run re-bases
 //! every session at its recorded place on the supervised timeline.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex};
 
 use hwprof_profiler::{GapCause, TagMaskLevel};
 use hwprof_telemetry::{SpanEvent, SpanName, SpanPhase, SpanTrack};
@@ -49,6 +52,12 @@ const PIPELINE_PID: u64 = 1_000_000;
 /// Chrome output bytes reserved per trace item: a net-receive capture
 /// renders about 110, and half as many of speedscope JSON.
 const BYTES_PER_ITEM: usize = 128;
+/// How many lane groups ahead of the calling thread a render helper
+/// may work ([`render_in_order`]); it bounds the chunks held at once.
+const RENDER_WINDOW: usize = 4;
+/// Deepest array/object nesting [`validate_json`] accepts; past it the
+/// document is rejected instead of recursing further.
+const MAX_JSON_DEPTH: usize = 512;
 
 /// Trace items grouped per (session, lane), in (session, lane) order,
 /// from one pass over the trace.
@@ -75,8 +84,10 @@ fn lanes(trace: &Trace) -> Vec<(usize, usize, Vec<&TraceItem>)> {
 
 /// The three export formats, rendered from the [`Profile`] view.
 ///
-/// Each renderer appends to one pre-sized `String`.  List elements end
-/// in `,` as they are written and `end_list` drops the last one.
+/// Each renderer appends to one pre-sized `String`; Chrome and
+/// speedscope render their lane groups through `render_in_order`.
+/// List elements end in `,` as they are written and `end_list` drops
+/// the last one.
 impl<'a> Profile<'a> {
     /// First microsecond of the supervised timeline (the exporter's
     /// time origin when a run is attached).
@@ -127,6 +138,13 @@ impl<'a> Profile<'a> {
     /// Chrome Trace Event JSON (object form), loadable in Perfetto or
     /// `chrome://tracing`.
     pub fn chrome_trace(&self) -> String {
+        self.chrome_trace_with(render_helpers())
+    }
+
+    /// [`Profile::chrome_trace`] with `helpers` threads rendering
+    /// kernel lanes beside the calling thread; every count writes the
+    /// same bytes.
+    pub(crate) fn chrome_trace_with(&self, helpers: usize) -> String {
         let base = self.base();
         let lanes = lanes(&self.r.trace);
         let names = self.escaped_names();
@@ -178,9 +196,10 @@ impl<'a> Profile<'a> {
             }
         }
 
-        // Kernel lanes: the bulk of the output, written piece by piece.
+        // Kernel lanes: the bulk of the output, written piece by piece,
+        // one (session, lane) group per render.
         let name = |sym: SymId| names[sym as usize].as_str();
-        for (session, lane, items) in &lanes {
+        render_in_order(&lanes, helpers, out, |(session, lane, items), out| {
             let head = head(*session as u64 + 1, *lane as u64 + 1);
             let off = self.session_offset(*session, base);
             lane_call_events(items, |cev| {
@@ -206,7 +225,7 @@ impl<'a> Profile<'a> {
                     out.push_str("\"},");
                 }
             });
-        }
+        });
 
         // Coverage overlay: one slice plus one instant per dark window,
         // and an instant at every mask-level change.
@@ -368,6 +387,12 @@ impl<'a> Profile<'a> {
 
     /// speedscope JSON: one evented profile per thread of control.
     pub fn speedscope(&self) -> String {
+        self.speedscope_with(render_helpers())
+    }
+
+    /// [`Profile::speedscope`] with `helpers` threads rendering lane
+    /// profiles beside the calling thread.
+    pub(crate) fn speedscope_with(&self, helpers: usize) -> String {
         let base = self.base();
         let mut out = String::with_capacity(self.r.trace.len() * BYTES_PER_ITEM / 2 + 4096);
         let _ = write!(
@@ -381,17 +406,18 @@ impl<'a> Profile<'a> {
             let _ = write!(out, "{{\"name\":\"{name}\"}},");
         }
         end_list(&mut out, "]},\"profiles\":[");
-        for (session, lane, items) in lanes(&self.r.trace) {
+        let lanes = lanes(&self.r.trace);
+        render_in_order(&lanes, helpers, &mut out, |(session, lane, items), out| {
             // A lane's events run from its first open to its latest close.
             let (mut first, mut last) = (None, 0);
-            lane_call_events(&items, |cev| {
+            lane_call_events(items, |cev| {
                 if let CallEv::Open { t, elapsed, .. } = cev {
                     first.get_or_insert(t);
                     last = last.max(t + elapsed);
                 }
             });
-            let Some(first) = first else { continue };
-            let off = self.session_offset(session, base);
+            let Some(first) = first else { return };
+            let off = self.session_offset(*session, base);
             let _ = write!(
                 out,
                 "{{\"type\":\"evented\",\"name\":\"session {session} control {lane}\",\
@@ -399,7 +425,7 @@ impl<'a> Profile<'a> {
                 first + off,
                 last + off,
             );
-            lane_call_events(&items, |cev| {
+            lane_call_events(items, |cev| {
                 let (ty, sym, at) = match cev {
                     CallEv::Open { sym, t, .. } => ("O", sym, t + off),
                     CallEv::Close { sym, t } => ("C", sym, t + off),
@@ -409,8 +435,8 @@ impl<'a> Profile<'a> {
                 };
                 let _ = write!(out, "{{\"type\":\"{ty}\",\"frame\":{sym},\"at\":{at}}},");
             });
-            end_list(&mut out, "]},");
-        }
+            end_list(out, "]},");
+        });
         end_list(&mut out, "]}");
         out
     }
@@ -569,6 +595,139 @@ fn lane_call_events(items: &[&TraceItem], mut f: impl FnMut(CallEv)) {
     }
 }
 
+/// Render helpers beside the calling thread: one per further core.
+fn render_helpers() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get() - 1)
+}
+
+/// [`render_in_order`]'s claim counter and reorder slots.
+#[derive(Default)]
+struct Reorder {
+    /// The first group nobody has claimed.
+    next: usize,
+    /// The group the calling thread appends next.
+    at: usize,
+    /// Chunks rendered ahead, group `i` in slot `i % RENDER_WINDOW`.
+    ready: [Option<String>; RENDER_WINDOW],
+    /// Appended chunks, emptied for reuse.
+    spare: Vec<String>,
+    /// A helper's panic, for the calling thread to resume.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Set when the calling thread leaves or a helper panics: helpers
+    /// render nothing more.
+    stop: bool,
+}
+
+impl Reorder {
+    /// Claims the first unclaimed group if it lies inside the window
+    /// ahead of the calling thread, with a spare chunk to render it in.
+    fn claim_ahead(&mut self, groups: usize) -> Option<(usize, String)> {
+        let i = self.next;
+        if i == groups || i >= self.at + RENDER_WINDOW {
+            return None;
+        }
+        self.next += 1;
+        Some((i, self.spare.pop().unwrap_or_default()))
+    }
+}
+
+/// Appends `render(group)` for every group to `out`, in order.
+///
+/// With `helpers` > 0, up to that many scoped threads (one per group
+/// after the first, and fewer than [`RENDER_WINDOW`]) claim groups from
+/// the calling thread's in-order counter, never [`RENDER_WINDOW`] or
+/// more groups ahead of the group it appends next.  Each renders into
+/// a reused chunk and parks it in that group's reorder slot.  The
+/// calling thread walks the groups in order: one nobody has claimed it
+/// claims and renders straight into `out`, and a parked chunk it
+/// appends.  While its next group is still rendering elsewhere it
+/// claims one ahead and parks that too, rather than wait.  Renders
+/// share no state, so the bytes are the serial loop's.  A panic in a
+/// helper's render is resumed on the calling thread.
+fn render_in_order<G: Sync>(
+    groups: &[G],
+    helpers: usize,
+    out: &mut String,
+    render: impl Fn(&G, &mut String) + Sync,
+) {
+    let helpers = helpers
+        .min(groups.len().saturating_sub(1))
+        .min(RENDER_WINDOW - 1);
+    if helpers == 0 {
+        for group in groups {
+            render(group, out);
+        }
+        return;
+    }
+    let (state, turn) = (&Mutex::new(Reorder::default()), &Condvar::new());
+    let render = &render;
+    std::thread::scope(|scope| {
+        for _ in 0..helpers {
+            scope.spawn(move || {
+                let mut st = state.lock().unwrap();
+                while !st.stop && st.next < groups.len() {
+                    let Some((i, mut chunk)) = st.claim_ahead(groups.len()) else {
+                        st = turn.wait(st).unwrap();
+                        continue;
+                    };
+                    drop(st);
+                    let rendered =
+                        catch_unwind(AssertUnwindSafe(|| render(&groups[i], &mut chunk)));
+                    st = state.lock().unwrap();
+                    match rendered {
+                        Ok(()) => st.ready[i % RENDER_WINDOW] = Some(chunk),
+                        Err(panic) => (st.panic, st.stop) = (Some(panic), true),
+                    }
+                    turn.notify_all();
+                }
+            });
+        }
+        /// Stops the helpers however the calling thread leaves.
+        struct Stop<'s>(&'s Mutex<Reorder>, &'s Condvar);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
+                self.1.notify_all();
+            }
+        }
+        let _stop = Stop(state, turn);
+        for (i, group) in groups.iter().enumerate() {
+            let mut st = state.lock().unwrap();
+            st.at = i;
+            turn.notify_all();
+            loop {
+                if st.next == i {
+                    st.next += 1;
+                    drop(st);
+                    render(group, out);
+                    break;
+                }
+                if let Some(mut chunk) = st.ready[i % RENDER_WINDOW].take() {
+                    drop(st);
+                    out.push_str(&chunk);
+                    chunk.clear();
+                    state.lock().unwrap().spare.push(chunk);
+                    break;
+                }
+                if let Some(panic) = st.panic.take() {
+                    drop(st);
+                    resume_unwind(panic);
+                }
+                st = match st.claim_ahead(groups.len()) {
+                    Some((j, mut chunk)) => {
+                        drop(st);
+                        render(&groups[j], &mut chunk);
+                        let mut st = state.lock().unwrap();
+                        st.ready[j % RENDER_WINDOW] = Some(chunk);
+                        st
+                    }
+                    None => turn.wait(st).unwrap(),
+                };
+            }
+        }
+    });
+}
+
 /// Names a process, or with a `tid` one of its thread lanes.
 fn meta(out: &mut String, pid: u64, tid: Option<u64>, name: &str) {
     let (kind, tid) = match tid {
@@ -703,13 +862,14 @@ impl JsonValue {
     }
 }
 
-/// Parses `s` as one JSON document, rejecting trailing garbage.  This
-/// is the schema floor every exported JSON must clear; the repro gate
-/// and property tests run all output through it.
+/// Parses `s` as one JSON document, rejecting trailing garbage and
+/// arrays or objects nested deeper than 512.  This is the schema floor
+/// every exported JSON must clear; the repro gate and property tests
+/// run all output through it.
 pub fn validate_json(s: &str) -> Result<JsonValue, String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -737,11 +897,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, inside `depth` arrays or objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_JSON_DEPTH => Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -835,7 +1000,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'[')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -844,7 +1009,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(out));
     }
     loop {
-        out.push(parse_value(b, pos)?);
+        out.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -863,7 +1028,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'{')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -876,7 +1041,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         out.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -1043,6 +1208,84 @@ mod tests {
         assert!(validate_json("{\"a\":1} extra").is_err());
         assert!(validate_json("[1,2").is_err());
         assert!(validate_json("").is_err());
+    }
+
+    /// Nesting up to the depth bound parses; one level more, or a
+    /// million unclosed `[` or `{`, is an error instead of a stack
+    /// overflow.
+    #[test]
+    fn validator_bounds_nesting_depth() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let nest = |n: usize| format!("{}0{}", open.repeat(n), close.repeat(n));
+            assert!(validate_json(&nest(MAX_JSON_DEPTH)).is_ok());
+            let err = validate_json(&nest(MAX_JSON_DEPTH + 1)).expect_err("too deep");
+            assert!(err.starts_with("nesting deeper than 512"), "{err}");
+            assert!(validate_json(&open.repeat(1_000_000)).is_err());
+        }
+    }
+
+    /// A helper's render panics partway through its group: the calling
+    /// thread resumes that panic instead of waiting on the group's
+    /// reorder slot.
+    #[test]
+    fn a_helper_panic_resumes_on_the_calling_thread() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let caller = std::thread::current().id();
+        let helper_failed = AtomicBool::new(false);
+        let groups: Vec<usize> = (0..16).collect();
+        let mut out = String::new();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            render_in_order(&groups, 1, &mut out, |&g, out| {
+                if std::thread::current().id() == caller {
+                    // Hold the calling thread's first group until the
+                    // helper has failed on one of its own.
+                    while !helper_failed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    out.push_str("ok,");
+                } else {
+                    out.push_str("half");
+                    helper_failed.store(true, Ordering::SeqCst);
+                    panic!("render of group {g} failed");
+                }
+            })
+        }));
+        let panic = caught.expect_err("the helper's panic reaches the caller");
+        let message = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(message.starts_with("render of group "), "{message}");
+    }
+
+    /// A group that panics on whichever thread renders it, the calling
+    /// thread included (helpers may be waiting on the window then):
+    /// at every helper count the panic reaches the caller and every
+    /// helper stops.
+    #[test]
+    fn a_failing_group_panics_the_render_at_every_helper_count() {
+        let groups: Vec<usize> = (0..64).collect();
+        for helpers in 0..=3 {
+            let mut out = String::new();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                render_in_order(&groups, helpers, &mut out, |&g, out| {
+                    out.push_str("part");
+                    assert_ne!(g, 9, "group 9 fails");
+                })
+            }));
+            assert!(caught.is_err(), "{helpers} helpers");
+        }
+    }
+
+    /// Every helper count appends every group once, in order.
+    #[test]
+    fn groups_append_in_order_at_every_helper_count() {
+        let groups: Vec<usize> = (0..100).collect();
+        let serial: String = groups.iter().map(|g| format!("{g},")).collect();
+        for helpers in 0..=5 {
+            let mut out = String::from("[");
+            render_in_order(&groups, helpers, &mut out, |g, out| {
+                let _ = write!(out, "{g},");
+            });
+            assert_eq!(out, format!("[{serial}"), "{helpers} helpers");
+        }
     }
 
     /// A document holding one 1 MiB string, multi-byte characters

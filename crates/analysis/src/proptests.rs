@@ -4,10 +4,16 @@ use proptest::prelude::*;
 
 use crate::events::{decode, EvKind, Event, SessionDecoder, Symbols, TagMap};
 use crate::recon::{Reconstruction, SessionRecon};
+use crate::sentinel::{AlertEntry, AlertTransition, Detector};
 use crate::stream::StreamAnalyzer;
 use crate::Analyzer;
-use hwprof_profiler::{BankSink, RawRecord};
+use hwprof_machine::EpromTap;
+use hwprof_profiler::{
+    BankSink, BoardConfig, CaptureSupervisor, MemoryTransport, Profiler, RawRecord, SupervisedRun,
+    SupervisorPolicy, TagMask,
+};
 use hwprof_tagfile::{TagFile, TagKind};
+use hwprof_telemetry::SpanLog;
 
 fn analyze(syms: &Symbols, events: &[Event]) -> Reconstruction {
     Analyzer::new(syms).session(events).expect("ungated")
@@ -364,6 +370,100 @@ proptest! {
             prop_assert!(merged.trace.iter().eq(&one_pass.trace));
             prop_assert_eq!(&merged, &one_pass);
             prop_assert_eq!(renders(&merged), want.clone());
+        }
+    }
+}
+
+/// Feeds [`arbitrary_stream`]'s `records`, `ops`' gaps apart, through
+/// a supervisor over a `capacity`-record board, journalling every
+/// pipeline hop: banks roll over, drains leave gaps and spans stay
+/// open at the end.
+fn supervise(
+    tf: &TagFile,
+    records: &[RawRecord],
+    ops: &[(u8, u32)],
+    capacity: usize,
+) -> (SupervisedRun, SpanLog) {
+    let board = Profiler::new(BoardConfig {
+        capacity,
+        time_bits: 24,
+    });
+    let swtch = tf.tag_of("swtch").expect("assigned");
+    let policy = SupervisorPolicy {
+        drain_budget_us: 10,
+        max_session_us: u64::MAX,
+        ..SupervisorPolicy::default()
+    };
+    let mut sup = CaptureSupervisor::new(
+        board,
+        TagMask::new([swtch]),
+        policy,
+        Box::new(MemoryTransport::new()),
+    );
+    let log = SpanLog::new();
+    sup.set_span_log(&log);
+    let mut t = 1_000u64;
+    for (record, &(_, dt)) in records.iter().zip(ops) {
+        t += u64::from(dt) + 1;
+        sup.on_read(record.tag, t);
+    }
+    (sup.finish(), log)
+}
+
+/// Alert journal entries whose subjects need JSON escaping.
+fn alerts() -> Vec<AlertEntry> {
+    [
+        (Detector::RateShift, "f\"1", AlertTransition::Firing),
+        (
+            Detector::CoverageDrop,
+            "coverage",
+            AlertTransition::Resolved,
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (detector, subject, transition))| AlertEntry {
+        seq: i as u64 + 1,
+        window: i as u64,
+        at_us: 5_000 * (i as u64 + 1),
+        detector,
+        subject: subject.to_string(),
+        transition,
+        baseline: 10,
+        observed: 25,
+        delta: 15,
+    })
+    .collect()
+}
+
+proptest! {
+    /// Kernel lanes rendered beside 1, 2 or 3 helper threads write the
+    /// bytes of the serial loop, in Chrome and speedscope: for any
+    /// multi-session stream, and for a supervised run of the same
+    /// stream with gaps, alerts and a span journal attached.
+    #[test]
+    fn lane_renders_match_at_any_helper_count(
+        ops in prop::collection::vec((0u8..=255, 0u32..150_000), 1..250),
+        cuts in prop::collection::vec(0usize..1000, 0..8),
+        capacity in 4usize..24,
+    ) {
+        let (tf, records) = arbitrary_stream(&ops);
+        let map = TagMap::from_tagfile(&tf);
+        let syms = Symbols::from_tagfile(&tf);
+        let plain = analyze_sessions(&syms, &cut_sessions(&records, &map, &cuts));
+        let (run, log) = supervise(&tf, &records, &ops, capacity);
+        let supervised = Analyzer::for_tagfile(&tf).run(&run).expect("ungated");
+        let alerts = alerts();
+        let profiles = [
+            crate::Profile::new(&plain),
+            crate::Profile::new(&supervised).run(&run).spans(&log).alerts(&alerts),
+        ];
+        for p in profiles {
+            let (chrome, speedscope) = (p.chrome_trace_with(0), p.speedscope_with(0));
+            for helpers in 1..=3 {
+                prop_assert_eq!(&p.chrome_trace_with(helpers), &chrome);
+                prop_assert_eq!(&p.speedscope_with(helpers), &speedscope);
+            }
         }
     }
 }

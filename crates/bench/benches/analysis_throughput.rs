@@ -184,6 +184,35 @@ fn bench_trace_rope(c: &mut Criterion) {
     g.finish();
 }
 
+/// The Chrome render of a multi-session capture: 16 drained 8192-event
+/// banks, so the render helpers share many (session, lane) groups.
+fn bench_render_sessions(c: &mut Criterion) {
+    let (tf, capture) = synthetic_capture();
+    let map = TagMap::from_tagfile(&tf);
+    let syms = Symbols::from_tagfile(&tf);
+    let banks: Vec<Vec<Event>> = capture
+        .chunks(8192)
+        .cycle()
+        .take(16)
+        .map(|bank| {
+            let mut d = SessionDecoder::new(&map);
+            let mut ev = Vec::new();
+            d.extend(bank, &mut ev);
+            ev
+        })
+        .collect();
+    let r = Analyzer::new(&syms).sessions(&banks).expect("ungated");
+    let mut g = c.benchmark_group("analysis");
+    g.throughput(Throughput::Elements(
+        banks.iter().map(|b| b.len() as u64).sum(),
+    ));
+    let profile = Profile::new(&r);
+    g.bench_function("render_chrome_16_sessions", |b| {
+        b.iter(|| profile.chrome_trace());
+    });
+    g.finish();
+}
+
 /// Arena reconstruction rate: one reused [`SessionRecon`] accumulating
 /// 64 sessions straight into a shared [`Reconstruction`] — the
 /// analyzer's fold path, with the frame pool warm — measured in
@@ -240,6 +269,7 @@ criterion_group!(
     bench_analysis,
     bench_parallel_reconstruction,
     bench_trace_rope,
+    bench_render_sessions,
     bench_arena_sessions,
     bench_streaming
 );
