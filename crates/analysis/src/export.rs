@@ -408,15 +408,20 @@ impl<'a> Profile<'a> {
         end_list(&mut out, "]},\"profiles\":[");
         let lanes = lanes(&self.r.trace);
         render_in_order(&lanes, helpers, &mut out, |(session, lane, items), out| {
-            // A lane's events run from its first open to its latest close.
-            let (mut first, mut last) = (None, 0);
-            lane_call_events(items, |cev| {
-                if let CallEv::Open { t, elapsed, .. } = cev {
-                    first.get_or_insert(t);
-                    last = last.max(t + elapsed);
-                }
+            // A lane's events run from its first closed call's open to
+            // the latest close; a lane without one has no profile.
+            let mut spans = items.iter().filter_map(|it| match it.kind {
+                ItemKind::Call {
+                    elapsed,
+                    closed: true,
+                    ..
+                } => Some((it.t, it.t + elapsed)),
+                _ => None,
             });
-            let Some(first) = first else { return };
+            let Some((first, end)) = spans.next() else {
+                return;
+            };
+            let last = spans.fold(end, |last, (_, end)| last.max(end));
             let off = self.session_offset(*session, base);
             let _ = write!(
                 out,
@@ -426,14 +431,18 @@ impl<'a> Profile<'a> {
                 last + off,
             );
             lane_call_events(items, |cev| {
-                let (ty, sym, at) = match cev {
-                    CallEv::Open { sym, t, .. } => ("O", sym, t + off),
-                    CallEv::Close { sym, t } => ("C", sym, t + off),
+                let (open, sym, t) = match cev {
+                    CallEv::Open { sym, t, .. } => ("{\"type\":\"O\",\"frame\":", sym, t),
+                    CallEv::Close { sym, t } => ("{\"type\":\"C\",\"frame\":", sym, t),
                     // Inline marks, unclosed frames and switch points
                     // have no evented-profile representation.
                     _ => return,
                 };
-                let _ = write!(out, "{{\"type\":\"{ty}\",\"frame\":{sym},\"at\":{at}}},");
+                out.push_str(open);
+                push_u64(out, u64::from(sym));
+                out.push_str(",\"at\":");
+                push_u64(out, t + off);
+                out.push_str("},");
             });
             end_list(out, "]},");
         });

@@ -1,5 +1,7 @@
 //! Property tests on the reconstruction invariants.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use crate::events::{decode, EvKind, Event, SessionDecoder, Symbols, TagMap};
@@ -318,17 +320,64 @@ fn renders(r: &Reconstruction) -> [String; 5] {
     ]
 }
 
+/// `sessions` reconstructed through `recon` with their trace left
+/// pending.
+fn pending(syms: &Symbols, recon: &mut SessionRecon, sessions: &[Vec<Event>]) -> Reconstruction {
+    let mut out = Reconstruction::empty(syms.clone());
+    let shared = sessions.iter().map(|s| Arc::from(s.as_slice())).collect();
+    recon.sessions_pending(shared, &mut out);
+    out
+}
+
 proptest! {
+    /// The counting sink yields every field but the trace exactly as
+    /// the tracing pass does, and counts its items; the pending segment
+    /// it leaves is built only when read, and then holds the eager
+    /// items — in strict and recovering mode, through orphan exits,
+    /// frames open at the end, context switches, births and 24-bit
+    /// wraps.
+    #[test]
+    fn pending_traces_build_the_eager_items(
+        ops in prop::collection::vec((0u8..=255, 0u32..150_000), 1..250),
+        cuts in prop::collection::vec(0usize..1000, 0..8),
+        recover in 0u8..2,
+    ) {
+        let (tf, records) = arbitrary_stream(&ops);
+        let map = TagMap::from_tagfile(&tf);
+        let syms = Symbols::from_tagfile(&tf);
+        let sessions = cut_sessions(&records, &map, &cuts);
+        let recover = recover == 1;
+        let mut eager = Reconstruction::empty(syms.clone());
+        let mut recon = SessionRecon::new(&syms, recover);
+        for s in &sessions {
+            recon.session_into(s, &mut eager);
+        }
+        let lazy = pending(&syms, &mut SessionRecon::new(&syms, recover), &sessions);
+        let summary = |r: &Reconstruction| Reconstruction {
+            trace: Default::default(),
+            ..r.clone()
+        };
+        prop_assert_eq!(summary(&lazy), summary(&eager));
+        prop_assert_eq!(lazy.trace.len(), eager.trace.len());
+        prop_assert!(!lazy.trace.is_empty());
+        prop_assert_eq!(lazy.trace.pending_built(), vec![false]);
+        let shared = lazy.clone();
+        prop_assert!(lazy.trace.iter().eq(&eager.trace));
+        prop_assert!(shared.trace.pending_built() == [true], "clones share the build");
+        prop_assert_eq!(&lazy, &eager);
+    }
+
     /// The trace rope: sessions grouped into parts, each part left with
-    /// an open tail, then merged left-, right- or tree-associated, equal
-    /// the one-pass reconstruction item for item and render the same
-    /// bytes — through context switches, orphan exits, frames open at
-    /// the end and 24-bit wraps.
+    /// an open tail or a pending segment, then merged left-, right- or
+    /// tree-associated, equal the one-pass reconstruction item for item
+    /// and render the same bytes — through context switches, orphan
+    /// exits, frames open at the end and 24-bit wraps.
     #[test]
     fn rope_merges_in_any_association_match_one_pass(
         ops in prop::collection::vec((0u8..=255, 0u32..150_000), 1..250),
         cuts in prop::collection::vec(0usize..1000, 0..8),
         groups in prop::collection::vec(0usize..1000, 0..4),
+        lazy in 0u8..32,
     ) {
         let (tf, records) = arbitrary_stream(&ops);
         let map = TagMap::from_tagfile(&tf);
@@ -342,9 +391,13 @@ proptest! {
         bounds.dedup();
         let parts: Vec<Reconstruction> = bounds
             .windows(2)
-            .map(|w| {
-                let mut part = Reconstruction::empty(syms.clone());
+            .enumerate()
+            .map(|(i, w)| {
                 let mut recon = SessionRecon::new(&syms, false);
+                if lazy >> i & 1 == 1 {
+                    return pending(&syms, &mut recon, &sessions[w[0]..w[1]]);
+                }
+                let mut part = Reconstruction::empty(syms.clone());
                 for s in &sessions[w[0]..w[1]] {
                     recon.session_into(s, &mut part);
                 }

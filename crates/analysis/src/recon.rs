@@ -11,7 +11,7 @@
 //! that called `swtch`).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::anomaly::Anomalies;
 use crate::columnar::{ColumnarDecoder, DenseTagTable};
@@ -127,19 +127,78 @@ fn depth(len: usize) -> u32 {
 /// tails and appends the right side's segment pointers, and cloning a
 /// sealed trace only bumps reference counts.  Segment boundaries never
 /// show — equality, `Debug` and iteration all see one item sequence.
+///
+/// A segment may also be *pending*, as in a flight-recorder window's
+/// fold: its items were counted but not written, and are built from the
+/// sessions' events the first time anything reads them.  `len` and
+/// `is_empty` never build one; every clone shares its build.
 #[derive(Clone, Default)]
 pub struct Trace {
     /// Sealed segments, none of them empty.
-    sealed: Vec<Arc<Vec<TraceItem>>>,
+    sealed: Vec<Segment>,
     /// The open tail; a closing frame patches its item here by index,
     /// so the tail is never sealed in the middle of a session.
     tail: Vec<TraceItem>,
 }
 
+/// One sealed run of trace items.
+#[derive(Debug, Clone)]
+enum Segment {
+    /// Items a reconstruction wrote.
+    Items(Arc<Vec<TraceItem>>),
+    /// Items counted and not yet built.
+    Pending(Arc<Pending>),
+}
+
+impl Segment {
+    fn len(&self) -> usize {
+        match self {
+            Segment::Items(items) => items.len(),
+            Segment::Pending(p) => p.len,
+        }
+    }
+
+    /// The items, built on first read for a pending segment.
+    fn items(&self) -> &[TraceItem] {
+        match self {
+            Segment::Items(items) => items,
+            Segment::Pending(p) => p.items(),
+        }
+    }
+}
+
+/// A trace segment kept as the sessions' events until it is read.
+#[derive(Debug)]
+struct Pending {
+    /// The sessions, in the order they were reconstructed.
+    sessions: Vec<Arc<[Event]>>,
+    syms: Symbols,
+    recover: bool,
+    /// Items the sessions reconstruct to.
+    len: usize,
+    items: OnceLock<Vec<TraceItem>>,
+}
+
+impl Pending {
+    /// Replays the sessions through a tracing reconstructor, once.
+    fn items(&self) -> &[TraceItem] {
+        self.items.get_or_init(|| {
+            let mut out = Reconstruction::empty(self.syms.clone());
+            out.trace.reserve(self.len);
+            let mut recon = SessionRecon::new(&self.syms, self.recover);
+            for events in &self.sessions {
+                recon.session_into(events, &mut out);
+            }
+            debug_assert_eq!(out.trace.tail.len(), self.len, "the count pass agrees");
+            out.trace.tail
+        })
+    }
+}
+
 impl Trace {
     /// Items in the trace.
     pub fn len(&self) -> usize {
-        self.sealed.iter().map(|s| s.len()).sum::<usize>() + self.tail.len()
+        self.sealed.iter().map(Segment::len).sum::<usize>() + self.tail.len()
     }
 
     /// Whether the trace holds no item.
@@ -150,7 +209,7 @@ impl Trace {
     /// The items in order, one slice per segment.
     pub fn segments(&self) -> impl Iterator<Item = &[TraceItem]> {
         let tail = Some(self.tail.as_slice()).filter(|t| !t.is_empty());
-        self.sealed.iter().map(|s| s.as_slice()).chain(tail)
+        self.sealed.iter().map(Segment::items).chain(tail)
     }
 
     /// The items in order.
@@ -165,7 +224,8 @@ impl Trace {
     /// Moves the open tail, without copying it, into a shared segment.
     pub(crate) fn seal(&mut self) {
         if !self.tail.is_empty() {
-            self.sealed.push(Arc::new(std::mem::take(&mut self.tail)));
+            self.sealed
+                .push(Segment::Items(Arc::new(std::mem::take(&mut self.tail))));
         }
     }
 
@@ -180,6 +240,26 @@ impl Trace {
         self.seal();
         other.seal();
         self.sealed.append(&mut other.sealed);
+    }
+
+    /// Appends a pending segment of `p.len` items.
+    fn push_pending(&mut self, p: Pending) {
+        self.seal();
+        if p.len > 0 {
+            self.sealed.push(Segment::Pending(Arc::new(p)));
+        }
+    }
+
+    /// Whether each pending segment has been built, in order.
+    #[cfg(test)]
+    pub(crate) fn pending_built(&self) -> Vec<bool> {
+        self.sealed
+            .iter()
+            .filter_map(|s| match s {
+                Segment::Pending(p) => Some(p.items.get().is_some()),
+                Segment::Items(_) => None,
+            })
+            .collect()
     }
 }
 
@@ -207,7 +287,7 @@ impl<'a> IntoIterator for &'a Trace {
 /// Iterator over a [`Trace`]'s items, in order.
 #[derive(Debug, Clone)]
 pub struct TraceIter<'a> {
-    sealed: std::slice::Iter<'a, Arc<Vec<TraceItem>>>,
+    sealed: std::slice::Iter<'a, Segment>,
     tail: &'a [TraceItem],
     items: std::slice::Iter<'a, TraceItem>,
 }
@@ -221,12 +301,48 @@ impl<'a> Iterator for TraceIter<'a> {
                 return Some(item);
             }
             self.items = match self.sealed.next() {
-                Some(segment) => segment.iter(),
+                Some(segment) => segment.items().iter(),
                 None if !self.tail.is_empty() => std::mem::take(&mut self.tail).iter(),
                 None => return None,
             };
         }
     }
+}
+
+/// Where a [`SessionRecon`] puts the trace items it reconstructs.  The
+/// reconstructor is generic over it, so one body of code yields every
+/// other field the same way with either sink.
+trait Sink {
+    /// Appends `item`; returns its index for [`Sink::close`].
+    fn push(&mut self, trace: &mut Trace, item: TraceItem) -> usize;
+    /// Replaces the kind of the call item at `at` once its frame closes.
+    fn close(&mut self, trace: &mut Trace, at: usize, kind: ItemKind);
+}
+
+/// Writes items onto the trace's open tail.
+struct Tail;
+
+impl Sink for Tail {
+    fn push(&mut self, trace: &mut Trace, item: TraceItem) -> usize {
+        trace.tail.push(item);
+        trace.tail.len() - 1
+    }
+
+    fn close(&mut self, trace: &mut Trace, at: usize, kind: ItemKind) {
+        trace.tail[at].kind = kind;
+    }
+}
+
+/// Counts the items [`Tail`] would write, and writes none.
+struct Count(usize);
+
+impl Sink for Count {
+    fn push(&mut self, _: &mut Trace, _: TraceItem) -> usize {
+        self.0 += 1;
+        0
+    }
+
+    fn close(&mut self, _: &mut Trace, _: usize, _: ItemKind) {}
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -492,22 +608,45 @@ impl<'a> SessionRecon<'a> {
         out.anomalies.unmatched_entries += 1;
     }
 
-    fn push(&mut self, out: &mut Reconstruction, sym: SymId, t: u64, is_cswitch: bool) {
-        let depth = depth(self.active.frames.len());
-        let item = out.trace.tail.len();
-        out.trace.tail.push(TraceItem {
-            t,
-            depth,
-            lane: self.active.lane,
-            kind: ItemKind::Call {
-                sym,
-                net: 0,
-                elapsed: 0,
-                children: 0,
-                spans_switch: false,
-                closed: false,
+    /// Hands `sink` an item at time `t` on the active lane.
+    fn emit<S: Sink>(
+        &self,
+        out: &mut Reconstruction,
+        sink: &mut S,
+        t: u64,
+        depth: u32,
+        kind: ItemKind,
+    ) -> usize {
+        let lane = self.active.lane;
+        sink.push(
+            &mut out.trace,
+            TraceItem {
+                t,
+                depth,
+                lane,
+                kind,
             },
-        });
+        )
+    }
+
+    fn push<S: Sink>(
+        &mut self,
+        out: &mut Reconstruction,
+        sink: &mut S,
+        sym: SymId,
+        t: u64,
+        is_cswitch: bool,
+    ) {
+        let depth = depth(self.active.frames.len());
+        let open = ItemKind::Call {
+            sym,
+            net: 0,
+            elapsed: 0,
+            children: 0,
+            spans_switch: false,
+            closed: false,
+        };
+        let item = self.emit(out, sink, t, depth, open);
         self.active.frames.push(Frame {
             sym,
             entered: t,
@@ -521,7 +660,7 @@ impl<'a> SessionRecon<'a> {
 
     /// Pops the active top frame at time `t`, accounting and patching
     /// its trace item.
-    fn pop(&mut self, out: &mut Reconstruction, t: u64) -> Frame {
+    fn pop<S: Sink>(&mut self, out: &mut Reconstruction, sink: &mut S, t: u64) -> Frame {
         let f = self.active.frames.pop().expect("caller checked");
         let elapsed = t.saturating_sub(f.entered);
         let net = elapsed.saturating_sub(f.child);
@@ -548,40 +687,36 @@ impl<'a> SessionRecon<'a> {
                 self.intr_in_switch += elapsed;
             }
         }
-        if let ItemKind::Call {
-            net: n,
-            elapsed: e,
-            children,
-            spans_switch,
-            closed,
-            ..
-        } = &mut out.trace.tail[f.item].kind
-        {
-            *n = net;
-            *e = elapsed;
-            *children = f.children;
-            *spans_switch = f.spans_switch;
-            *closed = true;
-        }
+        let closed = ItemKind::Call {
+            sym: f.sym,
+            net,
+            elapsed,
+            children: f.children,
+            spans_switch: f.spans_switch,
+            closed: true,
+        };
+        sink.close(&mut out.trace, f.item, closed);
         // Explicit return lines for frames the renderer may want to
         // close visually: switch spanners (named, with times) and
         // non-leaf frames (bare).
         if !f.is_cswitch && (f.spans_switch || f.children > 0) {
-            out.trace.tail.push(TraceItem {
-                t,
-                depth: depth(self.active.frames.len()),
-                lane: self.active.lane,
-                kind: ItemKind::Return {
-                    sym: if f.spans_switch { Some(f.sym) } else { None },
-                    net,
-                    elapsed,
-                },
-            });
+            let ret = ItemKind::Return {
+                sym: if f.spans_switch { Some(f.sym) } else { None },
+                net,
+                elapsed,
+            };
+            self.emit(out, sink, t, depth(self.active.frames.len()), ret);
         }
         f
     }
 
-    fn handle_cswitch_exit(&mut self, out: &mut Reconstruction, t: u64, rest: &[Event]) {
+    fn handle_cswitch_exit<S: Sink>(
+        &mut self,
+        out: &mut Reconstruction,
+        sink: &mut S,
+        t: u64,
+        rest: &[Event],
+    ) {
         // Close the idle window.
         if self.in_switch {
             let window = t.saturating_sub(self.switch_start);
@@ -626,20 +761,20 @@ impl<'a> SessionRecon<'a> {
                 }
             }
         };
-        let depth_for_item = |frames: &PStack| depth(frames.frames.len().saturating_sub(1));
+        // The resumed stack's bare return out of its swtch frame.
+        let resume = |st: &PStack| {
+            let ret = ItemKind::Return {
+                sym: st.frames.last().map(|f| f.sym),
+                net: 0,
+                elapsed: 0,
+            };
+            (depth(st.frames.len().saturating_sub(1)), ret)
+        };
         match choice {
             Choice::Active => {
-                out.trace.tail.push(TraceItem {
-                    t,
-                    depth: depth_for_item(&self.active),
-                    lane: self.active.lane,
-                    kind: ItemKind::Return {
-                        sym: self.active.frames.last().map(|f| f.sym),
-                        net: 0,
-                        elapsed: 0,
-                    },
-                });
-                self.pop(out, t);
+                let (d, ret) = resume(&self.active);
+                self.emit(out, sink, t, d, ret);
+                self.pop(out, sink, t);
             }
             Choice::Suspended(i) => {
                 let resumed = self.suspended.remove(i);
@@ -651,23 +786,10 @@ impl<'a> SessionRecon<'a> {
                 for f in &mut self.active.frames {
                     f.spans_switch = true;
                 }
-                out.trace.tail.push(TraceItem {
-                    t,
-                    depth: 0,
-                    lane: self.active.lane,
-                    kind: ItemKind::SwitchIn { birth: false },
-                });
-                out.trace.tail.push(TraceItem {
-                    t,
-                    depth: depth_for_item(&self.active),
-                    lane: self.active.lane,
-                    kind: ItemKind::Return {
-                        sym: self.active.frames.last().map(|f| f.sym),
-                        net: 0,
-                        elapsed: 0,
-                    },
-                });
-                self.pop(out, t);
+                self.emit(out, sink, t, 0, ItemKind::SwitchIn { birth: false });
+                let (d, ret) = resume(&self.active);
+                self.emit(out, sink, t, d, ret);
+                self.pop(out, sink, t);
             }
             Choice::Birth => {
                 // The fresh stack comes from the arena's free pool; the
@@ -687,12 +809,7 @@ impl<'a> SessionRecon<'a> {
                 self.next_lane += 1;
                 out.context_switches += 1;
                 out.births += 1;
-                out.trace.tail.push(TraceItem {
-                    t,
-                    depth: 0,
-                    lane: self.active.lane,
-                    kind: ItemKind::SwitchIn { birth: true },
-                });
+                self.emit(out, sink, t, 0, ItemKind::SwitchIn { birth: true });
             }
         }
     }
@@ -706,6 +823,34 @@ impl<'a> SessionRecon<'a> {
     /// crosses a session boundary; the frame pool does, which is the
     /// point.
     pub fn session_into(&mut self, events: &[Event], out: &mut Reconstruction) {
+        self.session_with(events, out, &mut Tail);
+    }
+
+    /// [`session_into`](SessionRecon::session_into) for each of
+    /// `sessions` in order, with the trace items only counted: `out`'s
+    /// trace gains one pending segment that replays `sessions` through
+    /// `session_into` the first time it is read.  Every other field is
+    /// what `session_into` accumulates.
+    pub(crate) fn sessions_pending(
+        &mut self,
+        sessions: Vec<Arc<[Event]>>,
+        out: &mut Reconstruction,
+    ) {
+        let mut count = Count(0);
+        for events in &sessions {
+            self.session_with(events, out, &mut count);
+        }
+        out.trace.push_pending(Pending {
+            sessions,
+            syms: self.syms.clone(),
+            recover: self.recover,
+            len: count.0,
+            items: OnceLock::new(),
+        });
+    }
+
+    /// One session, its trace items handed to `sink`.
+    fn session_with<S: Sink>(&mut self, events: &[Event], out: &mut Reconstruction, sink: &mut S) {
         debug_assert_eq!(self.syms.len(), out.syms.len(), "same tag file");
         out.sessions += 1;
         out.tags += events.len();
@@ -716,7 +861,7 @@ impl<'a> SessionRecon<'a> {
             match ev.kind {
                 EvKind::Entry(sym) => {
                     let cs = self.syms.is_cswitch(sym);
-                    self.push(out, sym, ev.t, cs);
+                    self.push(out, sink, sym, ev.t, cs);
                     if cs {
                         self.in_switch = true;
                         self.switch_start = ev.t;
@@ -725,14 +870,14 @@ impl<'a> SessionRecon<'a> {
                 }
                 EvKind::Exit(sym) => {
                     if self.syms.is_cswitch(sym) {
-                        self.handle_cswitch_exit(out, ev.t, &events[i + 1..]);
+                        self.handle_cswitch_exit(out, sink, ev.t, &events[i + 1..]);
                     } else if self
                         .active
                         .frames
                         .last()
                         .is_some_and(|f| f.sym == sym && !f.is_cswitch)
                     {
-                        self.pop(out, ev.t);
+                        self.pop(out, sink, ev.t);
                     } else if self.recover {
                         // Resynchronize: a dropped entry-or-exit leaves
                         // the matching frame deeper on the stack (or
@@ -754,7 +899,7 @@ impl<'a> SessionRecon<'a> {
                             while self.active.frames.len() > fi + 1 {
                                 self.force_close(out);
                             }
-                            self.pop(out, ev.t);
+                            self.pop(out, sink, ev.t);
                         } else {
                             out.anomalies.orphan_exits += 1;
                         }
@@ -764,12 +909,8 @@ impl<'a> SessionRecon<'a> {
                 }
                 EvKind::Inline(sym) => {
                     out.stats[sym as usize].inline_hits += 1;
-                    out.trace.tail.push(TraceItem {
-                        t: ev.t,
-                        depth: depth(self.active.frames.len()),
-                        lane: self.active.lane,
-                        kind: ItemKind::Inline { sym },
-                    });
+                    let d = depth(self.active.frames.len());
+                    self.emit(out, sink, ev.t, d, ItemKind::Inline { sym });
                 }
                 EvKind::Unknown(_) => {
                     out.anomalies.unknown_tags += 1;
@@ -791,12 +932,8 @@ impl<'a> SessionRecon<'a> {
         }
         self.next_lane = 1;
         self.in_switch = false;
-        out.trace.tail.push(TraceItem {
-            t: events.last().map_or(0, |e| e.t),
-            depth: 0,
-            lane: 0,
-            kind: ItemKind::SessionBreak,
-        });
+        let t = events.last().map_or(0, |e| e.t);
+        self.emit(out, sink, t, 0, ItemKind::SessionBreak);
     }
 }
 

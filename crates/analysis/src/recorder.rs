@@ -9,7 +9,10 @@
 //! monoid again — folded in session-index order, so a window is
 //! bit-identical to a one-shot analysis of the same span no matter how
 //! the spill shelf permuted delivery (`recorder_props` pins this at 256
-//! cases).
+//! cases).  A fold computes the summary only: its trace stays pending
+//! on the window's fragments until something reads it, so the
+//! summary-only reads (`range`, `window`, `diff`, the sentinel's scan)
+//! never build one.
 //!
 //! Windows tile absolute machine time from 0: window `w` covers
 //! `[w·W, (w+1)·W)` for width `W = RecorderConfig::window_us()`, clipped
@@ -46,10 +49,11 @@ use crate::stitch::{visibility, visible_us, MaskVisibility};
 /// relative growth of a function's coverage-scaled net rate (5%).
 const DIFF_THRESHOLD_PPM: u32 = 50_000;
 
-/// One session's events landing in one window, rebased to the window.
+/// One session's events landing in one window, rebased to the window;
+/// the window's fold shares them with its pending trace.
 struct Frag {
     session: u64,
-    events: Vec<Event>,
+    events: Arc<[Event]>,
 }
 
 /// One session's covered overlap with one window.
@@ -71,8 +75,8 @@ struct WindowSlot {
     frags: Vec<Frag>,
     spans: Vec<CovSpan>,
     gaps: Vec<GapSpan>,
-    /// Cached fold, tagged with the recorder bounds it was clipped to.
-    cache: Option<(u64, u64, Reconstruction)>,
+    /// Cached fold, tagged with the clipped window span it covers.
+    cache: Option<((u64, u64), Reconstruction)>,
 }
 
 /// `rec.*` self-metrics; inert until [`FlightRecorder::set_telemetry`].
@@ -349,32 +353,30 @@ impl RecorderInner {
     }
 
     /// Window `w`'s fold, built into its slot on first read and lent
-    /// from there until the slot or the recorder bounds change.
+    /// from there until the slot or the window's clipped span changes.
     fn fold(&mut self, w: u64) -> Option<&Reconstruction> {
         if !self.seen || w < self.base_w || w >= self.base_w + self.windows.len() as u64 {
             return None;
         }
-        let bounds = self.bounds()?;
-        let (ws, we) = self.window_span(w);
+        let span = self.window_span(w);
         let idx = (w - self.base_w) as usize;
         // Disjoint field borrows: the slot mutably, the symbols shared.
         let RecorderInner { windows, syms, .. } = self;
         let slot = &mut windows[idx];
-        if !matches!(&slot.cache, Some((cs, ce, _)) if (*cs, *ce) == bounds) {
-            slot.cache = Some((bounds.0, bounds.1, Self::fold_slot(slot, syms, ws, we)));
+        if !matches!(&slot.cache, Some((cached, _)) if *cached == span) {
+            slot.cache = Some((span, Self::fold_slot(slot, syms, span)));
         }
-        slot.cache.as_ref().map(|(_, _, r)| r)
+        slot.cache.as_ref().map(|(_, r)| r)
     }
 
-    /// Folds a slot's fragments, coverage and gaps over `[ws, we)`, its
-    /// trace sealed so clones of the fold share it.
-    fn fold_slot(slot: &mut WindowSlot, syms: &Symbols, ws: u64, we: u64) -> Reconstruction {
+    /// Folds a slot's fragments, coverage and gaps over the clipped
+    /// span `[ws, we)`.  The fold is a summary: its trace is one
+    /// pending segment over the fragments, built only when read.
+    fn fold_slot(slot: &mut WindowSlot, syms: &Symbols, (ws, we): (u64, u64)) -> Reconstruction {
         slot.frags.sort_by_key(|f| f.session);
         let mut out = Reconstruction::empty(syms.clone());
-        let mut recon = SessionRecon::new(syms, false);
-        for frag in &slot.frags {
-            recon.session_into(&frag.events, &mut out);
-        }
+        let sessions = slot.frags.iter().map(|f| f.events.clone()).collect();
+        SessionRecon::new(syms, false).sessions_pending(sessions, &mut out);
         let mut cov = Coverage::empty();
         cov.timeline_us = we - ws;
         for span in &slot.spans {
@@ -389,7 +391,6 @@ impl RecorderInner {
         cov.gaps = slot.gaps.len() as u64;
         cov.overflow_gaps = slot.gaps.iter().filter(|g| g.overflow).count() as u64;
         out.note_coverage(&cov);
-        out.trace.seal();
         out
     }
 
@@ -939,7 +940,143 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sentinel::{Sentinel, SentinelConfig};
     use hwprof_profiler::{RawRecord, TagMaskLevel};
+
+    /// Two back-to-back 400 µs sessions in which `a` calls `b` and then
+    /// switches, every 25 µs, and the run they make.
+    fn two_sessions() -> (TagFile, SupervisedRun) {
+        let tf = hwprof_tagfile::parse("a/100\nb/102\nswtch/200!\n").expect("static tag file");
+        let session = |index: u64| SupervisedSession {
+            index,
+            start_us: index * 400,
+            end_us: (index + 1) * 400,
+            level: TagMaskLevel::All,
+            records: (0..16u32)
+                .flat_map(|i| {
+                    let t = i * 25;
+                    [
+                        (100, t),
+                        (102, t + 5),
+                        (103, t + 10),
+                        (200, t + 12),
+                        (201, t + 14),
+                        (101, t + 20),
+                    ]
+                })
+                .map(|(tag, time)| RawRecord { tag, time })
+                .collect(),
+        };
+        let run = SupervisedRun {
+            sessions: vec![session(0), session(1)],
+            gaps: Vec::new(),
+            coverage: Coverage {
+                timeline_us: 800,
+                covered_us: 800,
+                level_us: [800, 0, 0],
+                ..Coverage::empty()
+            },
+            final_level: TagMaskLevel::All,
+            hot_tags: Vec::new(),
+        };
+        (tf, run)
+    }
+
+    /// A recorder of 100 µs windows that keeps every window.
+    fn recorder(tf: &TagFile) -> FlightRecorder {
+        let cfg = RecorderConfig::builder()
+            .window_us(100)
+            .retain(64)
+            .build()
+            .expect("non-degenerate config");
+        FlightRecorder::new(tf, cfg)
+    }
+
+    /// Window `w`'s fragments reconstructed into an eager trace.
+    fn eager_fold(rec: &FlightRecorder, w: u64) -> Option<Reconstruction> {
+        rec.with(|inner| {
+            let slot = &inner.windows[(w - inner.base_w) as usize];
+            let mut out = Reconstruction::empty(inner.syms.clone());
+            let mut recon = SessionRecon::new(&inner.syms, false);
+            for frag in &slot.frags {
+                recon.session_into(&frag.events, &mut out);
+            }
+            Some(out)
+        })
+    }
+
+    /// Whether each cached window fold's pending trace is built.
+    fn built(rec: &FlightRecorder) -> Vec<bool> {
+        rec.with(|inner| {
+            let folds = inner.windows.iter().filter_map(|s| s.cache.as_ref());
+            folds.flat_map(|(_, r)| r.trace.pending_built()).collect()
+        })
+    }
+
+    #[test]
+    fn summary_reads_never_build_a_window_trace() {
+        let (tf, run) = two_sessions();
+        let rec = recorder(&tf);
+        for s in &run.sessions {
+            rec.ingest_session(s);
+        }
+        rec.seal(&run);
+        let cfg = SentinelConfig::builder().warmup_windows(2).build();
+        let mut sentinel = Sentinel::new(cfg.expect("valid config"));
+        sentinel.scan(&rec);
+        assert_eq!(sentinel.windows_evaluated(), 8);
+        let all = rec.retained();
+        assert_eq!(all, 0..8);
+        let range = rec.range(all.clone()).expect("retained");
+        let windows: Vec<WindowRollup> = all.clone().map(|w| rec.window(w).unwrap()).collect();
+        assert!(rec.diff(all.start, all.end - 1).is_some());
+        let items: usize = windows.iter().map(|w| w.recon.trace.len()).sum();
+        assert_eq!(range.recon.trace.len(), items);
+        assert_eq!(
+            built(&rec),
+            [false; 8],
+            "one unbuilt pending trace per window"
+        );
+        // Rendering a rollup builds its own window's trace, and only
+        // that one: the eager fold's items.
+        let dot = crate::graph::to_dot(&windows[1].recon);
+        assert!(dot.contains("\"a\" -> \"b\""), "{dot}");
+        let mut want = [false; 8];
+        want[1] = true;
+        assert_eq!(built(&rec), want);
+        let eager = eager_fold(&rec, 1).expect("retained");
+        assert!(windows[1].recon.trace.iter().eq(&eager.trace));
+    }
+
+    #[test]
+    fn an_interior_window_keeps_its_fold_when_the_timeline_grows() {
+        let (tf, run) = two_sessions();
+        let rec = recorder(&tf);
+        rec.ingest_session(&run.sessions[0]);
+        let first = rec.window(1).expect("materialized");
+        assert_eq!(first.recon.trace.iter().count(), first.recon.trace.len());
+        // The next session moves the timeline's end past window 1's.
+        rec.ingest_session(&run.sessions[1]);
+        assert_eq!(rec.ledger().elapsed_us, 800);
+        let again = rec.window(1).expect("retained");
+        assert_eq!((again.start_us, again.end_us), (100, 200));
+        assert_eq!(
+            again.recon.trace.pending_built(),
+            [true],
+            "the cached fold, built above, was lent again"
+        );
+        let fresh = rec.with(|inner| {
+            let span = inner.window_span(1);
+            let RecorderInner { windows, syms, .. } = inner;
+            Some(RecorderInner::fold_slot(&mut windows[1], syms, span))
+        });
+        assert_eq!(fresh.expect("retained"), again.recon);
+        assert!(again
+            .recon
+            .trace
+            .iter()
+            .eq(&eager_fold(&rec, 1).expect("retained").trace));
+    }
 
     #[test]
     fn the_default_recorder_is_inert() {

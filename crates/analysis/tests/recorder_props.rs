@@ -12,9 +12,10 @@
 
 use proptest::prelude::*;
 
+use hwprof_analysis::graph::to_dot;
 use hwprof_analysis::{
-    Analyzer, ColumnarDecoder, DenseTagTable, Event, FlightRecorder, Reconstruction, SessionRecon,
-    SupervisedFold, Symbols, WindowRollup,
+    Analyzer, ColumnarDecoder, DenseTagTable, Event, FlightRecorder, Profile, Reconstruction,
+    SessionRecon, SupervisedFold, Symbols, WindowRollup,
 };
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
@@ -193,13 +194,25 @@ fn window_oracle(
     out
 }
 
+/// Every byte-level render of a rollup's profile: Chrome, speedscope,
+/// folded and dot.
+fn renders(p: Profile) -> [String; 4] {
+    [
+        p.chrome_trace(),
+        p.speedscope(),
+        p.folded(),
+        to_dot(p.reconstruction()),
+    ]
+}
+
 proptest! {
     #![cases(256)]
 
     /// Every retained window's rollup is bit-identical — stats, trace,
     /// anomalies, coverage, the whole monoid — to a one-shot analysis
     /// of the same clipped span, no matter how overflows, faults and
-    /// the spill shelf sliced and permuted delivery.  Querying twice is
+    /// the spill shelf sliced and permuted delivery, and renders its
+    /// bytes when its pending trace is first read.  Querying twice is
     /// also bit-stable (the fold cache is invisible).
     #[test]
     fn window_rollup_matches_one_shot_analysis(
@@ -223,6 +236,11 @@ proptest! {
             prop_assert!(rollup.is_some(), "retained window {w} not foldable");
             let rollup = rollup.expect("checked");
             let oracle = window_oracle(&tf, &run, &rollup, window_us);
+            let named = Profile::new(&oracle).name(&format!("window {w}"));
+            prop_assert!(
+                renders(rollup.as_profile()) == renders(named),
+                "window {w} renders other bytes than its one-shot analysis"
+            );
             prop_assert!(
                 rollup.recon == oracle,
                 "window {w} diverged from its one-shot analysis"

@@ -1,9 +1,10 @@
 //! Flight-recorder throughput: continuous ingest of delivered bank
 //! sessions into the window ring (with and without eviction churn),
-//! plus the live query surface — range folds and window diffs.
+//! plus the live query surface — range folds, cold and cached, and
+//! window diffs.
 //! `BENCH_recorder.json` pins these rates in CI via `bench_gate`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use hwprof_analysis::FlightRecorder;
 use hwprof_profiler::{RawRecord, RecorderConfig, SupervisedSession, TagMaskLevel};
 use hwprof_tagfile::{TagFile, TagKind};
@@ -91,17 +92,29 @@ fn bench_recorder(c: &mut Criterion) {
     }
     g.finish();
 
-    // The live query surface over a fully-ingested ring: the first
-    // range pass folds every window, later passes merge cached folds —
-    // both are steady-state query costs.
-    let rec = FlightRecorder::new(&tf, config(2048));
-    for s in &sessions {
-        rec.ingest_session(s);
-    }
+    // The live query surface over a fully-ingested ring.  `fold_cold`
+    // is a fresh ring's first range pass, which folds every window (the
+    // fold a sentinel's first scan pays; the ingest is set-up, dropping
+    // the ring is timed); later passes merge cached folds.
+    let ingested = || {
+        let rec = FlightRecorder::new(&tf, config(2048));
+        for s in &sessions {
+            rec.ingest_session(s);
+        }
+        rec
+    };
+    let rec = ingested();
     let retained = rec.retained();
     let windows = retained.end - retained.start;
     let mut g = c.benchmark_group("recorder_query");
     g.throughput(Throughput::Elements(windows));
+    g.bench_function("fold_cold", |b| {
+        b.iter_batched(
+            ingested,
+            |fresh| fresh.range(retained.clone()).expect("retained").recon.tags,
+            BatchSize::LargeInput,
+        );
+    });
     g.bench_function("range_all", |b| {
         b.iter(|| rec.range(retained.clone()).expect("retained"));
     });
