@@ -5,7 +5,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use crate::events::{decode, EvKind, Event, SessionDecoder, Symbols, TagMap};
-use crate::recon::{Reconstruction, SessionRecon};
+use crate::recon::{Reconstruction, Replay, SessionRecon};
 use crate::sentinel::{AlertEntry, AlertTransition, Detector};
 use crate::stream::StreamAnalyzer;
 use crate::Analyzer;
@@ -321,11 +321,28 @@ fn renders(r: &Reconstruction) -> [String; 5] {
 }
 
 /// `sessions` reconstructed through `recon` with their trace left
-/// pending.
-fn pending(syms: &Symbols, recon: &mut SessionRecon, sessions: &[Vec<Event>]) -> Reconstruction {
+/// pending on one shared buffer, each session a range of it whose
+/// event times move up by `shift` when the trace is built.
+fn pending(
+    syms: &Symbols,
+    recon: &mut SessionRecon,
+    sessions: &[Vec<Event>],
+    shift: u64,
+) -> Reconstruction {
     let mut out = Reconstruction::empty(syms.clone());
-    let shared = sessions.iter().map(|s| Arc::from(s.as_slice())).collect();
-    recon.sessions_pending(shared, &mut out);
+    let events = Arc::new(sessions.concat());
+    let mut end = 0;
+    let replays = sessions.iter().map(|s| {
+        let range = end..end + s.len();
+        end = range.end;
+        let events = events.clone();
+        Replay {
+            events,
+            range,
+            shift,
+        }
+    });
+    recon.sessions_pending(replays.collect(), &mut out);
     out
 }
 
@@ -335,12 +352,15 @@ proptest! {
     /// it leaves is built only when read, and then holds the eager
     /// items — in strict and recovering mode, through orphan exits,
     /// frames open at the end, context switches, births and 24-bit
-    /// wraps.
+    /// wraps.  The count reads the unshifted events of a shared buffer,
+    /// and the build shifts them: every field matches the eager pass
+    /// over the shifted sessions.
     #[test]
     fn pending_traces_build_the_eager_items(
         ops in prop::collection::vec((0u8..=255, 0u32..150_000), 1..250),
         cuts in prop::collection::vec(0usize..1000, 0..8),
         recover in 0u8..2,
+        shift in 0u64..1 << 40,
     ) {
         let (tf, records) = arbitrary_stream(&ops);
         let map = TagMap::from_tagfile(&tf);
@@ -350,9 +370,16 @@ proptest! {
         let mut eager = Reconstruction::empty(syms.clone());
         let mut recon = SessionRecon::new(&syms, recover);
         for s in &sessions {
-            recon.session_into(s, &mut eager);
+            let shifted: Vec<Event> = s
+                .iter()
+                .map(|e| Event {
+                    t: e.t + shift,
+                    kind: e.kind,
+                })
+                .collect();
+            recon.session_into(&shifted, &mut eager);
         }
-        let lazy = pending(&syms, &mut SessionRecon::new(&syms, recover), &sessions);
+        let lazy = pending(&syms, &mut SessionRecon::new(&syms, recover), &sessions, shift);
         let summary = |r: &Reconstruction| Reconstruction {
             trace: Default::default(),
             ..r.clone()
@@ -395,7 +422,7 @@ proptest! {
             .map(|(i, w)| {
                 let mut recon = SessionRecon::new(&syms, false);
                 if lazy >> i & 1 == 1 {
-                    return pending(&syms, &mut recon, &sessions[w[0]..w[1]]);
+                    return pending(&syms, &mut recon, &sessions[w[0]..w[1]], 0);
                 }
                 let mut part = Reconstruction::empty(syms.clone());
                 for s in &sessions[w[0]..w[1]] {

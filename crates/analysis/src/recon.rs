@@ -11,6 +11,7 @@
 //! that called `swtch`).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::anomaly::Anomalies;
@@ -128,10 +129,11 @@ fn depth(len: usize) -> u32 {
 /// sealed trace only bumps reference counts.  Segment boundaries never
 /// show — equality, `Debug` and iteration all see one item sequence.
 ///
-/// A segment may also be *pending*, as in a flight-recorder window's
-/// fold: its items were counted but not written, and are built from the
-/// sessions' events the first time anything reads them.  `len` and
-/// `is_empty` never build one; every clone shares its build.
+/// A segment may also be *pending*, as in a supervised run's fold or a
+/// flight-recorder window's: its items were counted but not written,
+/// and are built from the sessions' events the first time anything
+/// reads them.  `len` and `is_empty` never build one; every clone
+/// shares its build.
 #[derive(Clone, Default)]
 pub struct Trace {
     /// Sealed segments, none of them empty.
@@ -167,11 +169,35 @@ impl Segment {
     }
 }
 
+/// One session of a pending trace: a range of a shared decoded bank,
+/// and the shift its event times take when the items are built.
+///
+/// A reconstruction reads event times only as differences, so every
+/// field but the trace items' `t` is the same with or without the
+/// shift; the counting pass reads the events unshifted.
+#[derive(Debug, Clone)]
+pub(crate) struct Replay {
+    /// The bank's decoded events, shared by every replay over it.
+    pub(crate) events: Arc<Vec<Event>>,
+    /// The session's events within `events`.
+    pub(crate) range: Range<usize>,
+    /// Added to each event time, wrapping: a shifted time is never
+    /// negative, so the wrapped sum is exact.
+    pub(crate) shift: u64,
+}
+
+impl Replay {
+    /// The session's events, unshifted.
+    fn events(&self) -> &[Event] {
+        &self.events[self.range.clone()]
+    }
+}
+
 /// A trace segment kept as the sessions' events until it is read.
 #[derive(Debug)]
 struct Pending {
     /// The sessions, in the order they were reconstructed.
-    sessions: Vec<Arc<[Event]>>,
+    sessions: Vec<Replay>,
     syms: Symbols,
     recover: bool,
     /// Items the sessions reconstruct to.
@@ -180,14 +206,21 @@ struct Pending {
 }
 
 impl Pending {
-    /// Replays the sessions through a tracing reconstructor, once.
+    /// Replays the shifted sessions through a tracing reconstructor,
+    /// once.
     fn items(&self) -> &[TraceItem] {
         self.items.get_or_init(|| {
             let mut out = Reconstruction::empty(self.syms.clone());
             out.trace.reserve(self.len);
             let mut recon = SessionRecon::new(&self.syms, self.recover);
-            for events in &self.sessions {
-                recon.session_into(events, &mut out);
+            let mut shifted = Vec::new();
+            for session in &self.sessions {
+                shifted.clear();
+                shifted.extend(session.events().iter().map(|e| Event {
+                    t: e.t.wrapping_add(session.shift),
+                    kind: e.kind,
+                }));
+                recon.session_into(&shifted, &mut out);
             }
             debug_assert_eq!(out.trace.tail.len(), self.len, "the count pass agrees");
             out.trace.tail
@@ -442,19 +475,17 @@ impl Reconstruction {
         self.trace.append(other.trace);
     }
 
-    /// [`merge`](Reconstruction::merge) by reference: `other`'s sealed
-    /// segments are shared, and only an open tail would be copied.
-    pub(crate) fn merge_shared(&mut self, other: &Reconstruction) {
-        self.merge_summaries(other);
-        self.trace.append(other.trace.clone());
-    }
-
     /// Every field of a merge but the trace.
     fn merge_summaries(&mut self, other: &Reconstruction) {
-        debug_assert_eq!(self.syms.len(), other.syms.len(), "same tag file");
         for (a, b) in self.stats.iter_mut().zip(&other.stats) {
             a.merge(b);
         }
+        self.merge_totals(other);
+    }
+
+    /// Every field of a merge but the trace and the stats.
+    fn merge_totals(&mut self, other: &Reconstruction) {
+        debug_assert_eq!(self.syms.len(), other.syms.len(), "same tag file");
         self.total_elapsed += other.total_elapsed;
         self.idle += other.idle;
         self.tags += other.tags;
@@ -828,17 +859,13 @@ impl<'a> SessionRecon<'a> {
 
     /// [`session_into`](SessionRecon::session_into) for each of
     /// `sessions` in order, with the trace items only counted: `out`'s
-    /// trace gains one pending segment that replays `sessions` through
-    /// `session_into` the first time it is read.  Every other field is
-    /// what `session_into` accumulates.
-    pub(crate) fn sessions_pending(
-        &mut self,
-        sessions: Vec<Arc<[Event]>>,
-        out: &mut Reconstruction,
-    ) {
+    /// trace gains one pending segment that replays the shifted
+    /// `sessions` through `session_into` the first time it is read.
+    /// Every other field is what `session_into` accumulates.
+    pub(crate) fn sessions_pending(&mut self, sessions: Vec<Replay>, out: &mut Reconstruction) {
         let mut count = Count(0);
-        for events in &sessions {
-            self.session_with(events, out, &mut count);
+        for session in &sessions {
+            self.session_with(session.events(), out, &mut count);
         }
         out.trace.push_pending(Pending {
             sessions,
@@ -970,6 +997,14 @@ impl<'a> BankRecon<'a> {
     /// reconstruction into `out` with the decode-level anomalies noted
     /// (strict decode never flags any), and returns the decoded events.
     pub fn bank_into(&mut self, records: &[RawRecord], out: &mut Reconstruction) -> &[Event] {
+        self.decode(records);
+        self.recon.session_into(&self.events, out);
+        out.note(&self.decoder.anomalies());
+        &self.events
+    }
+
+    /// Decodes `records` into the event buffer.
+    fn decode(&mut self, records: &[RawRecord]) {
         self.decoder.reset();
         self.events.clear();
         if self.recon.recover {
@@ -977,9 +1012,6 @@ impl<'a> BankRecon<'a> {
         } else {
             self.decoder.extend(records, &mut self.events);
         }
-        self.recon.session_into(&self.events, out);
-        out.note(&self.decoder.anomalies());
-        &self.events
     }
 
     /// [`bank_into`](BankRecon::bank_into) a fresh part of the bank's
@@ -990,6 +1022,95 @@ impl<'a> BankRecon<'a> {
         part.trace.reserve(records.len());
         let events = self.bank_into(records, &mut part);
         (part, events)
+    }
+
+    /// [`bank_part`](BankRecon::bank_part) with the part's trace left
+    /// pending: the decoded events move, uncopied, into one shared
+    /// buffer, returned for other readers of the same events, and the
+    /// part's trace is one pending segment over it.  The event buffer
+    /// starts empty again.
+    pub(crate) fn bank_pending(
+        &mut self,
+        records: &[RawRecord],
+    ) -> (Reconstruction, Arc<Vec<Event>>) {
+        self.decode(records);
+        let events = Arc::new(std::mem::take(&mut self.events));
+        let mut part = Reconstruction::empty(self.recon.syms.clone());
+        let whole = Replay {
+            events: events.clone(),
+            range: 0..events.len(),
+            shift: 0,
+        };
+        self.recon.sessions_pending(vec![whole], &mut part);
+        part.note(&self.decoder.anomalies());
+        (part, events)
+    }
+}
+
+/// A [`Reconstruction`] that keeps only the non-zero rows of its
+/// per-symbol stats, as a flight-recorder window's cached fold does.
+/// A zero row merges as a no-op, so leaving it out changes no merge.
+#[derive(Debug)]
+pub(crate) struct SparseRecon {
+    /// The non-zero `stats` rows, by ascending symbol.
+    rows: Box<[(SymId, FnAgg)]>,
+    /// Every other field; its `stats` is empty.
+    rest: Reconstruction,
+}
+
+impl SparseRecon {
+    /// `dense` with its zero stats rows dropped.
+    pub(crate) fn new(mut dense: Reconstruction) -> Self {
+        let stats = std::mem::take(&mut dense.stats);
+        let rows = (0..).zip(stats).filter(|(_, a)| *a != FnAgg::default());
+        SparseRecon {
+            rows: rows.collect(),
+            rest: dense,
+        }
+    }
+
+    /// Folds this reconstruction into the dense `out`, exactly as
+    /// [`Reconstruction::merge`] of the dense one would.
+    pub(crate) fn merge_into(&self, out: &mut Reconstruction) {
+        out.merge_totals(&self.rest);
+        for (s, a) in &self.rows {
+            out.stats[*s as usize].merge(a);
+        }
+        out.trace.append(self.rest.trace.clone());
+    }
+
+    /// Lends the dense reconstruction to `f`, its stats borrowed from
+    /// `zeros`: a vector over the same symbols, every row zero.  The
+    /// rows land for the call and are zeroed again after it, so the
+    /// next lend finds `zeros` all zero too.
+    pub(crate) fn lend(&mut self, zeros: &mut Vec<FnAgg>, f: impl FnOnce(&Reconstruction)) {
+        for (s, a) in &self.rows {
+            zeros[*s as usize] = *a;
+        }
+        self.rest.stats = std::mem::take(zeros);
+        f(&self.rest);
+        *zeros = std::mem::take(&mut self.rest.stats);
+        for (s, _) in &self.rows {
+            zeros[*s as usize] = FnAgg::default();
+        }
+    }
+
+    /// The dense reconstruction.
+    pub(crate) fn to_dense(&self) -> Reconstruction {
+        let mut stats = vec![FnAgg::default(); self.rest.syms.len()];
+        for (s, a) in &self.rows {
+            stats[*s as usize] = *a;
+        }
+        Reconstruction {
+            stats,
+            ..self.rest.clone()
+        }
+    }
+
+    /// The trace, shared with every dense copy.
+    #[cfg(test)]
+    pub(crate) fn trace(&self) -> &Trace {
+        &self.rest.trace
     }
 }
 

@@ -12,7 +12,8 @@
 //! cases).  A fold computes the summary only: its trace stays pending
 //! on the window's fragments until something reads it, so the
 //! summary-only reads (`range`, `window`, `diff`, the sentinel's scan)
-//! never build one.
+//! never build one.  A fragment is a range of its bank's one shared
+//! event buffer, and a cached fold keeps only its non-zero stats rows.
 //!
 //! Windows tile absolute machine time from 0: window `w` covers
 //! `[w·W, (w+1)·W)` for width `W = RecorderConfig::window_us()`, clipped
@@ -41,7 +42,7 @@ use hwprof_telemetry::{
 use crate::columnar::{ColumnarDecoder, DenseTagTable};
 use crate::events::{Event, SymId, Symbols};
 use crate::profile::{html_esc, Profile, HTML_STYLE};
-use crate::recon::{FnAgg, Reconstruction, SessionRecon};
+use crate::recon::{FnAgg, Reconstruction, Replay, SessionRecon, SparseRecon};
 use crate::report::fmt_us;
 use crate::stitch::{visibility, visible_us, MaskVisibility};
 
@@ -49,11 +50,12 @@ use crate::stitch::{visibility, visible_us, MaskVisibility};
 /// relative growth of a function's coverage-scaled net rate (5%).
 const DIFF_THRESHOLD_PPM: u32 = 50_000;
 
-/// One session's events landing in one window, rebased to the window;
-/// the window's fold shares them with its pending trace.
+/// One session's events landing in one window: a range of the bank's
+/// shared buffer, rebased to the window origin when a trace is built.
+/// The window's fold shares it with its pending trace.
 struct Frag {
     session: u64,
-    events: Arc<[Event]>,
+    replay: Replay,
 }
 
 /// One session's covered overlap with one window.
@@ -76,7 +78,7 @@ struct WindowSlot {
     spans: Vec<CovSpan>,
     gaps: Vec<GapSpan>,
     /// Cached fold, tagged with the clipped window span it covers.
-    cache: Option<((u64, u64), Reconstruction)>,
+    cache: Option<((u64, u64), SparseRecon)>,
 }
 
 /// `rec.*` self-metrics; inert until [`FlightRecorder::set_telemetry`].
@@ -196,7 +198,7 @@ impl RecorderInner {
 
     /// Ingests one delivered session from its decoded `events`: split
     /// the events and the covered span across the windows they fall in.
-    fn ingest_session(&mut self, s: &SupervisedSession, events: &[Event]) {
+    fn ingest_session(&mut self, s: &SupervisedSession, events: Arc<Vec<Event>>) {
         if self.sealed {
             return;
         }
@@ -238,21 +240,26 @@ impl RecorderInner {
             }
         }
 
-        // Events per window, rebased to the window origin.
+        // Events per window, as ranges of the shared buffer rebased to
+        // the window origin.
         let mut frags = 0u64;
         let window_of = |e: &Event| (s.start_us + e.t) / wd;
+        let mut end = 0;
         for run in events.chunk_by(|a, b| window_of(a) == window_of(b)) {
+            let range = end..end + run.len();
+            end = range.end;
             let w = window_of(&run[0]);
             if w < self.base_w {
                 continue;
             }
-            let rebased = run.iter().map(|e| Event {
-                t: s.start_us + e.t - w * wd,
-                kind: e.kind,
-            });
+            let replay = Replay {
+                events: events.clone(),
+                range,
+                shift: s.start_us.wrapping_sub(w * wd),
+            };
             let frag = Frag {
                 session: s.index,
-                events: rebased.collect(),
+                replay,
             };
             self.touch(w).frags.push(frag);
             frags += 1;
@@ -354,7 +361,7 @@ impl RecorderInner {
 
     /// Window `w`'s fold, built into its slot on first read and lent
     /// from there until the slot or the window's clipped span changes.
-    fn fold(&mut self, w: u64) -> Option<&Reconstruction> {
+    fn fold(&mut self, w: u64) -> Option<&mut SparseRecon> {
         if !self.seen || w < self.base_w || w >= self.base_w + self.windows.len() as u64 {
             return None;
         }
@@ -366,16 +373,17 @@ impl RecorderInner {
         if !matches!(&slot.cache, Some((cached, _)) if *cached == span) {
             slot.cache = Some((span, Self::fold_slot(slot, syms, span)));
         }
-        slot.cache.as_ref().map(|(_, r)| r)
+        slot.cache.as_mut().map(|(_, r)| r)
     }
 
     /// Folds a slot's fragments, coverage and gaps over the clipped
     /// span `[ws, we)`.  The fold is a summary: its trace is one
-    /// pending segment over the fragments, built only when read.
-    fn fold_slot(slot: &mut WindowSlot, syms: &Symbols, (ws, we): (u64, u64)) -> Reconstruction {
+    /// pending segment over the fragments, built only when read, and
+    /// its stats keep only their non-zero rows.
+    fn fold_slot(slot: &mut WindowSlot, syms: &Symbols, (ws, we): (u64, u64)) -> SparseRecon {
         slot.frags.sort_by_key(|f| f.session);
         let mut out = Reconstruction::empty(syms.clone());
-        let sessions = slot.frags.iter().map(|f| f.events.clone()).collect();
+        let sessions = slot.frags.iter().map(|f| f.replay.clone()).collect();
         SessionRecon::new(syms, false).sessions_pending(sessions, &mut out);
         let mut cov = Coverage::empty();
         cov.timeline_us = we - ws;
@@ -391,7 +399,7 @@ impl RecorderInner {
         cov.gaps = slot.gaps.len() as u64;
         cov.overflow_gaps = slot.gaps.iter().filter(|g| g.overflow).count() as u64;
         out.note_coverage(&cov);
-        out
+        SparseRecon::new(out)
     }
 
     /// The exact eviction ledger at this instant.
@@ -431,7 +439,7 @@ impl RecorderInner {
 
     /// Window `w`'s rollup (see [`FlightRecorder::window`]).
     fn window(&mut self, w: u64) -> Option<WindowRollup> {
-        let recon = self.fold(w)?.clone();
+        let recon = self.fold(w)?.to_dense();
         let (start_us, end_us) = self.window_span(w);
         Some(WindowRollup {
             index: w,
@@ -827,12 +835,13 @@ impl FlightRecorder {
         self.with(|inner| {
             let mut events = Vec::new();
             ColumnarDecoder::new(&inner.table).extend(&s.records, &mut events);
-            inner.ingest_session(s, &events);
+            inner.ingest_session(s, Arc::new(events));
         });
     }
 
-    /// Feeds one delivered session already decoded into `events`.
-    pub(crate) fn ingest_events(&self, s: &SupervisedSession, events: &[Event]) {
+    /// Feeds one delivered session already decoded into `events`, which
+    /// the windows share.
+    pub(crate) fn ingest_events(&self, s: &SupervisedSession, events: Arc<Vec<Event>>) {
         self.with(|inner| inner.ingest_session(s, events));
     }
 
@@ -894,7 +903,7 @@ impl FlightRecorder {
         self.with(|inner| {
             let mut out = Reconstruction::empty(inner.syms.clone());
             for w in range.clone() {
-                out.merge_shared(inner.fold(w)?);
+                inner.fold(w)?.merge_into(&mut out);
             }
             let (start_us, _) = inner.window_span(range.start);
             let (_, end_us) = inner.window_span(range.end - 1);
@@ -909,17 +918,20 @@ impl FlightRecorder {
     }
 
     /// Runs `f` on each available window of `range` in order, with the
-    /// window's index, clipped end and fold lent under one lock.
-    pub(crate) fn each_fold(
+    /// window's index, clipped end and fold lent under one lock.  Every
+    /// fold's stats are lent in one reused vector, zeroed again after
+    /// each window.
+    pub fn each_fold(
         &self,
         range: std::ops::Range<u64>,
         mut f: impl FnMut(u64, u64, &Reconstruction),
     ) {
         self.with(|inner| {
+            let mut zeros = vec![FnAgg::default(); inner.syms.len()];
             for w in range {
                 let (_, end_us) = inner.window_span(w);
                 if let Some(r) = inner.fold(w) {
-                    f(w, end_us, r);
+                    r.lend(&mut zeros, |r| f(w, end_us, r));
                 }
             }
         });
@@ -999,7 +1011,19 @@ mod tests {
             let mut out = Reconstruction::empty(inner.syms.clone());
             let mut recon = SessionRecon::new(&inner.syms, false);
             for frag in &slot.frags {
-                recon.session_into(&frag.events, &mut out);
+                let Replay {
+                    events,
+                    range,
+                    shift,
+                } = &frag.replay;
+                let rebased: Vec<Event> = events[range.clone()]
+                    .iter()
+                    .map(|e| Event {
+                        t: e.t.wrapping_add(*shift),
+                        kind: e.kind,
+                    })
+                    .collect();
+                recon.session_into(&rebased, &mut out);
             }
             Some(out)
         })
@@ -1009,7 +1033,7 @@ mod tests {
     fn built(rec: &FlightRecorder) -> Vec<bool> {
         rec.with(|inner| {
             let folds = inner.windows.iter().filter_map(|s| s.cache.as_ref());
-            folds.flat_map(|(_, r)| r.trace.pending_built()).collect()
+            folds.flat_map(|(_, r)| r.trace().pending_built()).collect()
         })
     }
 
@@ -1068,7 +1092,7 @@ mod tests {
         let fresh = rec.with(|inner| {
             let span = inner.window_span(1);
             let RecorderInner { windows, syms, .. } = inner;
-            Some(RecorderInner::fold_slot(&mut windows[1], syms, span))
+            Some(RecorderInner::fold_slot(&mut windows[1], syms, span).to_dense())
         });
         assert_eq!(fresh.expect("retained"), again.recon);
         assert!(again

@@ -100,9 +100,10 @@ pub fn scaled_calls(
 
 /// The live stitch of a supervised run, installed as a
 /// `CaptureSupervisor`'s session sink: each delivered bank is decoded
-/// once into a [`BankFold`], its events and every gap go on to a
-/// [`FlightRecorder`] (inert unless the run records).  Clones share
-/// state.
+/// once into one shared event buffer and folded into a [`BankFold`] as
+/// a summary whose trace stays pending on that buffer until read; the
+/// buffer and every gap go on to a [`FlightRecorder`] (inert unless the
+/// run records), whose windows share it.  Clones share state.
 #[derive(Clone)]
 pub struct SupervisedFold(Arc<Mutex<FoldState>>);
 
@@ -149,7 +150,7 @@ impl SessionSink for SupervisedFold {
             return;
         }
         let mut bank = BankRecon::new(&st.table, &st.syms, false);
-        let (part, events) = bank.bank_part(&session.records);
+        let (part, events) = bank.bank_pending(&session.records);
         st.recorder.ingest_events(session, events);
         st.fold.insert(session.index, part);
     }
@@ -164,8 +165,8 @@ mod tests {
     use super::*;
     use hwprof_machine::EpromTap;
     use hwprof_profiler::{
-        BankSink, BoardConfig, CaptureSupervisor, MemoryTransport, Profiler, RetryPolicy,
-        SupervisorPolicy, TagMask, TagMaskLevel,
+        BankSink, BoardConfig, CaptureSupervisor, MemoryTransport, Profiler, RecorderConfig,
+        RetryPolicy, SupervisorPolicy, TagMask, TagMaskLevel,
     };
 
     const TF: &str = "a/500\nb/502\nswtch/200!\n";
@@ -174,6 +175,13 @@ mod tests {
     /// stitch its [`SupervisedFold`] sink produced.
     fn supervised_fixture() -> (TagFile, SupervisedRun, Reconstruction) {
         let tf = hwprof_tagfile::parse(TF).expect("static tag file");
+        let (run, profile) = supervised_run(&tf, FlightRecorder::default());
+        (tf, run, profile)
+    }
+
+    /// [`supervised_fixture`]'s run over `tf`, its fold feeding
+    /// `recorder`.
+    fn supervised_run(tf: &TagFile, recorder: FlightRecorder) -> (SupervisedRun, Reconstruction) {
         let board = Profiler::new(BoardConfig {
             capacity: 8,
             time_bits: 24,
@@ -192,7 +200,7 @@ mod tests {
             ..SupervisorPolicy::default()
         };
         let mut sup = CaptureSupervisor::new(board, mask, policy, Box::new(MemoryTransport::new()));
-        let live = SupervisedFold::new(&tf, FlightRecorder::default());
+        let live = SupervisedFold::new(tf, recorder);
         sup.set_session_sink(Box::new(live.clone()));
         // Nested a{b{}} call pairs with occasional switches, enough to
         // roll through several banks.
@@ -210,7 +218,46 @@ mod tests {
         }
         let run = sup.finish();
         let profile = live.finish(&run);
-        (tf, run, profile)
+        (run, profile)
+    }
+
+    #[test]
+    fn summary_reads_leave_the_main_trace_pending() {
+        let tf = hwprof_tagfile::parse(TF).expect("static tag file");
+        let cfg = RecorderConfig::builder().window_us(50).retain(64).build();
+        let rec = FlightRecorder::new(&tf, cfg.expect("non-degenerate config"));
+        let (run, profile) = supervised_run(&tf, rec.clone());
+        let banks = run.sessions.len();
+        assert!(banks > 1, "several banks");
+        assert_eq!(profile.trace.pending_built(), vec![false; banks]);
+        // Every summary read a `watch` run and its harness make.
+        let cfg = crate::SentinelConfig::builder().warmup_windows(2).build();
+        let mut sentinel = crate::Sentinel::new(cfg.expect("valid config"));
+        sentinel.scan(&rec);
+        assert!(sentinel.windows_evaluated() > 2);
+        let p = crate::Profile::new(&profile).run(&run);
+        assert!(p.summary_report(None).contains("Coverage:"));
+        assert!(p.describe().contains("sessions"));
+        assert!(!sentinel.describe().is_empty());
+        let all = rec.retained();
+        let range = rec.range(all.clone()).expect("retained");
+        for w in all.clone() {
+            assert!(rec.window(w).is_some(), "window {w} retained");
+        }
+        assert!(rec.diff(all.start, all.end - 1).is_some());
+        assert_eq!(range.recon.tags, profile.tags);
+        assert_eq!(
+            profile.trace.pending_built(),
+            vec![false; banks],
+            "no summary read built a bank's trace"
+        );
+        // A render builds every bank's trace, with the eager bytes.
+        let eager = crate::Analyzer::for_tagfile(&tf)
+            .run(&run)
+            .expect("ungated");
+        let want = crate::Profile::new(&eager).run(&run).chrome_trace();
+        assert_eq!(p.chrome_trace(), want);
+        assert_eq!(profile.trace.pending_built(), vec![true; banks]);
     }
 
     #[test]

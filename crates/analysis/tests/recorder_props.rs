@@ -3,9 +3,11 @@
 //! one-shot analysis of the same span, a range query must equal the
 //! monoid fold of its windows, the eviction ledger must stay exact
 //! (`covered + dark + evicted == elapsed`, zero slack), and diffs must
-//! be antisymmetric.  The run's live [`SupervisedFold`], which feeds
-//! the recorder, must also stitch a full-run profile bit-identical to
-//! the post-hoc `Analyzer::run` of the finished run.
+//! be antisymmetric.  A fold lent through `each_fold`, whose stats
+//! vector is reused from window to window, must keep no row of the
+//! window lent before it.  The run's live [`SupervisedFold`], which
+//! feeds the recorder, must also stitch a full-run profile
+//! bit-identical to the post-hoc `Analyzer::run` of the finished run.
 //!
 //! Runs at 256 cases per property (`PROPTEST_CASES` overrides); the CI
 //! fault job pins exactly that.
@@ -14,13 +16,14 @@ use proptest::prelude::*;
 
 use hwprof_analysis::graph::to_dot;
 use hwprof_analysis::{
-    Analyzer, ColumnarDecoder, DenseTagTable, Event, FlightRecorder, Profile, Reconstruction,
-    SessionRecon, SupervisedFold, Symbols, WindowRollup,
+    Analyzer, ColumnarDecoder, DenseTagTable, Event, FlightRecorder, FnAgg, Profile,
+    Reconstruction, SessionRecon, SupervisedFold, Symbols, WindowRollup,
 };
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
     BoardConfig, CaptureSupervisor, Coverage, FlakyTransport, GapCause, MemoryTransport, Profiler,
-    RecorderConfig, RetryPolicy, SupervisedRun, SupervisorPolicy, TagMask,
+    RawRecord, RecorderConfig, RetryPolicy, SupervisedRun, SupervisedSession, SupervisorPolicy,
+    TagMask, TagMaskLevel,
 };
 use hwprof_tagfile::{TagFile, TagKind};
 
@@ -194,6 +197,73 @@ fn window_oracle(
     out
 }
 
+/// Each retained window's fold as `each_fold` lends it, paired with its
+/// one-shot oracle.
+fn lent_and_oracles(
+    tf: &TagFile,
+    run: &SupervisedRun,
+    rec: &FlightRecorder,
+    wd: u64,
+) -> Vec<(u64, Reconstruction, Reconstruction)> {
+    let mut lent = Vec::new();
+    rec.each_fold(rec.retained(), |w, _, r| lent.push((w, r.clone())));
+    lent.into_iter()
+        .map(|(w, r)| {
+            let rollup = rec.window(w).expect("lent, so retained");
+            (w, r, window_oracle(tf, run, &rollup, wd))
+        })
+        .collect()
+}
+
+#[test]
+fn a_lent_view_keeps_no_row_of_the_window_before() {
+    let (tf, tags, _) = supervised_tagfile(2);
+    let rec = FlightRecorder::new(&tf, config(100, 8));
+    // f0 runs only in window 0, f1 only in window 1.
+    let records = [
+        (tags[0], 10),
+        (tags[0] + 1, 40),
+        (tags[1], 120),
+        (tags[1] + 1, 150),
+    ]
+    .map(|(tag, time)| RawRecord { tag, time });
+    let session = SupervisedSession {
+        index: 0,
+        start_us: 0,
+        end_us: 200,
+        level: TagMaskLevel::All,
+        records: records.to_vec(),
+    };
+    rec.ingest_session(&session);
+    let run = SupervisedRun {
+        sessions: vec![session],
+        gaps: Vec::new(),
+        coverage: Coverage {
+            timeline_us: 200,
+            covered_us: 200,
+            level_us: [200, 0, 0],
+            ..Coverage::empty()
+        },
+        final_level: TagMaskLevel::All,
+        hot_tags: Vec::new(),
+    };
+    rec.seal(&run);
+    let lent = lent_and_oracles(&tf, &run, &rec, 100);
+    assert_eq!(lent.len(), 2);
+    assert_eq!(lent[0].1.agg("f0").expect("known").calls, 1);
+    assert_eq!(
+        lent[1].1.agg("f0"),
+        Some(FnAgg::default()),
+        "f0 left window 0"
+    );
+    for (w, r, oracle) in lent {
+        assert!(
+            r == oracle,
+            "window {w} lent other than its one-shot analysis"
+        );
+    }
+}
+
 /// Every byte-level render of a rollup's profile: Chrome, speedscope,
 /// folded and dot.
 fn renders(p: Profile) -> [String; 4] {
@@ -288,6 +358,49 @@ proptest! {
         // Out-of-ring ranges refuse rather than silently truncate.
         prop_assert!(rec.range(retained.end..retained.end + 1).is_none());
         prop_assert!(rec.range(a..a).is_none());
+    }
+
+    /// Every window's fold lent through `each_fold`, and `range` over
+    /// any sub-range, equal the dense one-shot folds: the sparse rows
+    /// a fold keeps and the view they are lent through hide nothing
+    /// and carry nothing over from the window before.
+    #[test]
+    fn lent_folds_and_ranges_match_the_dense_one_shot_fold(
+        nfns in 1u16..5,
+        ops in prop::collection::vec((0u8..=255, 0u8..30), 8..250),
+        capacity in 4usize..20,
+        fail_ppm in 0u32..300_000,
+        window_us in 40u64..400,
+        retain in 2usize..32,
+        lo_sel in 0u64..64,
+        hi_sel in 0u64..64,
+        seed in 0u64..1_000_000,
+    ) {
+        let pol = policy(30, 2, true, seed);
+        let cfg = config(window_us, retain);
+        let (tf, run, rec, _) =
+            drive_recorded(nfns, &ops, pol, capacity, fail_ppm, None, seed, cfg);
+        let retained = rec.retained();
+        let lent = lent_and_oracles(&tf, &run, &rec, window_us);
+        prop_assert_eq!(lent.len() as u64, retained.end - retained.start);
+        for (w, r, oracle) in &lent {
+            prop_assert!(r == oracle, "window {w} lent other than its one-shot analysis");
+        }
+        prop_assume!(!retained.is_empty());
+        let span = retained.end - retained.start;
+        let mut a = lo_sel % span;
+        let mut b = hi_sel % span;
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        let mut oracles = lent.into_iter().map(|(_, _, oracle)| oracle);
+        let mut want = oracles.nth(a as usize).expect("in ring");
+        for oracle in oracles.take((b - a) as usize) {
+            want.merge(oracle);
+        }
+        let (a, b) = (retained.start + a, retained.start + b + 1);
+        let got = rec.range(a..b).expect("in-ring range");
+        prop_assert!(got.recon == want, "range {a}..{b} diverged from the one-shot folds");
     }
 
     /// The eviction ledger is exact at seal for any schedule — faults,

@@ -2,25 +2,31 @@
 # Paired end-to-end benchmark runs of a parent revision against the
 # working tree.
 #
-#   scripts/perfbench-pairs.sh <rev> <workload> <pairs> <seconds> <first-seed>
+#   scripts/perfbench-pairs.sh <rev> <workload> <pairs> <seconds> <first-seed> [<trace>]
 #
 # Checks <rev> out into a git worktree under target/perfbench-pairs/
 # and builds perfbench offline in each side's own perfbench/target (a
 # shared target directory moves peak RSS).  Then it runs <pairs> pairs
-# of untraced (`--trace 0`) runs of <workload> for <seconds> each; pair
-# i runs both sides at seed <first-seed> + i, the parent first in even
-# pairs and the change first in odd ones.  It prints each pair's
-# end-to-end metrics, then per metric each side's median and quartiles,
-# the change/parent ratio of the medians and the pairs the change won
-# (direction from BENCHMARK.json).  A run whose output check fails
-# stops the script.
+# of runs of <workload> for <seconds> each, untraced (`--trace 0`) by
+# default or traced (`--trace 1`) when <trace> is 1; pair i runs both
+# sides at seed <first-seed> + i, the parent first in even pairs and
+# the change first in odd ones.  It prints each pair's metrics from
+# the run's last JSON line (the end-to-end ones untraced, the
+# per-layer ones traced), then per metric each side's median and
+# quartiles, the change/parent ratio of the medians and the pairs the
+# change won (direction from BENCHMARK.json).  A run whose output
+# check fails stops the script.
 set -euo pipefail
 
-if [ $# -ne 5 ]; then
-    echo "usage: $0 <rev> <workload> <pairs> <seconds> <first-seed>" >&2
+if [ $# -ne 5 ] && [ $# -ne 6 ]; then
+    echo "usage: $0 <rev> <workload> <pairs> <seconds> <first-seed> [<trace>]" >&2
     exit 2
 fi
-rev=$1 workload=$2 pairs=$3 seconds=$4 first_seed=$5
+rev=$1 workload=$2 pairs=$3 seconds=$4 first_seed=$5 trace=${6:-0}
+if [ "$trace" != 0 ] && [ "$trace" != 1 ]; then
+    echo "<trace> is 0 or 1, not $trace" >&2
+    exit 2
+fi
 change=$(git rev-parse --show-toplevel)
 sha=$(git -C "$change" rev-parse --verify "$rev^{commit}")
 parent="$change/target/perfbench-pairs/$sha"
@@ -34,11 +40,11 @@ done
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
-# Appends one "<pair> <side> <metric> <value>" row per end-to-end metric.
+# Appends one "<pair> <side> <metric> <value>" row per metric.
 run() {
     local pair=$1 side=$2 tree=$3 seed=$4 last
     last=$("$tree/perfbench/target/release/perfbench" --workload "$workload" \
-        --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
+        --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1)
     if ! grep -q '"correct": true' <<<"$last" || ! grep -Eq '"failed": 0[,}]' <<<"$last"; then
         echo "pair $pair, $side (seed $seed): output check failed: $last" >&2
         exit 1
@@ -60,11 +66,11 @@ for ((i = 0; i < pairs; i++)); do
     echo "pair $i, seed $seed:"
     awk -v p="$i" '$1 == p { v[$3, $2] = $4; if (!($3 in seen)) { seen[$3]; order[n++] = $3 } }
         END { for (k = 0; k < n; k++) { m = order[k]
-            printf "  %-14s parent %14.6g  change %14.6g\n", m, v[m, "parent"], v[m, "change"] } }' "$runs"
+            printf "  %-26s parent %14.6g  change %14.6g\n", m, v[m, "parent"], v[m, "change"] } }' "$runs"
 done
 
-echo "$workload, $pairs pairs, ${seconds} s each, seeds $first_seed..$((first_seed + pairs - 1)):"
-printf '  %-14s %33s %33s %6s %6s\n' metric "parent median [q1, q3]" "change median [q1, q3]" ratio wins
+echo "$workload, $pairs pairs, ${seconds} s each, --trace $trace, seeds $first_seed..$((first_seed + pairs - 1)):"
+printf '  %-26s %33s %33s %6s %6s\n' metric "parent median [q1, q3]" "change median [q1, q3]" ratio wins
 awk '
     # Direction of each metric, from the benchmark declaration.
     FNR == NR {
@@ -96,7 +102,7 @@ awk '
                 d = v[i, "change", m] - v[i, "parent", m]
                 if ((higher[m] && d > 0) || (!higher[m] && d < 0)) wins++
             }
-            printf "  %-14s %11.6g [%9.6g, %9.6g] %11.6g [%9.6g, %9.6g] %6.3f %3d/%d\n",
+            printf "  %-26s %11.6g [%9.6g, %9.6g] %11.6g [%9.6g, %9.6g] %6.3f %3d/%d\n",
                 m, pm, p1, p3, cm, c1, c3, pm ? cm / pm : 0, wins, np
         }
     }
