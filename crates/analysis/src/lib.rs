@@ -52,7 +52,7 @@ pub use recorder::{DiffRow, FlightRecorder, RecorderLedger, WindowDiff, WindowRo
 pub use report::{fmt_us, summary_report};
 pub use sentinel::{
     AlertEntry, AlertJournal, AlertTransition, Baseline, Detector, FleetAlert, FleetSentinel,
-    Sentinel, SentinelConfig, SentinelConfigBuilder, SentinelConfigError,
+    Sentinel, SentinelConfig,
 };
 pub use stitch::{
     scale_factor, scaled_calls, visibility, visible_us, MaskVisibility, SupervisedFold,

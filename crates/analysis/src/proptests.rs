@@ -471,7 +471,6 @@ fn supervise(
     let swtch = tf.tag_of("swtch").expect("assigned");
     let policy = SupervisorPolicy {
         drain_budget_us: 10,
-        max_session_us: u64::MAX,
         ..SupervisorPolicy::default()
     };
     let mut sup = CaptureSupervisor::new(

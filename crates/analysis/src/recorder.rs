@@ -1045,8 +1045,7 @@ mod tests {
             rec.ingest_session(s);
         }
         rec.seal(&run);
-        let cfg = SentinelConfig::builder().warmup_windows(2).build();
-        let mut sentinel = Sentinel::new(cfg.expect("valid config"));
+        let mut sentinel = Sentinel::new(SentinelConfig);
         sentinel.scan(&rec);
         assert_eq!(sentinel.windows_evaluated(), 8);
         let all = rec.retained();

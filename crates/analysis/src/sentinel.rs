@@ -3,7 +3,7 @@
 //! The recorder (PR 8) can *show* a shift — `WindowDiff` ranks movers —
 //! but nothing watches continuously and raises a hand.  The sentinel
 //! closes that loop: a [`Baseline`] learns per-function rate statistics
-//! over a configurable warm-up span using exact integer accumulation, a
+//! over a fixed warm-up span using exact integer accumulation, a
 //! fixed set of [`Detector`]s evaluates every window after it, and a
 //! per-(detector, subject) hysteresis state machine (Pending → Firing →
 //! Resolved, with consecutive-window thresholds) keeps one noisy window
@@ -18,8 +18,7 @@
 //!
 //! ```
 //! use hwprof_analysis::{Sentinel, SentinelConfig};
-//! let cfg = SentinelConfig::builder().warmup_windows(2).build().unwrap();
-//! let sentinel = Sentinel::new(cfg);
+//! let sentinel = Sentinel::new(SentinelConfig);
 //! assert!(sentinel.journal().is_empty());
 //! ```
 //!
@@ -46,118 +45,16 @@ const GLOBAL: u32 = u32::MAX;
 // Configuration
 // ---------------------------------------------------------------------
 
-/// Configuration for a [`Sentinel`]: the baseline warm-up span and the
-/// hysteresis thresholds.  The detector thresholds are constants beside
-/// [`Sentinel::observe`].
+/// The [`Sentinel`]'s settings, of which there are none left: the
+/// warm-up span, the hysteresis thresholds and the detector thresholds
+/// are constants beside [`Sentinel::observe`].
 ///
-/// Built with [`SentinelConfig::builder`]; the builder validates on
-/// [`build`](SentinelConfigBuilder::build) and returns a
-/// [`SentinelConfigError`] instead of clamping silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SentinelConfig {
-    /// Windows the [`Baseline`] accumulates before freezing.  No
-    /// detector evaluates during warm-up.
-    pub warmup_windows: u64,
-    /// Consecutive breaching windows before a Pending alert fires.
-    pub fire_after: u32,
-    /// Consecutive clear windows before a Firing alert resolves.
-    pub resolve_after: u32,
-}
-
-impl SentinelConfig {
-    /// Starts a builder with the defaults: 3-window warm-up, fire
-    /// after 2 breaches, resolve after 2 clears.
-    pub fn builder() -> SentinelConfigBuilder {
-        SentinelConfigBuilder {
-            warmup_windows: 3,
-            fire_after: 2,
-            resolve_after: 2,
-        }
-    }
-}
-
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        SentinelConfig::builder().build().expect("defaults valid")
-    }
-}
-
-/// Builder for [`SentinelConfig`].
-#[must_use = "builders do nothing until .build() is called"]
-#[derive(Debug, Clone, Copy)]
-pub struct SentinelConfigBuilder {
-    warmup_windows: u64,
-    fire_after: u32,
-    resolve_after: u32,
-}
-
-impl SentinelConfigBuilder {
-    /// Sets the baseline warm-up span in windows.
-    pub fn warmup_windows(mut self, windows: u64) -> Self {
-        self.warmup_windows = windows;
-        self
-    }
-
-    /// Sets the consecutive-breach threshold for Firing.
-    pub fn fire_after(mut self, windows: u32) -> Self {
-        self.fire_after = windows;
-        self
-    }
-
-    /// Sets the consecutive-clear threshold for Resolved.
-    pub fn resolve_after(mut self, windows: u32) -> Self {
-        self.resolve_after = windows;
-        self
-    }
-
-    /// Validates and builds the config.
-    pub fn build(self) -> Result<SentinelConfig, SentinelConfigError> {
-        if self.warmup_windows == 0 {
-            return Err(SentinelConfigError::NoWarmup);
-        }
-        if self.fire_after == 0 {
-            return Err(SentinelConfigError::NoFireThreshold);
-        }
-        if self.resolve_after == 0 {
-            return Err(SentinelConfigError::NoResolveThreshold);
-        }
-        Ok(SentinelConfig {
-            warmup_windows: self.warmup_windows,
-            fire_after: self.fire_after,
-            resolve_after: self.resolve_after,
-        })
-    }
-}
-
-/// Why a [`SentinelConfigBuilder`] refused to build.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SentinelConfigError {
-    /// `warmup_windows` was 0 — the baseline needs at least one window.
-    NoWarmup,
-    /// `fire_after` was 0 — an alert needs at least one breach.
-    NoFireThreshold,
-    /// `resolve_after` was 0 — an alert needs at least one clear.
-    NoResolveThreshold,
-}
-
-impl std::fmt::Display for SentinelConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SentinelConfigError::NoWarmup => {
-                write!(f, "sentinel warm-up must span at least one window")
-            }
-            SentinelConfigError::NoFireThreshold => {
-                write!(f, "sentinel must fire after at least one breach")
-            }
-            SentinelConfigError::NoResolveThreshold => {
-                write!(f, "sentinel must resolve after at least one clear")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SentinelConfigError {}
+/// The type stays, fieldless, only because the frozen end-to-end
+/// benchmark passes it to `Experiment::watch`, [`Sentinel::new`] and
+/// the fleet's sentinel policy; it goes once that benchmark is next
+/// changed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SentinelConfig;
 
 // ---------------------------------------------------------------------
 // Detectors, transitions, journal
@@ -424,7 +321,7 @@ impl Baseline {
         Some(((self.net_us(s) as u128 * 1_000) / v as u128) as u64)
     }
 
-    fn absorb(&mut self, recon: &Reconstruction, warmup: u64) {
+    fn absorb(&mut self, recon: &Reconstruction) {
         let cov = &recon.coverage;
         for vis in [
             MaskVisibility::AllLevels,
@@ -444,7 +341,7 @@ impl Baseline {
         self.anomalies += recon.anomalies.total();
         self.tags += recon.tags as u64;
         self.windows += 1;
-        if self.windows >= warmup {
+        if self.windows >= WARMUP_WINDOWS {
             self.frozen = true;
         }
     }
@@ -486,6 +383,13 @@ impl SentMetrics {
     }
 }
 
+/// Windows the [`Baseline`] accumulates before freezing.  No detector
+/// evaluates during warm-up.
+const WARMUP_WINDOWS: u64 = 3;
+/// Consecutive breaching windows before a Pending alert fires.
+const FIRE_AFTER: u32 = 2;
+/// Consecutive clear windows before a Firing alert resolves.
+const RESOLVE_AFTER: u32 = 2;
 /// Rate-shift threshold, in ppm of relative change of a function's
 /// coverage-scaled net rate vs its baseline (±50%).
 const RATE_SHIFT_PPM: u128 = 500_000;
@@ -517,7 +421,6 @@ const EVICTION_PPM: u64 = 250_000;
 /// time for a function are treated as clear for that function's
 /// rate-shift state: an unknowable rate never extends a breach streak.
 pub struct Sentinel {
-    cfg: SentinelConfig,
     baseline: Baseline,
     states: BTreeMap<(Detector, u32), HState>,
     journal: AlertJournal,
@@ -540,9 +443,8 @@ impl std::fmt::Debug for Sentinel {
 
 impl Sentinel {
     /// A sentinel with an empty baseline and an empty journal.
-    pub fn new(cfg: SentinelConfig) -> Sentinel {
+    pub fn new(_: SentinelConfig) -> Sentinel {
         Sentinel {
-            cfg,
             baseline: Baseline::default(),
             states: BTreeMap::new(),
             journal: AlertJournal::default(),
@@ -557,11 +459,6 @@ impl Sentinel {
     /// `reg` (the default) records nothing.
     pub fn set_telemetry(&mut self, reg: &Registry) {
         self.metrics = SentMetrics::new(reg);
-    }
-
-    /// The config this sentinel evaluates with.
-    pub fn config(&self) -> SentinelConfig {
-        self.cfg
     }
 
     /// The baseline (frozen once warm-up completes).
@@ -620,7 +517,7 @@ impl Sentinel {
         self.windows_evaluated += 1;
         self.metrics.windows.inc();
         if !self.baseline.is_frozen() {
-            self.baseline.absorb(recon, self.cfg.warmup_windows);
+            self.baseline.absorb(recon);
             return;
         }
 
@@ -772,7 +669,7 @@ impl Sentinel {
                 self.journal.push(entry(AlertTransition::Pending));
                 self.metrics.pending.inc();
             }
-            if state.breaches >= self.cfg.fire_after {
+            if state.breaches >= FIRE_AFTER {
                 state.firing = true;
                 state.breaches = 0;
                 self.journal.push(entry(AlertTransition::Firing));
@@ -786,7 +683,7 @@ impl Sentinel {
             };
             if state.firing {
                 state.clears += 1;
-                if state.clears >= self.cfg.resolve_after {
+                if state.clears >= RESOLVE_AFTER {
                     state.firing = false;
                     state.clears = 0;
                     state.breaches = 0;
@@ -949,10 +846,10 @@ mod tests {
         r
     }
 
-    fn drive(cfg: SentinelConfig, nets: &[u64]) -> Sentinel {
+    fn drive(nets: &[u64]) -> Sentinel {
         let sy = syms(&["bcopy"]);
         let vis = vec![MaskVisibility::UnlessSwitchOnly; sy.len()];
-        let mut s = Sentinel::new(cfg);
+        let mut s = Sentinel::new(SentinelConfig);
         for (w, &net) in nets.iter().enumerate() {
             let r = window(&sy, net);
             s.observe(w as u64, (w as u64 + 1) * 1_000, &r, &vis, None);
@@ -962,7 +859,7 @@ mod tests {
 
     #[test]
     fn steady_stream_is_silent() {
-        let s = drive(SentinelConfig::default(), &[50; 10]);
+        let s = drive(&[50; 10]);
         assert!(s.journal().is_empty());
         assert!(s.firing().is_empty());
     }
@@ -970,10 +867,7 @@ mod tests {
     #[test]
     fn shift_fires_and_resolves_with_hysteresis() {
         // warmup 3, fire after 2, resolve after 2.
-        let s = drive(
-            SentinelConfig::default(),
-            &[50, 50, 50, 50, 300, 300, 300, 50, 50, 50],
-        );
+        let s = drive(&[50, 50, 50, 50, 300, 300, 300, 50, 50, 50]);
         let j = s.journal();
         let kinds: Vec<AlertTransition> = j.entries().iter().map(|e| e.transition).collect();
         assert_eq!(
@@ -995,10 +889,7 @@ mod tests {
 
     #[test]
     fn single_noisy_window_stays_pending() {
-        let s = drive(
-            SentinelConfig::default(),
-            &[50, 50, 50, 300, 50, 50, 50, 50],
-        );
+        let s = drive(&[50, 50, 50, 300, 50, 50, 50, 50]);
         let j = s.journal();
         assert_eq!(j.len(), 1);
         assert_eq!(j.entries()[0].transition, AlertTransition::Pending);
@@ -1006,28 +897,36 @@ mod tests {
     }
 
     #[test]
-    fn config_builder_rejects_degenerate() {
+    fn warmup_is_three_windows_fire_and_resolve_take_two() {
+        let sy = syms(&["bcopy"]);
+        let vis = vec![MaskVisibility::UnlessSwitchOnly; sy.len()];
+        let mut s = Sentinel::new(SentinelConfig);
+        let mut feed = |w: u64, net: u64| {
+            s.observe(w, (w + 1) * 1_000, &window(&sy, net), &vis, None);
+            let last = s.journal().entries().last();
+            (
+                s.baseline().is_frozen(),
+                last.map(|e| (e.window, e.transition)),
+            )
+        };
+        assert_eq!(feed(0, 50), (false, None));
+        assert_eq!(feed(1, 50), (false, None));
         assert_eq!(
-            SentinelConfig::builder().warmup_windows(0).build(),
-            Err(SentinelConfigError::NoWarmup)
+            feed(2, 50),
+            (true, None),
+            "the baseline freezes after window 3"
         );
-        assert_eq!(
-            SentinelConfig::builder().fire_after(0).build(),
-            Err(SentinelConfigError::NoFireThreshold)
-        );
-        assert_eq!(
-            SentinelConfig::builder().resolve_after(0).build(),
-            Err(SentinelConfigError::NoResolveThreshold)
-        );
+        // Window 3 is the first one the detectors evaluate.
+        assert_eq!(feed(3, 300), (true, Some((3, AlertTransition::Pending))));
+        assert_eq!(feed(4, 300), (true, Some((4, AlertTransition::Firing))));
+        assert_eq!(feed(5, 50), (true, Some((4, AlertTransition::Firing))));
+        assert_eq!(feed(6, 50), (true, Some((6, AlertTransition::Resolved))));
     }
 
     #[test]
     fn roll_up_promotes_at_quorum() {
-        let shifted = drive(
-            SentinelConfig::default(),
-            &[50, 50, 50, 300, 300, 300, 300, 300],
-        );
-        let steady = drive(SentinelConfig::default(), &[50; 8]);
+        let shifted = drive(&[50, 50, 50, 300, 300, 300, 300, 300]);
+        let steady = drive(&[50; 8]);
         let js = shifted.journal().clone();
         let jq = steady.journal().clone();
         let fleet = FleetSentinel::new(2);

@@ -166,10 +166,12 @@ mod tests {
     use hwprof_machine::EpromTap;
     use hwprof_profiler::{
         BankSink, BoardConfig, CaptureSupervisor, MemoryTransport, Profiler, RecorderConfig,
-        RetryPolicy, SupervisorPolicy, TagMask, TagMaskLevel,
+        SupervisorPolicy, TagMask, TagMaskLevel,
     };
 
     const TF: &str = "a/500\nb/502\nswtch/200!\n";
+    /// The fixture's unit of simulated time, in microseconds.
+    const TICK_US: u64 = 10_000;
 
     /// A supervised run rolling through several banks, plus the live
     /// stitch its [`SupervisedFold`] sink produced.
@@ -188,33 +190,26 @@ mod tests {
         });
         let mask = TagMask::new([200u16]);
         let policy = SupervisorPolicy {
-            drain_budget_us: 10,
-            downgrade_fill_us: 0,
-            max_session_us: u64::MAX,
-            retry: RetryPolicy {
-                max_attempts: 1,
-                base_backoff_us: 1,
-                max_backoff_us: 1,
-                jitter_ppm: 0,
-            },
+            drain_budget_us: 10 * TICK_US,
             ..SupervisorPolicy::default()
         };
         let mut sup = CaptureSupervisor::new(board, mask, policy, Box::new(MemoryTransport::new()));
         let live = SupervisedFold::new(tf, recorder);
         sup.set_session_sink(Box::new(live.clone()));
         // Nested a{b{}} call pairs with occasional switches, enough to
-        // roll through several banks.
+        // roll through several banks; a bank takes ~350 ms to fill, so
+        // the mask ladder never moves.
         let mut t = 1_000u64;
         for i in 0..40u64 {
             sup.on_read(500, t);
-            sup.on_read(502, t + 2);
-            sup.on_read(503, t + 5);
-            sup.on_read(501, t + 9);
+            sup.on_read(502, t + 2 * TICK_US);
+            sup.on_read(503, t + 5 * TICK_US);
+            sup.on_read(501, t + 9 * TICK_US);
             if i % 5 == 4 {
-                sup.on_read(200, t + 11);
-                sup.on_read(201, t + 14);
+                sup.on_read(200, t + 11 * TICK_US);
+                sup.on_read(201, t + 14 * TICK_US);
             }
-            t += 20;
+            t += 20 * TICK_US;
         }
         let run = sup.finish();
         let profile = live.finish(&run);
@@ -224,17 +219,19 @@ mod tests {
     #[test]
     fn summary_reads_leave_the_main_trace_pending() {
         let tf = hwprof_tagfile::parse(TF).expect("static tag file");
-        let cfg = RecorderConfig::builder().window_us(50).retain(64).build();
+        let cfg = RecorderConfig::builder()
+            .window_us(50 * TICK_US)
+            .retain(64)
+            .build();
         let rec = FlightRecorder::new(&tf, cfg.expect("non-degenerate config"));
         let (run, profile) = supervised_run(&tf, rec.clone());
         let banks = run.sessions.len();
         assert!(banks > 1, "several banks");
         assert_eq!(profile.trace.pending_built(), vec![false; banks]);
         // Every summary read a `watch` run and its harness make.
-        let cfg = crate::SentinelConfig::builder().warmup_windows(2).build();
-        let mut sentinel = crate::Sentinel::new(cfg.expect("valid config"));
+        let mut sentinel = crate::Sentinel::new(crate::SentinelConfig);
         sentinel.scan(&rec);
-        assert!(sentinel.windows_evaluated() > 2);
+        assert!(sentinel.windows_evaluated() > 3);
         let p = crate::Profile::new(&profile).run(&run);
         assert!(p.summary_report(None).contains("Coverage:"));
         assert!(p.describe().contains("sessions"));
@@ -265,6 +262,7 @@ mod tests {
         let (tf, run, _) = supervised_fixture();
         assert!(run.sessions.len() > 1, "several banks");
         assert!(!run.gaps.is_empty());
+        assert_eq!(run.coverage.mask_downgrades, 0);
         let r = crate::Analyzer::for_tagfile(&tf)
             .run(&run)
             .expect("ungated");

@@ -17,7 +17,7 @@ use hwprof_analysis::{
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
     BoardConfig, CaptureSupervisor, FlakyTransport, MemoryTransport, Profiler, RawRecord,
-    RetryPolicy, SupervisedRun, SupervisorPolicy, TagMask,
+    SupervisedRun, SupervisorPolicy, TagMask,
 };
 use hwprof_tagfile::{TagFile, TagKind};
 use hwprof_telemetry::SpanLog;
@@ -37,11 +37,13 @@ fn supervised_tagfile(nfns: u16) -> (TagFile, Vec<u16>, u16) {
 
 /// Drives a [`CaptureSupervisor`] through a random balanced call stream
 /// over a deliberately tiny board (overflows, re-arms and ladder moves
-/// all happen), optionally journalling every pipeline hop.
+/// all happen), optionally journalling every pipeline hop.  `pace`
+/// scales the ops' time steps (see [`pace`]).
 #[allow(clippy::too_many_arguments)]
 fn drive_supervised(
     nfns: u16,
     ops: &[(u8, u8)],
+    pace: (u64, u64),
     policy: SupervisorPolicy,
     capacity: usize,
     fail_ppm: u32,
@@ -61,8 +63,12 @@ fn drive_supervised(
     }
     let mut stack: Vec<u16> = Vec::new();
     let mut t = 1_000u64;
+    let mut tick = pace.0;
     for (i, &(sel, dt)) in ops.iter().enumerate() {
-        t += u64::from(dt) + 1;
+        if i == ops.len() / 2 {
+            tick = pace.1;
+        }
+        t += (u64::from(dt) + 1) * tick;
         if sel % 3 == 0 && !stack.is_empty() {
             let tag = stack.pop().expect("checked");
             sup.on_read(tag + 1, t);
@@ -72,35 +78,34 @@ fn drive_supervised(
             sup.on_read(tag, t);
         }
         if i % 13 == 12 {
-            t += 2;
+            t += 2 * tick;
             sup.on_read(swtch, t);
-            t += 2;
+            t += 2 * tick;
             sup.on_read(swtch + 1, t);
         }
     }
     for tag in stack.into_iter().rev() {
-        t += 3;
+        t += 3 * tick;
         sup.on_read(tag + 1, t);
     }
     (tf, sup.finish())
 }
 
-/// A small, fast-moving policy shaped by the proptest inputs.
-fn policy(drain_budget_us: u64, spill_banks: usize, ladder: bool, seed: u64) -> SupervisorPolicy {
+/// Microseconds per unit of op spacing over the first and the second
+/// half of a stream, each `25 << k` for `k` in 0..10: at the fast end
+/// a bank of any drawn capacity fills in well under the ladder's 200 ms
+/// floor and many banks pile onto the shelf within one 250 ms breaker
+/// cooldown; at the slow end a bank fills in well over the ladder's
+/// 800 ms ceiling, so a stream that slows down steps the mask back up.
+fn pace() -> impl Strategy<Value = (u64, u64)> {
+    (0u32..10, 0u32..10).prop_map(|(a, b)| (25 << a, 25 << b))
+}
+
+/// The policy the proptest inputs shape: a swap's dark time and the
+/// jitter seed.
+fn policy(drain_budget_us: u64, seed: u64) -> SupervisorPolicy {
     SupervisorPolicy {
         drain_budget_us,
-        max_session_us: u64::MAX,
-        retry: RetryPolicy {
-            max_attempts: 2,
-            base_backoff_us: 7,
-            max_backoff_us: 60,
-            jitter_ppm: 0,
-        },
-        breaker_cooldown_us: 100,
-        spill_banks,
-        downgrade_fill_us: if ladder { 300 } else { 0 },
-        upgrade_fill_us: 2_000,
-        auto_hot_top: 2,
         min_coverage_ppm: 0,
         seed,
         ..SupervisorPolicy::default()
@@ -186,16 +191,15 @@ proptest! {
         nfns in 1u16..5,
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..200),
         capacity in 4usize..20,
+        pace in pace(),
         drain_budget in 1u64..150,
-        spill in 0usize..3,
-        ladder_sel in 0u8..2,
-        fail_ppm in 0u32..400_000,
+        fail_ppm in 0u32..800_000,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(drain_budget, spill, ladder_sel == 1, seed);
+        let pol = policy(drain_budget * pace.0, seed);
         let log = SpanLog::new();
         let (tf, run) =
-            drive_supervised(nfns, &ops, pol, capacity, fail_ppm, seed, Some(&log));
+            drive_supervised(nfns, &ops, pace, pol, capacity, fail_ppm, seed, Some(&log));
         let r = Analyzer::for_tagfile(&tf).run(&run).expect("ungated");
         let profile = Profile::new(&r).run(&run).spans(&log);
         let chrome = profile.chrome_trace();
@@ -223,20 +227,21 @@ proptest! {
         nfns in 1u16..5,
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..200),
         capacity in 4usize..20,
+        pace in pace(),
         drain_budget in 1u64..150,
-        ladder_sel in 0u8..2,
-        fail_ppm in 0u32..300_000,
+        fail_ppm in 0u32..700_000,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(drain_budget, 2, ladder_sel == 1, seed);
-        let (tf, run) = drive_supervised(nfns, &ops, pol, capacity, fail_ppm, seed, None);
+        let pol = policy(drain_budget * pace.0, seed);
+        let (tf, run) = drive_supervised(nfns, &ops, pace, pol, capacity, fail_ppm, seed, None);
         let r = Analyzer::for_tagfile(&tf).run(&run).expect("ungated");
         let net: u64 = r.stats.iter().map(|a| a.net).sum();
         prop_assert_eq!(folded_total(&Profile::new(&r).folded()), net);
         prop_assert_eq!(folded_total(&Profile::new(&r).run(&run).folded()), net);
     }
 
-    /// On gap-free schedules (a board that never fills) the supervised
+    /// On gap-free schedules (a board that never fills, a run shorter
+    /// than the 2 s session cap, so one op step is one µs) the supervised
     /// stitcher is invisible: exporting its reconstruction is
     /// bit-identical — all three formats — to exporting a plain
     /// single-pass reconstruction of the same record stream.
@@ -246,8 +251,8 @@ proptest! {
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..200),
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(50, 2, false, seed);
-        let (tf, run) = drive_supervised(nfns, &ops, pol, 4096, 0, seed, None);
+        let pol = policy(50, seed);
+        let (tf, run) = drive_supervised(nfns, &ops, (1, 1), pol, 4096, 0, seed, None);
         prop_assert!(run.gaps.is_empty(), "oversized board still gapped");
         let stitched = Analyzer::for_tagfile(&tf).run(&run).expect("ungated");
         let records: Vec<RawRecord> = run

@@ -22,8 +22,8 @@ use hwprof_analysis::{
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
     BoardConfig, CaptureSupervisor, Coverage, FlakyTransport, GapCause, MemoryTransport, Profiler,
-    RawRecord, RecorderConfig, RetryPolicy, SupervisedRun, SupervisedSession, SupervisorPolicy,
-    TagMask, TagMaskLevel,
+    RawRecord, RecorderConfig, SupervisedRun, SupervisedSession, SupervisorPolicy, TagMask,
+    TagMaskLevel,
 };
 use hwprof_tagfile::{TagFile, TagKind};
 
@@ -46,12 +46,13 @@ fn supervised_tagfile(nfns: u16) -> (TagFile, Vec<u16>, u16) {
 /// (sealing the recorder) on the finished run.  The fold and the
 /// recorder therefore see sessions in *delivery* order — spill-shelf
 /// permutations included — while the returned run holds them in bank
-/// order for the one-shot oracles.  Returns the fold's full-run
-/// profile last.
+/// order for the one-shot oracles.  `pace` scales the ops' time steps
+/// (see [`pace`]).  Returns the fold's full-run profile last.
 #[allow(clippy::too_many_arguments)]
 fn drive_recorded(
     nfns: u16,
     ops: &[(u8, u8)],
+    pace: (u64, u64),
     policy: SupervisorPolicy,
     capacity: usize,
     fail_ppm: u32,
@@ -75,8 +76,12 @@ fn drive_recorded(
     sup.set_session_sink(Box::new(live.clone()));
     let mut stack: Vec<u16> = Vec::new();
     let mut t = 1_000u64;
+    let mut tick = pace.0;
     for (i, &(sel, dt)) in ops.iter().enumerate() {
-        t += u64::from(dt) + 1;
+        if i == ops.len() / 2 {
+            tick = pace.1;
+        }
+        t += (u64::from(dt) + 1) * tick;
         if sel % 3 == 0 && !stack.is_empty() {
             let tag = stack.pop().expect("checked");
             sup.on_read(tag + 1, t);
@@ -86,14 +91,14 @@ fn drive_recorded(
             sup.on_read(tag, t);
         }
         if i % 13 == 12 {
-            t += 2;
+            t += 2 * tick;
             sup.on_read(swtch, t);
-            t += 2;
+            t += 2 * tick;
             sup.on_read(swtch + 1, t);
         }
     }
     for tag in stack.into_iter().rev() {
-        t += 3;
+        t += 3 * tick;
         sup.on_read(tag + 1, t);
     }
     let run = sup.finish();
@@ -101,22 +106,21 @@ fn drive_recorded(
     (tf, run, rec, profile)
 }
 
-/// A small, fast-moving policy shaped by the proptest inputs.
-fn policy(drain_budget_us: u64, spill_banks: usize, ladder: bool, seed: u64) -> SupervisorPolicy {
+/// Microseconds per unit of op spacing over the first and the second
+/// half of a stream, each `25 << k` for `k` in 0..10: at the fast end
+/// a bank of any drawn capacity fills in well under the ladder's 200 ms
+/// floor and many banks pile onto the shelf within one 250 ms breaker
+/// cooldown; at the slow end a bank fills in well over the ladder's
+/// 800 ms ceiling, so a stream that slows down steps the mask back up.
+fn pace() -> impl Strategy<Value = (u64, u64)> {
+    (0u32..10, 0u32..10).prop_map(|(a, b)| (25 << a, 25 << b))
+}
+
+/// The policy the proptest inputs shape: a swap's dark time and the
+/// jitter seed.
+fn policy(drain_budget_us: u64, seed: u64) -> SupervisorPolicy {
     SupervisorPolicy {
         drain_budget_us,
-        max_session_us: u64::MAX,
-        retry: RetryPolicy {
-            max_attempts: 2,
-            base_backoff_us: 7,
-            max_backoff_us: 60,
-            jitter_ppm: 0,
-        },
-        breaker_cooldown_us: 80,
-        spill_banks,
-        downgrade_fill_us: if ladder { 300 } else { 0 },
-        upgrade_fill_us: 2_000,
-        auto_hot_top: 2,
         min_coverage_ppm: 0,
         seed,
         ..SupervisorPolicy::default()
@@ -289,18 +293,18 @@ proptest! {
         nfns in 1u16..5,
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..250),
         capacity in 4usize..20,
+        pace in pace(),
         drain_budget in 1u64..150,
-        spill in 0usize..3,
-        ladder_sel in 0u8..2,
-        fail_ppm in 0u32..400_000,
-        window_us in 40u64..400,
+        fail_ppm in 0u32..800_000,
+        window in 40u64..400,
         retain in 2usize..32,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(drain_budget, spill, ladder_sel == 1, seed);
+        let pol = policy(drain_budget * pace.0, seed);
+        let window_us = window * pace.0;
         let cfg = config(window_us, retain);
         let (tf, run, rec, _) =
-            drive_recorded(nfns, &ops, pol, capacity, fail_ppm, None, seed, cfg);
+            drive_recorded(nfns, &ops, pace, pol, capacity, fail_ppm, None, seed, cfg);
         for w in rec.retained() {
             let rollup = rec.window(w);
             prop_assert!(rollup.is_some(), "retained window {w} not foldable");
@@ -328,17 +332,18 @@ proptest! {
         nfns in 1u16..5,
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..250),
         capacity in 4usize..20,
-        fail_ppm in 0u32..300_000,
-        window_us in 40u64..400,
+        pace in pace(),
+        fail_ppm in 0u32..700_000,
+        window in 40u64..400,
         retain in 2usize..32,
         lo_sel in 0u64..64,
         hi_sel in 0u64..64,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(30, 2, false, seed);
-        let cfg = config(window_us, retain);
+        let pol = policy(30 * pace.0, seed);
+        let cfg = config(window * pace.0, retain);
         let (_tf, _run, rec, _) =
-            drive_recorded(nfns, &ops, pol, capacity, fail_ppm, None, seed, cfg);
+            drive_recorded(nfns, &ops, pace, pol, capacity, fail_ppm, None, seed, cfg);
         let retained = rec.retained();
         prop_assume!(!retained.is_empty());
         let span = retained.end - retained.start;
@@ -369,17 +374,19 @@ proptest! {
         nfns in 1u16..5,
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..250),
         capacity in 4usize..20,
-        fail_ppm in 0u32..300_000,
-        window_us in 40u64..400,
+        pace in pace(),
+        fail_ppm in 0u32..700_000,
+        window in 40u64..400,
         retain in 2usize..32,
         lo_sel in 0u64..64,
         hi_sel in 0u64..64,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(30, 2, true, seed);
+        let pol = policy(30 * pace.0, seed);
+        let window_us = window * pace.0;
         let cfg = config(window_us, retain);
         let (tf, run, rec, _) =
-            drive_recorded(nfns, &ops, pol, capacity, fail_ppm, None, seed, cfg);
+            drive_recorded(nfns, &ops, pace, pol, capacity, fail_ppm, None, seed, cfg);
         let retained = rec.retained();
         let lent = lent_and_oracles(&tf, &run, &rec, window_us);
         prop_assert_eq!(lent.len() as u64, retained.end - retained.start);
@@ -413,19 +420,19 @@ proptest! {
         nfns in 1u16..4,
         ops in prop::collection::vec((0u8..=255, 0u8..25), 20..250),
         capacity in 4usize..12,
-        spill in 0usize..3,
-        fail_ppm in 0u32..400_000,
+        pace in pace(),
+        fail_ppm in 0u32..800_000,
         outage_start in 0u64..6,
-        outage_len in 0u64..8,
-        window_us in 20u64..120,
+        outage_len in 0u64..24,
+        window in 20u64..120,
         retain in 1usize..6,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(20, spill, false, seed);
-        let cfg = config(window_us, retain);
+        let pol = policy(20 * pace.0, seed);
+        let cfg = config(window * pace.0, retain);
         let outage = (outage_len > 0).then_some((outage_start, outage_start + outage_len));
         let (_tf, run, rec, _) =
-            drive_recorded(nfns, &ops, pol, capacity, fail_ppm, outage, seed, cfg);
+            drive_recorded(nfns, &ops, pace, pol, capacity, fail_ppm, outage, seed, cfg);
         let ledger = rec.ledger();
         prop_assert!(
             ledger.is_exact(),
@@ -454,18 +461,18 @@ proptest! {
         nfns in 1u16..5,
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..250),
         capacity in 4usize..20,
+        pace in pace(),
         drain_budget in 1u64..150,
-        spill in 0usize..3,
-        ladder_sel in 0u8..2,
-        fail_ppm in 0u32..400_000,
+        fail_ppm in 0u32..800_000,
         outage_start in 0u64..6,
-        outage_len in 0u64..8,
+        outage_len in 0u64..24,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(drain_budget, spill, ladder_sel == 1, seed);
+        let pol = policy(drain_budget * pace.0, seed);
         let outage = (outage_len > 0).then_some((outage_start, outage_start + outage_len));
+        let cfg = config(100 * pace.0, 8);
         let (tf, run, rec, live) =
-            drive_recorded(nfns, &ops, pol, capacity, fail_ppm, outage, seed, config(100, 8));
+            drive_recorded(nfns, &ops, pace, pol, capacity, fail_ppm, outage, seed, cfg);
         let stitched = Analyzer::for_tagfile(&tf).run(&run).expect("ungated");
         prop_assert!(live == stitched, "live fold diverged from Analyzer::run");
         prop_assert_eq!(rec.sessions(), run.sessions.len() as u64);
@@ -479,17 +486,18 @@ proptest! {
         nfns in 1u16..5,
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..250),
         capacity in 4usize..20,
-        fail_ppm in 0u32..300_000,
-        window_us in 40u64..400,
+        pace in pace(),
+        fail_ppm in 0u32..700_000,
+        window in 40u64..400,
         retain in 2usize..32,
         a_sel in 0u64..64,
         b_sel in 0u64..64,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(30, 2, true, seed);
-        let cfg = config(window_us, retain);
+        let pol = policy(30 * pace.0, seed);
+        let cfg = config(window * pace.0, retain);
         let (_tf, _run, rec, _) =
-            drive_recorded(nfns, &ops, pol, capacity, fail_ppm, None, seed, cfg);
+            drive_recorded(nfns, &ops, pace, pol, capacity, fail_ppm, None, seed, cfg);
         let retained = rec.retained();
         prop_assume!(!retained.is_empty());
         let span = retained.end - retained.start;

@@ -1,8 +1,7 @@
 //! Sentinel property suite: evaluation is deterministic (the same
 //! window stream yields a byte-identical journal), the hysteresis
-//! state machine is monotone (no Firing without `fire_after`
-//! consecutive breaches, no Resolved without `resolve_after`
-//! consecutive clears while firing), steady workloads stay silent, and
+//! state machine is monotone (no Firing without two consecutive
+//! breaches, no Resolved without two consecutive clears while firing), steady workloads stay silent, and
 //! the fleet roll-up equals a plain fold of the member journals.
 //!
 //! Runs at 256 cases per property (`PROPTEST_CASES` overrides); the CI
@@ -17,6 +16,12 @@ use hwprof_analysis::{
 use hwprof_profiler::Coverage;
 use hwprof_tagfile::{TagFile, TagKind};
 
+/// Windows the sentinel's baseline accumulates before it evaluates.
+const WARMUP_WINDOWS: u64 = 3;
+/// Consecutive breaching windows before a Pending alert fires.
+const FIRE_AFTER: u32 = 2;
+/// Consecutive clear windows before a Firing alert resolves.
+const RESOLVE_AFTER: u32 = 2;
 /// The net-µs a subject spends in a clear (baseline-rate) window.
 const CLEAR_NET: u64 = 50;
 /// The net-µs a subject spends in a breaching window: 6× baseline,
@@ -59,14 +64,15 @@ fn window(sy: &Symbols, subject: &str, net: u64) -> Reconstruction {
     r
 }
 
-/// Drives a fresh sentinel: `warmup` clear windows, then one window
-/// per breach flag (`true` ⇒ the subject runs at the shifted rate).
-fn drive(cfg: SentinelConfig, subject: &str, breaches: &[bool]) -> Sentinel {
+/// Drives a fresh sentinel: its warm-up of clear windows, then one
+/// window per breach flag (`true` ⇒ the subject runs at the shifted
+/// rate).
+fn drive(subject: &str, breaches: &[bool]) -> Sentinel {
     let sy = syms();
     let vis = vec![MaskVisibility::UnlessSwitchOnly; sy.len()];
-    let mut sent = Sentinel::new(cfg);
+    let mut sent = Sentinel::new(SentinelConfig);
     let mut w = 0u64;
-    for _ in 0..cfg.warmup_windows {
+    for _ in 0..WARMUP_WINDOWS {
         let r = window(&sy, subject, CLEAR_NET);
         sent.observe(w, (w + 1) * 1_000, &r, &vis, None);
         w += 1;
@@ -80,24 +86,15 @@ fn drive(cfg: SentinelConfig, subject: &str, breaches: &[bool]) -> Sentinel {
     sent
 }
 
-fn config(warmup: u64, fire_after: u32, resolve_after: u32) -> SentinelConfig {
-    SentinelConfig::builder()
-        .warmup_windows(warmup)
-        .fire_after(fire_after)
-        .resolve_after(resolve_after)
-        .build()
-        .expect("valid config")
-}
-
 /// The hysteresis contract, simulated independently: the expected
 /// (window, transition) sequence for one subject given its breach
 /// flags.  Windows are numbered from 0 including warm-up, matching
 /// [`drive`].
-fn reference_transitions(cfg: &SentinelConfig, breaches: &[bool]) -> Vec<(u64, AlertTransition)> {
+fn reference_transitions(breaches: &[bool]) -> Vec<(u64, AlertTransition)> {
     let mut out = Vec::new();
     let (mut streak, mut clears, mut firing) = (0u32, 0u32, false);
     for (i, &b) in breaches.iter().enumerate() {
-        let w = cfg.warmup_windows + i as u64;
+        let w = WARMUP_WINDOWS + i as u64;
         if b {
             if firing {
                 clears = 0;
@@ -108,14 +105,14 @@ fn reference_transitions(cfg: &SentinelConfig, breaches: &[bool]) -> Vec<(u64, A
             if streak == 1 {
                 out.push((w, AlertTransition::Pending));
             }
-            if streak >= cfg.fire_after {
+            if streak >= FIRE_AFTER {
                 firing = true;
                 streak = 0;
                 out.push((w, AlertTransition::Firing));
             }
         } else if firing {
             clears += 1;
-            if clears >= cfg.resolve_after {
+            if clears >= RESOLVE_AFTER {
                 firing = false;
                 clears = 0;
                 streak = 0;
@@ -170,34 +167,22 @@ proptest! {
 
     /// Same windows in, same journal out — byte for byte.
     #[test]
-    fn evaluation_is_deterministic(
-        flags in breach_flags(),
-        warmup in 1u64..5,
-        fire in 1u32..4,
-        resolve in 1u32..4,
-    ) {
-        let cfg = config(warmup, fire, resolve);
-        let a = drive(cfg, "bcopy", &flags);
-        let b = drive(cfg, "bcopy", &flags);
+    fn evaluation_is_deterministic(flags in breach_flags()) {
+        let a = drive("bcopy", &flags);
+        let b = drive("bcopy", &flags);
         prop_assert_eq!(a.describe(), b.describe());
         prop_assert_eq!(a.journal().describe(), b.journal().describe());
         prop_assert_eq!(a.firing(), b.firing());
     }
 
     /// The journal is exactly the reference hysteresis simulation: a
-    /// Firing needs `fire_after` consecutive breaches, a Resolved
-    /// needs `resolve_after` consecutive clears while firing, and
-    /// every entry carries the exact rate evidence.
+    /// Firing needs two consecutive breaches, a Resolved needs two
+    /// consecutive clears while firing, and every entry carries the
+    /// exact rate evidence.
     #[test]
-    fn hysteresis_matches_reference(
-        flags in breach_flags(),
-        warmup in 1u64..5,
-        fire in 1u32..4,
-        resolve in 1u32..4,
-    ) {
-        let cfg = config(warmup, fire, resolve);
-        let sent = drive(cfg, "bcopy", &flags);
-        let want = reference_transitions(&cfg, &flags);
+    fn hysteresis_matches_reference(flags in breach_flags()) {
+        let sent = drive("bcopy", &flags);
+        let want = reference_transitions(&flags);
         let got: Vec<(u64, AlertTransition)> = sent
             .journal()
             .entries()
@@ -212,7 +197,7 @@ proptest! {
             // The window that drove the transition determines the
             // observed rate: breaches carry the shifted rate, a
             // Resolved lands on a clear window.
-            let b = flags[(e.window - cfg.warmup_windows) as usize];
+            let b = flags[(e.window - WARMUP_WINDOWS) as usize];
             let expect = if b { BREACH_NET } else { CLEAR_NET };
             prop_assert_eq!(e.observed, expect);
             prop_assert_eq!(e.delta, expect as i64 - CLEAR_NET as i64);
@@ -220,20 +205,13 @@ proptest! {
     }
 
     /// A workload that never shifts never alerts, whatever its steady
-    /// rate or the thresholds.
+    /// rate.
     #[test]
-    fn steady_workloads_stay_silent(
-        net in 20u64..500,
-        extra in 0usize..40,
-        warmup in 1u64..5,
-        fire in 1u32..4,
-        resolve in 1u32..4,
-    ) {
-        let cfg = config(warmup, fire, resolve);
+    fn steady_workloads_stay_silent(net in 20u64..500, extra in 0usize..40) {
         let sy = syms();
         let vis = vec![MaskVisibility::UnlessSwitchOnly; sy.len()];
-        let mut sent = Sentinel::new(cfg);
-        for w in 0..cfg.warmup_windows + extra as u64 {
+        let mut sent = Sentinel::new(SentinelConfig);
+        for w in 0..WARMUP_WINDOWS + extra as u64 {
             let r = window(&sy, "bcopy", net);
             sent.observe(w, (w + 1) * 1_000, &r, &vis, None);
         }
@@ -250,10 +228,9 @@ proptest! {
         quorum in 0u32..5,
         dup_first in 0u8..2,
     ) {
-        let cfg = config(2, 2, 2);
         let sentinels: Vec<Sentinel> = machines
             .iter()
-            .map(|(subject, flags)| drive(cfg, SUBJECTS[*subject], flags))
+            .map(|(subject, flags)| drive(SUBJECTS[*subject], flags))
             .collect();
         let mut members: Vec<(u32, &hwprof_analysis::AlertJournal)> = sentinels
             .iter()

@@ -12,7 +12,7 @@ use hwprof_analysis::{Analyzer, Reconstruction, SessionDecoder, StreamAnalyzer, 
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
     BankSink, BoardConfig, CaptureSupervisor, FlakyTransport, MemoryTransport, Profiler, RawRecord,
-    RetryPolicy, SupervisedRun, SupervisorPolicy, TagMask, TagMaskLevel,
+    SupervisedRun, SupervisorPolicy, TagMask, TagMaskLevel,
 };
 use hwprof_tagfile::{TagFile, TagKind};
 
@@ -29,14 +29,26 @@ fn supervised_tagfile(nfns: u16) -> (TagFile, Vec<u16>, u16) {
     (tf, tags, swtch)
 }
 
+/// Microseconds per unit of op spacing over the first and the second
+/// half of a stream, each `25 << k` for `k` in 0..10: at the fast end
+/// a bank of any drawn capacity fills in well under the ladder's 200 ms
+/// floor and many banks pile onto the shelf within one 250 ms breaker
+/// cooldown; at the slow end a bank fills in well over the ladder's
+/// 800 ms ceiling, so a stream that slows down steps the mask back up.
+fn pace() -> impl Strategy<Value = (u64, u64)> {
+    (0u32..10, 0u32..10).prop_map(|(a, b)| (25 << a, 25 << b))
+}
+
 /// Drives a [`CaptureSupervisor`] through a random balanced call stream
 /// (entries/exits with strictly increasing simulated time, periodic
 /// context switches) over a deliberately tiny board, so overflows,
-/// re-arms, retries and ladder moves all happen.
+/// re-arms, retries and ladder moves all happen.  `pace` scales the
+/// ops' time steps (see [`pace`]).
 #[allow(clippy::too_many_arguments)]
 fn drive_supervised(
     nfns: u16,
     ops: &[(u8, u8)],
+    pace: (u64, u64),
     policy: SupervisorPolicy,
     capacity: usize,
     fail_ppm: u32,
@@ -60,8 +72,12 @@ fn drive_supervised(
     }
     let mut stack: Vec<u16> = Vec::new();
     let mut t = 1_000u64;
+    let mut tick = pace.0;
     for (i, &(sel, dt)) in ops.iter().enumerate() {
-        t += u64::from(dt) + 1;
+        if i == ops.len() / 2 {
+            tick = pace.1;
+        }
+        t += (u64::from(dt) + 1) * tick;
         if sel % 3 == 0 && !stack.is_empty() {
             let tag = stack.pop().expect("checked");
             sup.on_read(tag + 1, t);
@@ -71,44 +87,24 @@ fn drive_supervised(
             sup.on_read(tag, t);
         }
         if i % 13 == 12 {
-            t += 2;
+            t += 2 * tick;
             sup.on_read(swtch, t);
-            t += 2;
+            t += 2 * tick;
             sup.on_read(swtch + 1, t);
         }
     }
     for tag in stack.into_iter().rev() {
-        t += 3;
+        t += 3 * tick;
         sup.on_read(tag + 1, t);
     }
     (tf, sup.finish())
 }
 
-/// A small, fast-moving policy shaped by the proptest inputs.
-#[allow(clippy::too_many_arguments)]
-fn policy(
-    drain_budget_us: u64,
-    max_attempts: u32,
-    spill_banks: usize,
-    ladder: bool,
-    breaker_cooldown_us: u64,
-    jitter_ppm: u32,
-    seed: u64,
-) -> SupervisorPolicy {
+/// The policy the proptest inputs shape: a swap's dark time and the
+/// jitter seed.
+fn policy(drain_budget_us: u64, seed: u64) -> SupervisorPolicy {
     SupervisorPolicy {
         drain_budget_us,
-        max_session_us: u64::MAX,
-        retry: RetryPolicy {
-            max_attempts,
-            base_backoff_us: 7,
-            max_backoff_us: 60,
-            jitter_ppm,
-        },
-        breaker_cooldown_us,
-        spill_banks,
-        downgrade_fill_us: if ladder { 300 } else { 0 },
-        upgrade_fill_us: 2_000,
-        auto_hot_top: 2,
         min_coverage_ppm: 0,
         seed,
         ..SupervisorPolicy::default()
@@ -131,7 +127,11 @@ fn stream_stitch(
         assert!(feed.bank(s.records.clone()), "pipeline open");
     }
     drop(feed);
-    let mut r = pipeline.finish().remove(&0).unwrap().profile;
+    // A stream that received no bank (every bank lost) has no outcome.
+    let mut r = match pipeline.finish().remove(&0) {
+        Some(outcome) => outcome.profile,
+        None => Reconstruction::empty(Symbols::from_tagfile(tf)),
+    };
     r.note_coverage(&run.coverage);
     r
 }
@@ -171,17 +171,14 @@ proptest! {
         nfns in 1u16..5,
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..300),
         capacity in 4usize..24,
+        pace in pace(),
         drain_budget in 1u64..200,
-        attempts in 1u32..4,
-        spill in 0usize..4,
-        ladder_sel in 0u8..2,
-        cooldown in 0u64..400,
-        jitter in 0u32..500_000,
-        fail_ppm in 0u32..400_000,
+        fail_ppm in 0u32..800_000,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(drain_budget, attempts, spill, ladder_sel == 1, cooldown, jitter, seed);
-        let (_tf, run) = drive_supervised(nfns, &ops, pol, capacity, fail_ppm, None, seed, None);
+        let pol = policy(drain_budget * pace.0, seed);
+        let (_tf, run) =
+            drive_supervised(nfns, &ops, pace, pol, capacity, fail_ppm, None, seed, None);
         let cov = run.coverage;
         prop_assert!(
             cov.covered_us + cov.gap_us == cov.timeline_us,
@@ -216,13 +213,14 @@ proptest! {
         nfns in 1u16..5,
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..250),
         capacity in 4usize..20,
-        ladder_sel in 0u8..2,
-        fail_ppm in 0u32..300_000,
+        pace in pace(),
+        fail_ppm in 0u32..700_000,
         workers in 1usize..5,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(25, 2, 2, ladder_sel == 1, 100, 0, seed);
-        let (tf, run) = drive_supervised(nfns, &ops, pol, capacity, fail_ppm, None, seed, None);
+        let pol = policy(25 * pace.0, seed);
+        let (tf, run) =
+            drive_supervised(nfns, &ops, pace, pol, capacity, fail_ppm, None, seed, None);
         let seq = Analyzer::for_tagfile(&tf).run(&run).expect("ungated");
         let a = Analyzer::for_tagfile(&tf).workers(workers);
         let par = a.run(&run).expect("ungated");
@@ -323,15 +321,16 @@ proptest! {
         nfns in 1u16..4,
         ops in prop::collection::vec((0u8..=255, 0u8..25), 20..250),
         capacity in 4usize..12,
+        pace in pace(),
         outage_start in 0u64..6,
-        outage_len in 1u64..8,
-        spill in 0usize..3,
+        outage_len in 1u64..24,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(20, 2, spill, false, 50, 0, seed);
+        let pol = policy(20 * pace.0, seed);
         let (tf, run) = drive_supervised(
             nfns,
             &ops,
+            pace,
             pol,
             capacity,
             0,
@@ -365,18 +364,16 @@ proptest! {
         nfns in 1u16..5,
         ops in prop::collection::vec((0u8..=255, 0u8..30), 8..250),
         capacity in 4usize..20,
+        pace in pace(),
         drain_budget in 1u64..120,
-        attempts in 1u32..4,
-        spill in 0usize..3,
-        ladder_sel in 0u8..2,
-        fail_ppm in 0u32..400_000,
+        fail_ppm in 0u32..800_000,
         workers in 1usize..5,
         seed in 0u64..1_000_000,
     ) {
-        let pol = policy(drain_budget, attempts, spill, ladder_sel == 1, 80, 0, seed);
+        let pol = policy(drain_budget * pace.0, seed);
         let reg = hwprof_telemetry::Registry::new();
         let (tf, run) = drive_supervised(
-            nfns, &ops, pol, capacity, fail_ppm, None, seed, Some(&reg),
+            nfns, &ops, pace, pol, capacity, fail_ppm, None, seed, Some(&reg),
         );
         let report = hwprof_profiler::HealthReport::new(reg.snapshot(), run.coverage);
         prop_assert!(

@@ -23,4 +23,6 @@ pub mod counters;
 pub mod sampling;
 
 pub use counters::{counters_report, CounterAnchor, CounterModel, CrossCheck};
-pub use sampling::{kernel_symbols, sampling_accuracy, SampleProfile, SamplingScore};
+pub use sampling::{
+    kernel_symbols, sampler_blind, sampling_accuracy, SampleProfile, SamplingScore,
+};

@@ -32,8 +32,9 @@ pub struct SamplingScore {
 /// Functions a clock-driven sampler is structurally blind to: the clock
 /// interrupt path itself (it cannot interrupt itself), plus the idle
 /// marker.  Excluded from the accuracy comparison and reported
-/// separately as `self_blind_us`.
-fn excluded(f: KFn) -> bool {
+/// separately as `self_blind_us`, and from the backend comparison's
+/// bias scores, so every backend is scored on the same functions.
+pub fn sampler_blind(f: KFn) -> bool {
     matches!(
         f,
         KFn::Swtch | KFn::IsaIntr | KFn::Hardclock | KFn::Gatherstats | KFn::Softclock
@@ -45,7 +46,7 @@ fn truth_shares(k: &Kernel) -> Vec<f64> {
     let mut net = vec![0u64; NFUNCS];
     let mut total = 0u64;
     for f in KFn::ALL {
-        if excluded(f) {
+        if sampler_blind(f) {
             continue;
         }
         let t = k.trace.truth(f).net;
@@ -66,7 +67,7 @@ fn truth_shares(k: &Kernel) -> Vec<f64> {
 fn sample_shares(k: &Kernel) -> Vec<f64> {
     let mut counts = k.sampling.counts.clone();
     for f in KFn::ALL {
-        if excluded(f) {
+        if sampler_blind(f) {
             counts[f.idx()] = 0;
         }
     }
@@ -118,7 +119,7 @@ pub fn sampling_accuracy(k: &Kernel) -> SamplingScore {
     let mut self_blind_us = 0;
     for f in KFn::ALL {
         let t = k.trace.truth(f);
-        if excluded(f) {
+        if sampler_blind(f) {
             if f != KFn::Swtch {
                 self_blind_us += t.net / 40;
             }

@@ -6,14 +6,18 @@ use hwprof::{scenarios, Experiment};
 use hwprof_machine::EpromTap;
 use hwprof_profiler::{
     parse_raw, ram_chip_view, reassemble, serialize_raw, CaptureSupervisor, MemoryTransport,
-    Profiler, RamChip, RawRecord, SupervisorPolicy, TagMask,
+    Profiler, RamChip, RawRecord, SupervisorPolicy, TagMask, TagMaskLevel,
 };
 
-/// A supervisor over a stock board that stays at mask level `All` and
-/// re-arms as soon as a full bank is uploaded.
+/// Trigger spacing of the supervised bench: a 16 384-record bank takes
+/// 213 ms to fill, over the 200 ms below which the mask ladder steps
+/// down, so every trigger reaches the board at level `All`.
+const SUPERVISED_STEP_US: u64 = 13;
+
+/// A supervisor over a stock board that re-arms as soon as a full bank
+/// is uploaded.
 fn supervisor() -> CaptureSupervisor {
     let policy = SupervisorPolicy {
-        downgrade_fill_us: 0,
         drain_budget_us: 0,
         ..SupervisorPolicy::default()
     };
@@ -45,15 +49,16 @@ fn bench_capture(c: &mut Criterion) {
         let mut sup = supervisor();
         let mut t = 0u64;
         b.iter(|| {
-            t += 7;
+            t += SUPERVISED_STEP_US;
             sup.on_read(502, t);
             // Bound the delivered banks the run keeps: start over every
             // 64 banks.
-            if t >= 7 << 20 {
+            if t >= SUPERVISED_STEP_US << 20 {
                 sup = supervisor();
                 t = 0;
             }
         });
+        assert_eq!(sup.level(), TagMaskLevel::All, "the ladder stayed off");
     });
     g.finish();
 

@@ -81,14 +81,14 @@ fn bench_sentinel(c: &mut Criterion) {
     // retained window of the ring.
     g.bench_function("scan_all", |b| {
         b.iter(|| {
-            let mut sent = Sentinel::new(SentinelConfig::default());
+            let mut sent = Sentinel::new(SentinelConfig);
             sent.scan(&rec);
             sent.windows_evaluated()
         });
     });
     // The steady-state cost: a scan that finds nothing new still pays
     // for the retained-range check and visibility snapshot.
-    let mut warm = Sentinel::new(SentinelConfig::default());
+    let mut warm = Sentinel::new(SentinelConfig);
     warm.scan(&rec);
     g.bench_function("rescan_idle", |b| {
         b.iter(|| {
@@ -100,7 +100,7 @@ fn bench_sentinel(c: &mut Criterion) {
 
     // Rendering the digest (journal included) is the alert hot path a
     // fleet aggregator pays per member per roll-up.
-    let mut sent = Sentinel::new(SentinelConfig::default());
+    let mut sent = Sentinel::new(SentinelConfig);
     sent.scan(&rec);
     let mut g = c.benchmark_group("sentinel_render");
     g.throughput(Throughput::Elements(sent.journal().len().max(1) as u64));

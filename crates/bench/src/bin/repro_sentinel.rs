@@ -91,7 +91,7 @@ fn watch_stream(tf: &TagFile, tags: &[u16], with_shift: bool) -> (FlightRecorder
         let shifted = with_shift && (SHIFT_AT..REVERT_AT).contains(&i);
         rec.ingest_session(&session(i, tags, shifted));
     }
-    let mut sent = Sentinel::new(SentinelConfig::default());
+    let mut sent = Sentinel::new(SentinelConfig);
     sent.scan(&rec);
     (rec, sent)
 }
@@ -303,7 +303,7 @@ fn main() {
         .record(policy.clone(), rcfg)
         .expect("recorded run");
     let watched = experiment()
-        .watch(policy, rcfg, SentinelConfig::default())
+        .watch(policy, rcfg, SentinelConfig)
         .expect("watched run");
     let fired = watched
         .sentinel()

@@ -9,6 +9,7 @@
 //! reference row.  Pinned as experiment E19 (`repro_backends`).
 
 use hwprof_analysis::Reconstruction;
+use hwprof_baseline::sampler_blind;
 use hwprof_kernel386::funcs::KFn;
 use hwprof_kernel386::kernel::Kernel;
 
@@ -55,24 +56,13 @@ pub struct BackendComparison {
     pub clean_busy_us: u64,
 }
 
-/// Functions excluded from the bias comparison: the clock/profiling
-/// interrupt path (a clock-driven sampler is structurally blind to it)
-/// and the context switcher (attributed specially by the analyzer).
-/// Mirrors `hwprof_baseline::sampling`'s exclusion set so all backends
-/// are scored on the same workload functions.
-fn excluded(f: KFn) -> bool {
-    matches!(
-        f,
-        KFn::Swtch | KFn::IsaIntr | KFn::Hardclock | KFn::Gatherstats | KFn::Softclock
-    )
-}
-
-/// True net-time shares per function from the run's own oracle.
+/// True net-time shares per function from the run's own oracle, over
+/// the functions a clock-driven sampler can see.
 fn truth_shares(kernel: &Kernel) -> Vec<(&'static str, f64, u64)> {
     let mut rows = Vec::new();
     let mut total = 0u64;
     for f in KFn::ALL {
-        if excluded(f) {
+        if sampler_blind(f) {
             continue;
         }
         let net = kernel.trace.truth(f).net;

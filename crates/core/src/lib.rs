@@ -57,13 +57,13 @@ pub use experiment::{
 pub use hwprof_analysis::{
     validate_json, AlertEntry, AlertJournal, AlertTransition, Analyzer, AnalyzerError, Anomalies,
     Baseline, Detector, FleetAlert, FleetSentinel, FlightRecorder, JsonValue, Profile,
-    RecorderLedger, Sentinel, SentinelConfig, SentinelConfigError, WindowDiff, WindowRollup,
+    RecorderLedger, Sentinel, SentinelConfig, WindowDiff, WindowRollup,
 };
 pub use hwprof_baseline::{CounterModel, SampleProfile};
 pub use hwprof_profiler::{
     Coverage, FaultInjector, FaultSpec, FlakyTransport, HealthReport, InjectedFaults,
-    MemoryTransport, RecorderConfig, RecorderConfigError, RetryPolicy, SupervisorPolicy,
-    TagMaskLevel, Transport,
+    MemoryTransport, RecorderConfig, RecorderConfigError, SupervisorPolicy, TagMaskLevel,
+    Transport,
 };
 pub use hwprof_telemetry::{Registry, SpanEvent, SpanLog, SpanName, SpanPhase, SpanTrack};
 

@@ -62,7 +62,8 @@ pub struct FleetPolicy {
 pub struct FleetSentinelPolicy {
     /// Per-machine flight-recorder config.
     pub recorder: RecorderConfig,
-    /// Per-machine sentinel config.
+    /// Per-machine sentinel config, which has no settings left (see
+    /// [`SentinelConfig`]).
     pub config: SentinelConfig,
     /// Machines a (detector, subject) pair must fire on to promote to
     /// a fleet-level alert.
@@ -73,7 +74,7 @@ impl Default for FleetSentinelPolicy {
     fn default() -> Self {
         FleetSentinelPolicy {
             recorder: RecorderConfig::default(),
-            config: SentinelConfig::default(),
+            config: SentinelConfig,
             quorum: 2,
         }
     }

@@ -94,7 +94,7 @@ fn supervised_is_the_same_recorded_or_not() {
 #[test]
 fn watch_is_the_same_observed_or_not() {
     let watch = |e: Experiment| {
-        e.watch(policy(), recorder_config(), SentinelConfig::default())
+        e.watch(policy(), recorder_config(), SentinelConfig)
             .expect("watched run")
     };
     let (reg, log) = (Registry::new(), SpanLog::new());

@@ -364,7 +364,7 @@ mod tests {
     use super::*;
     use crate::board::{BoardConfig, Profiler};
     use crate::supervisor::{
-        CaptureSupervisor, FlakyTransport, MemoryTransport, RetryPolicy, SupervisorPolicy, TagMask,
+        CaptureSupervisor, FlakyTransport, MemoryTransport, SupervisorPolicy, TagMask,
     };
     use hwprof_machine::EpromTap;
     use hwprof_telemetry::Registry;
@@ -379,18 +379,7 @@ mod tests {
             board,
             TagMask::new([200u16]),
             SupervisorPolicy {
-                drain_budget_us: 10,
-                downgrade_fill_us: 500,
-                upgrade_fill_us: 2_000,
-                max_session_us: u64::MAX,
-                retry: RetryPolicy {
-                    max_attempts: 2,
-                    base_backoff_us: 5,
-                    max_backoff_us: 20,
-                    jitter_ppm: 0,
-                },
-                breaker_cooldown_us: 50,
-                spill_banks: 2,
+                drain_budget_us: 4_000,
                 ..SupervisorPolicy::default()
             },
             Box::new(transport),
@@ -404,7 +393,8 @@ mod tests {
             } else {
                 501
             };
-            sup.on_read(tag, 1_000 + i * 13);
+            // An 8-record bank fills in ~40 ms: the ladder steps down.
+            sup.on_read(tag, 1_000 + i * 5_200);
         }
         sup.finish().coverage
     }

@@ -34,8 +34,7 @@ pub use health::{FleetHealthReport, HealthReport};
 pub use record::{parse_raw, parse_raw_lossy, serialize_raw, RawRecord, RecordError, TIME_MASK};
 pub use recorder::{RecorderConfig, RecorderConfigBuilder, RecorderConfigError, SessionSink};
 pub use supervisor::{
-    CaptureSupervisor, Coverage, FlakyTransport, Gap, GapCause, MemoryTransport, RetryPolicy,
-    SupervisedRun, SupervisedSession, SupervisorPolicy, TagMask, TagMaskLevel, Transport,
-    TransportError,
+    CaptureSupervisor, Coverage, FlakyTransport, Gap, GapCause, MemoryTransport, SupervisedRun,
+    SupervisedSession, SupervisorPolicy, TagMask, TagMaskLevel, Transport, TransportError,
 };
 pub use zif::{ram_chip_view, reassemble, RamChip};

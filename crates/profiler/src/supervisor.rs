@@ -259,71 +259,49 @@ impl<T: Transport> Transport for FlakyTransport<T> {
     }
 }
 
-/// Bounded retry with exponential backoff and seeded jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per bank (first try included); at least 1.
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub base_backoff_us: u64,
-    /// Backoff ceiling.
-    pub max_backoff_us: u64,
-    /// Up to this fraction (in ppm) of the backoff is added as jitter.
-    pub jitter_ppm: u32,
+/// Force a drain once a session spans this long, so the ladder is
+/// re-evaluated even when the masked trigger rate is tiny.
+const MAX_SESSION_US: u64 = 2_000_000;
+/// Upload attempts per bank, first try included.
+const MAX_ATTEMPTS: u32 = 3;
+/// Backoff before the first retry; doubles per retry.
+const BASE_BACKOFF_US: u64 = 5_000;
+/// Backoff ceiling.
+const MAX_BACKOFF_US: u64 = 80_000;
+/// Up to this fraction (in ppm) of a backoff is added as seeded jitter.
+const JITTER_PPM: u32 = 250_000;
+/// After a bank exhausts its retries, skip upload attempts for this
+/// long (simulated) and shelve banks instead.
+const BREAKER_COOLDOWN_US: u64 = 250_000;
+/// Undelivered banks the spill shelf holds before the newest bank is
+/// lost outright.
+const SPILL_BANKS: usize = 4;
+/// Step the mask down when the unmasked trigger stream would fill a
+/// bank in less than this.
+const DOWNGRADE_FILL_US: u64 = 200_000;
+/// Step the mask back up when it would take longer than this.
+const UPGRADE_FILL_US: u64 = 800_000;
+/// Hot pairs the automatic detector masks at `HotMasked`.
+const AUTO_HOT_TOP: usize = 4;
+
+/// Backoff before retry number `retry` (1-based): exponential from
+/// [`BASE_BACKOFF_US`], capped at [`MAX_BACKOFF_US`], plus seeded
+/// jitter.
+fn backoff_us(retry: u32, rng: &mut StdRng) -> u64 {
+    let exp = retry.saturating_sub(1).min(32);
+    let base = BASE_BACKOFF_US
+        .saturating_mul(1u64 << exp)
+        .min(MAX_BACKOFF_US);
+    base + base * u64::from(rng.gen_range(0u32..JITTER_PPM)) / 1_000_000
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_us: 5_000,
-            max_backoff_us: 80_000,
-            jitter_ppm: 250_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based), jittered.
-    fn backoff_us(&self, retry: u32, rng: &mut StdRng) -> u64 {
-        let exp = retry.saturating_sub(1).min(32);
-        let base = self
-            .base_backoff_us
-            .saturating_mul(1u64 << exp)
-            .min(self.max_backoff_us);
-        let jitter = if self.jitter_ppm > 0 {
-            base * u64::from(rng.gen_range(0u32..self.jitter_ppm)) / 1_000_000
-        } else {
-            0
-        };
-        base + jitter
-    }
-}
-
-/// Every knob of the supervisor, with production-shaped defaults.
+/// The settings programs choose; the rest of the supervisor's schedule
+/// is fixed (DESIGN §9).
 #[derive(Debug, Clone)]
 pub struct SupervisorPolicy {
     /// Simulated time one bank swap keeps the board dark (pulling the
     /// RAM, seating an empty one, re-arming).
     pub drain_budget_us: u64,
-    /// Force a drain once a session spans this long, so the ladder is
-    /// re-evaluated even when the masked trigger rate is tiny.
-    pub max_session_us: u64,
-    /// Upload retry schedule.
-    pub retry: RetryPolicy,
-    /// After a bank exhausts its retries, skip upload attempts for this
-    /// long (simulated) and shelve banks instead.
-    pub breaker_cooldown_us: u64,
-    /// How many undelivered banks the spill shelf holds before the
-    /// newest bank is lost outright.
-    pub spill_banks: usize,
-    /// Step the mask down when the unmasked trigger stream would fill a
-    /// bank in less than this; 0 never steps down, so the ladder is off.
-    pub downgrade_fill_us: u64,
-    /// Step the mask back up when it would take longer than this.
-    pub upgrade_fill_us: u64,
-    /// Hot pairs the automatic detector masks at `HotMasked`.
-    pub auto_hot_top: usize,
     /// Failure probability the default seeded transport injects.
     pub transport_fail_ppm: u32,
     /// Minimum acceptable coverage (ppm of the timeline); 0 disables
@@ -337,13 +315,6 @@ impl Default for SupervisorPolicy {
     fn default() -> Self {
         SupervisorPolicy {
             drain_budget_us: 20_000,
-            max_session_us: 2_000_000,
-            retry: RetryPolicy::default(),
-            breaker_cooldown_us: 250_000,
-            spill_banks: 4,
-            downgrade_fill_us: 200_000,
-            upgrade_fill_us: 800_000,
-            auto_hot_top: 4,
             transport_fail_ppm: 0,
             min_coverage_ppm: 900_000,
             seed: 0x1993_0617,
@@ -643,7 +614,8 @@ struct IdleSpan {
 
 struct SupervisorState {
     board: Profiler,
-    policy: SupervisorPolicy,
+    /// The policy's dark time per bank swap.
+    drain_budget_us: u64,
     mask: TagMask,
     level: TagMaskLevel,
     transport: Box<dyn Transport>,
@@ -787,13 +759,12 @@ impl SupervisorState {
     /// `(delivered, dark_time_spent)`.
     fn try_deliver(&mut self, now: u64, index: u64, records: &[RawRecord]) -> (bool, u64) {
         let mut dark = 0u64;
-        let attempts = self.policy.retry.max_attempts.max(1);
         self.journal
             .begin(SpanTrack::Transport, SpanName::Upload, now, index, 0);
         let mut delivered = false;
-        for attempt in 0..attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
-                let backoff = self.policy.retry.backoff_us(attempt, &mut self.rng);
+                let backoff = backoff_us(attempt, &mut self.rng);
                 dark += backoff;
                 self.cov.retries += 1;
                 self.metrics.retries.inc();
@@ -875,10 +846,9 @@ impl SupervisorState {
             .saturating_mul(h.capacity as u64)
             .checked_div(self.session_triggers)
         {
-            if fill_est < self.policy.downgrade_fill_us && self.level != TagMaskLevel::SwitchOnly {
+            if fill_est < DOWNGRADE_FILL_US && self.level != TagMaskLevel::SwitchOnly {
                 if self.level == TagMaskLevel::All && self.mask.hot.is_empty() {
-                    self.mask
-                        .derive_hot(&session.records, self.policy.auto_hot_top);
+                    self.mask.derive_hot(&session.records, AUTO_HOT_TOP);
                 }
                 self.level = self.level.down();
                 self.cov.mask_downgrades += 1;
@@ -891,7 +861,7 @@ impl SupervisorState {
                     self.level.idx() as u64,
                     fill_est,
                 );
-            } else if fill_est > self.policy.upgrade_fill_us && self.level != TagMaskLevel::All {
+            } else if fill_est > UPGRADE_FILL_US && self.level != TagMaskLevel::All {
                 self.level = self.level.up();
                 self.cov.mask_upgrades += 1;
                 self.metrics.mask_upgrades.inc();
@@ -908,7 +878,7 @@ impl SupervisorState {
 
         // Upload (or shelve) the bank; backoff time extends the dark
         // window, the breaker caps how much.
-        let mut dark = self.policy.drain_budget_us;
+        let mut dark = self.drain_budget_us;
         let breaker_open = self.breaker_open_until.is_some_and(|t| now < t);
         let delivered = if breaker_open {
             false
@@ -921,7 +891,7 @@ impl SupervisorState {
                 true
             } else {
                 self.cov.breaker_trips += 1;
-                self.breaker_open_until = Some(now + dark + self.policy.breaker_cooldown_us);
+                self.breaker_open_until = Some(now + dark + BREAKER_COOLDOWN_US);
                 self.metrics.breaker_trips.inc();
                 self.metrics.breaker_open.set(1);
                 self.journal.instant(
@@ -929,7 +899,7 @@ impl SupervisorState {
                     SpanName::Breaker,
                     now + dark,
                     session.index,
-                    self.policy.breaker_cooldown_us,
+                    BREAKER_COOLDOWN_US,
                 );
                 false
             }
@@ -937,7 +907,7 @@ impl SupervisorState {
         if delivered {
             self.deliver(session);
             self.flush_spill_opportunistic(now);
-        } else if self.spill.len() < self.policy.spill_banks {
+        } else if self.spill.len() < SPILL_BANKS {
             self.journal.instant(
                 SpanTrack::Supervisor,
                 SpanName::Spill,
@@ -1087,15 +1057,14 @@ impl CaptureSupervisor {
         policy: SupervisorPolicy,
         transport: Box<dyn Transport>,
     ) -> Self {
-        let seed = policy.seed;
         CaptureSupervisor {
             state: Arc::new(Mutex::new(SupervisorState {
                 board,
-                policy,
+                drain_budget_us: policy.drain_budget_us,
                 mask,
                 level: TagMaskLevel::All,
                 transport,
-                rng: StdRng::seed_from_u64(seed),
+                rng: StdRng::seed_from_u64(policy.seed),
                 started: None,
                 last_seen: 0,
                 session_start: 0,
@@ -1233,7 +1202,7 @@ impl EpromTap for CaptureSupervisor {
         st.session_triggers += 1;
         // Session-length cap: force a swap so the ladder re-evaluates
         // even at a trickle.  The triggering read lands in the window.
-        if now_us.saturating_sub(st.session_start) >= st.policy.max_session_us {
+        if now_us.saturating_sub(st.session_start) >= MAX_SESSION_US {
             st.drain(now_us, false);
             st.cov.missed_in_gaps += 1;
             st.metrics.missed_in_gaps.inc();
@@ -1277,6 +1246,7 @@ impl std::fmt::Debug for CaptureSupervisor {
 mod tests {
     use super::*;
     use crate::board::BoardConfig;
+    use hwprof_telemetry::Registry;
 
     fn tiny_board(capacity: usize) -> Profiler {
         Profiler::new(BoardConfig {
@@ -1287,18 +1257,17 @@ mod tests {
 
     fn policy() -> SupervisorPolicy {
         SupervisorPolicy {
-            drain_budget_us: 10,
-            downgrade_fill_us: 0,
-            max_session_us: u64::MAX,
-            retry: RetryPolicy {
-                max_attempts: 2,
-                base_backoff_us: 5,
-                max_backoff_us: 20,
-                jitter_ppm: 0,
-            },
-            breaker_cooldown_us: 50,
-            spill_banks: 2,
+            drain_budget_us: 40_000,
             ..SupervisorPolicy::default()
+        }
+    }
+
+    /// A transport that never delivers.
+    struct DeadTransport;
+
+    impl Transport for DeadTransport {
+        fn upload(&mut self, _: u64, _: &[RawRecord]) -> Result<(), TransportError> {
+            Err(TransportError)
         }
     }
 
@@ -1310,6 +1279,21 @@ mod tests {
         }
     }
 
+    /// Fills one 8-record bank of tag pair 500/501 whose reads start at
+    /// `start` and end at `start + fill_us`: the bank's unmasked fill
+    /// estimate is exactly `fill_us`.
+    fn fill_bank(sup: &mut CaptureSupervisor, start: u64, fill_us: u64) {
+        for i in 0..7u64 {
+            sup.on_read(500 + (i % 2) as u16, start + i);
+        }
+        sup.on_read(501, start + fill_us);
+    }
+
+    /// The first microsecond the board is armed again after a swap.
+    fn rearm_at(sup: &CaptureSupervisor) -> u64 {
+        sup.state.lock().dark_until.expect("a swap is in progress")
+    }
+
     #[test]
     fn overflow_rearms_and_accounts_every_microsecond() {
         let mut sup = CaptureSupervisor::new(
@@ -1318,7 +1302,7 @@ mod tests {
             policy(),
             Box::new(MemoryTransport::new()),
         );
-        drive(&mut sup, 100, 7);
+        drive(&mut sup, 100, 30_000);
         let run = sup.finish();
         assert!(run.sessions.len() >= 3, "several banks delivered");
         assert!(!run.gaps.is_empty(), "each swap left a gap");
@@ -1374,7 +1358,7 @@ mod tests {
             policy(),
             Box::new(transport),
         );
-        drive(&mut sup, 64, 40);
+        drive(&mut sup, 64, 60_000);
         let run = sup.finish();
         let c = run.coverage;
         assert!(c.transport_failures >= 4, "outage attempts failed");
@@ -1391,29 +1375,37 @@ mod tests {
 
     #[test]
     fn dead_transport_loses_banks_beyond_the_shelf() {
-        struct DeadTransport;
-        impl Transport for DeadTransport {
-            fn upload(&mut self, _: u64, _: &[RawRecord]) -> Result<(), TransportError> {
-                Err(TransportError)
-            }
-        }
         let mut sup = CaptureSupervisor::new(
             tiny_board(4),
             TagMask::default(),
-            SupervisorPolicy {
-                spill_banks: 1,
-                breaker_cooldown_us: 0,
-                ..policy()
-            },
+            policy(),
             Box::new(DeadTransport),
         );
-        drive(&mut sup, 120, 30);
+        drive(&mut sup, 120, 60_000);
         let run = sup.finish();
         let c = run.coverage;
         assert!(c.banks_lost > 0, "shelf overflow loses banks");
         assert!(run.gaps.iter().any(|g| g.cause == GapCause::BankLost));
         assert_eq!(c.covered_us + c.gap_us, c.timeline_us);
         assert!(run.sessions.is_empty(), "nothing ever uploads");
+    }
+
+    #[test]
+    fn the_fifth_undeliverable_bank_is_lost() {
+        let mut sup = CaptureSupervisor::new(
+            tiny_board(8),
+            TagMask::default(),
+            policy(),
+            Box::new(DeadTransport),
+        );
+        let mut start = 1_000;
+        for bank in 0..5u64 {
+            assert_eq!(sup.coverage().banks_lost, 0, "bank {bank}: shelf has room");
+            fill_bank(&mut sup, start, 300_000);
+            start = rearm_at(&sup);
+        }
+        assert_eq!(sup.state.lock().spill.len(), SPILL_BANKS);
+        assert_eq!(sup.coverage().banks_lost, 1, "the shelf holds four banks");
     }
 
     #[test]
@@ -1436,22 +1428,18 @@ mod tests {
             tiny_board(8),
             TagMask::new([200u16]),
             SupervisorPolicy {
-                downgrade_fill_us: 1_000,
-                upgrade_fill_us: 2_000,
-                auto_hot_top: 1,
-                drain_budget_us: 10,
-                max_session_us: 2_000,
+                drain_budget_us: 2_000,
                 ..policy()
             },
             Box::new(MemoryTransport::new()),
         );
-        // Phase 1: a hot burst — tag pair 500/501 at 1 us spacing fills
-        // the 8-deep bank in 8 us, far under the 1000 us floor.
+        // Phase 1: a hot burst — tag pair 500/501 at 200 us spacing
+        // fills the 8-deep bank in 1.6 ms, far under the 200 ms floor.
         let mut t = 1_000u64;
         for i in 0..64u64 {
             let tag = if i % 2 == 0 { 500 } else { 501 };
             sup.on_read(tag, t);
-            t += 1;
+            t += 200;
         }
         assert!(
             sup.level() > TagMaskLevel::All,
@@ -1459,11 +1447,11 @@ mod tests {
         );
         let down_so_far = sup.coverage().mask_downgrades;
         assert!(down_so_far > 0);
-        // Phase 2: pressure subsides — context switches at 500 us
-        // spacing; the session cap forces drains that re-evaluate.
+        // Phase 2: pressure subsides — context switches at 150 ms
+        // spacing, so a bank takes 1.2 s to fill.
         for _ in 0..40u64 {
             sup.on_read(200, t);
-            t += 500;
+            t += 150_000;
         }
         let run = sup.finish();
         assert!(
@@ -1475,6 +1463,108 @@ mod tests {
         // Per-level covered time is a partition of covered time.
         let c = run.coverage;
         assert_eq!(c.level_us.iter().sum::<u64>(), c.covered_us);
+    }
+
+    #[test]
+    fn the_ladder_steps_down_below_a_200_ms_fill() {
+        for (fill_us, level) in [
+            (DOWNGRADE_FILL_US - 1, TagMaskLevel::HotMasked),
+            (DOWNGRADE_FILL_US, TagMaskLevel::All),
+        ] {
+            let mut sup = CaptureSupervisor::new(
+                tiny_board(8),
+                TagMask::default(),
+                policy(),
+                Box::new(MemoryTransport::new()),
+            );
+            fill_bank(&mut sup, 1_000, fill_us);
+            assert_eq!(sup.level(), level, "estimated fill {fill_us} us");
+        }
+    }
+
+    #[test]
+    fn the_ladder_steps_up_above_an_800_ms_fill() {
+        for (fill_us, level) in [
+            (UPGRADE_FILL_US, TagMaskLevel::HotMasked),
+            (UPGRADE_FILL_US + 1, TagMaskLevel::All),
+        ] {
+            let mut sup = CaptureSupervisor::new(
+                tiny_board(8),
+                TagMask::default(),
+                policy(),
+                Box::new(MemoryTransport::new()),
+            );
+            fill_bank(&mut sup, 1_000, 1_000);
+            assert_eq!(sup.level(), TagMaskLevel::HotMasked);
+            // Tag pair 600/601 is not hot, so the board stores it.
+            let start = rearm_at(&sup);
+            for i in 0..7u64 {
+                sup.on_read(600 + (i % 2) as u16, start + i);
+            }
+            sup.on_read(601, start + fill_us);
+            assert_eq!(sup.level(), level, "estimated fill {fill_us} us");
+        }
+    }
+
+    #[test]
+    fn the_breaker_stays_open_for_250_ms() {
+        // The first bank's three attempts fail and trip the breaker.
+        let transport = FlakyTransport::new(MemoryTransport::new(), 0, 1).with_outage(0, 3);
+        let reg = Registry::new();
+        let mut sup = CaptureSupervisor::new(
+            tiny_board(8),
+            TagMask::default(),
+            policy(),
+            Box::new(transport),
+        );
+        sup.set_telemetry(&reg);
+        fill_bank(&mut sup, 1_000, 300_000);
+        let attempts = || reg.snapshot().value("transport.attempts");
+        assert_eq!(attempts(), Some(u64::from(MAX_ATTEMPTS)));
+        let open_until = sup.state.lock().breaker_open_until.expect("tripped");
+        assert_eq!(open_until, rearm_at(&sup) + BREAKER_COOLDOWN_US);
+        // A bank full one microsecond before the cooldown ends is
+        // shelved without an attempt; the next, full at its end, is
+        // uploaded and takes the shelved bank with it.
+        let start = rearm_at(&sup);
+        fill_bank(&mut sup, start, open_until - 1 - start);
+        assert_eq!(attempts(), Some(u64::from(MAX_ATTEMPTS)));
+        assert_eq!(sup.state.lock().spill.len(), 2);
+        let start = rearm_at(&sup);
+        fill_bank(&mut sup, start, 300_000);
+        assert_eq!(attempts(), Some(u64::from(MAX_ATTEMPTS) + 3));
+        assert!(sup.state.lock().spill.is_empty());
+        assert_eq!(sup.finish().sessions.len(), 3);
+    }
+
+    #[test]
+    fn a_session_reaching_2_s_is_force_drained() {
+        let run = |reads: &[u64]| {
+            let mut sup = CaptureSupervisor::new(
+                tiny_board(64),
+                TagMask::default(),
+                policy(),
+                Box::new(MemoryTransport::new()),
+            );
+            for (i, &t) in reads.iter().enumerate() {
+                sup.on_read(500 + (i % 2) as u16, t);
+            }
+            sup.finish()
+        };
+        let short = run(&[1_000, 1_000 + MAX_SESSION_US - 1]);
+        assert!(short.gaps.is_empty());
+        assert_eq!(short.sessions.len(), 1);
+        // The read that reaches the cap lands in the swap's window.
+        let capped = run(&[
+            1_000,
+            1_000 + MAX_SESSION_US,
+            1_000 + MAX_SESSION_US + 50_000,
+        ]);
+        assert_eq!(capped.gaps.len(), 1);
+        assert_eq!(capped.gaps[0].cause, GapCause::Drain);
+        assert_eq!(capped.gaps[0].start_us, 1_000 + MAX_SESSION_US);
+        assert_eq!(capped.coverage.missed_in_gaps, 1);
+        assert_eq!(capped.sessions.len(), 2);
     }
 
     #[test]
@@ -1505,22 +1595,27 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            base_backoff_us: 100,
-            max_backoff_us: 350,
-            jitter_ppm: 0,
-        };
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(p.backoff_us(1, &mut rng), 100);
-        assert_eq!(p.backoff_us(2, &mut rng), 200);
-        assert_eq!(p.backoff_us(3, &mut rng), 350, "capped");
-        let jittered = RetryPolicy {
-            jitter_ppm: 500_000,
-            ..p
-        };
-        let b = jittered.backoff_us(1, &mut rng);
-        assert!((100..150).contains(&b), "jitter adds at most half: {b}");
+        let mut jittered = false;
+        for _ in 0..64 {
+            for (retry, base) in [
+                (1, 5_000),
+                (2, 10_000),
+                (3, 20_000),
+                (4, 40_000),
+                (5, 80_000),
+                (6, 80_000),
+                (40, 80_000),
+            ] {
+                let b = backoff_us(retry, &mut rng);
+                assert!(
+                    (base..base + base / 4).contains(&b),
+                    "retry {retry}: {b} us"
+                );
+                jittered |= b > base;
+            }
+        }
+        assert!(jittered, "jitter is drawn");
     }
 
     #[test]
@@ -1530,18 +1625,15 @@ mod tests {
             let mut sup = CaptureSupervisor::new(
                 tiny_board(8),
                 TagMask::new([200u16]),
-                SupervisorPolicy {
-                    downgrade_fill_us: 500,
-                    upgrade_fill_us: 2_000,
-                    ..policy()
-                },
+                policy(),
                 Box::new(transport),
             );
-            drive(&mut sup, 300, 13);
+            drive(&mut sup, 300, 5_000);
             sup.finish()
         };
         let a = mk();
         let b = mk();
+        assert!(a.coverage.mask_downgrades > 0);
         assert_eq!(a.coverage, b.coverage);
         assert_eq!(a.sessions, b.sessions);
         assert_eq!(a.gaps, b.gaps);

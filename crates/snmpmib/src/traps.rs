@@ -176,7 +176,7 @@ mod tests {
             .find(|&i| sy.name(i as u32) == "bcopy")
             .expect("assigned");
         let vis = vec![MaskVisibility::UnlessSwitchOnly; sy.len()];
-        let mut sent = Sentinel::new(SentinelConfig::default());
+        let mut sent = Sentinel::new(SentinelConfig);
         for (w, net) in [50u64, 50, 50, 300, 300, 300, 50, 50]
             .into_iter()
             .enumerate()

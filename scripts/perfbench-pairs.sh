@@ -4,8 +4,8 @@
 #
 #   scripts/perfbench-pairs.sh <rev> <workload> <pairs> <seconds> <first-seed> [<trace>]
 #
-# Checks <rev> out into a git worktree under target/perfbench-pairs/
-# and builds perfbench offline in each side's own perfbench/target (a
+# Exports <rev> with `git archive` into target/perfbench-pairs/<sha>/
+# (the repository's .git is left alone) and builds perfbench offline in each side's own perfbench/target (a
 # shared target directory moves peak RSS).  Then it runs <pairs> pairs
 # of runs of <workload> for <seconds> each, untraced (`--trace 0`) by
 # default or traced (`--trace 1`) when <trace> is 1; pair i runs both
@@ -31,7 +31,10 @@ change=$(git rev-parse --show-toplevel)
 sha=$(git -C "$change" rev-parse --verify "$rev^{commit}")
 parent="$change/target/perfbench-pairs/$sha"
 if [ ! -d "$parent" ]; then
-    git -C "$change" worktree add --detach "$parent" "$sha" >/dev/null
+    rm -rf "$parent.tmp"
+    mkdir -p "$parent.tmp"
+    git -C "$change" archive "$sha" | tar -x -C "$parent.tmp"
+    mv "$parent.tmp" "$parent"
 fi
 for tree in "$parent" "$change"; do
     cargo build --quiet --release --offline --locked --manifest-path "$tree/perfbench/Cargo.toml"

@@ -164,10 +164,9 @@ fn dead_transport_is_a_transport_failed_error() {
 
 #[test]
 fn starved_run_is_a_coverage_too_low_error() {
-    // Ladder off, tiny board, long swaps: most of the timeline is
-    // spent dark, which the default 90% floor must refuse.
+    // Tiny board, long swaps: most of the timeline is spent dark,
+    // which the default 90% floor must refuse.
     let policy = SupervisorPolicy {
-        downgrade_fill_us: 0,
         drain_budget_us: 50_000,
         ..SupervisorPolicy::default()
     };
