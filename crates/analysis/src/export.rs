@@ -9,8 +9,7 @@
 //!   in Perfetto / `chrome://tracing`.  Each capture session becomes a
 //!   process, and each thread of control the reconstructor untangled
 //!   from the paper's `!`-multiplexed stream becomes a thread lane of
-//!   nested `B`/`E` spans.  When a
-//!   [`SupervisedRun`](hwprof_profiler::SupervisedRun) is attached,
+//!   nested `B`/`E` spans.  When a [`SupervisedRun`] is attached,
 //!   coverage [`Gap`](hwprof_profiler::Gap)s and mask-ladder moves are
 //!   emitted as instant events on a "capture timeline" process,
 //!   anomaly totals as a counter track, and a
@@ -38,7 +37,7 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 
-use hwprof_profiler::{GapCause, TagMaskLevel};
+use hwprof_profiler::{GapCause, SupervisedRun, TagMaskLevel};
 use hwprof_telemetry::{SpanEvent, SpanName, SpanPhase, SpanTrack};
 
 use crate::events::SymId;
@@ -92,13 +91,7 @@ impl<'a> Profile<'a> {
     /// First microsecond of the supervised timeline (the exporter's
     /// time origin when a run is attached).
     fn base(&self) -> u64 {
-        let Some(run) = self.run else { return 0 };
-        run.sessions
-            .iter()
-            .map(|s| s.start_us)
-            .chain(run.gaps.iter().map(|g| g.start_us))
-            .min()
-            .unwrap_or(0)
+        self.run.and_then(SupervisedRun::origin_us).unwrap_or(0)
     }
 
     /// Timeline offset added to session-local µs of `session`.

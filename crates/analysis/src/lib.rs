@@ -54,8 +54,6 @@ pub use sentinel::{
     AlertEntry, AlertJournal, AlertTransition, Baseline, Detector, FleetAlert, FleetSentinel,
     Sentinel, SentinelConfig,
 };
-pub use stitch::{
-    scale_factor, scaled_calls, visibility, visible_us, MaskVisibility, SupervisedFold,
-};
+pub use stitch::{visibility, visible_us, MaskVisibility, SupervisedFold};
 pub use stream::{BankFeed, BankJob, StreamAnalyzer, StreamOutcome};
 pub use trace::{trace_report, TraceStyle};

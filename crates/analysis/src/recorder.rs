@@ -315,13 +315,7 @@ impl RecorderInner {
         if self.sealed {
             return;
         }
-        let base = run
-            .sessions
-            .iter()
-            .map(|s| s.start_us)
-            .chain(run.gaps.iter().map(|g| g.start_us))
-            .min();
-        if let Some(base) = base {
+        if let Some(base) = run.origin_us() {
             let end = base + run.coverage.timeline_us;
             self.note_seen(base, end);
             if end > 0 {

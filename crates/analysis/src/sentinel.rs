@@ -569,7 +569,7 @@ impl Sentinel {
 
         // 2. Coverage drop: covered ppm of the window timeline.
         if cov.timeline_us > 0 {
-            let observed = ((cov.covered_us as u128 * PPM) / cov.timeline_us as u128) as u64;
+            let observed = u64::from(cov.covered_ppm());
             self.step(
                 Detector::CoverageDrop,
                 GLOBAL,

@@ -11,14 +11,14 @@
 //! * the run's [`Coverage`] accounting (gaps, mask downgrades, retry
 //!   totals) is folded in field-wise, and surfaces in the report's
 //!   "Coverage" block;
-//! * per-function statistics can be rescaled by per-mask-level
-//!   coverage: a function whose tags were masked at some ladder level
-//!   was only *observable* during the covered time at the levels that
-//!   admit it, so its whole-timeline rate is estimated by dividing by
-//!   the visible time, not the total time.  Masking is a pure filter
-//!   applied before the board — it removes events without disturbing
-//!   the rest of the stream — so under a steady workload the estimate
-//!   is unbiased.
+//! * the recorder's window diff and the sentinel rescale per-function
+//!   rates by per-mask-level coverage ([`visible_us`]): a function
+//!   whose tags were masked at some ladder level was only *observable*
+//!   during the covered time at the levels that admit it, so its rate
+//!   divides by the visible time, not the total time.  Masking is a
+//!   pure filter applied before the board — it removes events without
+//!   disturbing the rest of the stream — so under a steady workload
+//!   the estimate is unbiased.
 //!
 //! A live run stitches as banks arrive ([`SupervisedFold`]), a finished
 //! one through [`Analyzer::run`](crate::Analyzer::run); both are
@@ -69,33 +69,6 @@ pub fn visible_us(cov: &Coverage, vis: MaskVisibility) -> u64 {
         MaskVisibility::UnlessSwitchOnly => cov.level_us[0] + cov.level_us[1],
         MaskVisibility::AllOnly => cov.level_us[0],
     }
-}
-
-/// The factor that extrapolates an observed per-function count to the
-/// whole timeline: timeline time over visible time.  `None` when the
-/// class was never visible (nothing to extrapolate from).
-pub fn scale_factor(cov: &Coverage, vis: MaskVisibility) -> Option<f64> {
-    let vis_us = visible_us(cov, vis);
-    if vis_us == 0 || cov.timeline_us == 0 {
-        None
-    } else {
-        Some(cov.timeline_us as f64 / vis_us as f64)
-    }
-}
-
-/// Estimated whole-timeline call count for `name`: observed calls
-/// scaled by the coverage of the mask levels that admitted its tags.
-/// `None` if the name is unknown or its class was never visible.
-pub fn scaled_calls(
-    tf: &TagFile,
-    run: &SupervisedRun,
-    r: &Reconstruction,
-    name: &str,
-) -> Option<f64> {
-    let vis = visibility(tf, &run.hot_tags, name)?;
-    let factor = scale_factor(&r.coverage, vis)?;
-    let calls = r.agg(name)?.calls;
-    Some(calls as f64 * factor)
 }
 
 /// The live stitch of a supervised run, installed as a
@@ -345,30 +318,5 @@ mod tests {
             70
         );
         assert_eq!(visible_us(&run.coverage, MaskVisibility::AllOnly), 40);
-        let f = scale_factor(&run.coverage, MaskVisibility::AllOnly).expect("visible");
-        assert!((f - 2.5).abs() < 1e-9);
-        // Nothing visible -> no extrapolation.
-        let dark = Coverage {
-            timeline_us: 100,
-            gap_us: 100,
-            gaps: 1,
-            ..Coverage::empty()
-        };
-        assert_eq!(scale_factor(&dark, MaskVisibility::AllOnly), None);
-    }
-
-    #[test]
-    fn scaled_calls_extrapolates_masked_functions() {
-        let (tf, run, _) = supervised_fixture();
-        let r = crate::Analyzer::for_tagfile(&tf)
-            .run(&run)
-            .expect("ungated");
-        // Ladder disabled: everything ran at All, so scaling inflates
-        // exactly by timeline/covered.
-        let a_calls = r.agg("a").expect("known").calls as f64;
-        let scaled = scaled_calls(&tf, &run, &r, "a").expect("visible");
-        let expect = a_calls * run.coverage.timeline_us as f64 / run.coverage.covered_us as f64;
-        assert!((scaled - expect).abs() < 1e-9);
-        assert!(scaled >= a_calls);
     }
 }

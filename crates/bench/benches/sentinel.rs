@@ -3,62 +3,12 @@
 //! steady-state incremental rescan, and journal rendering.
 //! `BENCH_sentinel.json` pins these rates in CI via `bench_gate`.
 
+mod common;
+
+use common::{synthetic_sessions, WINDOW_US};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hwprof_analysis::{FlightRecorder, Sentinel, SentinelConfig};
-use hwprof_profiler::{RawRecord, RecorderConfig, SupervisedSession, TagMaskLevel};
-use hwprof_tagfile::{TagFile, TagKind};
-
-const SESSIONS: u64 = 64;
-const SESSION_RECORDS: usize = 2048;
-const WINDOW_US: u64 = 1_000;
-
-/// The flight-recorder bench's synthetic stream, verbatim: nested
-/// calls over 40 functions with periodic context switches, sessions
-/// tiling one long timeline.
-fn synthetic_sessions() -> (TagFile, Vec<SupervisedSession>) {
-    let mut tf = TagFile::new(500);
-    let fns: Vec<u16> = (0..40)
-        .map(|i| {
-            tf.assign(&format!("fn{i}"), TagKind::Function)
-                .expect("fresh file")
-        })
-        .collect();
-    let swtch = tf.assign("swtch", TagKind::ContextSwitch).expect("fresh");
-    let mut sessions = Vec::new();
-    let mut start = 1_000u64;
-    for index in 0..SESSIONS {
-        let mut records = Vec::with_capacity(SESSION_RECORDS);
-        let mut t = 0u64;
-        let mut i = index as usize;
-        while records.len() + 8 < SESSION_RECORDS {
-            let a = fns[i % fns.len()];
-            let b = fns[(i * 7 + 3) % fns.len()];
-            for tag in [a, b, b + 1] {
-                t += 7;
-                records.push(RawRecord::latch(tag, t));
-            }
-            if i % 11 == 10 {
-                t += 9;
-                records.push(RawRecord::latch(swtch, t));
-                t += 25;
-                records.push(RawRecord::latch(swtch + 1, t));
-            }
-            t += 4;
-            records.push(RawRecord::latch(a + 1, t));
-            i += 1;
-        }
-        let end = start + t + 5;
-        sessions.push(SupervisedSession {
-            index,
-            start_us: start,
-            end_us: end,
-            level: TagMaskLevel::All,
-            records,
-        });
-        start = end;
-    }
-    (tf, sessions)
-}
+use hwprof_profiler::RecorderConfig;
 
 fn bench_sentinel(c: &mut Criterion) {
     let (tf, sessions) = synthetic_sessions();

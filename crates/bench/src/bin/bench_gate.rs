@@ -12,8 +12,8 @@
 //! fails (exit 1) when:
 //!
 //! * any baseline benchmark's calibration-normalized throughput drops
-//!   more than the noise threshold (15%, `HWPROF_BENCH_GATE_PCT`
-//!   overrides), or vanishes from the fresh run; or
+//!   more than the noise threshold (15%, `GATE_PCT`), or vanishes
+//!   from the fresh run; or
 //! * the machine-independent hard invariant breaks: columnar decode
 //!   must hold >= 3x the scalar oracle within the fresh run itself.
 //!
@@ -26,7 +26,7 @@
 //!                                 --bench fleet
 //! ```
 
-use hwprof_bench::gate::{compare, merge_best, threshold_pct, BenchDoc};
+use hwprof_bench::gate::{compare, merge_best, BenchDoc, GATE_PCT};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -66,7 +66,6 @@ fn main() -> ExitCode {
         eprintln!("usage: bench_gate <baseline_dir> <fresh_dir> [<fresh_dir>...]");
         return ExitCode::FAILURE;
     }
-    let threshold = threshold_pct();
     let mut failed = false;
 
     for bench in GATED_BENCHES {
@@ -93,10 +92,10 @@ fn main() -> ExitCode {
             continue;
         };
         println!(
-            "== {bench}  (threshold {threshold}%, machine factor {:.2}x)",
+            "== {bench}  (threshold {GATE_PCT}%, machine factor {:.2}x)",
             fresh.calibration_ns_per_elem / baseline.calibration_ns_per_elem
         );
-        for v in compare(&baseline, &fresh, threshold) {
+        for v in compare(&baseline, &fresh, GATE_PCT) {
             match v.adjusted_per_sec {
                 Some(adj) => println!(
                     "  {:<44} base {:>14.0}/s  adj {:>14.0}/s  {:>+7.1}%  [{}]",

@@ -11,78 +11,25 @@
 use std::process::exit;
 
 use hwprof::analysis::{FlightRecorder, WindowDiff, WindowRollup};
-use hwprof::profiler::{RawRecord, RecorderConfig, SupervisedSession, TagMaskLevel};
-use hwprof::tagfile::{TagFile, TagKind};
-use hwprof_bench::{banner, row};
+use hwprof::profiler::RecorderConfig;
+use hwprof::tagfile::TagFile;
+use hwprof_bench::{banner, row, shift_session, shift_tagfile, SHIFT_WINDOW_US};
 
-/// Window width; every synthetic session covers exactly one window.
-const WINDOW_US: u64 = 1_000;
 /// Sessions (= windows) in the stream; the shift lands halfway.
 const SESSIONS: u64 = 8;
 const SHIFT_AT: u64 = 4;
-
-/// The instrumented functions: (name, phase-1 calls, phase-2 calls,
-/// per-call µs).  Only `bcopy` changes at the shift.
-const FNS: &[(&str, u64, u64, u64)] = &[
-    ("bcopy", 5, 10, 30),
-    ("ip_input", 4, 4, 20),
-    ("tcp_input", 3, 3, 30),
-    ("mbuf_get", 10, 10, 2),
-];
-/// Phase-1 `bcopy` runs short calls; phase 2 runs full-length ones.
-const BCOPY_P1_US: u64 = 10;
-
-fn tagfile() -> (TagFile, Vec<u16>) {
-    let mut tf = TagFile::new(500);
-    let tags: Vec<u16> = FNS
-        .iter()
-        .map(|(name, ..)| tf.assign(name, TagKind::Function).expect("fresh"))
-        .collect();
-    tf.assign("swtch", TagKind::ContextSwitch).expect("fresh");
-    (tf, tags)
-}
-
-/// One window-aligned session: flat back-to-back calls, phase picked
-/// by the session index.
-fn session(index: u64, tags: &[u16]) -> SupervisedSession {
-    let phase2 = index >= SHIFT_AT;
-    let mut records = Vec::new();
-    let mut t = 0u64;
-    for (i, &(name, p1, p2, dur)) in FNS.iter().enumerate() {
-        let calls = if phase2 { p2 } else { p1 };
-        let dur = if name == "bcopy" && !phase2 {
-            BCOPY_P1_US
-        } else {
-            dur
-        };
-        for _ in 0..calls {
-            records.push(RawRecord::latch(tags[i], t));
-            t += dur;
-            records.push(RawRecord::latch(tags[i] + 1, t));
-            t += 1;
-        }
-    }
-    assert!(t < WINDOW_US, "one session must fit its window");
-    SupervisedSession {
-        index,
-        start_us: index * WINDOW_US,
-        end_us: (index + 1) * WINDOW_US,
-        level: TagMaskLevel::All,
-        records,
-    }
-}
 
 /// Builds a recorder over the full stream and returns one phase-1 and
 /// one phase-2 rollup plus the cross-shift diff.
 fn record(tf: &TagFile, tags: &[u16], retain: usize) -> FlightRecorder {
     let cfg = RecorderConfig::builder()
-        .window_us(WINDOW_US)
+        .window_us(SHIFT_WINDOW_US)
         .retain(retain)
         .build()
         .expect("non-degenerate config");
     let rec = FlightRecorder::new(tf, cfg);
     for i in 0..SESSIONS {
-        rec.ingest_session(&session(i, tags));
+        rec.ingest_session(&shift_session(i, tags, i >= SHIFT_AT));
     }
     rec
 }
@@ -98,7 +45,7 @@ fn main() {
         all_ok &= ok;
     };
 
-    let (tf, tags) = tagfile();
+    let (tf, tags) = shift_tagfile();
     let rec = record(&tf, &tags, 64);
 
     // Every window of the stream is retained and rolls up the exact

@@ -14,14 +14,12 @@ use std::process::exit;
 use hwprof::analysis::{
     AlertTransition, FleetSentinel, FlightRecorder, Profile, Sentinel, SentinelConfig,
 };
-use hwprof::profiler::{BoardConfig, RawRecord, RecorderConfig, SupervisedSession, TagMaskLevel};
-use hwprof::tagfile::{TagFile, TagKind};
+use hwprof::profiler::{BoardConfig, RecorderConfig};
+use hwprof::tagfile::TagFile;
 use hwprof::{scenarios, Experiment, SupervisorPolicy};
-use hwprof_bench::{banner, row};
+use hwprof_bench::{banner, row, shift_session, shift_tagfile, SHIFT_WINDOW_US};
 use hwprof_snmpmib::TrapExporter;
 
-/// Window width; every synthetic session covers exactly one window.
-const WINDOW_US: u64 = 1_000;
 /// Sessions (= windows) in the stream.
 const SESSIONS: u64 = 12;
 /// The shift spans windows 6..9; window 9 reverts to baseline.
@@ -29,67 +27,18 @@ const SHIFT_AT: u64 = 6;
 const REVERT_AT: u64 = 9;
 const SEED: u64 = 0x1993_0617;
 
-/// The instrumented functions: (name, phase-1 calls, phase-2 calls,
-/// per-call µs).  Only `bcopy` changes during the shift.
-const FNS: &[(&str, u64, u64, u64)] = &[
-    ("bcopy", 5, 10, 30),
-    ("ip_input", 4, 4, 20),
-    ("tcp_input", 3, 3, 30),
-    ("mbuf_get", 10, 10, 2),
-];
-/// Outside the shift `bcopy` runs short calls.
-const BCOPY_STEADY_US: u64 = 10;
-
-fn tagfile() -> (TagFile, Vec<u16>) {
-    let mut tf = TagFile::new(500);
-    let tags: Vec<u16> = FNS
-        .iter()
-        .map(|(name, ..)| tf.assign(name, TagKind::Function).expect("fresh"))
-        .collect();
-    tf.assign("swtch", TagKind::ContextSwitch).expect("fresh");
-    (tf, tags)
-}
-
-/// One window-aligned session; `shifted` selects the hot `bcopy` phase.
-fn session(index: u64, tags: &[u16], shifted: bool) -> SupervisedSession {
-    let mut records = Vec::new();
-    let mut t = 0u64;
-    for (i, &(name, p1, p2, dur)) in FNS.iter().enumerate() {
-        let calls = if shifted { p2 } else { p1 };
-        let dur = if name == "bcopy" && !shifted {
-            BCOPY_STEADY_US
-        } else {
-            dur
-        };
-        for _ in 0..calls {
-            records.push(RawRecord::latch(tags[i], t));
-            t += dur;
-            records.push(RawRecord::latch(tags[i] + 1, t));
-            t += 1;
-        }
-    }
-    assert!(t < WINDOW_US, "one session must fit its window");
-    SupervisedSession {
-        index,
-        start_us: index * WINDOW_US,
-        end_us: (index + 1) * WINDOW_US,
-        level: TagMaskLevel::All,
-        records,
-    }
-}
-
 /// Ingests the full stream (`with_shift` selects whether the workload
 /// shifts at all) and scans it with a fresh sentinel.
 fn watch_stream(tf: &TagFile, tags: &[u16], with_shift: bool) -> (FlightRecorder, Sentinel) {
     let cfg = RecorderConfig::builder()
-        .window_us(WINDOW_US)
+        .window_us(SHIFT_WINDOW_US)
         .retain(64)
         .build()
         .expect("non-degenerate config");
     let rec = FlightRecorder::new(tf, cfg);
     for i in 0..SESSIONS {
         let shifted = with_shift && (SHIFT_AT..REVERT_AT).contains(&i);
-        rec.ingest_session(&session(i, tags, shifted));
+        rec.ingest_session(&shift_session(i, tags, shifted));
     }
     let mut sent = Sentinel::new(SentinelConfig);
     sent.scan(&rec);
@@ -104,7 +53,7 @@ fn main() {
         all_ok &= ok;
     };
 
-    let (tf, tags) = tagfile();
+    let (tf, tags) = shift_tagfile();
     let (rec, sent) = watch_stream(&tf, &tags, true);
     let journal = sent.journal();
 

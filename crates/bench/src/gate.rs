@@ -5,8 +5,8 @@
 //! Two kinds of check, combined by the `bench_gate` binary:
 //!
 //! * **baseline diff** — every benchmark in the baseline must hold its
-//!   `per_sec` throughput to within a noise threshold (default 15%,
-//!   `HWPROF_BENCH_GATE_PCT` overrides).  Throughput is first
+//!   `per_sec` throughput to within a noise threshold ([`GATE_PCT`],
+//!   15%).  Throughput is first
 //!   normalized by the two runs' calibration constants, so a slower CI
 //!   machine is not misread as a regression and a faster one does not
 //!   mask a real one;
@@ -202,15 +202,8 @@ pub fn merge_best(mut runs: Vec<BenchDoc>) -> Option<BenchDoc> {
     Some(out)
 }
 
-/// The gate's noise threshold in percent: `HWPROF_BENCH_GATE_PCT`,
-/// defaulting to 15.
-pub fn threshold_pct() -> f64 {
-    std::env::var("HWPROF_BENCH_GATE_PCT")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|p: &f64| p.is_finite() && *p >= 0.0)
-        .unwrap_or(15.0)
-}
+/// The gate's noise threshold in percent.
+pub const GATE_PCT: f64 = 15.0;
 
 #[cfg(test)]
 mod tests {

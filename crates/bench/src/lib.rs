@@ -18,8 +18,8 @@ pub mod gate;
 
 use hwprof::{Registry, SpanLog};
 use hwprof_analysis::{Reconstruction, StreamAnalyzer, Symbols};
-use hwprof_profiler::{BankSink, SupervisedRun};
-use hwprof_tagfile::TagFile;
+use hwprof_profiler::{BankSink, RawRecord, SupervisedRun, SupervisedSession, TagMaskLevel};
+use hwprof_tagfile::{TagFile, TagKind};
 
 /// Re-stitches a supervised run through the streaming pipeline: each
 /// delivered bank fed in order to `workers` analysis threads, the
@@ -43,6 +43,61 @@ pub fn stream_stitch(
         .map_or_else(empty, |s| s.profile);
     r.note_coverage(&run.coverage);
     fed.then_some(r)
+}
+
+/// Window width of the workload-shift stream (E21, E22): every
+/// session covers exactly one window.
+pub const SHIFT_WINDOW_US: u64 = 1_000;
+
+/// The shift stream's functions: (name, steady calls, shifted calls,
+/// per-call µs).  Only `bcopy` changes when the workload shifts.
+const SHIFT_FNS: &[(&str, u64, u64, u64)] = &[
+    ("bcopy", 5, 10, 30),
+    ("ip_input", 4, 4, 20),
+    ("tcp_input", 3, 3, 30),
+    ("mbuf_get", 10, 10, 2),
+];
+/// Outside the shift `bcopy` runs short calls.
+const BCOPY_STEADY_US: u64 = 10;
+
+/// The shift stream's tag file and its functions' entry tags.
+pub fn shift_tagfile() -> (TagFile, Vec<u16>) {
+    let mut tf = TagFile::new(500);
+    let tags: Vec<u16> = SHIFT_FNS
+        .iter()
+        .map(|(name, ..)| tf.assign(name, TagKind::Function).expect("fresh"))
+        .collect();
+    tf.assign("swtch", TagKind::ContextSwitch).expect("fresh");
+    (tf, tags)
+}
+
+/// Session `index` of the shift stream, aligned to its window: flat
+/// back-to-back calls, with the hot `bcopy` when `shifted`.
+pub fn shift_session(index: u64, tags: &[u16], shifted: bool) -> SupervisedSession {
+    let mut records = Vec::new();
+    let mut t = 0u64;
+    for (i, &(name, steady, hot, dur)) in SHIFT_FNS.iter().enumerate() {
+        let calls = if shifted { hot } else { steady };
+        let dur = if name == "bcopy" && !shifted {
+            BCOPY_STEADY_US
+        } else {
+            dur
+        };
+        for _ in 0..calls {
+            records.push(RawRecord::latch(tags[i], t));
+            t += dur;
+            records.push(RawRecord::latch(tags[i] + 1, t));
+            t += 1;
+        }
+    }
+    assert!(t < SHIFT_WINDOW_US, "one session must fit its window");
+    SupervisedSession {
+        index,
+        start_us: index * SHIFT_WINDOW_US,
+        end_us: (index + 1) * SHIFT_WINDOW_US,
+        level: TagMaskLevel::All,
+        records,
+    }
 }
 
 /// Prints the experiment banner.

@@ -27,7 +27,9 @@ use hwprof_analysis::{
     Analyzer, Anomalies, FlightRecorder, Profile, Reconstruction, RecorderLedger, Sentinel,
     SentinelConfig, StreamAnalyzer, SupervisedFold, Symbols,
 };
-use hwprof_instrument::{two_stage_link, Compiler, KernelImage, LinkResult, ModuleSelect};
+use hwprof_instrument::{
+    two_stage_link, Compiler, InstrumentedImage, KernelImage, LinkResult, ModuleSelect,
+};
 use hwprof_kernel386::funcs::{KFn, FUNCS, INLINES};
 use hwprof_kernel386::kernel::{Kernel, KernelConfig};
 use hwprof_kernel386::sim::{Sim, SimBuilder};
@@ -321,9 +323,7 @@ impl Experiment {
         let telemetry = self.telemetry;
         let journal = self.journal;
         let scenario = self.scenario.ok_or(Error::MissingScenario)?;
-        // The modified compiler pass; swtch is always tagged.
-        let mut compiler = Compiler::new(500);
-        let image = compiler.compile_forced(&FUNCS, &INLINES, &self.select, &[KFn::Swtch.idx()])?;
+        let image = compile_instrumented(&self.select)?;
         let tagfile = image.tagfile.clone();
         // The two-stage link resolves _ProfileBase for this build.
         let link = two_stage_link(
@@ -582,14 +582,12 @@ impl Experiment {
                 failures: cov.transport_failures,
             });
         }
-        if policy.min_coverage_ppm > 0 && cov.timeline_us > 0 {
-            let achieved_ppm = (cov.covered_us.saturating_mul(1_000_000) / cov.timeline_us) as u32;
-            if achieved_ppm < policy.min_coverage_ppm {
-                return Err(Error::CoverageTooLow {
-                    achieved_ppm,
-                    required_ppm: policy.min_coverage_ppm,
-                });
-            }
+        let achieved_ppm = cov.covered_ppm();
+        if achieved_ppm < policy.min_coverage_ppm {
+            return Err(Error::CoverageTooLow {
+                achieved_ppm,
+                required_ppm: policy.min_coverage_ppm,
+            });
         }
         Ok(SupervisedCapture {
             run,
@@ -958,7 +956,12 @@ impl SentinelHandle {
 /// fleet aggregator build its decoder and symbol table up front and
 /// merge per-machine [`Reconstruction`]s through the monoid.
 pub fn build_tagfile(select: &ModuleSelect) -> Result<TagFile, Error> {
+    Ok(compile_instrumented(select)?.tagfile)
+}
+
+/// The modified compiler pass over `select`, with `swtch` always
+/// tagged.
+fn compile_instrumented(select: &ModuleSelect) -> Result<InstrumentedImage, Error> {
     let mut compiler = Compiler::new(500);
-    let image = compiler.compile_forced(&FUNCS, &INLINES, select, &[KFn::Swtch.idx()])?;
-    Ok(image.tagfile)
+    Ok(compiler.compile_forced(&FUNCS, &INLINES, select, &[KFn::Swtch.idx()])?)
 }

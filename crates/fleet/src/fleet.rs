@@ -11,12 +11,12 @@
 use hwprof::instrument::ModuleSelect;
 use hwprof::{build_tagfile, Error};
 use hwprof_analysis::{
-    AlertJournal, FleetAlert, FleetSentinel, Reconstruction, SentinelConfig, Symbols,
+    AlertJournal, FleetAlert, FleetSentinel, Reconstruction, SentinelConfig, StreamOutcome, Symbols,
 };
 use hwprof_profiler::{BoardConfig, RecorderConfig, SupervisorPolicy};
 use hwprof_telemetry::Registry;
 
-use crate::aggregator::{FleetAggregator, MachineIngest};
+use crate::aggregator::FleetAggregator;
 use crate::chaos::{ChaosEvent, ChaosPlan};
 use crate::frame::MachineId;
 use crate::health::{HealthSignals, MachineHealth};
@@ -100,6 +100,34 @@ impl Default for FleetPolicy {
 /// odd-constant stride keeps neighbours decorrelated).
 fn machine_seed(fleet_seed: u64, id: MachineId) -> u64 {
     fleet_seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(id) + 1))
+}
+
+/// `machine`'s stream as the fleet reports it: the profile, the banks
+/// folded in, the duplicates dropped, and one [`Error::ShardCorrupt`]
+/// per rejected frame and for the bank whose analysis panicked, in
+/// bank-index order.  A machine with no stream delivered nothing.
+fn machine_shards(
+    machine: MachineId,
+    stream: Option<StreamOutcome>,
+    syms: &Symbols,
+) -> (Reconstruction, u64, u64, Vec<Error>) {
+    let Some(stream) = stream else {
+        return (Reconstruction::empty(syms.clone()), 0, 0, Vec::new());
+    };
+    let mut rejected = stream.rejections;
+    if let Some(bank) = stream.panicked {
+        rejected.push((bank, "analysis panicked".to_string()));
+        rejected.sort_by_key(|&(index, _)| index);
+    }
+    let errors = rejected
+        .into_iter()
+        .map(|(shard, reason)| Error::ShardCorrupt {
+            machine,
+            shard,
+            reason,
+        })
+        .collect();
+    (stream.profile, stream.banks, stream.duplicates, errors)
 }
 
 /// What the driver decided about one machine after arbitration.
@@ -277,21 +305,21 @@ impl Fleet {
         };
         let mut machines = Vec::with_capacity(specs.len());
         for (spec, fate) in specs.iter().zip(fates) {
-            let ingest = ingested
-                .remove(&spec.id)
-                .unwrap_or_else(|| MachineIngest::empty(syms.clone()));
+            let (stream_profile, shards, dup_shards, shard_errors) =
+                machine_shards(spec.id, ingested.remove(&spec.id), &syms);
+            let corrupt_shards = shard_errors.len() as u64;
             let report = match fate {
                 Fate::Kept {
                     summary,
                     straggled,
                     hedged,
                 } => {
-                    let arrived = ingest.shards + ingest.corrupt_shards + ingest.dup_shards;
+                    let arrived = shards + corrupt_shards + dup_shards;
                     let signals = HealthSignals {
                         alive: true,
-                        coverage_ppm: (summary.coverage.fraction() * 1e6) as u32,
+                        coverage_ppm: summary.coverage.covered_ppm(),
                         breaker_trips: summary.coverage.breaker_trips,
-                        corrupt_shards: ingest.corrupt_shards,
+                        corrupt_shards,
                         shards_missing: summary.shards_sent.saturating_sub(arrived),
                         straggled,
                     };
@@ -301,7 +329,7 @@ impl Fleet {
                     let profile = if health.is_included() {
                         coverage.covered_us += cov.covered_us;
                         coverage.dark_us += cov.gap_us;
-                        let mut profile = ingest.profile;
+                        let mut profile = stream_profile;
                         profile.note_coverage(&cov);
                         fleet_profile.merge(profile.clone());
                         Some(profile)
@@ -321,13 +349,13 @@ impl Fleet {
                         profile,
                         local_profile: Some(summary.profile),
                         alerts: summary.alerts,
-                        shards: ingest.shards,
-                        corrupt_shards: ingest.corrupt_shards,
-                        dup_shards: ingest.dup_shards,
+                        shards,
+                        corrupt_shards,
+                        dup_shards,
                         shards_sent: summary.shards_sent,
                         straggled,
                         hedged,
-                        errors: ingest.errors,
+                        errors: shard_errors,
                     }
                 }
                 Fate::Lost {
@@ -338,7 +366,7 @@ impl Fleet {
                 } => {
                     coverage.timeline_us += LOST_WINDOW_US;
                     coverage.lost_us += LOST_WINDOW_US;
-                    errors.extend(ingest.errors);
+                    errors.extend(shard_errors);
                     MachineReport {
                         id: spec.id,
                         workload: spec.workload.name(),
@@ -349,9 +377,9 @@ impl Fleet {
                         profile: None,
                         local_profile: None,
                         alerts: AlertJournal::default(),
-                        shards: ingest.shards,
-                        corrupt_shards: ingest.corrupt_shards,
-                        dup_shards: ingest.dup_shards,
+                        shards,
+                        corrupt_shards,
+                        dup_shards,
                         shards_sent,
                         straggled: false,
                         hedged,
@@ -383,5 +411,81 @@ impl Fleet {
             outliers,
             alerts,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hwprof_profiler::Coverage;
+
+    /// A panicked bank among a machine's rejections maps to one more
+    /// corrupt shard, in index order, and quarantines the machine.
+    #[test]
+    fn a_panicked_bank_is_a_corrupt_shard() {
+        let syms = Symbols::from_tagfile(&hwprof_tagfile::parse("a/100\n").unwrap());
+        let stream = StreamOutcome {
+            profile: Reconstruction::empty(syms.clone()),
+            banks: 3,
+            records: 30,
+            duplicates: 1,
+            rejections: vec![(1, "checksum mismatch".to_string()), (5, "bad".to_string())],
+            panicked: Some(4),
+        };
+        let (_, shards, dup_shards, errors) = machine_shards(7, Some(stream), &syms);
+        assert_eq!((shards, dup_shards), (3, 1));
+        assert_eq!(errors.len(), 3);
+        let corrupt: Vec<_> = errors
+            .iter()
+            .map(|e| match e {
+                Error::ShardCorrupt {
+                    machine: 7,
+                    shard,
+                    reason,
+                } => (*shard, reason.as_str()),
+                other => panic!("unexpected error {other}"),
+            })
+            .collect();
+        assert_eq!(
+            corrupt,
+            [
+                (1, "checksum mismatch"),
+                (4, "analysis panicked"),
+                (5, "bad")
+            ]
+        );
+        let signals = HealthSignals {
+            alive: true,
+            coverage_ppm: 1_000_000,
+            breaker_trips: 0,
+            corrupt_shards: errors.len() as u64,
+            shards_missing: 0,
+            straggled: false,
+        };
+        assert_eq!(signals.classify().0, MachineHealth::Quarantined);
+    }
+
+    /// The coverage floor is exact in integer ppm: a ledger of exactly
+    /// 900 000 ppm is Healthy and one of 899 999 ppm is Degraded.
+    #[test]
+    fn coverage_at_the_floor_is_healthy() {
+        let health = |covered_us: u64, timeline_us: u64| {
+            let coverage = Coverage {
+                timeline_us,
+                covered_us,
+                gap_us: timeline_us - covered_us,
+                ..Coverage::empty()
+            };
+            HealthSignals {
+                alive: true,
+                coverage_ppm: coverage.covered_ppm(),
+                ..HealthSignals::default()
+            }
+            .classify()
+            .0
+        };
+        assert_eq!(health(900_000, 1_000_000), MachineHealth::Healthy);
+        assert_eq!(health(899_999, 1_000_000), MachineHealth::Degraded);
+        assert_eq!(health(0, 0), MachineHealth::Healthy, "empty timeline");
     }
 }

@@ -38,7 +38,7 @@ mod health;
 mod machine;
 mod report;
 
-pub use aggregator::{FleetAggregator, MachineIngest};
+pub use aggregator::FleetAggregator;
 pub use chaos::{ChaosEvent, ChaosPlan};
 pub use fleet::{Fleet, FleetPolicy, FleetSentinelPolicy, LOST_WINDOW_US};
 pub use frame::{checksum, MachineId, ShardFrame};

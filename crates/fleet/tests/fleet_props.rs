@@ -18,7 +18,9 @@
 
 use proptest::prelude::*;
 
-use hwprof_analysis::{Anomalies, Reconstruction, SessionDecoder, SessionRecon, Symbols, TagMap};
+use hwprof_analysis::{
+    Anomalies, Reconstruction, SessionDecoder, SessionRecon, StreamOutcome, Symbols, TagMap,
+};
 use hwprof_fleet::{FleetAggregator, MachineId, ShardFrame};
 use hwprof_profiler::RawRecord;
 use hwprof_tagfile::{TagFile, TagKind};
@@ -113,7 +115,7 @@ fn aggregate(
     tf: &TagFile,
     shards: usize,
     frames: impl IntoIterator<Item = ShardFrame>,
-) -> std::collections::BTreeMap<MachineId, hwprof_fleet::MachineIngest> {
+) -> std::collections::BTreeMap<MachineId, StreamOutcome> {
     let agg = FleetAggregator::spawn(tf, shards);
     for frame in frames {
         agg.feed(frame);
@@ -165,8 +167,8 @@ proptest! {
                 ingest.profile == want,
                 "machine {m}: aggregator diverged from sequential oracle"
             );
-            prop_assert_eq!(ingest.shards, banks.len() as u64);
-            prop_assert_eq!(ingest.corrupt_shards, 0);
+            prop_assert_eq!(ingest.banks, banks.len() as u64);
+            prop_assert!(ingest.rejections.is_empty() && ingest.panicked.is_none());
             prop_assert_eq!(
                 ingest.records,
                 banks.iter().map(Vec::len).sum::<usize>() as u64
@@ -230,13 +232,13 @@ proptest! {
                 got.profile == base.profile,
                 "machine {m}: shuffle/shards/dups changed the reconstruction"
             );
-            prop_assert_eq!(got.shards, base.shards);
+            prop_assert_eq!(got.banks, base.banks);
             prop_assert_eq!(got.records, base.records);
-            prop_assert_eq!(got.corrupt_shards, 0);
+            prop_assert!(got.rejections.is_empty() && got.panicked.is_none());
         }
         // Duplicates were counted, not folded: every doubled frame is
         // one recorded dup somewhere.
-        let total_dups: u64 = variant.values().map(|i| i.dup_shards).sum();
+        let total_dups: u64 = variant.values().map(|i| i.duplicates).sum();
         prop_assert_eq!(total_dups, dups_fed);
     }
 
@@ -285,16 +287,13 @@ proptest! {
         let clean = aggregate(&tf, shards, without_victim);
         // The victim's rejection is explicit, typed, and terminal.
         let v = with_chaos.remove(&victim).expect("victim ingested");
-        prop_assert_eq!(v.corrupt_shards, 1);
-        prop_assert_eq!(v.errors.len(), 1);
-        match &v.errors[0] {
-            hwprof::Error::ShardCorrupt { machine, shard, .. } => {
-                prop_assert_eq!(*machine, victim);
-                prop_assert_eq!(*shard, all_banks[victim as usize].len() as u64 - 1);
-            }
-            other => prop_assert!(false, "expected ShardCorrupt, got {other}"),
-        }
-        prop_assert!(!v.errors[0].is_retryable(), "corrupt shard must not be retryable");
+        prop_assert_eq!(v.panicked, None);
+        prop_assert_eq!(v.rejections.len(), 1);
+        let (shard, reason) = v.rejections[0].clone();
+        prop_assert_eq!(shard, all_banks[victim as usize].len() as u64 - 1);
+        // The fleet reports the rejection as this error.
+        let error = hwprof::Error::ShardCorrupt { machine: victim, shard, reason };
+        prop_assert!(!error.is_retryable(), "corrupt shard must not be retryable");
         // Exclude the victim (as the fleet driver does for Quarantined
         // machines) and the merge matches the never-uploaded world.
         let survivors = fleet_merge(

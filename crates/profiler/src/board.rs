@@ -63,20 +63,6 @@ pub trait BankSink: Send {
     fn bank(&mut self, records: Vec<RawRecord>) -> bool;
 }
 
-impl BankSink for std::sync::mpsc::Sender<Vec<RawRecord>> {
-    fn bank(&mut self, records: Vec<RawRecord>) -> bool {
-        self.send(records).is_ok()
-    }
-}
-
-impl BankSink for std::sync::mpsc::SyncSender<Vec<RawRecord>> {
-    fn bank(&mut self, records: Vec<RawRecord>) -> bool {
-        // A full channel is the hardware analogue of no empty RAM on
-        // hand: refuse rather than stall the machine being profiled.
-        self.try_send(records).is_ok()
-    }
-}
-
 /// A cheap point-in-time snapshot of the board: fill level, missed
 /// triggers, and control state, read under one lock acquisition.
 ///
@@ -441,9 +427,37 @@ impl std::fmt::Debug for Profiler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hwprof_machine::EpromTap;
+
+    /// A drain sink that keeps the banks it takes, up to `room` of
+    /// them, and refuses the rest: a full sink is the hardware
+    /// analogue of no empty RAM on hand.
+    pub(crate) struct KeepSink {
+        pub(crate) banks: Arc<Mutex<Vec<Vec<RawRecord>>>>,
+        room: usize,
+    }
+
+    impl KeepSink {
+        pub(crate) fn new(room: usize) -> KeepSink {
+            KeepSink {
+                banks: Arc::default(),
+                room,
+            }
+        }
+    }
+
+    impl BankSink for KeepSink {
+        fn bank(&mut self, records: Vec<RawRecord>) -> bool {
+            let mut banks = self.banks.lock();
+            let room = banks.len() < self.room;
+            if room {
+                banks.push(records);
+            }
+            room
+        }
+    }
 
     #[test]
     fn switch_gates_recording() {
@@ -519,8 +533,9 @@ mod tests {
             capacity: 8,
             time_bits: 24,
         });
-        let (tx, rx) = std::sync::mpsc::channel();
-        b.set_drain(Box::new(tx));
+        let sink = KeepSink::new(usize::MAX);
+        let kept = sink.banks.clone();
+        b.set_drain(Box::new(sink));
         b.set_switch(true);
         let mut tap = b.clone();
         // 23 events through a 2x4-event double buffer.
@@ -535,7 +550,7 @@ mod tests {
         assert!(b.flush_drain());
         assert_eq!(b.banks_drained(), 6);
         assert_eq!(b.stored(), 0);
-        let banks: Vec<Vec<RawRecord>> = rx.try_iter().collect();
+        let banks: Vec<Vec<RawRecord>> = kept.lock().clone();
         assert_eq!(banks.len(), 6);
         let all: Vec<RawRecord> = banks.concat();
         assert_eq!(all.len(), 23);
@@ -552,9 +567,8 @@ mod tests {
             capacity: 4,
             time_bits: 24,
         });
-        // Bound 1: the second full bank finds the channel occupied.
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        b.set_drain(Box::new(tx));
+        // Room for 1: the second full bank finds the sink occupied.
+        b.set_drain(Box::new(KeepSink::new(1)));
         b.set_switch(true);
         let mut tap = b.clone();
         for i in 0..10u64 {
@@ -563,7 +577,6 @@ mod tests {
         assert!(b.overflowed(), "sink full means no empty RAM ready");
         assert!(b.leds().overflow);
         assert!(b.missed() > 0);
-        drop(rx);
     }
 
     #[test]

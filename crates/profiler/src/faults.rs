@@ -397,7 +397,6 @@ mod tests {
 
     #[test]
     fn refusal_fires_after_n_banks() {
-        let (tx, rx) = std::sync::mpsc::channel::<Vec<RawRecord>>();
         let inj = FaultInjector::new(
             FaultSpec {
                 refuse_after: Some(2),
@@ -405,12 +404,14 @@ mod tests {
             },
             6,
         );
-        let mut sink = inj.sink(Box::new(tx));
+        let keep = crate::board::tests::KeepSink::new(usize::MAX);
+        let kept = keep.banks.clone();
+        let mut sink = inj.sink(Box::new(keep));
         assert!(sink.bank(recs(4)));
         assert!(sink.bank(recs(4)));
         assert!(!sink.bank(recs(4)), "third bank refused");
         assert!(!sink.bank(recs(4)), "and every one after");
         assert_eq!(inj.counts().refused_banks, 2);
-        assert_eq!(rx.try_iter().count(), 2);
+        assert_eq!(kept.lock().len(), 2);
     }
 }

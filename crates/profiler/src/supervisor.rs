@@ -203,13 +203,6 @@ impl Transport for MemoryTransport {
     }
 }
 
-impl Transport for std::sync::mpsc::Sender<(u64, Vec<RawRecord>)> {
-    fn upload(&mut self, index: u64, records: &[RawRecord]) -> Result<(), TransportError> {
-        self.send((index, records.to_vec()))
-            .map_err(|_| TransportError)
-    }
-}
-
 /// A [`Transport`] decorator with deterministic, seeded failures —
 /// per-attempt failure probability plus an optional hard outage over an
 /// attempt-index range (for exercising the breaker).
@@ -447,6 +440,17 @@ impl Coverage {
         }
     }
 
+    /// Covered share of the timeline in parts per million, rounded
+    /// down; an empty timeline counts as fully covered, as in
+    /// [`Coverage::fraction`].
+    pub fn covered_ppm(&self) -> u32 {
+        if self.timeline_us == 0 {
+            1_000_000
+        } else {
+            (u128::from(self.covered_us) * 1_000_000 / u128::from(self.timeline_us)) as u32
+        }
+    }
+
     /// Report lines for the "Coverage" block.
     pub fn describe(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -532,6 +536,17 @@ impl SupervisedRun {
     /// Total events across all delivered sessions.
     pub fn events(&self) -> usize {
         self.sessions.iter().map(|s| s.records.len()).sum()
+    }
+
+    /// First microsecond of the timeline: the earliest session or gap
+    /// start.  `None` when the run delivered nothing and went dark
+    /// nowhere.
+    pub fn origin_us(&self) -> Option<u64> {
+        self.sessions
+            .iter()
+            .map(|s| s.start_us)
+            .chain(self.gaps.iter().map(|g| g.start_us))
+            .min()
     }
 }
 
@@ -630,6 +645,8 @@ struct SupervisorState {
     dark_until: Option<u64>,
     gap_start: u64,
     gap_cause: GapCause,
+    /// A read fired into the open dark window.
+    dark_missed: bool,
     // Breaker.
     breaker_open_until: Option<u64>,
     spill: VecDeque<SupervisedSession>,
@@ -929,6 +946,7 @@ impl SupervisorState {
             GapCause::Drain
         };
         self.dark_until = Some(now + dark);
+        self.dark_missed = false;
     }
 
     /// Closes the run: final bank, spill flush, coverage totals.
@@ -939,9 +957,12 @@ impl SupervisorState {
             match self.dark_until.take() {
                 Some(until) => {
                     // The run ended inside (or exactly at the edge of)
-                    // a dark window; clip it to the timeline.
+                    // a dark window; clip it to the timeline.  A window
+                    // a read fired into stays a gap even when clipped to
+                    // nothing, so every read charged to `missed_in_gaps`
+                    // sits in a recorded gap.
                     let gap_end = until.min(end);
-                    if gap_end > self.gap_start {
+                    if gap_end > self.gap_start || self.dark_missed {
                         self.push_gap(Gap {
                             start_us: self.gap_start,
                             end_us: gap_end,
@@ -1072,6 +1093,7 @@ impl CaptureSupervisor {
                 dark_until: None,
                 gap_start: 0,
                 gap_cause: GapCause::Drain,
+                dark_missed: false,
                 breaker_open_until: None,
                 spill: VecDeque::new(),
                 next_bank: 0,
@@ -1170,6 +1192,7 @@ impl EpromTap for CaptureSupervisor {
                 // socket.
                 st.cov.missed_in_gaps += 1;
                 st.metrics.missed_in_gaps.inc();
+                st.dark_missed = true;
                 return;
             }
             // Swap done at `until`: close the gap, re-arm.
@@ -1206,6 +1229,7 @@ impl EpromTap for CaptureSupervisor {
             st.drain(now_us, false);
             st.cov.missed_in_gaps += 1;
             st.metrics.missed_in_gaps.inc();
+            st.dark_missed = true;
             return;
         }
         if !st.mask.admits(st.level, offset) {
@@ -1568,6 +1592,39 @@ mod tests {
     }
 
     #[test]
+    fn a_capped_last_read_is_held_by_a_gap() {
+        let reg = Registry::new();
+        let mut sup = CaptureSupervisor::new(
+            tiny_board(64),
+            TagMask::default(),
+            policy(),
+            Box::new(MemoryTransport::new()),
+        );
+        sup.set_telemetry(&reg);
+        sup.on_read(500, 1_000);
+        sup.on_read(501, 1_000 + MAX_SESSION_US);
+        let run = sup.finish();
+        // The run ends at the instant the forced swap opened its
+        // window: the window is clipped to nothing but still recorded,
+        // and it holds the read that reached the cap.
+        assert_eq!(run.coverage.missed_in_gaps, 1);
+        assert_eq!(run.gaps.len(), 1);
+        assert_eq!(run.gaps[0].start_us, 1_000 + MAX_SESSION_US);
+        assert_eq!(run.gaps[0].span_us(), 0);
+        assert_eq!(run.gaps[0].cause, GapCause::Drain);
+        assert_eq!(run.coverage.gaps, 1);
+        assert_eq!(run.coverage.gap_us, 0);
+        assert_eq!(run.coverage.timeline_us, MAX_SESSION_US);
+        assert_eq!(
+            run.coverage.covered_us + run.coverage.gap_us,
+            run.coverage.timeline_us
+        );
+        let health = crate::health::HealthReport::new(reg.snapshot(), run.coverage);
+        assert!(health.is_consistent(), "{:?}", health.discrepancies());
+        assert_eq!(health.snapshot().value("sup.missed_in_gaps"), Some(1));
+    }
+
+    #[test]
     fn derive_hot_picks_most_frequent_pair() {
         let mut mask = TagMask::new([200u16]);
         let mut records = Vec::new();
@@ -1652,6 +1709,26 @@ mod tests {
         assert!(run.gaps.is_empty());
         assert_eq!(run.coverage.timeline_us, 0);
         assert!((run.coverage.fraction() - 1.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn covered_ppm_is_exact_integer_math() {
+        let ppm = |covered_us, timeline_us| {
+            Coverage {
+                timeline_us,
+                covered_us,
+                ..Coverage::empty()
+            }
+            .covered_ppm()
+        };
+        assert_eq!(ppm(0, 0), 1_000_000, "empty timeline is fully covered");
+        assert_eq!(ppm(900_000, 1_000_000), 900_000);
+        assert_eq!(ppm(899_999, 1_000_000), 899_999);
+        // `fraction() * 1e6` truncates this one to 248.
+        assert_eq!(ppm(249, 1_000_000), 249);
+        // No overflow where `covered * 1e6` leaves u64.
+        assert_eq!(ppm(u64::MAX, u64::MAX), 1_000_000);
+        assert_eq!(ppm(u64::MAX / 2, u64::MAX), 499_999);
     }
 
     #[test]
